@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import dist_so2, polar_angle, rot2
 from .elastica import ElasticaSolution, gtilde
-from .energy import EnergyDensity, linearize
+from .energy import EnergyDensity
 from .errors import ConfigError, DiagnosticError, DomainError
 from .loads import LoadProfile
 from .mesh import DeformationField
@@ -173,22 +173,15 @@ def strain_field(fld: DeformationField, profile: RotationProfile) -> TensorField
     return TensorField(mesh=mesh, h=fld.h, values=G, name="scaled strain")
 
 
-def stress_field(
-    G: TensorField, W: EnergyDensity
-) -> tuple[TensorField, TensorField]:
-    """Scaled stress E = DW(Id + hG)/h and the comparison field L[G]."""
+def stress_field(G: TensorField, W: EnergyDensity) -> TensorField:
+    """Scaled stress E = DW(Id + hG)/h."""
     h = G.h
     Fh = np.eye(2) + h * G.values
     try:
         E = W.stress(Fh) / h
     except DomainError as exc:
         raise DiagnosticError(f"scaled stress undefined: {exc}") from exc
-    lin = linearize(W)
-    LG = lin.apply(G.values)
-    return (
-        TensorField(mesh=G.mesh, h=h, values=E, name="scaled stress"),
-        TensorField(mesh=G.mesh, h=h, values=LG, name="linearized stress"),
-    )
+    return TensorField(mesh=G.mesh, h=h, values=E, name="scaled stress")
 
 
 @dataclass(eq=False)
@@ -355,7 +348,7 @@ def diagnose(
     """Full diagnostic pipeline for one solution."""
     prof = smooth_rotations(slab_rotations(fld), fld)
     G = strain_field(fld, prof)
-    E, _ = stress_field(G, W)
+    E = stress_field(G, W)
     row = identity_report(fld, prof, G, E, g)
     return prof, G, E, row
 

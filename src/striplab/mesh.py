@@ -2,9 +2,14 @@
 
 The strip is meshed with a uniform nx-by-ny grid of rectangles, 2x2 Gauss
 quadrature per element.  Node n = ix*(ny+1) + iy, so each x1-column is
-contiguous.  Deformations store the full nodal positions but all gradient
-evaluations go through the displacement u = y - rigid, which makes the rigid
-state an exact fixed point in floating point.
+contiguous, and node n carries the displacement dofs 2n and 2n+1.
+Deformations store the full nodal positions but all gradient evaluations go
+through the displacement u = y - rigid, which makes the rigid state an exact
+fixed point in floating point.
+
+Everything that depends only on the grid is built once in ``build_mesh``:
+the element dof map and the CSR sparsity pattern of the stiffness matrix.
+The thickness h enters only through the strain operator.
 """
 
 from __future__ import annotations
@@ -30,11 +35,19 @@ class StripMesh:
     x2: np.ndarray = field(repr=False)
     nodes: np.ndarray = field(repr=False)        # (nnode, 2)
     conn: np.ndarray = field(repr=False)         # (nelem, 4) corner node ids
+    edofs: np.ndarray = field(repr=False)        # (nelem, 8) dofs 2*conn + (0, 1)
     shape_n: np.ndarray = field(repr=False)      # (4 qp, 4 a)
     dshape: np.ndarray = field(repr=False)       # (4 qp, 4 a, 2) d/dx1, d/dx2
     qp_x: np.ndarray = field(repr=False)         # (nqp, 2)
     qp_col: np.ndarray = field(repr=False)       # (nqp,) quadrature column id
     col_x: np.ndarray = field(repr=False)        # (2 nx,) column positions
+    # stiffness pattern: CSR rows and columns, the data slot of each entry of
+    # each element matrix (nnz for couplings to clamped dofs, which are
+    # discarded), and the slots of the clamped diagonal
+    k_indptr: np.ndarray = field(repr=False)     # (2 nnode + 1,) int32
+    k_indices: np.ndarray = field(repr=False)    # (nnz,) int32
+    k_slot: np.ndarray = field(repr=False)       # (nelem * 64,) int32
+    k_clamped: np.ndarray = field(repr=False)    # (2 (ny+1),) int32
 
     @property
     def dx(self) -> float:
@@ -80,11 +93,9 @@ class StripMesh:
 
     def free_dofs(self) -> np.ndarray:
         """Boolean mask over the 2*nnode displacement dofs."""
-        free = np.ones(2 * self.nnode, dtype=bool)
-        for n in self.clamped_nodes():
-            free[2 * n] = False
-            free[2 * n + 1] = False
-        return free
+        free = np.ones((self.nnode, 2), dtype=bool)
+        free[self.clamped_nodes()] = False
+        return free.reshape(-1)
 
     def gather(self, nodal: np.ndarray) -> np.ndarray:
         """Per-element corner values, shape (nelem, 4) + nodal.shape[1:]."""
@@ -96,15 +107,23 @@ class StripMesh:
         out = np.einsum("qa,ea...->eq...", self.shape_n, elem)
         return out.reshape((self.nqp,) + elem.shape[2:])
 
+    def strain_operator(self, h: float) -> np.ndarray:
+        """Scaled gradient of the element shape functions, (4 qp, 4, 8).
+
+        B[q, 2i+k, 2a+j] = delta_ij d_k N_a(q), with d_2 carrying 1/h, so
+        F = Id + B u_e on each element.  The only place h scales d_2.
+        """
+        d = self.dshape / np.array([1.0, h])
+        return np.einsum("qak,ij->qikaj", d, np.eye(2)).reshape(4, 4, 8)
+
     def scaled_gradients(self, u: np.ndarray, h: float) -> np.ndarray:
         """F = Id + (d1 u, d2 u / h) at quadrature points, shape (nqp, 2, 2).
 
         u is the displacement from the rigid state, so u = 0 returns the
         identity exactly.
         """
-        elem = self.gather(np.asarray(u, dtype=float))  # (nelem, 4, 2)
-        D = np.einsum("eaj,qak->eqjk", elem, self.dshape)
-        D[..., 1] /= h
+        ue = np.asarray(u, dtype=float).reshape(-1)[self.edofs]
+        D = np.einsum("qgd,ed->eqg", self.strain_operator(h), ue)
         D = D.reshape(self.nqp, 2, 2)
         D[:, 0, 0] += 1.0
         D[:, 1, 1] += 1.0
@@ -147,6 +166,7 @@ def build_mesh(L: float, nx: int, ny: int) -> StripMesh:
     ey = np.tile(np.arange(ny), nx)
     n00 = ex * (ny + 1) + ey
     conn = np.stack([n00, n00 + (ny + 1), n00 + (ny + 2), n00 + 1], axis=1)
+    edofs = (2 * conn[:, :, None] + np.arange(2)).reshape(-1, 8)
 
     dx = L / nx
     dy = 1.0 / ny
@@ -171,10 +191,56 @@ def build_mesh(L: float, nx: int, ny: int) -> StripMesh:
     col_x[0::2] = x1[:-1] + 0.5 * dx * (1.0 - _GP)
     col_x[1::2] = x1[:-1] + 0.5 * dx * (1.0 + _GP)
 
+    k_indptr, k_indices, k_slot, k_clamped = _stiffness_pattern(nx, ny, conn)
     return StripMesh(
         L=float(L), nx=nx, ny=ny, x1=x1, x2=x2, nodes=nodes, conn=conn,
-        shape_n=shape_n, dshape=dshape, qp_x=qp_x, qp_col=qp_col, col_x=col_x,
+        edofs=edofs, shape_n=shape_n, dshape=dshape, qp_x=qp_x, qp_col=qp_col,
+        col_x=col_x, k_indptr=k_indptr, k_indices=k_indices, k_slot=k_slot,
+        k_clamped=k_clamped,
     )
+
+
+def _stiffness_pattern(nx: int, ny: int, conn: np.ndarray):
+    """CSR pattern of the stiffness with the clamped dofs decoupled.
+
+    A free node couples to its free grid neighbours (offsets in {-1, 0, 1}^2,
+    which are exactly the nodes it shares an element with); a clamped dof
+    keeps only its diagonal.  Row 2n+i lists the neighbours in node order,
+    two dofs each, so the column of neighbour offset o sits at
+    indptr[2n+i] + 2 * rank[n, o] + j.
+    """
+    nyy = ny + 1
+    nnode = (nx + 1) * nyy
+    ix, iy = np.divmod(np.arange(nnode, dtype=np.int32), nyy)
+    off = np.array([-1, 0, 1], dtype=np.int32)
+    jx = ix[:, None] + np.repeat(off, 3)  # (nnode, 9), ascending node ids
+    jy = iy[:, None] + np.tile(off, 3)
+    nbr = (jx >= 1) & (jx <= nx) & (jy >= 0) & (jy <= ny)
+    rank = np.cumsum(nbr, axis=1, dtype=np.int32) - nbr
+    free = ix >= 1
+    row_len = np.where(free, 2 * np.count_nonzero(nbr, axis=1), 1).astype(np.int32)
+    indptr = np.zeros(2 * nnode + 1, dtype=np.int32)
+    np.cumsum(np.repeat(row_len, 2), out=indptr[1:])
+    nnz = int(indptr[-1])
+
+    # element entry (a, i; b, j) couples node conn[a] to offset o[a, b]
+    cx, cy = (_XI > 0).astype(int), (_ETA > 0).astype(int)
+    o = 3 * (cx[None, :] - cx[:, None] + 1) + (cy[None, :] - cy[:, None] + 1)
+    j = np.arange(2, dtype=np.int32)
+    start = indptr[2 * conn[:, :, None] + j]                 # (nelem, a, i)
+    col = rank[conn[:, :, None], o] * 2                      # (nelem, a, b)
+    slot = start[:, :, :, None, None] + col[:, :, None, :, None] + j
+    fc = free[conn]
+    keep = fc[:, :, None, None, None] & fc[:, None, None, :, None]
+    slot = np.where(keep, slot, nnz)
+    indices = np.empty(nnz + 1, dtype=np.int32)
+    indices[slot] = 2 * conn[:, None, None, :, None] + j
+    clamped = np.arange(2 * nyy, dtype=np.int32)
+    indices[indptr[clamped]] = clamped
+    pattern = (indptr, indices[:nnz], slot.reshape(-1), indptr[clamped])
+    for a in pattern:
+        a.flags.writeable = False  # shared by every tangent matrix of the mesh
+    return pattern
 
 
 def mesh_rule_nx(L: float, h: float) -> int:

@@ -2,13 +2,20 @@
 
 The discrete functional on a strip mesh is
 
-    Pi(y) = sum_qp w * [ W(F) - h^2 * mu * g(x1) . y ],   F = Id + (d1 u, d2 u / h),
+    Pi(y) = sum_qp w * [ W(F) - h^2 * mu * g(x1) . y ],   F = Id + B u_e,
 
-with u the displacement from the rigid state and mu a load factor.  Newton
-iteration with Armijo backtracking on Pi, load continuation mu: 0 -> 1, and a
-determinant guard det F > 0.1 that rejects steps entering the near-degenerate
-regime.  Assembly is vectorized over elements in element-index order, so
-residual and tangent are bit-reproducible.
+with u the displacement from the rigid state, B the mesh's strain operator
+(the only place h scales the x2-derivative) and mu a load factor.  Newton
+iteration with Armijo backtracking on Pi, load continuation mu: 0 -> 1 that
+ends at exactly 1, and a determinant guard det F > 0.1 that rejects steps
+entering the near-degenerate regime.
+
+The residual is B^T P and the tangent B^T A B, element by element.  Vectors
+are summed into nodes with ``np.bincount`` over the element dofs and the
+tangent's CSR data with one ``np.bincount`` over the pattern slots that
+``build_mesh`` computed once; couplings to clamped dofs fall into a discarded
+slot and the clamped diagonal is set to 1.  Summation follows element order,
+so residual and tangent are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -27,18 +34,17 @@ from .loads import LoadProfile
 from .mesh import DeformationField, StripMesh, rigid_state
 
 ARMIJO_C = 1e-4
+NEWTON_STALL_REL = 1e-3  # accept a stalled residual below this, relative to the load
+MAX_BACKTRACKS = 40      # Armijo halvings per Newton step
 
 
 @dataclass
 class SolverConfig:
     newton_tol: float = 1e-6       # residual sup norm, relative to the load scale
-    newton_tol_abs: float = 0.0    # absolute fallback threshold
-    newton_stall_rel: float = 1e-3  # accept a stalled residual below this (relative)
     max_iters: int = 25            # Newton iterations per load step
     load_steps: int = 10           # initial continuation increments 0 -> 1
     min_load_step: float = 1e-4    # give up below this increment
     det_floor: float = 0.1         # determinant guard on scaled gradients
-    max_backtracks: int = 40       # Armijo halvings per Newton step
 
 
 @dataclass
@@ -66,21 +72,17 @@ def _guard_dets(mesh: StripMesh, F: np.ndarray, floor: float) -> None:
         raise StepRejected(mesh.qp_x[j, 0], mesh.qp_x[j, 1], float(d[j]), floor)
 
 
-def _scaled_dshape(mesh: StripMesh, h: float) -> np.ndarray:
-    """Shape derivatives matching the scaled gradient: d2 carries a 1/h."""
-    sd = mesh.dshape.copy()
-    sd[..., 1] /= h
-    return sd
+def _assemble(mesh: StripMesh, ve: np.ndarray) -> np.ndarray:
+    """Sum per-element dof values (nelem, 8) into nodes, clamped rows zeroed."""
+    v = np.bincount(mesh.edofs.reshape(-1), weights=ve.reshape(-1), minlength=2 * mesh.nnode)
+    v.reshape(-1, 2)[mesh.clamped_nodes()] = 0.0
+    return v
 
 
 def load_vector(mesh: StripMesh, g: LoadProfile, h: float) -> np.ndarray:
     """Assembled load term at unit load factor, clamped rows zeroed."""
     gvals = g(mesh.qp_x[:, 0]).reshape(mesh.nelem, 4, 2)
-    contrib = h * h * mesh.qp_w * np.einsum("eqi,qa->eqai", gvals, mesh.shape_n)
-    lv = np.zeros((mesh.nnode, 2))
-    np.add.at(lv, mesh.conn, contrib.sum(axis=1))
-    lv[mesh.clamped_nodes()] = 0.0
-    return lv.reshape(-1)
+    return _assemble(mesh, h * h * mesh.qp_w * np.einsum("eqi,qa->eai", gvals, mesh.shape_n))
 
 
 def elastic_residual(fld: DeformationField, W: EnergyDensity, det_floor: float) -> np.ndarray:
@@ -88,12 +90,8 @@ def elastic_residual(fld: DeformationField, W: EnergyDensity, det_floor: float) 
     mesh = fld.mesh
     F = fld.gradients()
     _guard_dets(mesh, F, det_floor)
-    P = W.stress(F).reshape(mesh.nelem, 4, 2, 2)
-    contrib = mesh.qp_w * np.einsum("eqik,qak->eqai", P, _scaled_dshape(mesh, fld.h))
-    r = np.zeros((mesh.nnode, 2))
-    np.add.at(r, mesh.conn, contrib.sum(axis=1))
-    r[mesh.clamped_nodes()] = 0.0
-    return r.reshape(-1)
+    P = W.stress(F).reshape(mesh.nelem, 4, 4)
+    return _assemble(mesh, mesh.qp_w * np.einsum("eqg,qgd->ed", P, mesh.strain_operator(fld.h)))
 
 
 def residual(
@@ -125,25 +123,14 @@ def tangent(
     mesh = fld.mesh
     F = fld.gradients()
     _guard_dets(mesh, F, det_floor)
-    A = W.hessian(F).reshape(mesh.nelem, 4, 2, 2, 2, 2)
-    sdsh = _scaled_dshape(mesh, fld.h)
-    ke = np.zeros((mesh.nelem, 4, 2, 4, 2))
-    for q in range(4):
-        s = sdsh[q]
-        ke += mesh.qp_w * np.einsum("eikjl,ak,bl->eaibj", A[:, q], s, s)
-    ke = ke.reshape(mesh.nelem, 8, 8)
-
-    edofs = (2 * mesh.conn[:, :, None] + np.arange(2)[None, None, :]).reshape(mesh.nelem, 8)
-    rows = np.repeat(edofs, 8, axis=1).reshape(-1)
-    cols = np.tile(edofs, (1, 8)).reshape(-1)
-    K = sp.coo_matrix(
-        (ke.reshape(-1), (rows, cols)), shape=(2 * mesh.nnode, 2 * mesh.nnode)
-    ).tocsr()
-
-    fixed = ~mesh.free_dofs()
-    mask = sp.diags(mesh.free_dofs().astype(float))
-    K = mask @ K @ mask + sp.diags(fixed.astype(float))
-    return K.tocsr()
+    A = W.hessian(F).reshape(mesh.nelem, 4, 4, 4)
+    B = mesh.strain_operator(fld.h)
+    ke = mesh.qp_w * np.einsum("qgd,eqgf->edf", B, np.einsum("eqgh,qhf->eqgf", A, B))
+    nnz = mesh.k_indices.size
+    data = np.bincount(mesh.k_slot, weights=ke.reshape(-1), minlength=nnz + 1)[:nnz]
+    data[mesh.k_clamped] = 1.0
+    ndof = 2 * mesh.nnode
+    return sp.csr_matrix((data, mesh.k_indices, mesh.k_indptr), shape=(ndof, ndof))
 
 
 def scaled_energy(
@@ -177,7 +164,7 @@ def _newton(
     mesh = fld.mesh
     free = mesh.free_dofs()
     fscale = load_factor * float(np.max(np.abs(load_vector(mesh, g, fld.h))))
-    tol = max(cfg.newton_tol * fscale, cfg.newton_tol_abs)
+    tol = cfg.newton_tol * fscale
     r = residual(fld, g, W, load_factor, cfg.det_floor)
     rsup = float(np.max(np.abs(r)))
     it = 0
@@ -185,7 +172,7 @@ def _newton(
     while rsup > tol:
         # roundoff in the assembly floors the reachable residual; accept a
         # stalled iteration once it is far below the load scale
-        if stalled >= 1 and rsup <= cfg.newton_stall_rel * fscale:
+        if stalled >= 1 and rsup <= NEWTON_STALL_REL * fscale:
             break
         if it >= cfg.max_iters:
             raise NonConvergence("Newton iteration cap reached", rsup)
@@ -199,7 +186,7 @@ def _newton(
         _, e0 = scaled_energy(fld, g, W, load_factor)
         y0 = fld.y.copy()
         alpha = 1.0
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             fld.y = y0 + alpha * delta.reshape(-1, 2)
             try:
                 _, e1 = scaled_energy(fld, g, W, load_factor)
@@ -270,9 +257,12 @@ def solve_stationary(
     while mu < 1.0:
         s = min(step, 1.0 - mu)
         while True:
+            # a remainder below min_load_step is roundoff in the summed
+            # increments (0.1 ten times is 1 - 1.1e-16): end on 1.0 instead
+            target = 1.0 if 1.0 - (mu + s) < cfg.min_load_step else mu + s
             trial = DeformationField(mesh=mesh, h=h, y=fld.y.copy())
             try:
-                it, rsup = _newton(trial, g, W, mu + s, cfg)
+                it, rsup = _newton(trial, g, W, target, cfg)
                 break
             except (StepRejected, NonConvergence) as exc:
                 s *= 0.5
@@ -285,7 +275,7 @@ def solve_stationary(
                         message=f"continuation stalled at load factor {mu:.6g}: {exc}",
                     )
         fld = trial
-        mu += s
+        mu = target
         total_it += it
         path.append((mu, it))
         step = min(cap, 2.0 * s)  # recover after halvings, never exceed the cap

@@ -104,6 +104,30 @@ def test_tangent_is_symmetric():
     assert gap < 1e-12 * abs(K).max()
 
 
+def test_tangent_clamped_rows_and_columns_are_identity():
+    mesh = build_mesh(1.0, 6, 3)
+    fld = perturbed_field(mesh, 0.1, seed=31)
+    K = tangent(fld, W).tocsr()
+    fixed = np.flatnonzero(~mesh.free_dofs())
+    dense = K.toarray()
+    eye = np.eye(K.shape[0])
+    assert np.array_equal(dense[fixed], eye[fixed])
+    assert np.array_equal(dense[:, fixed], eye[:, fixed])
+    # no stored entry, even an explicit zero, couples a clamped dof to another
+    rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+    touches = np.isin(rows, fixed) | np.isin(K.indices, fixed)
+    assert np.array_equal(rows[touches], K.indices[touches])
+
+
+def test_cold_continuation_ends_exactly_at_full_load():
+    mesh = build_mesh(1.0, 16, 4)
+    cfg = SolverConfig(load_steps=10)
+    _, rep = solve_stationary(mesh, 0.2, GAMMA, W, cfg)
+    assert rep.converged
+    assert len(rep.path) == 10  # never halved: ten steps of 0.1
+    assert rep.path[-1][0] == 1.0
+
+
 def test_solve_small_load_converges_and_bends_down():
     mesh = build_mesh(1.0, 64, 8)
     fld, rep = solve_stationary(mesh, 0.2, GAMMA, W)
