@@ -30,7 +30,7 @@ from .errors import ConfigError, TruncationFailure
 KAPPA_WINDOW = 4  # cells; pair window for the good-set steepness measurement
 LADDER_FACTOR = np.sqrt(2.0)
 N_CANDIDATES = 64
-MCSHANE_CHUNK = 64
+MCSHANE_TILE = 8  # nodes per side of a fill tile
 
 
 @dataclass(eq=False)
@@ -224,24 +224,39 @@ def _mcshane(
 
     fill restricts which non-good nodes get overwritten (the minimum still
     ranges over every good node); None means fill all of them.
+
+    Filled nodes are taken tile by tile.  A good node g enters a tile's
+    minimum only if u(g) + kappa * (distance from g to the tile's box) is at
+    most the tile-wide upper bound min_g u(g) + kappa * (farthest distance
+    from g to the box), for some component; every other good node is beaten
+    at every node of the tile, so the minimum, and each candidate's value,
+    is the same as over the whole good set.
     """
     d1, d2 = spacing
     n1, n2 = good.shape
     xs = np.arange(n1) * d1
     ys = np.arange(n2) * d2
-    gx = np.broadcast_to(xs[:, None], good.shape)[good]
-    gy = np.broadcast_to(ys[None, :], good.shape)[good]
+    gi, gj = np.nonzero(good)
+    gx, gy = xs[gi], ys[gj]
     gvals = u[good]  # (ngood, ncomp)
     bad = ~good if fill is None else fill & ~good
-    bx = np.broadcast_to(xs[:, None], good.shape)[bad]
-    by = np.broadcast_to(ys[None, :], good.shape)[bad]
+    bi, bj = np.nonzero(bad)
     v = u.copy()
-    filled = np.empty((bx.size, u.shape[-1]))
-    for start in range(0, bx.size, MCSHANE_CHUNK):
-        sl = slice(start, min(start + MCSHANE_CHUNK, bx.size))
-        dist = np.hypot(bx[sl, None] - gx[None, :], by[sl, None] - gy[None, :])
-        filled[sl] = np.min(gvals[None, :, :] + kappa * dist[:, :, None], axis=1)
-    v[bad] = filled
+    tile = (bi // MCSHANE_TILE) * (n2 // MCSHANE_TILE + 1) + bj // MCSHANE_TILE
+    order = np.argsort(tile, kind="stable")
+    for sel in np.split(order, np.flatnonzero(np.diff(tile[order])) + 1):
+        if sel.size == 0:
+            continue
+        bx, by = xs[bi[sel]], ys[bj[sel]]
+        x0, x1, y0, y1 = bx.min(), bx.max(), by.min(), by.max()
+        near = np.hypot(np.maximum(np.maximum(x0 - gx, gx - x1), 0.0),
+                        np.maximum(np.maximum(y0 - gy, gy - y1), 0.0))
+        far = np.hypot(np.maximum(gx - x0, x1 - gx), np.maximum(gy - y0, y1 - gy))
+        upper = np.min(gvals + kappa * far[:, None], axis=0)
+        slack = 1e-9 * (1.0 + np.abs(upper))
+        keep = np.any(gvals + kappa * near[:, None] <= upper + slack, axis=1)
+        dist = np.hypot(bx[:, None] - gx[None, keep], by[:, None] - gy[None, keep])
+        v[bi[sel], bj[sel]] = np.min(gvals[None, keep, :] + kappa * dist[:, :, None], axis=1)
     return v
 
 

@@ -20,7 +20,7 @@ from striplab import (
     thin_truncate,
 )
 from striplab.errors import ConfigError
-from striplab.truncation import KAPPA_WINDOW, LADDER_FACTOR, _strip_slice
+from striplab.truncation import KAPPA_WINDOW, LADDER_FACTOR, _mcshane, _strip_slice
 
 
 def linear_field(n1, n2, spacing, coef):
@@ -243,6 +243,28 @@ def test_lipschitz_truncate_vector_components_fill_independently():
     expect, _ = dense_mcshane(u.components(), good, t, u.spacing)
     v = lipschitz_truncate(u, lam=t, t=t)
     np.testing.assert_allclose(v.values, expect, rtol=1e-13, atol=1e-13)
+
+
+def test_mcshane_tiles_match_unpruned_minimum_bitwise():
+    u = sample_on_strip(rough_field(3), 96, 96, 1.0)
+    comps = u.components()
+    mf = maximal_function(gradient_magnitude(u))
+    good = ~(mf.values > float(np.quantile(mf.values, 0.7)))
+    kappa = 5.0
+    fill = np.zeros_like(good)
+    fill[:, 30:50] = True
+    d1, d2 = u.spacing
+    xs = np.arange(u.n1) * d1
+    ys = np.arange(u.n2) * d2
+    gi, gj = np.nonzero(good)
+    for restrict in (None, fill):
+        bad = ~good if restrict is None else restrict & ~good
+        expect = comps.copy()
+        for i, j in zip(*np.nonzero(bad)):
+            dist = np.hypot(xs[i] - xs[gi], ys[j] - ys[gj])
+            expect[i, j] = np.min(comps[gi, gj] + kappa * dist[:, None], axis=0)
+        v = _mcshane(comps, good, kappa, u.spacing, fill=restrict)
+        assert np.array_equal(v, expect)
 
 
 def test_lipschitz_truncate_untouched_when_level_clears_field():
