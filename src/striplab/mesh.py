@@ -8,8 +8,10 @@ through the displacement u = y - rigid, which makes the rigid state an exact
 fixed point in floating point.
 
 Everything that depends only on the grid is built once in ``build_mesh``:
-the element dof map and the CSR sparsity pattern of the stiffness matrix.
-The thickness h enters only through the strain operator.
+the element dof map and the band slots of the stiffness matrix.  The node
+numbering keeps every coupling within 2*ny + 5 dofs of the diagonal, so the
+stiffness is stored as a band.  The thickness h enters only through the
+strain operator.
 """
 
 from __future__ import annotations
@@ -41,11 +43,11 @@ class StripMesh:
     qp_x: np.ndarray = field(repr=False)         # (nqp, 2)
     qp_col: np.ndarray = field(repr=False)       # (nqp,) quadrature column id
     col_x: np.ndarray = field(repr=False)        # (2 nx,) column positions
-    # stiffness pattern: CSR rows and columns, the data slot of each entry of
-    # each element matrix (nnz for couplings to clamped dofs, which are
-    # discarded), and the slots of the clamped diagonal
-    k_indptr: np.ndarray = field(repr=False)     # (2 nnode + 1,) int32
-    k_indices: np.ndarray = field(repr=False)    # (nnz,) int32
+    # stiffness band: half-bandwidth, the flat slot in the (2 k_bw + 1, ndof)
+    # band array of each entry of each element matrix (its size for
+    # couplings to clamped dofs, which are discarded), and the slots of the
+    # clamped diagonal
+    k_bw: int
     k_slot: np.ndarray = field(repr=False)       # (nelem * 64,) int32
     k_clamped: np.ndarray = field(repr=False)    # (2 (ny+1),) int32
 
@@ -191,53 +193,32 @@ def build_mesh(L: float, nx: int, ny: int) -> StripMesh:
     col_x[0::2] = x1[:-1] + 0.5 * dx * (1.0 - _GP)
     col_x[1::2] = x1[:-1] + 0.5 * dx * (1.0 + _GP)
 
-    k_indptr, k_indices, k_slot, k_clamped = _stiffness_pattern(nx, ny, conn)
+    k_bw = 2 * ny + 5
+    k_slot, k_clamped = _stiffness_pattern(nx, ny, k_bw, edofs)
     return StripMesh(
         L=float(L), nx=nx, ny=ny, x1=x1, x2=x2, nodes=nodes, conn=conn,
         edofs=edofs, shape_n=shape_n, dshape=dshape, qp_x=qp_x, qp_col=qp_col,
-        col_x=col_x, k_indptr=k_indptr, k_indices=k_indices, k_slot=k_slot,
-        k_clamped=k_clamped,
+        col_x=col_x, k_bw=k_bw, k_slot=k_slot, k_clamped=k_clamped,
     )
 
 
-def _stiffness_pattern(nx: int, ny: int, conn: np.ndarray):
-    """CSR pattern of the stiffness with the clamped dofs decoupled.
+def _stiffness_pattern(nx: int, ny: int, bw: int, edofs: np.ndarray):
+    """Band slots of the stiffness with the clamped dofs decoupled.
 
-    A free node couples to its free grid neighbours (offsets in {-1, 0, 1}^2,
-    which are exactly the nodes it shares an element with); a clamped dof
-    keeps only its diagonal.  Row 2n+i lists the neighbours in node order,
-    two dofs each, so the column of neighbour offset o sits at
-    indptr[2n+i] + 2 * rank[n, o] + j.
+    Entry (r, c) lives at row bw + r - c, column c of a (2 bw + 1, ndof)
+    array: scipy's DIA layout with offsets bw..-bw and LAPACK's banded
+    ``ab`` layout alike.  Element couplings to a clamped dof go to the one
+    slot past the end; a clamped dof keeps only its diagonal.
     """
-    nyy = ny + 1
-    nnode = (nx + 1) * nyy
-    ix, iy = np.divmod(np.arange(nnode, dtype=np.int32), nyy)
-    off = np.array([-1, 0, 1], dtype=np.int32)
-    jx = ix[:, None] + np.repeat(off, 3)  # (nnode, 9), ascending node ids
-    jy = iy[:, None] + np.tile(off, 3)
-    nbr = (jx >= 1) & (jx <= nx) & (jy >= 0) & (jy <= ny)
-    rank = np.cumsum(nbr, axis=1, dtype=np.int32) - nbr
-    free = ix >= 1
-    row_len = np.where(free, 2 * np.count_nonzero(nbr, axis=1), 1).astype(np.int32)
-    indptr = np.zeros(2 * nnode + 1, dtype=np.int32)
-    np.cumsum(np.repeat(row_len, 2), out=indptr[1:])
-    nnz = int(indptr[-1])
-
-    # element entry (a, i; b, j) couples node conn[a] to offset o[a, b]
-    cx, cy = (_XI > 0).astype(int), (_ETA > 0).astype(int)
-    o = 3 * (cx[None, :] - cx[:, None] + 1) + (cy[None, :] - cy[:, None] + 1)
-    j = np.arange(2, dtype=np.int32)
-    start = indptr[2 * conn[:, :, None] + j]                 # (nelem, a, i)
-    col = rank[conn[:, :, None], o] * 2                      # (nelem, a, b)
-    slot = start[:, :, :, None, None] + col[:, :, None, :, None] + j
-    fc = free[conn]
-    keep = fc[:, :, None, None, None] & fc[:, None, None, :, None]
-    slot = np.where(keep, slot, nnz)
-    indices = np.empty(nnz + 1, dtype=np.int32)
-    indices[slot] = 2 * conn[:, None, None, :, None] + j
-    clamped = np.arange(2 * nyy, dtype=np.int32)
-    indices[indptr[clamped]] = clamped
-    pattern = (indptr, indices[:nnz], slot.reshape(-1), indptr[clamped])
+    ndof = 2 * (nx + 1) * (ny + 1)
+    size = (2 * bw + 1) * ndof
+    r = edofs[:, :, None]
+    c = edofs[:, None, :]
+    slot = (bw + r - c) * ndof + c
+    free = edofs >= 2 * (ny + 1)  # the clamped nodes come first
+    slot = np.where(free[:, :, None] & free[:, None, :], slot, size)
+    clamped = np.arange(2 * (ny + 1))
+    pattern = (slot.reshape(-1).astype(np.int32), (bw * ndof + clamped).astype(np.int32))
     for a in pattern:
         a.flags.writeable = False  # shared by every tangent matrix of the mesh
     return pattern

@@ -12,10 +12,11 @@ entering the near-degenerate regime.
 
 The residual is B^T P and the tangent B^T A B, element by element.  Vectors
 are summed into nodes with ``np.bincount`` over the element dofs and the
-tangent's CSR data with one ``np.bincount`` over the pattern slots that
+tangent's band with one ``np.bincount`` over the band slots that
 ``build_mesh`` computed once; couplings to clamped dofs fall into a discarded
 slot and the clamped diagonal is set to 1.  Summation follows element order,
-so residual and tangent are bit-reproducible.
+so residual and tangent are bit-reproducible.  Each Newton step solves the
+band by LAPACK's banded LU.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, solve_banded
 
 from .algebra import det2
 from .energy import EnergyDensity
@@ -115,10 +116,12 @@ def tangent(
     fld: DeformationField,
     W: EnergyDensity,
     det_floor: float = 0.1,
-) -> sp.csr_matrix:
-    """Second derivative of the discrete functional, symmetric CSR.
+) -> sp.dia_matrix:
+    """Second derivative of the discrete functional, symmetric, band-stored.
 
-    Rows and columns of clamped dofs are replaced by identity.
+    ``data`` is the (2 bw + 1, ndof) band in LAPACK ``ab`` layout, with
+    offsets bw..-bw.  Rows and columns of clamped dofs are replaced by
+    identity.
     """
     mesh = fld.mesh
     F = fld.gradients()
@@ -126,11 +129,12 @@ def tangent(
     A = W.hessian(F).reshape(mesh.nelem, 4, 4, 4)
     B = mesh.strain_operator(fld.h)
     ke = mesh.qp_w * np.einsum("qgd,eqgf->edf", B, np.einsum("eqgh,qhf->eqgf", A, B))
-    nnz = mesh.k_indices.size
-    data = np.bincount(mesh.k_slot, weights=ke.reshape(-1), minlength=nnz + 1)[:nnz]
+    bw, ndof = mesh.k_bw, 2 * mesh.nnode
+    size = (2 * bw + 1) * ndof
+    data = np.bincount(mesh.k_slot, weights=ke.reshape(-1), minlength=size + 1)[:size]
     data[mesh.k_clamped] = 1.0
-    ndof = 2 * mesh.nnode
-    return sp.csr_matrix((data, mesh.k_indices, mesh.k_indptr), shape=(ndof, ndof))
+    offsets = np.arange(bw, -bw - 1, -1)
+    return sp.dia_matrix((data.reshape(-1, ndof), offsets), shape=(ndof, ndof))
 
 
 def scaled_energy(
@@ -152,20 +156,22 @@ def scaled_energy(
 def _newton(
     fld: DeformationField,
     g: LoadProfile,
+    f: np.ndarray,
     W: EnergyDensity,
     load_factor: float,
     cfg: SolverConfig,
 ) -> tuple[int, float]:
     """Newton with Armijo backtracking at fixed load factor.
 
-    Mutates fld.y in place; returns (iterations, residual sup norm).
-    Raises StepRejected or NonConvergence on failure.
+    f is ``load_vector(fld.mesh, g, fld.h)``.  Mutates fld.y in place;
+    returns (iterations, residual sup norm).  Raises StepRejected or
+    NonConvergence on failure.
     """
     mesh = fld.mesh
     free = mesh.free_dofs()
-    fscale = load_factor * float(np.max(np.abs(load_vector(mesh, g, fld.h))))
+    fscale = load_factor * float(np.max(np.abs(f)))
     tol = cfg.newton_tol * fscale
-    r = residual(fld, g, W, load_factor, cfg.det_floor)
+    r = elastic_residual(fld, W, cfg.det_floor) - load_factor * f
     rsup = float(np.max(np.abs(r)))
     it = 0
     stalled = 0
@@ -177,7 +183,10 @@ def _newton(
         if it >= cfg.max_iters:
             raise NonConvergence("Newton iteration cap reached", rsup)
         K = tangent(fld, W, cfg.det_floor)
-        delta = spla.spsolve(K.tocsc(), -r)
+        try:
+            delta = solve_banded((mesh.k_bw, mesh.k_bw), K.data, -r, check_finite=False)
+        except LinAlgError:
+            raise NonConvergence("singular tangent", rsup) from None
         delta[~free] = 0.0
         slope = float(r @ delta)
         if slope >= 0.0:
@@ -199,14 +208,14 @@ def _newton(
                 break
             # near the residual floor the energy difference drowns in
             # roundoff; accept on plain residual decrease before shrinking
-            r_trial = residual(fld, g, W, load_factor, cfg.det_floor)
+            r_trial = elastic_residual(fld, W, cfg.det_floor) - load_factor * f
             if float(np.max(np.abs(r_trial))) <= (1.0 - ARMIJO_C * alpha) * rsup:
                 break
             alpha *= 0.5
         else:
             fld.y = y0
             raise NonConvergence("line search failed", rsup)
-        r = residual(fld, g, W, load_factor, cfg.det_floor)
+        r = elastic_residual(fld, W, cfg.det_floor) - load_factor * f
         rsup_new = float(np.max(np.abs(r)))
         stalled = stalled + 1 if rsup_new >= 0.5 * rsup else 0
         rsup = rsup_new
@@ -233,11 +242,12 @@ def solve_stationary(
     cfg = cfg or SolverConfig()
     h = _check_h(h)
     t0 = time.perf_counter()
+    f = load_vector(mesh, g, h)
 
     if warm is not None:
         fld = warm_start(warm, mesh, h)
         try:
-            it, rsup = _newton(fld, g, W, 1.0, cfg)
+            it, rsup = _newton(fld, g, f, W, 1.0, cfg)
             el, tot = scaled_energy(fld, g, W, 1.0)
             return fld, SolverReport(
                 converged=True, iterations=it, residual_sup=rsup,
@@ -262,7 +272,7 @@ def solve_stationary(
             target = 1.0 if 1.0 - (mu + s) < cfg.min_load_step else mu + s
             trial = DeformationField(mesh=mesh, h=h, y=fld.y.copy())
             try:
-                it, rsup = _newton(trial, g, W, target, cfg)
+                it, rsup = _newton(trial, g, f, W, target, cfg)
                 break
             except (StepRejected, NonConvergence) as exc:
                 s *= 0.5

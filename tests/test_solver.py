@@ -119,6 +119,47 @@ def test_tangent_clamped_rows_and_columns_are_identity():
     assert np.array_equal(rows[touches], K.indices[touches])
 
 
+def test_tangent_band_layout():
+    mesh = build_mesh(1.0, 6, 3)
+    fld = perturbed_field(mesh, 0.1, seed=37)
+    K = tangent(fld, W)
+    A = W.hessian(fld.gradients()).reshape(mesh.nelem, 4, 2, 2, 2, 2)
+    B = mesh.strain_operator(fld.h).reshape(4, 2, 2, 8)
+    ndof = 2 * mesh.nnode
+    expect = np.zeros((ndof, ndof))
+    for e in range(mesh.nelem):
+        for q in range(4):
+            ke = np.einsum("ikr,ikjl,jls->rs", B[q], A[e, q], B[q])
+            expect[np.ix_(mesh.edofs[e], mesh.edofs[e])] += mesh.qp_w * ke
+    fixed = np.flatnonzero(~mesh.free_dofs())
+    expect[fixed] = 0.0
+    expect[:, fixed] = 0.0
+    expect[fixed, fixed] = 1.0
+    np.testing.assert_allclose(K.toarray(), expect, rtol=0, atol=1e-13 * abs(expect).max())
+
+    bw = 2 * mesh.ny + 5
+    assert np.array_equal(K.offsets, np.arange(bw, -bw - 1, -1))
+    # DIA -> CSR drops explicit zeros, so check the band itself: data[k, c]
+    # is entry (c + k - bw, c)
+    k, c = np.indices(K.data.shape)
+    r = c + k - bw
+    inside = (r >= 0) & (r < ndof)
+    touches = inside & (np.isin(r, fixed) | np.isin(c, fixed))
+    assert np.array_equal(K.data[touches], (r == c)[touches].astype(float))
+
+
+def test_singular_tangent_fails_fast_with_reason():
+    class Flat(HalfDistSquared):
+        def hessian(self, F, step=1e-6):
+            return np.zeros(F.shape + (2, 2))
+
+    mesh = build_mesh(1.0, 16, 4)
+    cfg = SolverConfig(load_steps=1, min_load_step=0.5)
+    _, rep = solve_stationary(mesh, 0.2, GAMMA, Flat(), cfg)
+    assert not rep.converged
+    assert "singular tangent" in rep.message
+
+
 def test_cold_continuation_ends_exactly_at_full_load():
     mesh = build_mesh(1.0, 16, 4)
     cfg = SolverConfig(load_steps=10)
