@@ -108,7 +108,7 @@ def grad_sup(gf: GridFunction) -> float:
     return float(np.max(gradient_magnitude(gf).values[:-1, :-1]))
 
 
-_MASK_CACHE: dict = {}
+_KERNEL_CACHE: dict = {}
 
 
 def _radius_ladder(gf: GridFunction) -> np.ndarray:
@@ -122,30 +122,36 @@ def _radius_ladder(gf: GridFunction) -> np.ndarray:
 
 
 def _ball_kernels(gf: GridFunction):
-    """FFT kernels and in-domain counts for each ladder radius, cached per grid."""
+    """FFT kernels and in-domain counts for each ladder radius, cached per grid.
+
+    A ball of radius r spans offsets -m..m per axis, m = min(r/d, n - 1), and
+    is transformed at p = next_fast_len(n + m).  That padding is exact: for
+    an output node i in [0, n) the offset i - k of each kernel tap k in
+    [-m, m] lies in [-m, n - 1 + m].  As p >= n + m, no index wraps past p,
+    and the negative ones wrap to [p - m, p), which lies at or beyond n,
+    where the padded input is zero.  So the circular convolution equals the
+    linear one on the domain.
+    """
     key = (gf.n1, gf.n2, gf.spacing)
-    hit = _MASK_CACHE.get(key)
+    hit = _KERNEL_CACHE.get(key)
     if hit is not None:
         return hit
     d1, d2 = gf.spacing
-    radii = _radius_ladder(gf)
+    ones = np.ones((gf.n1, gf.n2))
     entries = []
-    for r in radii:
+    for r in _radius_ladder(gf):
         m1 = min(int(r / d1), gf.n1 - 1)
         m2 = min(int(r / d2), gf.n2 - 1)
         off1 = np.arange(-m1, m1 + 1)
         off2 = np.arange(-m2, m2 + 1)
         mask = (off1[:, None] * d1) ** 2 + (off2[None, :] * d2) ** 2 <= r * r
-        p1 = sfft.next_fast_len(gf.n1 + 2 * m1)
-        p2 = sfft.next_fast_len(gf.n2 + 2 * m2)
-        kern = np.zeros((p1, p2))
-        kern[np.ix_(off1 % p1, off2 % p2)] = mask
+        pshape = (sfft.next_fast_len(gf.n1 + m1), sfft.next_fast_len(gf.n2 + m2))
+        kern = np.zeros(pshape)
+        kern[np.ix_(off1 % pshape[0], off2 % pshape[1])] = mask
         kfft = sfft.rfft2(kern)
-        ones = np.zeros((p1, p2))
-        ones[: gf.n1, : gf.n2] = 1.0
-        den = sfft.irfft2(sfft.rfft2(ones) * kfft, s=(p1, p2))[: gf.n1, : gf.n2]
-        entries.append((kfft, (p1, p2), np.maximum(den, 0.5)))
-    _MASK_CACHE[key] = entries
+        den = sfft.irfft2(sfft.rfft2(ones, s=pshape) * kfft, s=pshape)[: gf.n1, : gf.n2]
+        entries.append((kfft, pshape, np.maximum(den, 0.5)))
+    _KERNEL_CACHE[key] = entries
     return entries
 
 
@@ -154,18 +160,19 @@ def maximal_function(grad_mag: GridFunction) -> GridFunction:
 
     Radii run from half a cell (ball = the node itself, so the output
     dominates the input pointwise) by factors of sqrt(2) up to the domain
-    diameter.  Ball averages count only in-domain nodes.
+    diameter.  Ball averages count only in-domain nodes.  Each ball sum is
+    one FFT convolution zero-padded to n + m nodes per axis (rounded up to
+    a fast length), which is exact for offsets up to m (see _ball_kernels).
     """
     if grad_mag.values.ndim != 2:
         raise ConfigError("maximal function expects a scalar field")
     if np.any(grad_mag.values < 0):
         raise ConfigError("maximal function expects a nonnegative field")
     f = grad_mag.values
+    n1, n2 = f.shape
     out = f.copy()
     for kfft, pshape, den in _ball_kernels(grad_mag)[1:]:
-        fpad = np.zeros(pshape)
-        fpad[: f.shape[0], : f.shape[1]] = f
-        num = sfft.irfft2(sfft.rfft2(fpad) * kfft, s=pshape)[: f.shape[0], : f.shape[1]]
+        num = sfft.irfft2(sfft.rfft2(f, s=pshape) * kfft, s=pshape)[:n1, :n2]
         np.maximum(out, num / den, out=out)
     return GridFunction(values=np.maximum(out, 0.0), spacing=grad_mag.spacing)
 
@@ -227,10 +234,20 @@ def _mcshane(
 
     Filled nodes are taken tile by tile.  A good node g enters a tile's
     minimum only if u(g) + kappa * (distance from g to the tile's box) is at
-    most the tile-wide upper bound min_g u(g) + kappa * (farthest distance
-    from g to the box), for some component; every other good node is beaten
-    at every node of the tile, so the minimum, and each candidate's value,
-    is the same as over the whole good set.
+    most the tile-wide upper bound U = min_g u(g) + kappa * (farthest
+    distance from g to the box), plus a 1e-9 relative slack, for some
+    component; every other good node is beaten at every node of the tile,
+    so the minimum, and each candidate's value, is the same as over the
+    whole good set.
+
+    That test runs only over the good nodes in a window around the tile.
+    The same bound taken over the good nodes of a small neighbourhood of
+    the tile (its box grown by 1, 2, 4, ... cells until one is inside)
+    gives U' >= U, so every node that passes, and every node attaining U,
+    lies within R = max_c (U'_c + slack_c - min_g u_c(g)) / kappa of the
+    box; the window is the tile's index box grown by ceil(R / d) + 1 cells
+    per axis.  Good nodes are in row-major order, so the window is a run of
+    rows of them, and the candidates keep their order.
     """
     d1, d2 = spacing
     n1, n2 = good.shape
@@ -239,6 +256,22 @@ def _mcshane(
     gi, gj = np.nonzero(good)
     gx, gy = xs[gi], ys[gj]
     gvals = u[good]  # (ngood, ncomp)
+    gmin = np.min(gvals, axis=0, initial=np.inf)
+    row_start = np.searchsorted(gi, np.arange(n1 + 1))
+
+    def window(i0, i1, j0, j1, w1, w2):
+        """Good-node indices in rows i0-w1..i1+w1 and columns j0-w2..j1+w2."""
+        lo = row_start[max(i0 - w1, 0)]
+        hi = row_start[min(i1 + w1 + 1, n1)]
+        cols = gj[lo:hi]
+        return lo + np.flatnonzero((cols >= j0 - w2) & (cols <= j1 + w2))
+
+    def tile_bound(w, x0, x1, y0, y1):
+        """Tile upper bound over good nodes w, and its slack."""
+        far = np.hypot(np.maximum(gx[w] - x0, x1 - gx[w]), np.maximum(gy[w] - y0, y1 - gy[w]))
+        upper = np.min(gvals[w] + kappa * far[:, None], axis=0)
+        return upper, 1e-9 * (1.0 + np.abs(upper))
+
     bad = ~good if fill is None else fill & ~good
     bi, bj = np.nonzero(bad)
     v = u.copy()
@@ -247,16 +280,23 @@ def _mcshane(
     for sel in np.split(order, np.flatnonzero(np.diff(tile[order])) + 1):
         if sel.size == 0:
             continue
-        bx, by = xs[bi[sel]], ys[bj[sel]]
-        x0, x1, y0, y1 = bx.min(), bx.max(), by.min(), by.max()
-        near = np.hypot(np.maximum(np.maximum(x0 - gx, gx - x1), 0.0),
-                        np.maximum(np.maximum(y0 - gy, gy - y1), 0.0))
-        far = np.hypot(np.maximum(gx - x0, x1 - gx), np.maximum(gy - y0, y1 - gy))
-        upper = np.min(gvals + kappa * far[:, None], axis=0)
-        slack = 1e-9 * (1.0 + np.abs(upper))
-        keep = np.any(gvals + kappa * near[:, None] <= upper + slack, axis=1)
-        dist = np.hypot(bx[:, None] - gx[None, keep], by[:, None] - gy[None, keep])
-        v[bi[sel], bj[sel]] = np.min(gvals[None, keep, :] + kappa * dist[:, :, None], axis=1)
+        ti, tj = bi[sel], bj[sel]
+        i0, i1, j0, j1 = ti.min(), ti.max(), tj.min(), tj.max()
+        box = x0, x1, y0, y1 = xs[i0], xs[i1], ys[j0], ys[j1]
+        grow = 1
+        while (w := window(i0, i1, j0, j1, grow, grow)).size == 0 and grow < max(n1, n2):
+            grow *= 2
+        upper, slack = tile_bound(w, *box)
+        reach = np.max(upper + slack - gmin) / kappa
+        w = window(i0, i1, j0, j1, int(min(np.ceil(reach / d1), n1)) + 1,
+                   int(min(np.ceil(reach / d2), n2)) + 1)
+        upper, slack = tile_bound(w, *box)
+        wx, wy, wvals = gx[w], gy[w], gvals[w]
+        near = np.hypot(np.maximum(np.maximum(x0 - wx, wx - x1), 0.0),
+                        np.maximum(np.maximum(y0 - wy, wy - y1), 0.0))
+        keep = np.any(wvals + kappa * near[:, None] <= upper + slack, axis=1)
+        dist = np.hypot(xs[ti][:, None] - wx[None, keep], ys[tj][:, None] - wy[None, keep])
+        v[ti, tj] = np.min(wvals[None, keep, :] + kappa * dist[:, :, None], axis=1)
     return v
 
 

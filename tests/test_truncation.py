@@ -20,6 +20,8 @@ from striplab import (
     thin_truncate,
 )
 from striplab.errors import ConfigError
+from scipy import fft as sfft
+
 from striplab.truncation import KAPPA_WINDOW, LADDER_FACTOR, _mcshane, _strip_slice
 
 
@@ -125,6 +127,20 @@ def test_maximal_function_matches_dense_oracle():
     gf.values = np.abs(gf.values)
     mf = maximal_function(gf)
     assert np.all(mf.values >= gf.values)  # smallest ball is the node itself
+    expect = dense_maximal(gf.values, gf.spacing)
+    assert mf.values == pytest.approx(expect, rel=1e-10, abs=1e-12)
+
+
+def test_maximal_function_matches_dense_oracle_at_padding_edge():
+    # the largest balls clip to m = n - 1 offsets, and n + m (27, 25) is
+    # already a fast length, so one node less of padding would wrap around
+    n1, n2 = 14, 13
+    assert sfft.next_fast_len(2 * n1 - 1) == 2 * n1 - 1
+    assert sfft.next_fast_len(2 * n2 - 1) == 2 * n2 - 1
+    gf = random_scalar(n1, n2, (0.07, 0.11), seed=17)
+    gf.values = np.abs(gf.values)
+    gf.values[0, 0] += 6.0  # a corner spike weighs most on the far side
+    mf = maximal_function(gf)
     expect = dense_maximal(gf.values, gf.spacing)
     assert mf.values == pytest.approx(expect, rel=1e-10, abs=1e-12)
 
@@ -267,6 +283,61 @@ def test_mcshane_tiles_match_unpruned_minimum_bitwise():
         assert np.array_equal(v, expect)
 
 
+def unpruned_mcshane(comps, good, kappa, spacing, fill=None):
+    """Upper McShane extension with every good node in every minimum."""
+    d1, d2 = spacing
+    n1, n2 = good.shape
+    xs = np.arange(n1) * d1
+    ys = np.arange(n2) * d2
+    gi, gj = np.nonzero(good)
+    bad = ~good if fill is None else fill & ~good
+    expect = comps.copy()
+    for i, j in zip(*np.nonzero(bad)):
+        dist = np.hypot(xs[i] - xs[gi], ys[j] - ys[gj])
+        expect[i, j] = np.min(comps[gi, gj] + kappa * dist[:, None], axis=0)
+    return expect
+
+
+def test_mcshane_window_covers_grid_when_kappa_is_small():
+    # kappa * diameter is far below the spread of u: every filled node takes
+    # the smallest good value, wherever it sits
+    u = sample_on_strip(rough_field(5), 40, 40, 1.0)
+    comps = u.components()
+    mf = maximal_function(gradient_magnitude(u))
+    good = ~(mf.values > float(np.quantile(mf.values, 0.5)))
+    for kappa in (1e-6, 1e-3):
+        v = _mcshane(comps, good, kappa, u.spacing)
+        assert np.array_equal(v, unpruned_mcshane(comps, good, kappa, u.spacing))
+    # constant good values with kappa * distance below their roundoff: only
+    # the slack keeps the window from shrinking to one cell around the tile
+    flat = np.where(good[:, :, None], 1.0, comps)
+    v = _mcshane(flat, good, 1e-20, u.spacing)
+    assert np.array_equal(v, unpruned_mcshane(flat, good, 1e-20, u.spacing))
+
+
+def test_mcshane_window_grows_across_a_wide_bad_block():
+    u = sample_on_strip(rough_field(8), 48, 48, 1.0)
+    comps = u.components()
+    good = np.ones(comps.shape[:2], dtype=bool)
+    good[10:36, 6:40] = False  # tiles in the middle see no good node nearby
+    good[20, 22] = True  # and one lone good node inside
+    for kappa in (0.5, 5.0, 50.0):
+        v = _mcshane(comps, good, kappa, u.spacing)
+        assert np.array_equal(v, unpruned_mcshane(comps, good, kappa, u.spacing))
+
+
+def test_mcshane_single_good_node():
+    n1, n2 = 30, 21
+    spacing = (0.1, 0.3)
+    comps = random_scalar(n1, n2, spacing, seed=23).components()
+    for node in ((0, 0), (17, 9), (29, 20)):
+        good = np.zeros((n1, n2), dtype=bool)
+        good[node] = True
+        for kappa in (0.7, 30.0):
+            v = _mcshane(comps, good, kappa, spacing)
+            assert np.array_equal(v, unpruned_mcshane(comps, good, kappa, spacing))
+
+
 def test_lipschitz_truncate_untouched_when_level_clears_field():
     u = linear_field(10, 8, (0.1, 0.1), [(0.01, 0.02)])
     v = lipschitz_truncate(u, lam=1.0, t=1.0)
@@ -369,6 +440,27 @@ def test_thin_truncate_strip_field_is_a_strip_of_the_square_output():
     res = thin_truncate(u, 14.0, 28.0)
     assert res.v.values.shape == u.values.shape
     assert res.v.spacing == u.spacing
+
+
+@pytest.mark.parametrize(
+    "seed, level, strip_index, n_bad, q, lam, kappa",
+    [
+        (28, 15.628258089425534, 0, 1279, 0.7403477805651406, 28.85980828313006,
+         15.628258089425534),
+        (31, 14.311479851370176, -3, 1406, 0.4119505604253643, 23.20903632651271,
+         14.311479851370176),
+    ],
+)
+def test_thin_truncate_heavy_fields_pinned(seed, level, strip_index, n_bad, q, lam, kappa):
+    # the sweep's largest bad sets at 256x32
+    u = sample_on_strip(rough_field(seed), 256, 32, 0.125)
+    res = thin_truncate(u, 14.0, 28.0)
+    assert res.level == level
+    assert res.strip_index == strip_index
+    assert int(res.bad_mask.sum()) == n_bad
+    assert res.q == pytest.approx(q, rel=1e-12)
+    assert res.lam == pytest.approx(lam, rel=1e-12)
+    assert res.kappa == pytest.approx(kappa, rel=1e-12)
 
 
 def test_thin_truncate_low_window_exhausts_good_set():
