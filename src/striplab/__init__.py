@@ -10,17 +10,12 @@ passage to the limit.
 from .algebra import dist_so2, polar_angle, polar_rotation, rot2, svd2_vals
 from .diagnostics import (
     ConvergenceTable,
+    Diagnosis,
     IdentityRow,
     RotationProfile,
-    TensorField,
     convergence_study,
     diagnose,
-    identity_report,
     slab_rotations,
-    smooth_rotations,
-    strain_field,
-    stress_field,
-    z_field,
 )
 from .elastica import (
     ElasticaSolution,

@@ -26,14 +26,6 @@ def trans2(F: np.ndarray) -> np.ndarray:
     return np.swapaxes(np.asarray(F), -1, -2)
 
 
-def sym2(F: np.ndarray) -> np.ndarray:
-    return 0.5 * (F + trans2(F))
-
-
-def skew2(F: np.ndarray) -> np.ndarray:
-    return 0.5 * (F - trans2(F))
-
-
 def trace2(F: np.ndarray) -> np.ndarray:
     F = np.asarray(F)
     return F[..., 0, 0] + F[..., 1, 1]
@@ -42,10 +34,6 @@ def trace2(F: np.ndarray) -> np.ndarray:
 def frob(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Frobenius inner product A:B summed over the trailing 2x2 axes."""
     return np.sum(np.asarray(A) * np.asarray(B), axis=(-2, -1))
-
-
-def norm2(A: np.ndarray) -> np.ndarray:
-    return np.sqrt(frob(A, A))
 
 
 def rot2(angle) -> np.ndarray:
@@ -58,12 +46,6 @@ def rot2(angle) -> np.ndarray:
     out[..., 1, 0] = s
     out[..., 1, 1] = c
     return out
-
-
-def wrap_angle(a) -> np.ndarray:
-    """Map angles to the canonical branch (-pi, pi]."""
-    a = np.asarray(a, dtype=float)
-    return np.pi - np.mod(np.pi - a, 2.0 * np.pi)
 
 
 def polar_angle(F: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from .config import (
     solver_from,
     sweep_from,
 )
-from .diagnostics import convergence_study, diagnose, z_field
+from .diagnostics import convergence_study, diagnose
 from .energy import linearize, taylor_remainder
 from .errors import (
     ConfigError,
@@ -148,18 +148,17 @@ def run_diagnose(cfg: ExperimentConfig, out: Path) -> RunManifest:
     t0 = time.perf_counter()
     fld, report = solve_stationary(mesh, h, g, W, scfg)
     status = "ok" if report.converged else "non-converged"
-    prof, G, E, row = diagnose(fld, g, W)
-    zf = z_field(fld, prof)
+    d = diagnose(fld, g, W)
     dt = time.perf_counter() - t0
+    z_items = {"z_bc_gap": d.z_bc_gap, "z_identity_error": d.z_identity_error}
     paths = [
         csvio.write_solution(out / "solution.csv", fld),
-        csvio.write_rotations(out / "rotations.csv", prof),
-        csvio.write_fields(out / "fields.csv", G, E),
-        csvio.write_moments(out / "moments.csv", G, E),
-        csvio.write_identities(out / "identities.csv", [row]),
+        csvio.write_rotations(out / "rotations.csv", d),
+        csvio.write_fields(out / "fields.csv", d),
+        csvio.write_moments(out / "moments.csv", d),
+        csvio.write_identities(out / "identities.csv", [d.row]),
         csvio.write_keyvalue(
-            out / "report.csv",
-            _solver_report_items(h, mesh, report) | {"z_bc_gap": zf.bc_gap},
+            out / "report.csv", _solver_report_items(h, mesh, report) | z_items
         ),
     ]
     manifest.record("diagnose", status, dt, paths)
@@ -348,46 +347,39 @@ def run_energy_check(cfg: ExperimentConfig, out: Path, seed: int | None = None) 
     return manifest
 
 
+# subcommand -> (runner, help, takes --seed)
+COMMANDS = {
+    "solve-strip": (run_solve_strip, "solve the clamped strip at one thickness", False),
+    "solve-elastica": (run_solve_elastica, "solve the limit rod problem", False),
+    "diagnose": (run_diagnose, "solve one thickness and emit all diagnostic tables", False),
+    "converge": (run_convergence, "run the h-sweep against the rod limit", False),
+    "truncate": (run_truncation_demo, "run the truncation property sweep", True),
+    "energy-check": (run_energy_check, "run the energy-density hypothesis suite", True),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="striplab",
         description="Thin-strip equilibria, their rod limit, and the supporting checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "solve-strip": "solve the clamped strip at one thickness",
-        "solve-elastica": "solve the limit rod problem",
-        "diagnose": "solve one thickness and emit all diagnostic tables",
-        "converge": "run the h-sweep against the rod limit",
-        "truncate": "run the truncation property sweep",
-        "energy-check": "run the energy-density hypothesis suite",
-    }
-    for name, help_text in specs.items():
+    for name, (_, help_text, seeded) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default="out", help="output directory")
-        if name in ("truncate", "energy-check"):
+        if seeded:
             p.add_argument("--seed", type=int, default=None, help="sweep seed")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    runner, _, seeded = COMMANDS[args.command]
     try:
         cfg = ExperimentConfig.load(args.config)
-        out = Path(args.out)
-        if args.command == "solve-strip":
-            manifest = run_solve_strip(cfg, out)
-        elif args.command == "solve-elastica":
-            manifest = run_solve_elastica(cfg, out)
-        elif args.command == "diagnose":
-            manifest = run_diagnose(cfg, out)
-        elif args.command == "converge":
-            manifest = run_convergence(cfg, out)
-        elif args.command == "truncate":
-            manifest = run_truncation_demo(cfg, out, seed=args.seed)
-        else:
-            manifest = run_energy_check(cfg, out, seed=args.seed)
+        extra = {"seed": args.seed} if seeded else {}
+        manifest = runner(cfg, Path(args.out), **extra)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

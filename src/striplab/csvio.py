@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .truncation import GridFunction
 
 
 def fmt(x) -> str:
@@ -60,92 +59,53 @@ def read_keyvalue(path) -> dict[str, str]:
     return {k: v for k, v in rows}
 
 
-def write_grid(path, gf: GridFunction) -> Path:
-    """GridFunction as CSV: names, then nx,ny,dx,dy, then row-major samples.
-
-    Vector components are interleaved per node within each row, so a row
-    holds ny*ncomp values; ncomp is recovered from the row width on read.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["nx,ny,dx,dy"]
-    lines.append(
-        ",".join([str(gf.n1), str(gf.n2), repr(gf.spacing[0]), repr(gf.spacing[1])])
-    )
-    vals = gf.components()
-    for i in range(gf.n1):
-        lines.append(",".join(repr(float(x)) for x in vals[i].ravel()))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+ROW_CHUNK = 512  # rows turned into Python floats at a time, which bounds a table's memory
 
 
-def read_grid(path) -> GridFunction:
-    header, rows = read_table(path)
-    if header != ["nx", "ny", "dx", "dy"] or not rows:
-        raise ConfigError(f"not a grid CSV: {path}")
-    n1, n2 = int(rows[0][0]), int(rows[0][1])
-    d1, d2 = float(rows[0][2]), float(rows[0][3])
-    data = rows[1:]
-    if len(data) != n1:
-        raise ConfigError(f"grid CSV {path}: expected {n1} sample rows, got {len(data)}")
-    width = len(data[0])
-    if width % n2 != 0:
-        raise ConfigError(f"grid CSV {path}: row width {width} not a multiple of ny={n2}")
-    ncomp = width // n2
-    vals = np.array([[float(x) for x in row] for row in data])
-    vals = vals.reshape(n1, n2, ncomp)
-    if ncomp == 1:
-        vals = vals[:, :, 0]
-    return GridFunction(values=vals, spacing=(d1, d2))
+def _array_rows(*columns):
+    """Rows of the column-stacked float arrays, as lists of Python floats."""
+    for start in range(0, len(columns[0]), ROW_CHUNK):
+        chunk = [c[start : start + ROW_CHUNK] for c in columns]
+        yield from np.column_stack(chunk).tolist()
 
 
 def write_solution(path, fld) -> Path:
     """Strip solution nodes: node_id,x1,x2,y1,y2."""
     mesh = fld.mesh
-    ids = np.arange(mesh.nnode)
-    ix, iy = np.divmod(ids, mesh.ny + 1)
-    rows = zip(ids, mesh.x1[ix], mesh.x2[iy], fld.y[:, 0], fld.y[:, 1])
+    ix, iy = np.divmod(np.arange(mesh.nnode), mesh.ny + 1)
+    coords = _array_rows(mesh.x1[ix], mesh.x2[iy], fld.y)
+    rows = ([i, *r] for i, r in enumerate(coords))
     return write_table(path, ["node_id", "x1", "x2", "y1", "y2"], rows)
 
 
 def write_elastica(path, sol) -> Path:
-    rows = zip(sol.x, sol.theta, sol.kappa, sol.ybar[:, 0], sol.ybar[:, 1])
+    rows = _array_rows(sol.x, sol.theta, sol.kappa, sol.ybar)
     return write_table(path, ["x1", "theta", "kappa", "ybar1", "ybar2"], rows)
 
 
-def write_rotations(path, profile) -> Path:
-    if profile.node_x is None:
-        raise ConfigError("rotation profile has no node samples")
-    rows = zip(profile.node_x, profile.node_theta)
-    return write_table(path, ["x1", "theta_h"], rows)
+def write_rotations(path, d) -> Path:
+    """Mollified angle of a Diagnosis at the mesh's node columns."""
+    return write_table(path, ["x1", "theta_h"], _array_rows(d.mesh.x1, d.node_theta))
 
 
-def write_fields(path, G, E) -> Path:
-    mesh = G.mesh
+def write_fields(path, d) -> Path:
+    """Scaled strain and stress of a Diagnosis, one row per quadrature point."""
+    nqp = d.mesh.nqp
     header = ["x1", "x2"] + [f"G{i}{j}" for i in (1, 2) for j in (1, 2)]
     header += [f"E{i}{j}" for i in (1, 2) for j in (1, 2)]
-    rows = (
-        (
-            mesh.qp_x[q, 0],
-            mesh.qp_x[q, 1],
-            *G.values[q].ravel(),
-            *E.values[q].ravel(),
-        )
-        for q in range(mesh.nqp)
-    )
+    rows = _array_rows(d.mesh.qp_x, d.G.reshape(nqp, 4), d.E.reshape(nqp, 4))
     return write_table(path, header, rows)
 
 
-def write_moments(path, G, E) -> Path:
-    mesh = G.mesh
-    Eb, Eh, Gh = E.bar(), E.hat(), G.hat()
+def write_moments(path, d) -> Path:
+    """x2-moments of a Diagnosis, one row per quadrature column."""
+    ncol = d.mesh.ncol
     header = ["x1"]
     header += [f"barE{i}{j}" for i in (1, 2) for j in (1, 2)]
     header += [f"hatE{i}{j}" for i in (1, 2) for j in (1, 2)]
     header += ["hatG11"]
-    rows = (
-        (mesh.col_x[c], *Eb[c].ravel(), *Eh[c].ravel(), Gh[c, 0, 0])
-        for c in range(mesh.ncol)
+    rows = _array_rows(
+        d.mesh.col_x, d.Ebar.reshape(ncol, 4), d.Ehat.reshape(ncol, 4), d.Ghat[:, 0, 0]
     )
     return write_table(path, header, rows)
 

@@ -51,7 +51,6 @@ class EnergyDensity:
     """Base class: frame-indifferent stored energy W(F) on 2x2 matrices."""
 
     kind = "custom"
-    name = "custom"
     # whether W >= c * dist(F, SO(2))^2 is expected to hold for all F,
     # not just on the orientation-preserving branch
     coercive_globally = True
@@ -84,7 +83,6 @@ class HalfDistSquared(EnergyDensity):
     """W(F) = dist(F, SO(2))^2 / 2."""
 
     kind = "half-dist-squared"
-    name = "half squared distance to SO(2)"
     coercive_globally = True
 
     def energy(self, F: np.ndarray) -> np.ndarray:
@@ -141,7 +139,6 @@ class IsotropicQuadratic(EnergyDensity):
             raise ConfigError(f"energy.lambda must be nonnegative, got {lam!r}")
         self.mu = float(mu)
         self.lam = float(lam)
-        self.name = f"isotropic quadratic (mu={self.mu:g}, lambda={self.lam:g})"
 
     def green(self, F: np.ndarray) -> np.ndarray:
         F = np.asarray(F, dtype=float)

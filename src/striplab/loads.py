@@ -49,8 +49,3 @@ class LoadProfile:
     @property
     def is_zero(self) -> bool:
         return bool(np.all(self.vals == 0.0))
-
-    def describe(self) -> str:
-        if self.xs is None:
-            return f"constant ({self.vals[0]:g}, {self.vals[1]:g})"
-        return f"sampled at {self.xs.size} points on [{self.xs[0]:g}, {self.xs[-1]:g}]"

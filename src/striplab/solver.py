@@ -87,29 +87,16 @@ def load_vector(mesh: StripMesh, g: LoadProfile, h: float) -> np.ndarray:
 
 
 def elastic_residual(fld: DeformationField, W: EnergyDensity, det_floor: float) -> np.ndarray:
-    """Gradient of the elastic part w.r.t. nodal positions, clamped rows zeroed."""
+    """Gradient of the elastic part w.r.t. nodal positions, clamped rows zeroed.
+
+    Raises StepRejected when any scaled gradient determinant falls to
+    det_floor or below.
+    """
     mesh = fld.mesh
     F = fld.gradients()
     _guard_dets(mesh, F, det_floor)
     P = W.stress(F).reshape(mesh.nelem, 4, 4)
     return _assemble(mesh, mesh.qp_w * np.einsum("eqg,qgd->ed", P, mesh.strain_operator(fld.h)))
-
-
-def residual(
-    fld: DeformationField,
-    g: LoadProfile,
-    W: EnergyDensity,
-    load_factor: float = 1.0,
-    det_floor: float = 0.1,
-) -> np.ndarray:
-    """Gradient of the discrete functional w.r.t. nodal positions, (2*nnode,).
-
-    Rows of clamped nodes are zeroed.  Raises StepRejected when any scaled
-    gradient determinant falls to det_floor or below.
-    """
-    return elastic_residual(fld, W, det_floor) - load_factor * load_vector(
-        fld.mesh, g, fld.h
-    )
 
 
 def tangent(
@@ -263,7 +250,7 @@ def solve_stationary(
     mu = 0.0
     cap = 1.0 / max(1, cfg.load_steps)
     step = cap
-    rsup = float(np.max(np.abs(residual(fld, g, W, 0.0, cfg.det_floor))))
+    rsup = float(np.max(np.abs(elastic_residual(fld, W, cfg.det_floor))))
     while mu < 1.0:
         s = min(step, 1.0 - mu)
         while True:

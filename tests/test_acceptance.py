@@ -62,7 +62,7 @@ def sweep():
         mesh2 = build_mesh(1.0, 2 * fld.mesh.nx, 8)
         fld2, rep2 = solve_stationary(mesh2, fld.h, GAMMA, W0, warm=fld)
         assert rep2.converged, rep2.message
-        fine_r2.append(diagnose(fld2, GAMMA, W0)[3].r2)
+        fine_r2.append(diagnose(fld2, GAMMA, W0).row.r2)
     return {
         "table": table,
         "fine_r2": np.asarray(fine_r2),
@@ -80,7 +80,7 @@ def test_criterion_01_trivial_equilibrium():
         fld, rep = solve_stationary(mesh, h, g0, W0)
         sec_max = max(sec_max, time.perf_counter() - t0)
         assert np.array_equal(fld.y, rigid_state(mesh, h).y)
-        row = diagnose(fld, g0, W0)[3]
+        row = diagnose(fld, g0, W0).row
         res_max = max(res_max, rep.residual_sup)
         it_max = max(it_max, rep.iterations)
         r_max = max(r_max, abs(row.r1), abs(row.r2), abs(row.r3), abs(row.r4))

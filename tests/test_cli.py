@@ -109,6 +109,27 @@ def test_truncate_outputs_are_deterministic(tmp_path):
         assert names_a == names_b
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("diagnose", TINY_STRIP),
+        ("converge", TINY_STRIP + "sweep.h = 0.2, 0.1\nelastica.n = 512\n"),
+    ],
+    ids=["diagnose", "converge"],
+)
+def test_solver_outputs_are_deterministic(tmp_path, command, text):
+    cfg = write_cfg(tmp_path, text)
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main([command, "--config", cfg, "--out", str(out_a)]) == 0
+    assert main([command, "--config", cfg, "--out", str(out_b)]) == 0
+    # manifests record wall times; every other file must match byte for byte
+    names = sorted(p.name for p in out_a.glob("*.csv") if p.name != "manifest.csv")
+    assert names == sorted(p.name for p in out_b.glob("*.csv") if p.name != "manifest.csv")
+    assert len(names) >= 3
+    for name in names:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
 def test_truncate_seed_changes_the_fields(tmp_path):
     cfg = write_cfg(tmp_path, TINY_TRUNC)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

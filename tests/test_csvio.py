@@ -4,31 +4,41 @@ import numpy as np
 import pytest
 
 from striplab import (
-    GridFunction,
     HalfDistSquared,
     LoadProfile,
     build_mesh,
+    diagnose,
     rigid_state,
-    slab_rotations,
-    smooth_rotations,
     solve_elastica,
 )
 from striplab.csvio import (
+    ROW_CHUNK,
     fmt,
-    read_grid,
     read_keyvalue,
     read_table,
     write_elastica,
-    write_grid,
     write_identities,
     write_keyvalue,
     write_rotations,
     write_solution,
     write_table,
 )
-from striplab.diagnostics import ConvergenceTable, IdentityRow, TensorField
+from striplab.diagnostics import ConvergenceTable, IdentityRow
 from striplab.csvio import write_convergence, write_fields, write_moments
 from striplab.errors import ConfigError
+
+W = HalfDistSquared()
+G0 = LoadProfile.constant(0.0, 0.0)
+
+
+def random_field(mesh, h, seed):
+    """Rigid state plus a seeded random displacement that keeps det F > 0."""
+    fld = rigid_state(mesh, h)
+    rng = np.random.default_rng(seed)
+    du = 1e-3 * rng.standard_normal(fld.y.shape)
+    du[mesh.clamped_nodes()] = 0.0
+    fld.y += du
+    return fld
 
 
 def test_fmt_is_type_stable():
@@ -87,37 +97,6 @@ def test_keyvalue_round_trip(tmp_path):
         read_keyvalue(other)
 
 
-def test_grid_round_trip_scalar_bitwise(tmp_path):
-    rng = np.random.default_rng(4)
-    gf = GridFunction(values=rng.standard_normal((7, 5)), spacing=(0.125, 0.0625))
-    p = write_grid(tmp_path / "g.csv", gf)
-    back = read_grid(p)
-    assert np.array_equal(back.values, gf.values)
-    assert back.spacing == gf.spacing
-    assert back.values.ndim == 2
-
-
-def test_grid_round_trip_vector_bitwise(tmp_path):
-    rng = np.random.default_rng(5)
-    gf = GridFunction(values=rng.standard_normal((6, 4, 2)), spacing=(0.2, 0.05))
-    back = read_grid(write_grid(tmp_path / "g.csv", gf))
-    assert np.array_equal(back.values, gf.values)
-    assert back.ncomp == 2
-
-
-def test_read_grid_layout_errors(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("a,b\n1,2\n")
-    with pytest.raises(ConfigError, match="not a grid"):
-        read_grid(p)
-    p.write_text("nx,ny,dx,dy\n3,2,0.5,0.5\n0.0,0.0\n0.0,0.0\n")
-    with pytest.raises(ConfigError, match="sample rows"):
-        read_grid(p)
-    p.write_text("nx,ny,dx,dy\n2,2,0.5,0.5\n0.0,0.0,0.0\n0.0,0.0,0.0\n")
-    with pytest.raises(ConfigError, match="multiple"):
-        read_grid(p)
-
-
 def test_write_solution_layout(tmp_path):
     mesh = build_mesh(1.0, 4, 2)
     fld = rigid_state(mesh, 0.2)
@@ -138,36 +117,73 @@ def test_write_elastica_layout(tmp_path):
     assert float(rows[0][0]) == 0.0 and float(rows[0][1]) == 0.0
 
 
-def test_write_rotations_requires_node_samples(tmp_path):
+def test_write_rotations_layout(tmp_path):
     mesh = build_mesh(1.0, 16, 2)
     fld = rigid_state(mesh, 0.25)
-    prof = slab_rotations(fld)
-    with pytest.raises(ConfigError, match="node samples"):
-        write_rotations(tmp_path / "rot.csv", prof)
-    prof = smooth_rotations(prof, fld)
-    header, rows = read_table(write_rotations(tmp_path / "rot.csv", prof))
+    d = diagnose(fld, G0, W)
+    header, rows = read_table(write_rotations(tmp_path / "rot.csv", d))
     assert header == ["x1", "theta_h"]
     assert len(rows) == mesh.nx + 1
 
 
 def test_write_fields_and_moments_layout(tmp_path):
     mesh = build_mesh(1.0, 4, 2)
-    rng = np.random.default_rng(6)
-    G = TensorField(mesh=mesh, h=0.2, values=rng.standard_normal((mesh.nqp, 2, 2)))
-    E = TensorField(mesh=mesh, h=0.2, values=rng.standard_normal((mesh.nqp, 2, 2)))
-    header, rows = read_table(write_fields(tmp_path / "f.csv", G, E))
+    d = diagnose(random_field(mesh, 0.2, seed=6), G0, W)
+    header, rows = read_table(write_fields(tmp_path / "f.csv", d))
     assert header[:2] == ["x1", "x2"]
     assert header[2:6] == ["G11", "G12", "G21", "G22"]
     assert len(header) == 10
     assert len(rows) == mesh.nqp
-    assert float(rows[0][2]) == G.values[0, 0, 0]
+    assert float(rows[0][2]) == d.G[0, 0, 0]
 
-    header, rows = read_table(write_moments(tmp_path / "m.csv", G, E))
+    header, rows = read_table(write_moments(tmp_path / "m.csv", d))
     assert header[0] == "x1"
     assert header[-1] == "hatG11"
     assert len(rows) == mesh.ncol
-    assert float(rows[0][1]) == E.bar()[0, 0, 0]
-    assert float(rows[0][-1]) == G.hat()[0, 0, 0]
+    assert float(rows[0][1]) == d.Ebar[0, 0, 0]
+    assert float(rows[0][-1]) == d.Ghat[0, 0, 0]
+
+
+def test_array_rows_format_like_per_cell_rows(tmp_path):
+    # the reference rows pass every cell as a numpy scalar, row by row; the
+    # mesh has more nodes and quadrature points than one chunk of rows
+    mesh = build_mesh(1.0, 128, 4)
+    assert min(mesh.nnode, mesh.nqp) > ROW_CHUNK
+    fld = random_field(mesh, 0.2, seed=9)
+    d = diagnose(fld, G0, W)
+
+    ids = np.arange(mesh.nnode)
+    ix, iy = np.divmod(ids, mesh.ny + 1)
+    ref = zip(ids, mesh.x1[ix], mesh.x2[iy], fld.y[:, 0], fld.y[:, 1])
+    header = ["node_id", "x1", "x2", "y1", "y2"]
+    expect = write_table(tmp_path / "ref_solution.csv", header, ref).read_bytes()
+    assert write_solution(tmp_path / "solution.csv", fld).read_bytes() == expect
+
+    header, _ = read_table(write_fields(tmp_path / "fields.csv", d))
+    ref = (
+        (mesh.qp_x[q, 0], mesh.qp_x[q, 1], *d.G[q].ravel(), *d.E[q].ravel())
+        for q in range(mesh.nqp)
+    )
+    expect = write_table(tmp_path / "ref_fields.csv", header, ref).read_bytes()
+    assert (tmp_path / "fields.csv").read_bytes() == expect
+
+    header, _ = read_table(write_moments(tmp_path / "moments.csv", d))
+    ref = (
+        (mesh.col_x[c], *d.Ebar[c].ravel(), *d.Ehat[c].ravel(), d.Ghat[c, 0, 0])
+        for c in range(mesh.ncol)
+    )
+    expect = write_table(tmp_path / "ref_moments.csv", header, ref).read_bytes()
+    assert (tmp_path / "moments.csv").read_bytes() == expect
+
+    ref = zip(mesh.x1, d.node_theta)
+    expect = write_table(tmp_path / "ref_rot.csv", ["x1", "theta_h"], ref).read_bytes()
+    assert write_rotations(tmp_path / "rot.csv", d).read_bytes() == expect
+
+    sol = solve_elastica(1.0, LoadProfile.constant(0.0, -1e-3), 1.0, n=16)
+    ref = zip(sol.x, sol.theta, sol.kappa, sol.ybar[:, 0], sol.ybar[:, 1])
+    header = ["x1", "theta", "kappa", "ybar1", "ybar2"]
+    expect = write_table(tmp_path / "ref_rod.csv", header, ref).read_bytes()
+    assert write_elastica(tmp_path / "rod.csv", sol).read_bytes() == expect
 
 
 def test_write_identities_layout(tmp_path):
