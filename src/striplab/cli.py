@@ -51,7 +51,7 @@ EXIT_DIAGNOSTIC = 3
 class RunManifest:
     """What a driver produced: per-step status, timing, and artifact paths."""
 
-    config_hash: str
+    config: ExperimentConfig
     out_dir: Path
     entries: list = field(default_factory=list)
 
@@ -63,7 +63,8 @@ class RunManifest:
         return all(status == "ok" for _, status, _, _ in self.entries)
 
     def write(self) -> Path:
-        rows = [("config", self.config_hash, 0.0, "")]
+        """The config row lists the config keys the run did not read."""
+        rows = [("config", self.config.hash, 0.0, ";".join(self.config.unread()))]
         rows += [
             (step, status, round(seconds, 3), ";".join(outputs))
             for step, status, seconds, outputs in self.entries
@@ -77,7 +78,7 @@ class RunManifest:
 
 def _manifest(cfg: ExperimentConfig, out: Path) -> RunManifest:
     out.mkdir(parents=True, exist_ok=True)
-    return RunManifest(config_hash=cfg.hash, out_dir=out)
+    return RunManifest(config=cfg, out_dir=out)
 
 
 def _solver_report_items(h, mesh, report) -> dict:
@@ -92,6 +93,7 @@ def _solver_report_items(h, mesh, report) -> dict:
         "elastic_energy": report.elastic_energy,
         "total_energy": report.total_energy,
         "message": report.message,
+        "load_path": ";".join(f"{mu:.6g}:{it}" for mu, it in report.path),
     }
 
 

@@ -111,6 +111,10 @@ class ExperimentConfig:
     def require(self, key: str):
         return self._fetch(key, _REQUIRED)
 
+    def unread(self) -> list[str]:
+        """Keys present in the config that no getter has read, sorted."""
+        return sorted(set(self.raw) - self.used)
+
 
 _REQUIRED = object()
 

@@ -6,9 +6,12 @@ The discrete functional on a strip mesh is
 
 with u the displacement from the rigid state, B the mesh's strain operator
 (the only place h scales the x2-derivative) and mu a load factor.  Newton
-iteration with Armijo backtracking on Pi, load continuation mu: 0 -> 1 that
-ends at exactly 1, and a determinant guard det F > 0.1 that rejects steps
-entering the near-degenerate regime.
+iteration with Armijo backtracking on Pi, tried first at full load and, if
+that fails, along a load continuation mu: 0 -> 1 that ends at exactly 1, and
+a determinant guard det F > 0.1 that rejects steps entering the
+near-degenerate regime.  Newton stops one step after its residual falls
+within the larger of a load-relative tolerance and the assembly's roundoff
+floor.
 
 The residual is B^T P and the tangent B^T A B, element by element.  Vectors
 are summed into nodes with ``np.bincount`` over the element dofs and the
@@ -34,9 +37,13 @@ from .errors import ConfigError, NonConvergence, StepRejected
 from .loads import LoadProfile
 from .mesh import DeformationField, StripMesh, rigid_state
 
+EPS = np.finfo(float).eps
+
 ARMIJO_C = 1e-4
-NEWTON_STALL_REL = 1e-3  # accept a stalled residual below this, relative to the load
 MAX_BACKTRACKS = 40      # Armijo halvings per Newton step
+# Roundoff floor of the assembled residual, in units of eps * max|K| * max|y|:
+# y carries eps * |y| of rounding, which the tangent K maps into the residual.
+FLOOR_C = 2.0
 
 
 @dataclass
@@ -86,14 +93,21 @@ def load_vector(mesh: StripMesh, g: LoadProfile, h: float) -> np.ndarray:
     return _assemble(mesh, h * h * mesh.qp_w * np.einsum("eqi,qa->eai", gvals, mesh.shape_n))
 
 
-def elastic_residual(fld: DeformationField, W: EnergyDensity, det_floor: float) -> np.ndarray:
+def elastic_residual(
+    fld: DeformationField,
+    W: EnergyDensity,
+    det_floor: float,
+    F: np.ndarray | None = None,
+) -> np.ndarray:
     """Gradient of the elastic part w.r.t. nodal positions, clamped rows zeroed.
 
     Raises StepRejected when any scaled gradient determinant falls to
-    det_floor or below.
+    det_floor or below.  F, if given, is ``fld.gradients()`` already
+    computed by the caller.
     """
     mesh = fld.mesh
-    F = fld.gradients()
+    if F is None:
+        F = fld.gradients()
     _guard_dets(mesh, F, det_floor)
     P = W.stress(F).reshape(mesh.nelem, 4, 4)
     return _assemble(mesh, mesh.qp_w * np.einsum("eqg,qgd->ed", P, mesh.strain_operator(fld.h)))
@@ -129,10 +143,15 @@ def scaled_energy(
     g: LoadProfile,
     W: EnergyDensity,
     load_factor: float = 1.0,
+    F: np.ndarray | None = None,
 ) -> tuple[float, float]:
-    """(elastic energy, total energy with the load term) of a deformation."""
+    """(elastic energy, total energy with the load term) of a deformation.
+
+    F, if given, is ``fld.gradients()`` already computed by the caller.
+    """
     mesh = fld.mesh
-    F = fld.gradients()
+    if F is None:
+        F = fld.gradients()
     elastic = float(mesh.qp_w * np.sum(W.energy(F)))
     gvals = g(mesh.qp_x[:, 0])
     yq = mesh.qp_values(fld.y)
@@ -150,26 +169,33 @@ def _newton(
 ) -> tuple[int, float]:
     """Newton with Armijo backtracking at fixed load factor.
 
-    f is ``load_vector(fld.mesh, g, fld.h)``.  Mutates fld.y in place;
-    returns (iterations, residual sup norm).  Raises StepRejected or
-    NonConvergence on failure.
+    f is ``load_vector(fld.mesh, g, fld.h)``.  The stopping bound is the
+    larger of cfg.newton_tol times the load scale and the assembly's
+    roundoff floor, FLOOR_C * eps * max|K| * max|y| with K the last tangent.
+    A residual within the bound does not show how far the iterate still is
+    from the solution (at h = 0.025 two iterates 5e-12 apart have the same
+    floor-level residual), so the step taken from within the bound is the
+    last: it cuts that distance quadratically.  cfg.max_iters caps the steps
+    taken to reach the bound.  An exact zero residual takes no step.
+
+    Mutates fld.y in place; returns (iterations, residual sup norm).  Raises
+    StepRejected or NonConvergence on failure.
     """
     mesh = fld.mesh
     free = mesh.free_dofs()
-    fscale = load_factor * float(np.max(np.abs(f)))
-    tol = cfg.newton_tol * fscale
+    tol = cfg.newton_tol * load_factor * float(np.max(np.abs(f)))
+    floor = 0.0
     r = elastic_residual(fld, W, cfg.det_floor) - load_factor * f
     rsup = float(np.max(np.abs(r)))
+    _, e0 = scaled_energy(fld, g, W, load_factor)
     it = 0
-    stalled = 0
-    while rsup > tol:
-        # roundoff in the assembly floors the reachable residual; accept a
-        # stalled iteration once it is far below the load scale
-        if stalled >= 1 and rsup <= NEWTON_STALL_REL * fscale:
-            break
-        if it >= cfg.max_iters:
+    last = rsup == 0.0
+    while not last:
+        last = rsup <= max(tol, floor)
+        if it >= cfg.max_iters and not last:
             raise NonConvergence("Newton iteration cap reached", rsup)
         K = tangent(fld, W, cfg.det_floor)
+        floor = FLOOR_C * EPS * float(np.max(np.abs(K.data))) * float(np.max(np.abs(fld.y)))
         try:
             delta = solve_banded((mesh.k_bw, mesh.k_bw), K.data, -r, check_finite=False)
         except LinAlgError:
@@ -179,74 +205,51 @@ def _newton(
         if slope >= 0.0:
             delta = -r  # fall back to steepest descent if K lost descent
             slope = float(r @ delta)
-        _, e0 = scaled_energy(fld, g, W, load_factor)
         y0 = fld.y.copy()
         alpha = 1.0
         for _ in range(MAX_BACKTRACKS):
             fld.y = y0 + alpha * delta.reshape(-1, 2)
+            F = fld.gradients()
             try:
-                _, e1 = scaled_energy(fld, g, W, load_factor)
-                # energy evaluation has no guard; check dets explicitly
-                _guard_dets(mesh, fld.gradients(), cfg.det_floor)
+                r = elastic_residual(fld, W, cfg.det_floor, F) - load_factor * f
             except StepRejected:
                 alpha *= 0.5
                 continue
-            if e1 <= e0 + ARMIJO_C * alpha * slope:
-                break
+            _, e1 = scaled_energy(fld, g, W, load_factor, F)
             # near the residual floor the energy difference drowns in
-            # roundoff; accept on plain residual decrease before shrinking
-            r_trial = elastic_residual(fld, W, cfg.det_floor) - load_factor * f
-            if float(np.max(np.abs(r_trial))) <= (1.0 - ARMIJO_C * alpha) * rsup:
+            # roundoff; accept on plain residual decrease as well
+            rsup_new = float(np.max(np.abs(r)))
+            if e1 <= e0 + ARMIJO_C * alpha * slope or rsup_new <= (1.0 - ARMIJO_C * alpha) * rsup:
                 break
             alpha *= 0.5
         else:
             fld.y = y0
+            if last:
+                break  # the step was a refinement of an iterate within the bound
             raise NonConvergence("line search failed", rsup)
-        r = elastic_residual(fld, W, cfg.det_floor) - load_factor * f
-        rsup_new = float(np.max(np.abs(r)))
-        stalled = stalled + 1 if rsup_new >= 0.5 * rsup else 0
+        e0 = e1
         rsup = rsup_new
         it += 1
     return it, rsup
 
 
-def solve_stationary(
+def _continuation(
     mesh: StripMesh,
     h: float,
     g: LoadProfile,
+    f: np.ndarray,
     W: EnergyDensity,
-    cfg: SolverConfig | None = None,
-    warm: DeformationField | None = None,
-) -> tuple[DeformationField, SolverReport]:
-    """Solve the clamped strip problem at thickness h.
+    cfg: SolverConfig,
+) -> tuple[DeformationField, float, float, list[tuple[float, int]], str]:
+    """Ramp the load factor from 0 to 1, starting from the rigid state.
 
-    Starts from the rigid state and ramps the load factor from 0 to 1 in
-    cfg.load_steps increments, halving an increment whenever Newton fails on
-    it (error below cfg.min_load_step).  With ``warm`` given, first tries a
-    direct solve at full load from the warm-started state and only falls back
-    to continuation if that fails.
+    Steps of 1/cfg.load_steps, halved whenever Newton fails on one (error
+    below cfg.min_load_step) and doubled back after a success.  Returns the
+    last accepted state with its load factor, residual sup norm and path,
+    and the reason it stalled ("" if it reached full load).
     """
-    cfg = cfg or SolverConfig()
-    h = _check_h(h)
-    t0 = time.perf_counter()
-    f = load_vector(mesh, g, h)
-
-    if warm is not None:
-        fld = warm_start(warm, mesh, h)
-        try:
-            it, rsup = _newton(fld, g, f, W, 1.0, cfg)
-            el, tot = scaled_energy(fld, g, W, 1.0)
-            return fld, SolverReport(
-                converged=True, iterations=it, residual_sup=rsup,
-                elastic_energy=el, total_energy=tot, path=[(1.0, it)],
-                runtime=time.perf_counter() - t0, message="warm start",
-            )
-        except (StepRejected, NonConvergence):
-            pass  # fall through to cold continuation
-
     fld = rigid_state(mesh, h)
     path: list[tuple[float, int]] = []
-    total_it = 0
     mu = 0.0
     cap = 1.0 / max(1, cfg.load_steps)
     step = cap
@@ -264,24 +267,49 @@ def solve_stationary(
             except (StepRejected, NonConvergence) as exc:
                 s *= 0.5
                 if s < cfg.min_load_step:
-                    el, tot = scaled_energy(fld, g, W, mu)
-                    return fld, SolverReport(
-                        converged=False, iterations=total_it, residual_sup=rsup,
-                        elastic_energy=el, total_energy=tot, path=path,
-                        runtime=time.perf_counter() - t0,
-                        message=f"continuation stalled at load factor {mu:.6g}: {exc}",
-                    )
+                    reason = f"continuation stalled at load factor {mu:.6g}: {exc}"
+                    return fld, mu, rsup, path, reason
         fld = trial
         mu = target
-        total_it += it
         path.append((mu, it))
         step = min(cap, 2.0 * s)  # recover after halvings, never exceed the cap
+    return fld, mu, rsup, path, ""
 
-    el, tot = scaled_energy(fld, g, W, 1.0)
+
+def solve_stationary(
+    mesh: StripMesh,
+    h: float,
+    g: LoadProfile,
+    W: EnergyDensity,
+    cfg: SolverConfig | None = None,
+    warm: DeformationField | None = None,
+) -> tuple[DeformationField, SolverReport]:
+    """Solve the clamped strip problem at thickness h.
+
+    Tries one Newton solve at full load, from ``warm_start(warm, ...)`` if
+    ``warm`` is given and from the rigid state otherwise.  Only if that
+    fails does it fall back to load continuation from the rigid state (see
+    ``_continuation``); the report's message then says why the direct solve
+    failed.
+    """
+    cfg = cfg or SolverConfig()
+    h = _check_h(h)
+    t0 = time.perf_counter()
+    f = load_vector(mesh, g, h)
+
+    start = "cold start" if warm is None else "warm start"
+    fld = rigid_state(mesh, h) if warm is None else warm_start(warm, mesh, h)
+    try:
+        it, rsup = _newton(fld, g, f, W, 1.0, cfg)
+        mu, path, message = 1.0, [(1.0, it)], "" if warm is None else start
+    except (StepRejected, NonConvergence) as exc:
+        fld, mu, rsup, path, reason = _continuation(mesh, h, g, f, W, cfg)
+        message = "; ".join(filter(None, [f"{start} at full load failed: {exc}", reason]))
+    el, tot = scaled_energy(fld, g, W, mu)
     return fld, SolverReport(
-        converged=True, iterations=total_it, residual_sup=rsup,
+        converged=mu == 1.0, iterations=sum(it for _, it in path), residual_sup=rsup,
         elastic_energy=el, total_energy=tot, path=path,
-        runtime=time.perf_counter() - t0,
+        runtime=time.perf_counter() - t0, message=message,
     )
 
 

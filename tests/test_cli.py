@@ -1,5 +1,7 @@
 """End-to-end driver runs: exit codes, artifacts, determinism."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ strip.L = 1.0
 strip.h = 0.2
 load.g2 = -1e-3
 """
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TINY_TRUNC = """
 truncation.fields = 2
@@ -49,6 +53,17 @@ def test_solve_strip_writes_solution_and_report(tmp_path):
     assert header == ["step", "status", "seconds", "outputs"]
     assert manifest[0][0] == "config"
     assert ["solve-strip", "ok"] == manifest[1][:2]
+    assert report["load_path"] == f"1:{report['iterations']}"
+    assert list(report).index("load_path") == list(report).index("message") + 1
+
+
+def test_manifest_lists_unread_config_keys(tmp_path):
+    cfg = write_cfg(tmp_path, TINY_STRIP + "solver.newton_tl = 1e-9\nsweep.h = 0.2\n")
+    out = tmp_path / "out"
+    assert main(["solve-strip", "--config", cfg, "--out", str(out)]) == 0
+    _, manifest = read_table(out / "manifest.csv")
+    assert manifest[0][0] == "config"
+    assert manifest[0][3] == "solver.newton_tl;sweep.h"
 
 
 def test_solver_failure_exits_1(tmp_path, capsys):
@@ -62,6 +77,7 @@ def test_solver_failure_exits_1(tmp_path, capsys):
     report = read_keyvalue(out / "report.csv")
     assert report["converged"] == "false"
     assert "stalled" in report["message"]
+    assert report["message"].startswith("cold start at full load failed:")
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
@@ -232,3 +248,15 @@ def test_converge_runs_the_sweep(tmp_path):
     _, manifest = read_table(out / "manifest.csv")
     steps = [r[0] for r in manifest]
     assert steps == ["config", "elastica", "solve h=0.2", "solve h=0.1", "diagnostics"]
+
+
+def test_converge_solves_every_thickness_of_the_thin_sweep(tmp_path):
+    out = tmp_path / "o"
+    assert main(["converge", "--config", str(CONFIGS / "thin.cfg"), "--out", str(out)]) == 0
+    _, manifest = read_table(out / "manifest.csv")
+    solved = {r[0]: r[1] for r in manifest if r[0].startswith("solve h=")}
+    assert solved == {
+        f"solve h={h}": "ok" for h in ("0.2", "0.1", "0.05", "0.025", "0.0125", "0.00625")
+    }
+    _, rows = read_table(out / "convergence.csv")
+    assert [float(r[0]) for r in rows] == [0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625]

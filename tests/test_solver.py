@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from striplab import (
     HalfDistSquared,
@@ -161,11 +162,49 @@ def test_singular_tangent_fails_fast_with_reason():
 
 
 def test_cold_continuation_ends_exactly_at_full_load():
+    # the direct solve needs more than six iterations at this load, so the
+    # continuation fallback runs
     mesh = build_mesh(1.0, 16, 4)
-    cfg = SolverConfig(load_steps=10)
-    _, rep = solve_stationary(mesh, 0.2, GAMMA, W, cfg)
+    cfg = SolverConfig(max_iters=6, load_steps=10)
+    _, rep = solve_stationary(mesh, 0.2, LoadProfile.constant(0.0, -0.5), W, cfg)
     assert rep.converged
+    assert rep.message.startswith("cold start at full load failed: Newton iteration cap")
     assert len(rep.path) == 10  # never halved: ten steps of 0.1
+    assert rep.path[-1][0] == 1.0
+
+
+@pytest.mark.parametrize("h, nx", [(0.0125, 320), (0.00625, 640)])
+def test_thin_cold_solve_converges_at_full_load(h, nx):
+    mesh = build_mesh(1.0, nx, 8)
+    _, rep = solve_stationary(mesh, h, GAMMA, W)
+    assert rep.converged
+    assert rep.message == ""
+    assert [mu for mu, _ in rep.path] == [1.0]
+
+
+@pytest.mark.parametrize("h, nx", [(0.2, 64), (0.025, 160), (0.0125, 320)])
+def test_solve_stops_at_the_roundoff_floor(h, nx):
+    """One more full Newton step from a returned state cannot halve its residual."""
+    mesh = build_mesh(1.0, nx, 8)
+    fld, rep = solve_stationary(mesh, h, GAMMA, W)
+    assert rep.converged
+    f = load_vector(mesh, GAMMA, h)
+    r = elastic_residual(fld, W, 0.1) - f
+    assert float(np.max(np.abs(r))) == rep.residual_sup
+    K = tangent(fld, W)
+    delta = solve_banded((mesh.k_bw, mesh.k_bw), K.data, -r)
+    delta[~mesh.free_dofs()] = 0.0
+    fld.y = fld.y + delta.reshape(-1, 2)
+    after = float(np.max(np.abs(elastic_residual(fld, W, 0.1) - f)))
+    assert after > 0.5 * rep.residual_sup
+
+
+def test_heavy_column_converges_by_continuation():
+    mesh = build_mesh(1.0, 16, 4)
+    _, rep = solve_stationary(mesh, 0.1, LoadProfile.constant(-1.0, -1e-3), W)
+    assert rep.converged
+    assert rep.message.startswith("cold start at full load failed:")
+    assert len(rep.path) > 1
     assert rep.path[-1][0] == 1.0
 
 
