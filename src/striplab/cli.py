@@ -192,12 +192,7 @@ def run_convergence(cfg: ExperimentConfig, out: Path) -> RunManifest:
     for h in hs:
         mesh = build_mesh(L, mesh_rule_nx(L, h), ny)
         t0 = time.perf_counter()
-        try:
-            fld, report = solve_stationary(mesh, h, g, W, scfg, warm=prev)
-        except (StepRejected, NonConvergence) as exc:
-            manifest.record(f"solve h={h:g}", f"failed: {exc}", time.perf_counter() - t0)
-            prev = None
-            continue
+        fld, report = solve_stationary(mesh, h, g, W, scfg, warm=prev)
         dt = time.perf_counter() - t0
         if not report.converged:
             manifest.record(f"solve h={h:g}", f"non-converged: {report.message}", dt)

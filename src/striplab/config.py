@@ -147,7 +147,6 @@ def solver_from(cfg: ExperimentConfig) -> SolverConfig:
     return SolverConfig(
         newton_tol=cfg.get_float("solver.newton_tol", base.newton_tol),
         max_iters=cfg.get_int("solver.max_iters", base.max_iters),
-        load_steps=cfg.get_int("solver.load_steps", base.load_steps),
         min_load_step=cfg.get_float("solver.min_load_step", base.min_load_step),
         det_floor=cfg.get_float("solver.det_floor", base.det_floor),
     )

@@ -34,10 +34,12 @@ class StepRejected(RuntimeError):
 
 
 class NonConvergence(RuntimeError):
-    """An iteration stalled; carries the last residual norm."""
+    """An iteration stalled; carries the last residual norm and the number
+    of iterations taken."""
 
-    def __init__(self, message: str, residual: float):
+    def __init__(self, message: str, residual: float, iterations: int = 0):
         self.residual = float(residual)
+        self.iterations = int(iterations)
         super().__init__(f"{message} (last residual {self.residual:.6g})")
 
 

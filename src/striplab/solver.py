@@ -6,12 +6,13 @@ The discrete functional on a strip mesh is
 
 with u the displacement from the rigid state, B the mesh's strain operator
 (the only place h scales the x2-derivative) and mu a load factor.  Newton
-iteration with Armijo backtracking on Pi, tried first at full load and, if
-that fails, along a load continuation mu: 0 -> 1 that ends at exactly 1, and
-a determinant guard det F > 0.1 that rejects steps entering the
-near-degenerate regime.  Newton stops one step after its residual falls
-within the larger of a load-relative tolerance and the assembly's roundoff
-floor.
+iteration with Armijo backtracking on Pi inside one adaptive load loop
+whose first increment is the whole load, mu: 0 -> 1; a failed increment is
+halved and a successful one doubled.  A determinant guard det F > 0.1
+rejects steps entering the near-degenerate regime.  Newton stops one step
+after its residual falls within the larger of a load-relative tolerance and
+the assembly's roundoff floor, and gives up on a tangent step that is not a
+descent direction.
 
 The residual is B^T P and the tangent B^T A B, element by element.  Vectors
 are summed into nodes with ``np.bincount`` over the element dofs and the
@@ -24,7 +25,6 @@ band by LAPACK's banded LU.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +50,6 @@ FLOOR_C = 2.0
 class SolverConfig:
     newton_tol: float = 1e-6       # residual sup norm, relative to the load scale
     max_iters: int = 25            # Newton iterations per load step
-    load_steps: int = 10           # initial continuation increments 0 -> 1
     min_load_step: float = 1e-4    # give up below this increment
     det_floor: float = 0.1         # determinant guard on scaled gradients
 
@@ -63,7 +62,6 @@ class SolverReport:
     elastic_energy: float
     total_energy: float
     path: list[tuple[float, int]] = field(default_factory=list)  # (load factor, iterations)
-    runtime: float = 0.0
     message: str = ""
 
 
@@ -179,7 +177,8 @@ def _newton(
     taken to reach the bound.  An exact zero residual takes no step.
 
     Mutates fld.y in place; returns (iterations, residual sup norm).  Raises
-    StepRejected or NonConvergence on failure.
+    StepRejected (only at the start state, before any step) or
+    NonConvergence, whose ``iterations`` counts the steps taken.
     """
     mesh = fld.mesh
     free = mesh.free_dofs()
@@ -193,18 +192,17 @@ def _newton(
     while not last:
         last = rsup <= max(tol, floor)
         if it >= cfg.max_iters and not last:
-            raise NonConvergence("Newton iteration cap reached", rsup)
+            raise NonConvergence("Newton iteration cap reached", rsup, it)
         K = tangent(fld, W, cfg.det_floor)
         floor = FLOOR_C * EPS * float(np.max(np.abs(K.data))) * float(np.max(np.abs(fld.y)))
         try:
             delta = solve_banded((mesh.k_bw, mesh.k_bw), K.data, -r, check_finite=False)
         except LinAlgError:
-            raise NonConvergence("singular tangent", rsup) from None
+            raise NonConvergence("singular tangent", rsup, it) from None
         delta[~free] = 0.0
         slope = float(r @ delta)
         if slope >= 0.0:
-            delta = -r  # fall back to steepest descent if K lost descent
-            slope = float(r @ delta)
+            raise NonConvergence("tangent step is not a descent direction", rsup, it)
         y0 = fld.y.copy()
         alpha = 1.0
         for _ in range(MAX_BACKTRACKS):
@@ -226,54 +224,11 @@ def _newton(
             fld.y = y0
             if last:
                 break  # the step was a refinement of an iterate within the bound
-            raise NonConvergence("line search failed", rsup)
+            raise NonConvergence("line search failed", rsup, it)
         e0 = e1
         rsup = rsup_new
         it += 1
     return it, rsup
-
-
-def _continuation(
-    mesh: StripMesh,
-    h: float,
-    g: LoadProfile,
-    f: np.ndarray,
-    W: EnergyDensity,
-    cfg: SolverConfig,
-) -> tuple[DeformationField, float, float, list[tuple[float, int]], str]:
-    """Ramp the load factor from 0 to 1, starting from the rigid state.
-
-    Steps of 1/cfg.load_steps, halved whenever Newton fails on one (error
-    below cfg.min_load_step) and doubled back after a success.  Returns the
-    last accepted state with its load factor, residual sup norm and path,
-    and the reason it stalled ("" if it reached full load).
-    """
-    fld = rigid_state(mesh, h)
-    path: list[tuple[float, int]] = []
-    mu = 0.0
-    cap = 1.0 / max(1, cfg.load_steps)
-    step = cap
-    rsup = float(np.max(np.abs(elastic_residual(fld, W, cfg.det_floor))))
-    while mu < 1.0:
-        s = min(step, 1.0 - mu)
-        while True:
-            # a remainder below min_load_step is roundoff in the summed
-            # increments (0.1 ten times is 1 - 1.1e-16): end on 1.0 instead
-            target = 1.0 if 1.0 - (mu + s) < cfg.min_load_step else mu + s
-            trial = DeformationField(mesh=mesh, h=h, y=fld.y.copy())
-            try:
-                it, rsup = _newton(trial, g, f, W, target, cfg)
-                break
-            except (StepRejected, NonConvergence) as exc:
-                s *= 0.5
-                if s < cfg.min_load_step:
-                    reason = f"continuation stalled at load factor {mu:.6g}: {exc}"
-                    return fld, mu, rsup, path, reason
-        fld = trial
-        mu = target
-        path.append((mu, it))
-        step = min(cap, 2.0 * s)  # recover after halvings, never exceed the cap
-    return fld, mu, rsup, path, ""
 
 
 def solve_stationary(
@@ -286,30 +241,49 @@ def solve_stationary(
 ) -> tuple[DeformationField, SolverReport]:
     """Solve the clamped strip problem at thickness h.
 
-    Tries one Newton solve at full load, from ``warm_start(warm, ...)`` if
-    ``warm`` is given and from the rigid state otherwise.  Only if that
-    fails does it fall back to load continuation from the rigid state (see
-    ``_continuation``); the report's message then says why the direct solve
-    failed.
+    One load loop from ``warm_start(warm, ...)`` if ``warm`` is given and
+    from the rigid state otherwise.  Its first increment is the whole load;
+    an increment on which Newton raises StepRejected or NonConvergence
+    (a warm start that fails the determinant guard included) is halved, and
+    the loop stalls once it falls below cfg.min_load_step.  After each
+    success the increment doubles.  Increments are powers of two, so every
+    load factor is exact and the path ends on 1.0.  Nothing is raised for a
+    failed solve: the report's message says why the first step failed and
+    where the loop stalled, ``iterations`` counts the Newton steps of
+    rejected increments too, and ``residual_sup`` is NaN if no increment
+    was accepted.
     """
     cfg = cfg or SolverConfig()
     h = _check_h(h)
-    t0 = time.perf_counter()
     f = load_vector(mesh, g, h)
 
     start = "cold start" if warm is None else "warm start"
     fld = rigid_state(mesh, h) if warm is None else warm_start(warm, mesh, h)
-    try:
-        it, rsup = _newton(fld, g, f, W, 1.0, cfg)
-        mu, path, message = 1.0, [(1.0, it)], "" if warm is None else start
-    except (StepRejected, NonConvergence) as exc:
-        fld, mu, rsup, path, reason = _continuation(mesh, h, g, f, W, cfg)
-        message = "; ".join(filter(None, [f"{start} at full load failed: {exc}", reason]))
+    path: list[tuple[float, int]] = []
+    message = "" if warm is None else start
+    mu, step, iterations, rsup = 0.0, 1.0, 0, float("nan")
+    while mu < 1.0:
+        s = min(step, 1.0 - mu)
+        trial = DeformationField(mesh=mesh, h=h, y=fld.y.copy())
+        try:
+            it, rsup = _newton(trial, g, f, W, mu + s, cfg)
+        except (StepRejected, NonConvergence) as exc:
+            iterations += getattr(exc, "iterations", 0)  # StepRejected takes no step
+            if s == 1.0:  # only the first step spans the whole load
+                message = f"{start} at full load failed: {exc}"
+            step = 0.5 * s
+            if step < cfg.min_load_step:
+                message += f"; continuation stalled at load factor {mu:.6g}: {exc}"
+                break
+            continue
+        iterations += it
+        fld, mu = trial, mu + s
+        path.append((mu, it))
+        step = 2.0 * s
     el, tot = scaled_energy(fld, g, W, mu)
     return fld, SolverReport(
-        converged=mu == 1.0, iterations=sum(it for _, it in path), residual_sup=rsup,
-        elastic_energy=el, total_energy=tot, path=path,
-        runtime=time.perf_counter() - t0, message=message,
+        converged=mu == 1.0, iterations=iterations, residual_sup=rsup,
+        elastic_energy=el, total_energy=tot, path=path, message=message,
     )
 
 

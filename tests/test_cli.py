@@ -58,19 +58,23 @@ def test_solve_strip_writes_solution_and_report(tmp_path):
 
 
 def test_manifest_lists_unread_config_keys(tmp_path):
-    cfg = write_cfg(tmp_path, TINY_STRIP + "solver.newton_tl = 1e-9\nsweep.h = 0.2\n")
+    # a typo, a key this subcommand never reads, and the removed load_steps
+    cfg = write_cfg(
+        tmp_path,
+        TINY_STRIP + "solver.newton_tl = 1e-9\nsweep.h = 0.2\nsolver.load_steps = 10\n",
+    )
     out = tmp_path / "out"
     assert main(["solve-strip", "--config", cfg, "--out", str(out)]) == 0
     _, manifest = read_table(out / "manifest.csv")
     assert manifest[0][0] == "config"
-    assert manifest[0][3] == "solver.newton_tl;sweep.h"
+    assert manifest[0][3] == "solver.load_steps;solver.newton_tl;sweep.h"
 
 
 def test_solver_failure_exits_1(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
         "strip.h = 0.2\nstrip.nx = 16\nstrip.ny = 2\nload.g2 = -0.5\n"
-        "solver.max_iters = 2\nsolver.load_steps = 1\nsolver.min_load_step = 0.3\n",
+        "solver.max_iters = 2\nsolver.min_load_step = 0.3\n",
     )
     out = tmp_path / "out"
     assert main(["solve-strip", "--config", cfg, "--out", str(out)]) == 1

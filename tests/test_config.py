@@ -146,10 +146,10 @@ def test_load_from_constant_and_sampled():
 
 
 def test_solver_from_overrides():
-    cfg = ExperimentConfig.from_text("solver.newton_tol = 1e-8\nsolver.load_steps = 4\n")
+    cfg = ExperimentConfig.from_text("solver.newton_tol = 1e-8\nsolver.min_load_step = 0.01\n")
     sc = solver_from(cfg)
     assert sc.newton_tol == 1e-8
-    assert sc.load_steps == 4
+    assert sc.min_load_step == 0.01
     assert sc.max_iters == solver_from(ExperimentConfig.from_text("")).max_iters
 
 

@@ -1,5 +1,7 @@
 """Assembly consistency (FD checked) and the continuation solver."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
@@ -155,21 +157,25 @@ def test_singular_tangent_fails_fast_with_reason():
             return np.zeros(F.shape + (2, 2))
 
     mesh = build_mesh(1.0, 16, 4)
-    cfg = SolverConfig(load_steps=1, min_load_step=0.5)
+    cfg = SolverConfig(min_load_step=0.5)
     _, rep = solve_stationary(mesh, 0.2, GAMMA, Flat(), cfg)
     assert not rep.converged
     assert "singular tangent" in rep.message
 
 
 def test_cold_continuation_ends_exactly_at_full_load():
-    # the direct solve needs more than six iterations at this load, so the
-    # continuation fallback runs
+    # the first step, at full load, needs more than six iterations, so the
+    # load loop halves it
     mesh = build_mesh(1.0, 16, 4)
-    cfg = SolverConfig(max_iters=6, load_steps=10)
+    cfg = SolverConfig(max_iters=6)
     _, rep = solve_stationary(mesh, 0.2, LoadProfile.constant(0.0, -0.5), W, cfg)
     assert rep.converged
     assert rep.message.startswith("cold start at full load failed: Newton iteration cap")
-    assert len(rep.path) == 10  # never halved: ten steps of 0.1
+    loads = [mu for mu, _ in rep.path]
+    assert all(a < b for a, b in zip(loads, loads[1:]))
+    # each increment is 2^-k >= min_load_step, so every load factor is a
+    # dyadic rational with a small denominator (0.1 would have 2^55)
+    assert all(Fraction(mu).denominator <= 1 / cfg.min_load_step for mu in loads)
     assert rep.path[-1][0] == 1.0
 
 
@@ -199,13 +205,42 @@ def test_solve_stops_at_the_roundoff_floor(h, nx):
     assert after > 0.5 * rep.residual_sup
 
 
+HEAVY = LoadProfile.constant(-1.0, -1e-3)  # past Greenhill's load
+
+
 def test_heavy_column_converges_by_continuation():
     mesh = build_mesh(1.0, 16, 4)
-    _, rep = solve_stationary(mesh, 0.1, LoadProfile.constant(-1.0, -1e-3), W)
+    _, rep = solve_stationary(mesh, 0.1, HEAVY, W)
     assert rep.converged
     assert rep.message.startswith("cold start at full load failed:")
+    assert "not a descent direction" in rep.message
     assert len(rep.path) > 1
     assert rep.path[-1][0] == 1.0
+
+
+def test_iterations_count_rejected_increments(monkeypatch):
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return tangent(*args, **kwargs)
+
+    monkeypatch.setattr("striplab.solver.tangent", counted)
+    _, rep = solve_stationary(build_mesh(1.0, 16, 4), 0.1, HEAVY, W)
+    assert rep.converged
+    assert sum(it for _, it in rep.path) < rep.iterations <= calls
+
+
+def test_warm_start_failing_at_full_load_still_converges():
+    mesh = build_mesh(1.0, 16, 4)
+    prev, _ = solve_stationary(mesh, 0.2, GAMMA, W)
+    fld, rep = solve_stationary(mesh, 0.1, HEAVY, W, warm=prev)
+    assert rep.converged
+    assert rep.message.startswith("warm start at full load failed:")
+    assert rep.path[-1][0] == 1.0
+    tip = fld.y[mesh.node_ids()[-1, mesh.ny // 2]]
+    assert tip == pytest.approx([0.421673, -0.804849], abs=1e-6)
 
 
 def test_solve_small_load_converges_and_bends_down():
@@ -241,7 +276,7 @@ def test_warm_start_reimposes_clamp_exactly():
 
 def test_unreachable_load_reports_nonconvergence():
     mesh = build_mesh(1.0, 16, 4)
-    cfg = SolverConfig(max_iters=2, load_steps=1, min_load_step=0.3)
+    cfg = SolverConfig(max_iters=2, min_load_step=0.3)
     fld, rep = solve_stationary(mesh, 0.2, LoadProfile.constant(0.0, -0.5), W, cfg)
     assert not rep.converged
     assert "stalled" in rep.message
