@@ -51,7 +51,6 @@ from .truncation import (
     dirichlet_energy,
     gradient_magnitude,
     grad_sup,
-    lipschitz_truncate,
     maximal_function,
     reflect_to_square,
     rough_field,

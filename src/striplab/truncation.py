@@ -124,6 +124,7 @@ def _radius_ladder(gf: GridFunction) -> np.ndarray:
 def _ball_kernels(gf: GridFunction):
     """FFT kernels and in-domain counts for each ladder radius, cached per grid.
 
+    Each entry is (kernel transform, padded shape, in-domain count, (m1, m2)).
     A ball of radius r spans offsets -m..m per axis, m = min(r/d, n - 1), and
     is transformed at p = next_fast_len(n + m).  That padding is exact: for
     an output node i in [0, n) the offset i - k of each kernel tap k in
@@ -150,12 +151,44 @@ def _ball_kernels(gf: GridFunction):
         kern[np.ix_(off1 % pshape[0], off2 % pshape[1])] = mask
         kfft = sfft.rfft2(kern)
         den = sfft.irfft2(sfft.rfft2(ones, s=pshape) * kfft, s=pshape)[: gf.n1, : gf.n2]
-        entries.append((kfft, pshape, np.maximum(den, 0.5)))
+        entries.append((kfft, pshape, np.maximum(den, 0.5), (m1, m2)))
     _KERNEL_CACHE[key] = entries
     return entries
 
 
-def maximal_function(grad_mag: GridFunction) -> GridFunction:
+def _reaching_radii(f: np.ndarray, kernels, floor: float) -> int:
+    """How many of the ladder kernels, smallest first, can reach floor.
+
+    f >= 0, so the sum of f over the in-domain part of the box
+    [i - m1, i + m1] x [j - m2, j + m2] is at least the ball sum at (i, j).
+    Box sums come from one summed-area table as separable window sums: its
+    rows taken at the clipped ends i + m1 + 1 and i - m1, then the columns
+    of that difference at j + m2 + 1 and j - m2.  A radius whose bound
+    max((box + slack) / den) stays below floor cannot reach it anywhere.
+    slack = 1e-9 * sum(f) covers the roundoff of the table and of the FFT
+    ball sum; for f >= 0 both stay within a few eps * sum(f) (under
+    4 eps * sum(f) on the reflected 65x65 squares).  Radii are checked
+    from the largest down, and the first one the bound cannot skip ends
+    the search.
+    """
+    n1, n2 = f.shape
+    table = np.zeros((n1 + 1, n2 + 1))
+    np.cumsum(np.cumsum(f, axis=0), axis=1, out=table[1:, 1:])
+    slack = 1e-9 * table[-1, -1]
+    i = np.arange(n1)
+    j = np.arange(n2)
+    for keep in range(len(kernels), 0, -1):
+        _, _, den, (m1, m2) = kernels[keep - 1]
+        rows = (np.take(table, np.minimum(i + m1 + 1, n1), axis=0)
+                - np.take(table, np.maximum(i - m1, 0), axis=0))
+        box = (np.take(rows, np.minimum(j + m2 + 1, n2), axis=1)
+               - np.take(rows, np.maximum(j - m2, 0), axis=1))
+        if np.max((box + slack) / den) >= floor:
+            return keep
+    return 0
+
+
+def maximal_function(grad_mag: GridFunction, *, floor: float = 0.0) -> GridFunction:
     """Discrete Hardy-Littlewood maximal function over a geometric radius ladder.
 
     Radii run from half a cell (ball = the node itself, so the output
@@ -163,6 +196,14 @@ def maximal_function(grad_mag: GridFunction) -> GridFunction:
     diameter.  Ball averages count only in-domain nodes.  Each ball sum is
     one FFT convolution zero-padded to n + m nodes per axis (rounded up to
     a fast length), which is exact for offsets up to m (see _ball_kernels).
+
+    floor > 0 skips the largest radii whose ball averages provably stay
+    below floor at every node: a box sum of f bounds each ball sum from
+    above (see _reaching_radii).  A skipped radius cannot lift any value to
+    floor or above, so wherever the full maximal function is >= floor the
+    output is bitwise the same, and below floor it is still >= f.  Callers
+    that only compare the output with levels c >= floor (as thin_truncate
+    does) get the same decisions.  floor = 0 convolves every radius.
     """
     if grad_mag.values.ndim != 2:
         raise ConfigError("maximal function expects a scalar field")
@@ -170,8 +211,11 @@ def maximal_function(grad_mag: GridFunction) -> GridFunction:
         raise ConfigError("maximal function expects a nonnegative field")
     f = grad_mag.values
     n1, n2 = f.shape
+    kernels = _ball_kernels(grad_mag)[1:]
+    if floor > 0:
+        kernels = kernels[: _reaching_radii(f, kernels, floor)]
     out = f.copy()
-    for kfft, pshape, den in _ball_kernels(grad_mag)[1:]:
+    for kfft, pshape, den, _ in kernels:
         num = sfft.irfft2(sfft.rfft2(f, s=pshape) * kfft, s=pshape)[:n1, :n2]
         np.maximum(out, num / den, out=out)
     return GridFunction(values=np.maximum(out, 0.0), spacing=grad_mag.spacing)
@@ -326,19 +370,6 @@ def _truncate_at_level(
     return GridFunction(values=v, spacing=u.spacing), bad, kappa
 
 
-def lipschitz_truncate(u: GridFunction, lam: float, t: float) -> GridFunction:
-    """Replace u on {M|grad u| > t} by the upper McShane extension.
-
-    lam is the nominal bound the caller will certify; the level t controls
-    the good set.  v equals u bitwise on the good set.
-    """
-    if not 0 < t <= lam:
-        raise ConfigError(f"need 0 < t <= lam, got t={t!r}, lam={lam!r}")
-    mf = maximal_function(gradient_magnitude(u))
-    v, _, _ = _truncate_at_level(u, mf, t)
-    return v
-
-
 @dataclass(eq=False)
 class TruncationResult:
     """Outcome of a thin-strip truncation."""
@@ -413,7 +444,8 @@ def thin_truncate(u: GridFunction, a: float, A: float, p: float = 2.0) -> Trunca
     ext, _ = reflect_to_square(u)
     m = u.n2 - 1
     K = ext.n2 - 1
-    mf = maximal_function(gradient_magnitude(ext))
+    # every threshold below is at least a, so radii that cannot reach a are skipped
+    mf = maximal_function(gradient_magnitude(ext), floor=a)
     level, _ = select_lambda(mf, a, A, p)
 
     bad_probe = mf.values > level

@@ -11,7 +11,6 @@ from striplab import (
     dirichlet_energy,
     grad_sup,
     gradient_magnitude,
-    lipschitz_truncate,
     maximal_function,
     reflect_to_square,
     rough_field,
@@ -22,7 +21,16 @@ from striplab import (
 from striplab.errors import ConfigError
 from scipy import fft as sfft
 
-from striplab.truncation import KAPPA_WINDOW, LADDER_FACTOR, _mcshane, _strip_slice
+from striplab import truncation
+from striplab.truncation import (
+    KAPPA_WINDOW,
+    LADDER_FACTOR,
+    N_CANDIDATES,
+    _ball_kernels,
+    _mcshane,
+    _strip_slice,
+    _truncate_at_level,
+)
 
 
 def linear_field(n1, n2, spacing, coef):
@@ -150,6 +158,44 @@ def test_maximal_function_constant_is_fixed_point():
     assert maximal_function(gf).values == pytest.approx(0.7, rel=1e-12)
 
 
+@pytest.mark.parametrize("grid", [(64, 8), (128, 16), (256, 32)], ids=lambda g: f"{g[0]}x{g[1]}")
+def test_maximal_function_floor_keeps_every_decision(grid):
+    # thin_truncate reads mf only as mf > c with c >= level_min, at the
+    # candidate levels of select_lambda; seeds 28 and 31 have the sweep's
+    # largest bad sets
+    floor = 14.0
+    for seed in (*range(8), 28, 31):
+        u = sample_on_strip(rough_field(seed), *grid, 0.125)
+        g = gradient_magnitude(reflect_to_square(u)[0])
+        full = maximal_function(g).values
+        pruned = maximal_function(g, floor=floor).values
+        for A in (28.0, 42.0):
+            for c in np.geomspace(floor, A, N_CANDIDATES):
+                assert np.array_equal(pruned > c, full > c), (seed, A, c)
+        high = full >= floor
+        assert np.array_equal(pruned[high], full[high]), seed
+
+
+def test_maximal_function_floor_skips_radii(monkeypatch):
+    u = sample_on_strip(rough_field(0), 256, 32, 0.125)
+    g = gradient_magnitude(reflect_to_square(u)[0])
+    n_radii = len(_ball_kernels(g)) - 1  # fills the kernel cache first
+    assert n_radii == 19
+    calls = []
+    irfft2 = truncation.sfft.irfft2
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return irfft2(*args, **kwargs)
+
+    monkeypatch.setattr(truncation.sfft, "irfft2", counting)
+    maximal_function(g, floor=14.0)
+    assert 0 < len(calls) < n_radii
+    calls.clear()
+    maximal_function(g)
+    assert len(calls) == n_radii
+
+
 def test_maximal_function_validation():
     with pytest.raises(ConfigError):
         maximal_function(GridFunction(values=np.zeros((4, 4, 2)), spacing=(0.1, 0.1)))
@@ -237,7 +283,7 @@ def test_lipschitz_truncate_matches_loop_oracle():
     good = ~(mf.values > t)
     assert good.any() and not good.all()
     expect, _ = dense_mcshane(u.components(), good, t, u.spacing)
-    v = lipschitz_truncate(u, lam=t, t=t)
+    v, _, _ = _truncate_at_level(u, mf, t)
     np.testing.assert_allclose(v.values, expect[:, :, 0], rtol=1e-13, atol=1e-13)
     assert np.array_equal(v.values[good], u.values[good])
 
@@ -257,7 +303,7 @@ def test_lipschitz_truncate_vector_components_fill_independently():
     good = ~(mf.values > t)
     assert good.any() and not good.all()
     expect, _ = dense_mcshane(u.components(), good, t, u.spacing)
-    v = lipschitz_truncate(u, lam=t, t=t)
+    v, _, _ = _truncate_at_level(u, mf, t)
     np.testing.assert_allclose(v.values, expect, rtol=1e-13, atol=1e-13)
 
 
@@ -340,7 +386,7 @@ def test_mcshane_single_good_node():
 
 def test_lipschitz_truncate_untouched_when_level_clears_field():
     u = linear_field(10, 8, (0.1, 0.1), [(0.01, 0.02)])
-    v = lipschitz_truncate(u, lam=1.0, t=1.0)
+    v, _, _ = _truncate_at_level(u, maximal_function(gradient_magnitude(u)), 1.0)
     assert v is not u
     assert np.array_equal(v.values, u.values)
 
@@ -348,15 +394,7 @@ def test_lipschitz_truncate_untouched_when_level_clears_field():
 def test_lipschitz_truncate_empty_good_set_fails():
     u = linear_field(10, 8, (0.1, 0.1), [(100.0, 100.0)])
     with pytest.raises(TruncationFailure, match="good set is empty"):
-        lipschitz_truncate(u, lam=1.0, t=1.0)
-
-
-def test_lipschitz_truncate_level_validation():
-    u = linear_field(6, 6, (0.1, 0.1), [(1.0, 0.0)])
-    with pytest.raises(ConfigError):
-        lipschitz_truncate(u, lam=1.0, t=2.0)
-    with pytest.raises(ConfigError):
-        lipschitz_truncate(u, lam=1.0, t=0.0)
+        _truncate_at_level(u, maximal_function(gradient_magnitude(u)), 1.0)
 
 
 # ----------------------------------------------------------- reflection
