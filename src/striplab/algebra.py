@@ -74,13 +74,19 @@ def polar_rotation(F: np.ndarray) -> np.ndarray:
 
 
 def svd2_vals(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values (s1 >= s2 >= 0) from |F|^2 and det F, closed form."""
+    """Singular values (s1 >= s2 >= 0), closed form.
+
+    F splits into a conformal part of norm p/sqrt(2) and an anticonformal part
+    of norm q/sqrt(2), with s1 = (p + q)/2 and s2 = |p - q|/2.  Taking p, q as
+    hypotenuses of the entries avoids sqrt(|F|^2 - 2|det F|), which cancels to
+    half precision when s1 is close to s2.
+    """
     F = np.asarray(F, dtype=float)
-    e = frob(F, F)
-    d = det2(F)
-    splus = np.sqrt(np.maximum(e + 2.0 * np.abs(d), 0.0))
-    sminus = np.sqrt(np.maximum(e - 2.0 * np.abs(d), 0.0))
-    return 0.5 * (splus + sminus), 0.5 * (splus - sminus)
+    a, b = F[..., 0, 0], F[..., 0, 1]
+    c, d = F[..., 1, 0], F[..., 1, 1]
+    p = np.hypot(a + d, c - b)
+    q = np.hypot(a - d, b + c)
+    return 0.5 * (p + q), 0.5 * np.abs(p - q)
 
 
 def dist_so2(F: np.ndarray) -> np.ndarray:
