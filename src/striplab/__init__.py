@@ -7,7 +7,7 @@ moments, rigidity ratios, and the Lipschitz truncation used to justify the
 passage to the limit.
 """
 
-from .algebra import dist_so2, polar_angle, polar_rotation, rot2, svd2_vals
+from .algebra import dist_so2, polar_angle, rot2, svd2_vals
 from .diagnostics import (
     ConvergenceTable,
     Diagnosis,

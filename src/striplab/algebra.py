@@ -68,11 +68,6 @@ def polar_angle(F: np.ndarray) -> np.ndarray:
     return np.where(ang <= -np.pi, ang + 2.0 * np.pi, ang)
 
 
-def polar_rotation(F: np.ndarray) -> np.ndarray:
-    """Rotation factor of the polar decomposition (matrix form)."""
-    return rot2(polar_angle(F))
-
-
 def svd2_vals(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Singular values (s1 >= s2 >= 0), closed form.
 

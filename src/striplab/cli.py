@@ -225,6 +225,8 @@ def run_truncation_demo(cfg: ExperimentConfig, out: Path, seed: int | None = Non
         )
     p = cfg.get_float("truncation.p", 2.0)
     nfields = cfg.get_int("truncation.fields", 50)
+    if nfields < 1:
+        raise ConfigError(f"truncation.fields must be at least 1, got {nfields!r}")
     height = cfg.get_float("truncation.height", 0.125)
     res = cfg.get_str("truncation.resolutions", "64x8,128x16,256x32")
     if seed is None:
@@ -236,6 +238,8 @@ def run_truncation_demo(cfg: ExperimentConfig, out: Path, seed: int | None = Non
             n1, n2 = (int(p_) for p_ in token.lower().split("x"))
         except ValueError as exc:
             raise ConfigError(f"bad truncation.resolutions entry {token!r}") from exc
+        if n1 < 1 or n2 < 1:
+            raise ConfigError(f"truncation.resolutions entry {token!r} needs positive cells")
         grids.append((n1, n2))
 
     rows = []

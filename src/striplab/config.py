@@ -108,9 +108,6 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: not a number list: {val!r}") from exc
 
-    def require(self, key: str):
-        return self._fetch(key, _REQUIRED)
-
     def unread(self) -> list[str]:
         """Keys present in the config that no getter has read, sorted."""
         return sorted(set(self.raw) - self.used)
@@ -135,6 +132,10 @@ def load_from(cfg: ExperimentConfig) -> LoadProfile:
             raise ConfigError(
                 "load.samples_x requires load.samples_g1 and load.samples_g2"
             )
+        if len(g1) != len(g2):
+            raise ConfigError(
+                f"load.samples_g1 and load.samples_g2 differ in length: {len(g1)} and {len(g2)}"
+            )
         vals = np.column_stack([g1, g2])
         return LoadProfile.from_samples(np.asarray(xs), vals)
     return LoadProfile.constant(
@@ -152,10 +153,9 @@ def solver_from(cfg: ExperimentConfig) -> SolverConfig:
     )
 
 
-def mesh_from(cfg: ExperimentConfig, h: float | None = None):
+def mesh_from(cfg: ExperimentConfig):
     L = cfg.get_float("strip.L", 1.0)
-    if h is None:
-        h = float(cfg.require("strip.h"))
+    h = cfg.get_float("strip.h", _REQUIRED)
     ny = cfg.get_int("strip.ny", 8)
     nx = cfg.get_int("strip.nx", None)
     if nx is None:

@@ -55,10 +55,6 @@ class RotationProfile:
     edges: np.ndarray        # (k+1,) slab boundaries
     slab_angle: np.ndarray   # (k,) unwrapped polar angles of slab means
 
-    @property
-    def nslabs(self) -> int:
-        return self.slab_angle.size
-
     def _weights(self, xs: np.ndarray) -> np.ndarray:
         """Mollifier mass each slab contributes at the points xs, (len, k).
 
@@ -193,7 +189,7 @@ def diagnose(fld: DeformationField, g: LoadProfile, W: EnergyDensity) -> Diagnos
 
     r1 = col_l2(Ghat[:, 0, 0] + thp / 12.0) / (col_l2(thp) + EPS_DIV)
 
-    gt = gtilde(g, mesh.L, xs=np.append(cols, mesh.L))(cols)
+    gt = gtilde(g, mesh.L, np.append(cols, mesh.L))[:-1]
     mism = Ebar[:, :, 0] + h * np.einsum("cji,cj->ci", rot2(col_theta), gt)
     r2 = float(np.sqrt(cw * np.sum(mism**2)))
 

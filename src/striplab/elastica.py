@@ -19,26 +19,13 @@ routes agree at their common fixed points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded, solveh_banded
 
 from .errors import ConfigError, NonConvergence
 from .loads import LoadProfile
-
-
-@dataclass(eq=False)
-class TiltedLoad:
-    """Antiderivative of the load taken from the free end: gtilde(L) = 0."""
-
-    x: np.ndarray        # (m,)
-    values: np.ndarray   # (m, 2)
-
-    def __call__(self, xq) -> np.ndarray:
-        g1 = np.interp(xq, self.x, self.values[:, 0])
-        g2 = np.interp(xq, self.x, self.values[:, 1])
-        return np.stack([g1, g2], axis=-1)
 
 
 @dataclass(eq=False)
@@ -64,28 +51,23 @@ class ElasticaSolution:
         return np.stack([b1, b2], axis=-1)
 
 
-def gtilde(g: LoadProfile, L: float, n: int | None = None, xs: np.ndarray | None = None) -> TiltedLoad:
-    """Trapezoid antiderivative of g from the free end backward.
+def gtilde(g: LoadProfile, L: float, xs: np.ndarray) -> np.ndarray:
+    """Trapezoid antiderivative of g from the free end backward, (m, 2).
 
-    Either a uniform grid with n >= 8 intervals or explicit sorted sample
-    positions ``xs`` ending at L.  The free-end value is exactly zero.
+    Sampled at the sorted positions ``xs``, which must end at L; the
+    free-end value is exactly zero.
     """
-    if xs is None:
-        if n is None or n < 8:
-            raise ConfigError(f"gtilde needs n >= 8 grid intervals, got {n!r}")
-        xs = np.linspace(0.0, L, n + 1)
-    else:
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 1 or xs.size < 2 or np.any(np.diff(xs) <= 0):
-            raise ConfigError("gtilde sample positions must be strictly increasing")
-        if abs(xs[-1] - L) > 1e-12 * max(1.0, L):
-            raise ConfigError(f"gtilde grid must end at L = {L!r}")
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1 or xs.size < 2 or np.any(np.diff(xs) <= 0):
+        raise ConfigError("gtilde sample positions must be strictly increasing")
+    if abs(xs[-1] - L) > 1e-12 * max(1.0, L):
+        raise ConfigError(f"gtilde grid must end at L = {L!r}")
     gv = g(xs)
     seg = 0.5 * np.diff(xs)[:, None] * (gv[:-1] + gv[1:])
     vals = np.empty_like(gv)
     vals[-1] = 0.0
     vals[:-1] = -np.cumsum(seg[::-1], axis=0)[::-1]
-    return TiltedLoad(x=xs, values=vals)
+    return vals
 
 
 def _ode_residual(theta: np.ndarray, gt: np.ndarray, c: float, dx: float) -> np.ndarray:
@@ -115,33 +97,25 @@ def _ode_jacobian(theta: np.ndarray, gt: np.ndarray, c: float, dx: float) -> np.
     return ab
 
 
-def reconstruct_midline(sol: ElasticaSolution) -> ElasticaSolution:
-    """Trapezoid integration of the unit tangent, pinned at the origin."""
-    tang = np.stack([np.cos(sol.theta), np.sin(sol.theta)], axis=-1)
-    seg = 0.5 * np.diff(sol.x)[:, None] * (tang[:-1] + tang[1:])
-    ybar = np.vstack([np.zeros((1, 2)), np.cumsum(seg, axis=0)])
-    return replace(sol, ybar=ybar)
-
-
-def J2_eval(sol: ElasticaSolution, g: LoadProfile, modulus: float | None = None) -> float:
-    """Composite trapezoid value of the limit functional.
-
-    Curvature from centered differences (second-order one-sided at the ends).
-    """
-    E = sol.modulus if modulus is None else modulus
-    kappa = np.gradient(sol.theta, sol.x, edge_order=2)
-    integrand = (E / 24.0) * kappa**2 - np.sum(g(sol.x) * sol.ybar, axis=-1)
+def J2_eval(sol: ElasticaSolution, g: LoadProfile) -> float:
+    """Composite trapezoid value of the limit functional from sol.kappa."""
+    integrand = (sol.modulus / 24.0) * sol.kappa**2 - np.sum(g(sol.x) * sol.ybar, axis=-1)
     return float(np.trapezoid(integrand, sol.x))
 
 
 def _finish(x, theta, modulus, g, iterations) -> ElasticaSolution:
+    # curvature from centered differences (second-order one-sided at the
+    # ends); midline by trapezoid integration of the unit tangent from 0
     kappa = np.gradient(theta, x, edge_order=2)
+    tang = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    seg = 0.5 * np.diff(x)[:, None] * (tang[:-1] + tang[1:])
+    ybar = np.vstack([np.zeros((1, 2)), np.cumsum(seg, axis=0)])
     sol = ElasticaSolution(
-        x=x, theta=theta, kappa=kappa, ybar=np.zeros((x.size, 2)),
-        j2=0.0, modulus=modulus, iterations=iterations,
+        x=x, theta=theta, kappa=kappa, ybar=ybar, j2=0.0, modulus=modulus,
+        iterations=iterations,
     )
-    sol = reconstruct_midline(sol)
-    return replace(sol, j2=J2_eval(sol, g))
+    sol.j2 = J2_eval(sol, g)
+    return sol
 
 
 def solve_elastica(
@@ -164,7 +138,7 @@ def solve_elastica(
     x = np.linspace(0.0, L, n + 1)
     dx = L / n
     c = modulus / 12.0
-    gtv = gtilde(g, L, xs=x).values
+    gtv = gtilde(g, L, x)
     strength = 12.0 * float(np.max(np.abs(gtv))) * L**2 / modulus
     ramps = 1 if strength <= 5.0 else int(np.ceil(strength / 5.0))
 
@@ -246,7 +220,7 @@ def minimize_J2(
     c = modulus / 12.0
     wq = np.full(n + 1, dx)
     wq[0] = wq[-1] = 0.5 * dx
-    gtv = gtilde(g, L, xs=x).values
+    gtv = gtilde(g, L, x)
 
     # bending Hessian on the free nodes 1..n (SPD tridiagonal)
     ab = np.zeros((2, n))

@@ -12,9 +12,8 @@ Two built-in models:
   this is documented by ``coercive_globally = False``.
 
 Densities expose value, first derivative (``stress``) and second derivative
-(``hessian``) at arbitrary F, vectorized over leading axes.  ``hessian``
-defaults to central finite differences of ``stress`` so custom densities only
-need the first two.
+(``hessian``) at arbitrary F, vectorized over leading axes, each in closed
+form; a subclass of ``EnergyDensity`` must implement all three.
 """
 
 from __future__ import annotations
@@ -61,22 +60,9 @@ class EnergyDensity:
     def stress(self, F: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def hessian(self, F: np.ndarray, step: float = 1e-6) -> np.ndarray:
-        """Second derivative as a (..., 2, 2, 2, 2) array, d2W/dF_ik dF_jl.
-
-        Central finite differences of the first derivative; overridden with
-        closed forms by the built-in densities.
-        """
-        F = np.asarray(F, dtype=float)
-        out = np.empty(F.shape[:-2] + (2, 2, 2, 2))
-        for j in range(2):
-            for l in range(2):
-                dF = np.zeros((2, 2))
-                dF[j, l] = step
-                hi = self.stress(F + dF)
-                lo = self.stress(F - dF)
-                out[..., :, :, j, l] = (hi - lo) / (2.0 * step)
-        return out
+    def hessian(self, F: np.ndarray) -> np.ndarray:
+        """Second derivative as a (..., 2, 2, 2, 2) array, d2W/dF_ik dF_jl."""
+        raise NotImplementedError
 
 
 class HalfDistSquared(EnergyDensity):
@@ -101,7 +87,7 @@ class HalfDistSquared(EnergyDensity):
         out[..., 1, 1] -= c
         return out
 
-    def hessian(self, F: np.ndarray, step: float = 1e-6) -> np.ndarray:
+    def hessian(self, F: np.ndarray) -> np.ndarray:
         # DW(F) = F - R(F) and the rotation factor varies only through its
         # angle, giving the rank-one correction I - (RJ x RJ)/r with
         # r = sqrt((F11+F22)^2 + (F21-F12)^2)
@@ -155,7 +141,7 @@ class IsotropicQuadratic(EnergyDensity):
         F = np.asarray(F, dtype=float)
         return F @ self._second_pk(self.green(F))
 
-    def hessian(self, F: np.ndarray, step: float = 1e-6) -> np.ndarray:
+    def hessian(self, F: np.ndarray) -> np.ndarray:
         F = np.asarray(F, dtype=float)
         S = self._second_pk(self.green(F))
         FFt = F @ trans2(F)
@@ -197,9 +183,8 @@ class Linearization:
 def linearize(W: EnergyDensity) -> Linearization:
     """Build the linearization of a density at the identity.
 
-    Uses the density's ``hessian`` (closed form for the built-in kinds, finite
-    differences otherwise) and computes the modulus by inverting the symmetric
-    3x3 block.
+    Uses the density's closed-form ``hessian`` and computes the modulus by
+    inverting the symmetric 3x3 block.
     """
     H = W.hessian(ID2)
     M = np.einsum("pik,ikjl,qjl->pq", BASIS, H, BASIS)

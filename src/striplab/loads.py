@@ -45,7 +45,3 @@ class LoadProfile:
         g1 = np.interp(x, self.xs, self.vals[:, 0])
         g2 = np.interp(x, self.xs, self.vals[:, 1])
         return np.stack([g1, g2], axis=-1)
-
-    @property
-    def is_zero(self) -> bool:
-        return bool(np.all(self.vals == 0.0))

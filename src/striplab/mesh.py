@@ -85,10 +85,6 @@ class StripMesh:
         """x1-quadrature weight per column (two Gauss abscissae per element)."""
         return 0.5 * self.dx
 
-    def node_ids(self) -> np.ndarray:
-        """Node ids as an (nx+1, ny+1) grid."""
-        return np.arange(self.nnode).reshape(self.nx + 1, self.ny + 1)
-
     def clamped_nodes(self) -> np.ndarray:
         """Node ids on the clamped edge x1 = 0."""
         return np.arange(self.ny + 1)
@@ -99,13 +95,9 @@ class StripMesh:
         free[self.clamped_nodes()] = False
         return free.reshape(-1)
 
-    def gather(self, nodal: np.ndarray) -> np.ndarray:
-        """Per-element corner values, shape (nelem, 4) + nodal.shape[1:]."""
-        return np.asarray(nodal)[self.conn]
-
     def qp_values(self, nodal: np.ndarray) -> np.ndarray:
         """Interpolate a nodal field to quadrature points, flat (nqp, ...)."""
-        elem = self.gather(nodal)
+        elem = np.asarray(nodal)[self.conn]
         out = np.einsum("qa,ea...->eq...", self.shape_n, elem)
         return out.reshape((self.nqp,) + elem.shape[2:])
 
@@ -252,14 +244,6 @@ class DeformationField:
     def gradients(self) -> np.ndarray:
         """Scaled deformation gradients at quadrature points, (nqp, 2, 2)."""
         return self.mesh.scaled_gradients(self.displacement(), self.h)
-
-    def dirichlet_gap(self) -> float:
-        """Sup distance of the clamped edge from its prescribed values."""
-        ids = self.mesh.clamped_nodes()
-        target = np.stack(
-            [np.zeros(ids.size), self.h * self.mesh.x2], axis=1
-        )
-        return float(np.max(np.abs(self.y[ids] - target))) if ids.size else 0.0
 
 
 def rigid_state(mesh: StripMesh, h: float) -> DeformationField:

@@ -446,9 +446,8 @@ def thin_truncate(u: GridFunction, a: float, A: float, p: float = 2.0) -> Trunca
     K = ext.n2 - 1
     # every threshold below is at least a, so radii that cannot reach a are skipped
     mf = maximal_function(gradient_magnitude(ext), floor=a)
-    level, _ = select_lambda(mf, a, A, p)
+    level, bad_probe = select_lambda(mf, a, A, p)
 
-    bad_probe = mf.values > level
     n_side = (K - m) // (2 * m)
     bad_counts = {}
     for i0 in range(-n_side, n_side + 1):

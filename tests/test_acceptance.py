@@ -171,7 +171,7 @@ def test_criterion_06_elastica_oracle():
     dx = 1.0 / n
     wq = np.full(n + 1, dx)
     wq[0] = wq[-1] = 0.5 * dx
-    gtv = gtilde(GAMMA, 1.0, xs=x).values
+    gtv = gtilde(GAMMA, 1.0, xs=x)
     rng = np.random.default_rng(3)
     theta = 0.05 * rng.standard_normal(n + 1)
     theta[0] = 0.0

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import polar as scipy_polar
 
-from striplab import dist_so2, polar_angle, polar_rotation, rot2, svd2_vals
+from striplab import dist_so2, polar_angle, rot2, svd2_vals
 from striplab.algebra import det2, frob, trace2, trans2
 from striplab.errors import DomainError
 
@@ -61,14 +61,14 @@ def test_svd2_vals_handles_negative_det():
 def test_polar_rotation_against_scipy():
     for F in random_posdet(1, n=32):
         R, _ = scipy_polar(F)
-        np.testing.assert_allclose(polar_rotation(F), R, atol=1e-12)
+        np.testing.assert_allclose(rot2(polar_angle(F)), R, atol=1e-12)
 
 
 def test_polar_rotation_maximizes_trace():
     # tr(R^T F) over sampled rotations never beats the polar factor
     F = random_posdet(2, n=8)
     angles = np.linspace(-np.pi, np.pi, 720)
-    best = polar_rotation(F)
+    best = rot2(polar_angle(F))
     val = frob(best, F)
     grid = np.einsum("aij,nij->na", rot2(angles), F)
     assert np.all(val >= grid.max(axis=1) - 1e-10)

@@ -103,6 +103,28 @@ def test_truncate_bad_window_exits_2_naming_both_keys(tmp_path, capsys):
     assert "level_min" in err and "level_max" in err
 
 
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        ("truncate", "truncation.resolutions = 0x8\n", "truncation.resolutions"),
+        ("truncate", "truncation.fields = 0\n", "truncation.fields"),
+        ("solve-strip", "strip.h = abc\n", "strip.h"),
+        (
+            "solve-strip",
+            "strip.h = 0.2\nload.samples_x = 0.0, 1.0\n"
+            "load.samples_g1 = 0.0, 0.0\nload.samples_g2 = -1e-3\n",
+            "load.samples_g2",
+        ),
+    ],
+    ids=["zero-cells", "no-fields", "h-not-a-number", "sample-lengths"],
+)
+def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, text, key):
+    cfg = write_cfg(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
 def test_truncate_unreachable_level_exits_3(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

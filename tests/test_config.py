@@ -1,9 +1,11 @@
 """Config parsing, hashing, and the experiment object builders."""
 
+import numpy as np
 import pytest
 
 from striplab import HalfDistSquared, IsotropicQuadratic, mesh_rule_nx
 from striplab.config import (
+    _REQUIRED,
     DEFAULT_SWEEP,
     ExperimentConfig,
     config_hash,
@@ -113,8 +115,8 @@ def test_getter_type_errors_name_the_key(text, getter, fragment):
 
 def test_require_names_key_and_source():
     cfg = ExperimentConfig.from_text("a.x = 1")
-    with pytest.raises(ConfigError, match="strip.h"):
-        cfg.require("strip.h")
+    with pytest.raises(ConfigError, match="'strip.h' in <memory>"):
+        cfg.get_float("strip.h", _REQUIRED)
 
 
 def test_energy_from_default_and_isotropic():
@@ -128,7 +130,7 @@ def test_energy_from_default_and_isotropic():
 
 
 def test_load_from_constant_and_sampled():
-    assert load_from(ExperimentConfig.from_text("")).is_zero
+    assert np.all(load_from(ExperimentConfig.from_text("")).vals == 0.0)
     g = load_from(ExperimentConfig.from_text("load.g2 = -1e-3"))
     assert g(0.3).tolist() == [0.0, -1e-3]
 
@@ -159,7 +161,7 @@ def test_mesh_from_rule_and_overrides():
     assert mesh.nx == mesh_rule_nx(1.0, 0.1)
     assert mesh.ny == 8
 
-    mesh, h = mesh_from(ExperimentConfig.from_text("strip.nx = 16\nstrip.ny = 4"), h=0.2)
+    mesh, h = mesh_from(ExperimentConfig.from_text("strip.h = 0.2\nstrip.nx = 16\nstrip.ny = 4"))
     assert (mesh.nx, mesh.ny, h) == (16, 4, 0.2)
 
     with pytest.raises(ConfigError, match="strip.h"):

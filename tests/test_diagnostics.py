@@ -39,7 +39,7 @@ def test_slab_rotations_rigid_state_zero():
     mesh = build_mesh(1.0, 32, 4)
     fld = rigid_state(mesh, 0.2)
     prof = profile_of(fld)
-    assert prof.nslabs == 5
+    assert prof.slab_angle.size == 5
     assert prof.edges[0] == 0.0 and prof.edges[-1] == pytest.approx(1.0)
     assert np.all(prof.slab_angle == 0.0)
 
@@ -66,7 +66,7 @@ def test_smoothed_profile_extends_constantly():
     mesh = build_mesh(1.0, 64, 4)
     fld = rigid_state(mesh, 0.2)
     prof = profile_of(fld)
-    prof.slab_angle[:] = np.linspace(0.0, 0.4, prof.nslabs)
+    prof.slab_angle[:] = np.linspace(0.0, 0.4, prof.slab_angle.size)
     # beyond the outermost slab centers the profile is constant
     assert prof.angle_at(np.array([0.0])) == pytest.approx(prof.slab_angle[0], abs=1e-12)
     assert prof.angle_at(np.array([1.0])) == pytest.approx(prof.slab_angle[-1], abs=1e-12)
@@ -124,6 +124,16 @@ def test_z_identity_error_small_on_solved_field():
     assert rep.converged
     err = diagnose(fld, LoadProfile.constant(0.0, -1e-3), W).z_identity_error
     assert err < 0.2  # relative identity gap, dominated by smoothing bias
+
+
+def test_r2_pinned_on_cantilever():
+    # the reference cantilever at h = 0.1 on the default 64x8 mesh; r2 reads
+    # the tilted load at the quadrature columns
+    g = LoadProfile.constant(0.0, -1e-3)
+    mesh = build_mesh(1.0, mesh_rule_nx(1.0, 0.1), 8)
+    fld, rep = solve_stationary(mesh, 0.1, g, W)
+    assert rep.converged
+    assert diagnose(fld, g, W).row.r2 == pytest.approx(5.9569699680385555e-05, rel=1e-13)
 
 
 def test_theta_and_y_error_vanish_on_matching_limit():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from striplab import (
-    EnergyDensity,
     HalfDistSquared,
     IsotropicQuadratic,
     linearize,
@@ -90,20 +89,6 @@ def test_half_dist_rejects_nonpositive_det():
         W.stress(np.diag([1.0, -1.0]))
     with pytest.raises(DomainError):
         W.hessian(np.diag([1.0, 0.0]))
-
-
-def test_base_class_fd_hessian_fallback():
-    class Custom(EnergyDensity):
-        def energy(self, F):
-            return HalfDistSquared().energy(F)
-
-        def stress(self, F):
-            return HalfDistSquared().stress(F)
-
-    F = sample_states(13, n=4)
-    np.testing.assert_allclose(
-        Custom().hessian(F), HalfDistSquared().hessian(F), rtol=1e-4, atol=1e-5
-    )
 
 
 def test_modulus_half_dist_is_one():
