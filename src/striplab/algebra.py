@@ -1,8 +1,8 @@
 """2x2 matrix helpers: rotations, polar factors, and distance to SO(2).
 
 All operations broadcast over leading axes; matrices live in arrays of shape
-(..., 2, 2).  Singular values come from the closed-form factorization through
-|F|^2 and det F, so everything is branch-free and exact to rounding.
+(..., 2, 2).  Singular values come from the hypotenuses of the conformal and
+anticonformal parts of F, so they are branch-free and free of cancellation.
 """
 
 from __future__ import annotations

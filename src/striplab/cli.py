@@ -37,7 +37,6 @@ from .errors import (
     StepRejected,
     TruncationFailure,
 )
-from .mesh import build_mesh, mesh_rule_nx
 from .solver import solve_stationary
 from .truncation import grad_sup, rough_field, sample_on_strip, thin_truncate
 
@@ -175,8 +174,6 @@ def run_convergence(cfg: ExperimentConfig, out: Path) -> RunManifest:
     g = load_from(cfg)
     scfg = solver_from(cfg)
     hs = sweep_from(cfg)
-    L = cfg.get_float("strip.L", 1.0)
-    ny = cfg.get_int("strip.ny", 8)
 
     t0 = time.perf_counter()
     limit = elastica_from(cfg, W, g)
@@ -190,7 +187,7 @@ def run_convergence(cfg: ExperimentConfig, out: Path) -> RunManifest:
     fields = []
     prev = None
     for h in hs:
-        mesh = build_mesh(L, mesh_rule_nx(L, h), ny)
+        mesh, _ = mesh_from(cfg, h)
         t0 = time.perf_counter()
         fld, report = solve_stationary(mesh, h, g, W, scfg, warm=prev)
         dt = time.perf_counter() - t0

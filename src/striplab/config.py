@@ -69,44 +69,32 @@ class ExperimentConfig:
     def hash(self) -> str:
         return config_hash(self.raw)
 
-    def _fetch(self, key: str, default):
-        if key in self.raw:
-            self.used.add(key)
-            return self.raw[key]
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required config key {key!r} in {self.source}")
-        return default
+    def _get(self, key: str, default, parse, what: str):
+        if key not in self.raw:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required config key {key!r} in {self.source}")
+            return default
+        self.used.add(key)
+        val = self.raw[key]
+        try:
+            return parse(val)
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r}: not {what}: {val!r}") from exc
 
-    def get_str(self, key: str, default=None) -> str:
-        val = self._fetch(key, default)
-        return val if val is None else str(val)
+    def get_str(self, key: str, default=None):
+        return self._get(key, default, str, "a string")
 
     def get_float(self, key: str, default=None):
-        val = self._fetch(key, default)
-        if val is None or isinstance(val, float):
-            return val
-        try:
-            return float(val)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: not a number: {val!r}") from exc
+        return self._get(key, default, float, "a number")
 
     def get_int(self, key: str, default=None):
-        val = self._fetch(key, default)
-        if val is None or isinstance(val, int):
-            return val
-        try:
-            return int(val)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: not an integer: {val!r}") from exc
+        return self._get(key, default, int, "an integer")
 
     def get_floats(self, key: str, default=None):
-        val = self._fetch(key, default)
-        if val is None or isinstance(val, (tuple, list)):
-            return val
-        try:
-            return tuple(float(p) for p in str(val).split(",") if p.strip())
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: not a number list: {val!r}") from exc
+        def parse(text):
+            return tuple(float(p) for p in text.split(",") if p.strip())
+
+        return self._get(key, default, parse, "a number list")
 
     def unread(self) -> list[str]:
         """Keys present in the config that no getter has read, sorted."""
@@ -153,13 +141,22 @@ def solver_from(cfg: ExperimentConfig) -> SolverConfig:
     )
 
 
-def mesh_from(cfg: ExperimentConfig):
+def _length(cfg: ExperimentConfig) -> float:
     L = cfg.get_float("strip.L", 1.0)
-    h = cfg.get_float("strip.h", _REQUIRED)
+    if not 0 < L < np.inf:
+        raise ConfigError(f"strip.L must be finite and positive, got {L!r}")
+    return L
+
+
+def mesh_from(cfg: ExperimentConfig, h: float | None = None):
+    """(mesh, h) at thickness h, default `strip.h`; `strip.nx` overrides the nx rule."""
+    L = _length(cfg)
+    if h is None:
+        h = cfg.get_float("strip.h", _REQUIRED)
+        if not 0 < h <= 0.5:
+            raise ConfigError(f"strip.h must lie in (0, 0.5], got {h!r}")
     ny = cfg.get_int("strip.ny", 8)
-    nx = cfg.get_int("strip.nx", None)
-    if nx is None:
-        nx = mesh_rule_nx(L, h)
+    nx = cfg.get_int("strip.nx", mesh_rule_nx(L, h))
     return build_mesh(L, nx, ny), h
 
 
@@ -175,7 +172,7 @@ def sweep_from(cfg: ExperimentConfig) -> tuple[float, ...]:
 
 
 def elastica_from(cfg: ExperimentConfig, W: EnergyDensity, g: LoadProfile):
-    L = cfg.get_float("strip.L", 1.0)
+    L = _length(cfg)
     n = cfg.get_int("elastica.n", 2048)
     tol = cfg.get_float("elastica.tol", 1e-12)
     modulus = linearize(W).modulus

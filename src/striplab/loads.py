@@ -20,7 +20,10 @@ class LoadProfile:
 
     @classmethod
     def constant(cls, g1: float, g2: float) -> "LoadProfile":
-        return cls(xs=None, vals=np.array([float(g1), float(g2)]))
+        vals = np.array([float(g1), float(g2)])
+        if not np.all(np.isfinite(vals)):
+            raise ConfigError(f"load.g1 and load.g2 must be finite, got {g1!r} and {g2!r}")
+        return cls(xs=None, vals=vals)
 
     @classmethod
     def from_samples(cls, xs, vals) -> "LoadProfile":

@@ -115,14 +115,45 @@ def test_truncate_bad_window_exits_2_naming_both_keys(tmp_path, capsys):
             "load.samples_g1 = 0.0, 0.0\nload.samples_g2 = -1e-3\n",
             "load.samples_g2",
         ),
+        ("solve-strip", "strip.h = 0\n", "strip.h"),
+        ("solve-strip", "strip.h = nan\n", "strip.h"),
+        ("solve-strip", "strip.h = 0.2\nstrip.L = nan\n", "strip.L"),
+        ("solve-strip", "strip.h = 0.2\nstrip.L = inf\n", "strip.L"),
+        ("solve-elastica", "strip.L = inf\n", "strip.L"),
+        ("solve-strip", "strip.h = 0.2\nload.g2 = inf\n", "load.g2"),
+        ("solve-elastica", "load.g2 = nan\n", "load.g2"),
     ],
-    ids=["zero-cells", "no-fields", "h-not-a-number", "sample-lengths"],
+    ids=[
+        "zero-cells",
+        "no-fields",
+        "h-not-a-number",
+        "sample-lengths",
+        "h-zero",
+        "h-nan",
+        "L-nan",
+        "L-inf",
+        "elastica-L-inf",
+        "g2-inf",
+        "elastica-g2-nan",
+    ],
 )
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, text, key):
     cfg = write_cfg(tmp_path, text)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+
+
+def test_converge_builds_meshes_through_strip_nx_and_ny(tmp_path):
+    base = TINY_STRIP + "strip.ny = 4\nsweep.h = 0.2, 0.1\nelastica.n = 64\n"
+    out_rule, out_nx = tmp_path / "rule", tmp_path / "nx"
+    assert main(["converge", "--config", write_cfg(tmp_path, base), "--out", str(out_rule)]) == 0
+    cfg = write_cfg(tmp_path, base + "strip.nx = 32\n", name="nx.cfg")
+    assert main(["converge", "--config", cfg, "--out", str(out_nx)]) == 0
+    _, manifest = read_table(out_nx / "manifest.csv")
+    assert manifest[0][3] == "strip.h"
+    rule = (out_rule / "convergence.csv").read_bytes()
+    assert (out_nx / "convergence.csv").read_bytes() != rule
 
 
 def test_truncate_unreachable_level_exits_3(tmp_path, capsys):

@@ -164,6 +164,11 @@ def test_mesh_from_rule_and_overrides():
     mesh, h = mesh_from(ExperimentConfig.from_text("strip.h = 0.2\nstrip.nx = 16\nstrip.ny = 4"))
     assert (mesh.nx, mesh.ny, h) == (16, 4, 0.2)
 
+    cfg = ExperimentConfig.from_text("strip.h = 0.2\nstrip.ny = 4")
+    mesh, h = mesh_from(cfg, 0.05)
+    assert (mesh.nx, mesh.ny, h) == (mesh_rule_nx(1.0, 0.05), 4, 0.05)
+    assert cfg.unread() == ["strip.h"]
+
     with pytest.raises(ConfigError, match="strip.h"):
         mesh_from(ExperimentConfig.from_text(""))
 
