@@ -37,7 +37,7 @@ from .errors import (
     StepRejected,
     TruncationFailure,
 )
-from .solver import solve_stationary
+from .solver import lift, solve_stationary
 from .truncation import grad_sup, rough_field, sample_on_strip, thin_truncate
 
 EXIT_OK = 0
@@ -168,7 +168,7 @@ def run_diagnose(cfg: ExperimentConfig, out: Path) -> RunManifest:
 
 
 def run_convergence(cfg: ExperimentConfig, out: Path) -> RunManifest:
-    """Elastica once, then the h-sweep with warm starts, then the tables."""
+    """Elastica once, then each h of the sweep solved from its lift, then the tables."""
     manifest = _manifest(cfg, out)
     W = energy_from(cfg)
     g = load_from(cfg)
@@ -185,19 +185,16 @@ def run_convergence(cfg: ExperimentConfig, out: Path) -> RunManifest:
     )
 
     fields = []
-    prev = None
     for h in hs:
         mesh, _ = mesh_from(cfg, h)
         t0 = time.perf_counter()
-        fld, report = solve_stationary(mesh, h, g, W, scfg, warm=prev)
+        fld, report = solve_stationary(mesh, h, g, W, scfg, start=lift(limit, mesh, h))
         dt = time.perf_counter() - t0
         if not report.converged:
             manifest.record(f"solve h={h:g}", f"non-converged: {report.message}", dt)
-            prev = None
             continue
         manifest.record(f"solve h={h:g}", "ok", dt)
         fields.append(fld)
-        prev = fld
 
     if fields:
         t0 = time.perf_counter()

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .elastica import solve_elastica
-from .energy import EnergyDensity, linearize, make_density
+from .energy import EnergyDensity, IsotropicQuadratic, linearize, make_density
 from .errors import ConfigError
 from .loads import LoadProfile
 from .mesh import build_mesh, mesh_rule_nx
@@ -105,10 +105,13 @@ _REQUIRED = object()
 
 
 def energy_from(cfg: ExperimentConfig) -> EnergyDensity:
-    kind = cfg.get_str("energy.kind", "half-dist-squared")
-    mu = cfg.get_float("energy.mu", 1.0)
-    lam = cfg.get_float("energy.lambda", 1.0)
-    return make_density(kind, mu=mu, lam=lam)
+    """The `energy.kind` density; only isotropic-quadratic reads the moduli."""
+    W = make_density(cfg.get_str("energy.kind", "half-dist-squared"))
+    if isinstance(W, IsotropicQuadratic):
+        W = IsotropicQuadratic(
+            mu=cfg.get_float("energy.mu", 1.0), lam=cfg.get_float("energy.lambda", 1.0)
+        )
+    return W
 
 
 def load_from(cfg: ExperimentConfig) -> LoadProfile:
@@ -133,24 +136,30 @@ def load_from(cfg: ExperimentConfig) -> LoadProfile:
 
 def solver_from(cfg: ExperimentConfig) -> SolverConfig:
     base = SolverConfig()
+    max_iters = cfg.get_int("solver.max_iters", base.max_iters)
+    if max_iters < 1:
+        raise ConfigError(f"solver.max_iters must be at least 1, got {max_iters!r}")
     return SolverConfig(
-        newton_tol=cfg.get_float("solver.newton_tol", base.newton_tol),
-        max_iters=cfg.get_int("solver.max_iters", base.max_iters),
-        min_load_step=cfg.get_float("solver.min_load_step", base.min_load_step),
-        det_floor=cfg.get_float("solver.det_floor", base.det_floor),
+        newton_tol=_positive(cfg, "solver.newton_tol", base.newton_tol),
+        max_iters=max_iters,
+        min_load_step=_positive(cfg, "solver.min_load_step", base.min_load_step),
+        # the rigid state has det F = 1, so a floor of 1 rejects every state
+        det_floor=_positive(cfg, "solver.det_floor", base.det_floor, upper=1.0),
     )
 
 
-def _length(cfg: ExperimentConfig) -> float:
-    L = cfg.get_float("strip.L", 1.0)
-    if not 0 < L < np.inf:
-        raise ConfigError(f"strip.L must be finite and positive, got {L!r}")
-    return L
+def _positive(cfg: ExperimentConfig, key: str, default: float, upper: float = np.inf) -> float:
+    """A float config value in (0, upper); the default upper bound asks for finite only."""
+    val = cfg.get_float(key, default)
+    if not 0 < val < upper:
+        bound = "finite and positive" if upper == np.inf else f"in (0, {upper:g})"
+        raise ConfigError(f"{key} must be {bound}, got {val!r}")
+    return val
 
 
 def mesh_from(cfg: ExperimentConfig, h: float | None = None):
     """(mesh, h) at thickness h, default `strip.h`; `strip.nx` overrides the nx rule."""
-    L = _length(cfg)
+    L = _positive(cfg, "strip.L", 1.0)
     if h is None:
         h = cfg.get_float("strip.h", _REQUIRED)
         if not 0 < h <= 0.5:
@@ -172,8 +181,8 @@ def sweep_from(cfg: ExperimentConfig) -> tuple[float, ...]:
 
 
 def elastica_from(cfg: ExperimentConfig, W: EnergyDensity, g: LoadProfile):
-    L = _length(cfg)
+    L = _positive(cfg, "strip.L", 1.0)
     n = cfg.get_int("elastica.n", 2048)
-    tol = cfg.get_float("elastica.tol", 1e-12)
+    tol = _positive(cfg, "elastica.tol", 1e-12)
     modulus = linearize(W).modulus
     return solve_elastica(modulus, g, L, n=n, tol=tol)

@@ -123,26 +123,6 @@ class StripMesh:
         D[:, 1, 1] += 1.0
         return D
 
-    def interpolate(self, nodal: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """Bilinear interpolation of a nodal field at arbitrary strip points."""
-        pts = np.asarray(pts, dtype=float)
-        vals = np.asarray(nodal)
-        fx = np.clip(pts[..., 0] / self.dx, 0.0, self.nx - 1e-12)
-        fy = np.clip((pts[..., 1] + 0.5) / self.dy, 0.0, self.ny - 1e-12)
-        ix = np.minimum(fx.astype(int), self.nx - 1)
-        iy = np.minimum(fy.astype(int), self.ny - 1)
-        sx = fx - ix
-        sy = fy - iy
-        nyy = self.ny + 1
-        n00 = ix * nyy + iy
-        v = (
-            vals[n00] * ((1 - sx) * (1 - sy))[..., None]
-            + vals[n00 + nyy] * (sx * (1 - sy))[..., None]
-            + vals[n00 + nyy + 1] * (sx * sy)[..., None]
-            + vals[n00 + 1] * ((1 - sx) * sy)[..., None]
-        )
-        return v
-
 
 def build_mesh(L: float, nx: int, ny: int) -> StripMesh:
     if not (L > 0.0):

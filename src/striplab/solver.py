@@ -8,7 +8,10 @@ with u the displacement from the rigid state, B the mesh's strain operator
 (the only place h scales the x2-derivative) and mu a load factor.  Newton
 iteration with Armijo backtracking on Pi inside one adaptive load loop
 whose first increment is the whole load, mu: 0 -> 1; a failed increment is
-halved and a successful one doubled.  A determinant guard det F > 0.1
+halved and a successful one doubled.  The loop starts from the rigid state
+or from a given field, such as ``lift`` of the rod limit: the midline with
+each cross-section rigidly rotated, the near-rigid state that low-energy
+equilibria stay close to.  A determinant guard det F > 0.1
 rejects steps entering the near-degenerate regime.  Newton stops one step
 after its residual falls within the larger of a load-relative tolerance and
 the assembly's roundoff floor, and gives up on a tangent step that is not a
@@ -32,6 +35,7 @@ import scipy.sparse as sp
 from scipy.linalg import LinAlgError, solve_banded
 
 from .algebra import det2
+from .elastica import ElasticaSolution
 from .energy import EnergyDensity
 from .errors import ConfigError, NonConvergence, StepRejected
 from .loads import LoadProfile
@@ -237,30 +241,30 @@ def solve_stationary(
     g: LoadProfile,
     W: EnergyDensity,
     cfg: SolverConfig | None = None,
-    warm: DeformationField | None = None,
+    start: DeformationField | None = None,
 ) -> tuple[DeformationField, SolverReport]:
     """Solve the clamped strip problem at thickness h.
 
-    One load loop from ``warm_start(warm, ...)`` if ``warm`` is given and
-    from the rigid state otherwise.  Its first increment is the whole load;
-    an increment on which Newton raises StepRejected or NonConvergence
-    (a warm start that fails the determinant guard included) is halved, and
-    the loop stalls once it falls below cfg.min_load_step.  After each
-    success the increment doubles.  Increments are powers of two, so every
-    load factor is exact and the path ends on 1.0.  Nothing is raised for a
-    failed solve: the report's message says why the first step failed and
-    where the loop stalled, ``iterations`` counts the Newton steps of
-    rejected increments too, and ``residual_sup`` is NaN if no increment
-    was accepted.
+    One load loop from ``start``, a field on this mesh at this h that is
+    never mutated (each increment works on a copy), or from the rigid state
+    if it is None.  Its first increment is the whole load; an increment on
+    which Newton raises StepRejected or NonConvergence (a start that fails
+    the determinant guard included) is halved, and the loop stalls once it
+    falls below cfg.min_load_step.  After each success the increment
+    doubles.  Increments are powers of two, so every load factor is exact
+    and the path ends on 1.0.  Nothing is raised for a failed solve: the
+    report's message says why the first step failed and where the loop
+    stalled, ``iterations`` counts the Newton steps of rejected increments
+    too, and ``residual_sup`` is NaN if no increment was accepted.
     """
     cfg = cfg or SolverConfig()
     h = _check_h(h)
     f = load_vector(mesh, g, h)
 
-    start = "cold start" if warm is None else "warm start"
-    fld = rigid_state(mesh, h) if warm is None else warm_start(warm, mesh, h)
+    what = "cold start" if start is None else "given start"
+    fld = rigid_state(mesh, h) if start is None else start
     path: list[tuple[float, int]] = []
-    message = "" if warm is None else start
+    message = ""
     mu, step, iterations, rsup = 0.0, 1.0, 0, float("nan")
     while mu < 1.0:
         s = min(step, 1.0 - mu)
@@ -270,7 +274,7 @@ def solve_stationary(
         except (StepRejected, NonConvergence) as exc:
             iterations += getattr(exc, "iterations", 0)  # StepRejected takes no step
             if s == 1.0:  # only the first step spans the whole load
-                message = f"{start} at full load failed: {exc}"
+                message = f"{what} at full load failed: {exc}"
             step = 0.5 * s
             if step < cfg.min_load_step:
                 message += f"; continuation stalled at load factor {mu:.6g}: {exc}"
@@ -287,22 +291,16 @@ def solve_stationary(
     )
 
 
-def warm_start(prev: DeformationField, mesh: StripMesh, h: float) -> DeformationField:
-    """Transfer a solution at one thickness onto a new mesh and thickness.
+def lift(rod: ElasticaSolution, mesh: StripMesh, h: float) -> DeformationField:
+    """The rod's midline with each cross-section rotated by the rod angle.
 
-    Interpolates nodal positions, rescales the cross-sectional variation by
-    h/h_prev about the per-column mean (so the scaled gradient's second
-    column carries over), and re-imposes the clamped edge exactly.
+    y(x1, x2) = ybar(x1) + h x2 (-sin theta(x1), cos theta(x1)) at every
+    node, ybar and theta interpolated linearly from the rod grid.  Since
+    ybar(0) = 0 and theta(0) = 0, the clamped edge gets (0, h x2) exactly.
     """
     h = _check_h(h)
-    yi = prev.mesh.interpolate(prev.y, mesh.nodes)
-    cols = yi.reshape(mesh.nx + 1, mesh.ny + 1, 2)
-    w = np.full(mesh.ny + 1, mesh.dy)
-    w[0] = w[-1] = 0.5 * mesh.dy
-    mean = np.einsum("j,cjk->ck", w, cols)
-    yr = mean[:, None, :] + (h / prev.h) * (cols - mean[:, None, :])
-    fld = DeformationField(mesh=mesh, h=h, y=yr.reshape(-1, 2))
-    ids = mesh.clamped_nodes()
-    fld.y[ids, 0] = 0.0
-    fld.y[ids, 1] = h * mesh.x2
-    return fld
+    x1 = mesh.nodes[:, 0]
+    theta = rod.theta_at(x1)
+    normal = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
+    y = rod.ybar_at(x1) + (h * mesh.nodes[:, 1])[:, None] * normal
+    return DeformationField(mesh=mesh, h=h, y=y)

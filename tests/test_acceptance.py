@@ -18,6 +18,7 @@ from striplab import (
     convergence_study,
     grad_sup,
     gtilde,
+    lift,
     linearize,
     mesh_rule_nx,
     minimize_J2,
@@ -47,20 +48,19 @@ def sweep():
     """Loaded h-sweep, rod limit, diagnostics, and mesh-doubled r2 controls."""
     t_wall = time.perf_counter()
     limit = solve_elastica(1.0, GAMMA, 1.0, n=2048)
-    fields, solve_secs, prev = [], [], None
+    fields, solve_secs = [], []
     for h in HS:
         mesh = build_mesh(1.0, mesh_rule_nx(1.0, h), 8)
         t0 = time.perf_counter()
-        fld, rep = solve_stationary(mesh, h, GAMMA, W0, warm=prev)
+        fld, rep = solve_stationary(mesh, h, GAMMA, W0, start=lift(limit, mesh, h))
         solve_secs.append(time.perf_counter() - t0)
         assert rep.converged, rep.message
         fields.append(fld)
-        prev = fld
     table = convergence_study(fields, limit, GAMMA, W0)
     fine_r2 = []
     for fld in fields:
         mesh2 = build_mesh(1.0, 2 * fld.mesh.nx, 8)
-        fld2, rep2 = solve_stationary(mesh2, fld.h, GAMMA, W0, warm=fld)
+        fld2, rep2 = solve_stationary(mesh2, fld.h, GAMMA, W0, start=lift(limit, mesh2, fld.h))
         assert rep2.converged, rep2.message
         fine_r2.append(diagnose(fld2, GAMMA, W0).row.r2)
     return {

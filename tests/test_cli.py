@@ -58,16 +58,18 @@ def test_solve_strip_writes_solution_and_report(tmp_path):
 
 
 def test_manifest_lists_unread_config_keys(tmp_path):
-    # a typo, a key this subcommand never reads, and the removed load_steps
+    # a typo, a key this subcommand never reads, the removed load_steps, and
+    # a modulus the default density does not use
     cfg = write_cfg(
         tmp_path,
-        TINY_STRIP + "solver.newton_tl = 1e-9\nsweep.h = 0.2\nsolver.load_steps = 10\n",
+        TINY_STRIP
+        + "solver.newton_tl = 1e-9\nsweep.h = 0.2\nsolver.load_steps = 10\nenergy.mu = nan\n",
     )
     out = tmp_path / "out"
     assert main(["solve-strip", "--config", cfg, "--out", str(out)]) == 0
     _, manifest = read_table(out / "manifest.csv")
     assert manifest[0][0] == "config"
-    assert manifest[0][3] == "solver.load_steps;solver.newton_tl;sweep.h"
+    assert manifest[0][3] == "energy.mu;solver.load_steps;solver.newton_tl;sweep.h"
 
 
 def test_solver_failure_exits_1(tmp_path, capsys):
@@ -122,6 +124,11 @@ def test_truncate_bad_window_exits_2_naming_both_keys(tmp_path, capsys):
         ("solve-elastica", "strip.L = inf\n", "strip.L"),
         ("solve-strip", "strip.h = 0.2\nload.g2 = inf\n", "load.g2"),
         ("solve-elastica", "load.g2 = nan\n", "load.g2"),
+        ("solve-strip", "strip.h = 0.2\nsolver.newton_tol = nan\n", "solver.newton_tol"),
+        ("solve-strip", "strip.h = 0.2\nsolver.min_load_step = nan\n", "solver.min_load_step"),
+        ("solve-strip", "strip.h = 0.2\nsolver.det_floor = 1\n", "solver.det_floor"),
+        ("solve-strip", "strip.h = 0.2\nsolver.max_iters = 0\n", "solver.max_iters"),
+        ("converge", "sweep.h = 0.2\nelastica.tol = nan\n", "elastica.tol"),
     ],
     ids=[
         "zero-cells",
@@ -135,6 +142,11 @@ def test_truncate_bad_window_exits_2_naming_both_keys(tmp_path, capsys):
         "elastica-L-inf",
         "g2-inf",
         "elastica-g2-nan",
+        "newton-tol-nan",
+        "min-load-step-nan",
+        "det-floor-one",
+        "max-iters-zero",
+        "elastica-tol-nan",
     ],
 )
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, text, key):

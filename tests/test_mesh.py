@@ -81,16 +81,6 @@ def test_qp_values_interpolates_bilinear_exactly():
     np.testing.assert_allclose(at_qp, 2.0 * x1 - 3.0 * x2 + x1 * x2, atol=1e-13)
 
 
-def test_interpolate_reproduces_nodes_and_bilinear():
-    mesh = build_mesh(1.0, 5, 3)
-    nodal = np.stack([mesh.nodes[:, 0] ** 1, mesh.nodes[:, 1]], axis=1)
-    got = mesh.interpolate(nodal, mesh.nodes)
-    np.testing.assert_allclose(got, nodal, atol=1e-13)
-    rng = np.random.default_rng(5)
-    pts = np.stack([rng.uniform(0, 1, 40), rng.uniform(-0.5, 0.5, 40)], axis=1)
-    np.testing.assert_allclose(mesh.interpolate(nodal, pts), pts, atol=1e-13)
-
-
 def test_clamped_nodes_and_free_dofs():
     mesh = build_mesh(1.0, 4, 2)
     ids = mesh.clamped_nodes()

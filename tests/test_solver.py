@@ -11,10 +11,12 @@ from striplab import (
     LoadProfile,
     SolverConfig,
     build_mesh,
+    lift,
+    minimize_J2,
     rigid_state,
     scaled_energy,
+    solve_elastica,
     solve_stationary,
-    warm_start,
 )
 from striplab.errors import ConfigError, StepRejected
 from striplab.mesh import DeformationField
@@ -206,6 +208,7 @@ def test_solve_stops_at_the_roundoff_floor(h, nx):
 
 
 HEAVY = LoadProfile.constant(-1.0, -1e-3)  # past Greenhill's load
+TIP_X, TIP_Y = 0.421673, -0.804849  # buckled tip midline on 16x4 at h = 0.1
 
 
 def test_heavy_column_converges_by_continuation():
@@ -232,15 +235,29 @@ def test_iterations_count_rejected_increments(monkeypatch):
     assert sum(it for _, it in rep.path) < rep.iterations <= calls
 
 
-def test_warm_start_failing_at_full_load_still_converges():
+def test_start_failing_at_full_load_still_converges():
     mesh = build_mesh(1.0, 16, 4)
-    prev, _ = solve_stationary(mesh, 0.2, GAMMA, W)
-    fld, rep = solve_stationary(mesh, 0.1, HEAVY, W, warm=prev)
+    start = lift(solve_elastica(1.0, GAMMA, 1.0, n=256), mesh, 0.1)
+    y0 = start.y.copy()
+    fld, rep = solve_stationary(mesh, 0.1, HEAVY, W, start=start)
+    assert np.array_equal(start.y, y0)
     assert rep.converged
-    assert rep.message.startswith("warm start at full load failed:")
+    assert rep.message.startswith("given start at full load failed:")
+    assert len(rep.path) > 1
     assert rep.path[-1][0] == 1.0
     tip = fld.y[mesh.nx * (mesh.ny + 1) + mesh.ny // 2]
-    assert tip == pytest.approx([0.421673, -0.804849], abs=1e-6)
+    assert tip == pytest.approx([TIP_X, TIP_Y], abs=1e-6)
+
+
+def test_lifted_heavy_column_converges_in_one_load_step():
+    mesh = build_mesh(1.0, 16, 4)
+    rod = minimize_J2(1.0, HEAVY, 1.0, n=256)
+    fld, rep = solve_stationary(mesh, 0.1, HEAVY, W, start=lift(rod, mesh, 0.1))
+    assert rep.converged
+    assert rep.message == ""
+    assert len(rep.path) == 1
+    tip = fld.y[mesh.nx * (mesh.ny + 1) + mesh.ny // 2]
+    assert tip == pytest.approx([TIP_X, TIP_Y], abs=1e-6)
 
 
 def test_solve_small_load_converges_and_bends_down():
@@ -255,27 +272,23 @@ def test_solve_small_load_converges_and_bends_down():
     assert rep.total_energy < 0.0  # work done exceeds stored energy at equilibrium
 
 
-def test_warm_start_prefers_direct_solve():
+def test_lifted_start_converges_in_one_load_step():
     mesh = build_mesh(1.0, 64, 8)
-    fld, _ = solve_stationary(mesh, 0.2, GAMMA, W)
-    mesh2 = build_mesh(1.0, 64, 8)
-    warm, rep2 = solve_stationary(mesh2, 0.1, GAMMA, W, warm=fld)
-    assert rep2.converged
-    assert rep2.message == "warm start"
-    assert len(rep2.path) == 1
-    ids = mesh2.clamped_nodes()
-    clamp = np.stack([np.zeros(ids.size), warm.h * mesh2.x2], axis=1)
-    assert np.max(np.abs(warm.y[ids] - clamp)) == 0.0
+    start = lift(solve_elastica(1.0, GAMMA, 1.0, n=256), mesh, 0.1)
+    _, rep = solve_stationary(mesh, 0.1, GAMMA, W, start=start)
+    assert rep.converged
+    assert rep.message == ""
+    assert len(rep.path) == 1
 
 
-def test_warm_start_reimposes_clamp_exactly():
-    mesh = build_mesh(1.0, 16, 4)
-    fld = perturbed_field(mesh, 0.2, scale=0.05)
-    fld.y[mesh.clamped_nodes()] += 0.02  # violate the clamp on purpose
-    moved = warm_start(fld, build_mesh(1.0, 32, 4), 0.1)
-    ids = moved.mesh.clamped_nodes()
-    clamp = np.stack([np.zeros(ids.size), moved.h * moved.mesh.x2], axis=1)
-    assert np.max(np.abs(moved.y[ids] - clamp)) == 0.0
+def test_lift_meets_clamp_exactly():
+    mesh = build_mesh(1.0, 32, 4)
+    rod = solve_elastica(1.0, LoadProfile.constant(0.0, -0.5), 1.0, n=64)
+    fld = lift(rod, mesh, 0.1)
+    ids = mesh.clamped_nodes()
+    clamp = np.stack([np.zeros(ids.size), fld.h * mesh.x2], axis=1)
+    assert fld.y[ids].tobytes() == clamp.tobytes()  # bitwise, signed zeros included
+    assert np.max(np.abs(fld.y - rigid_state(mesh, 0.1).y)) > 0.1  # the rod is bent
 
 
 def test_unreachable_load_reports_nonconvergence():
