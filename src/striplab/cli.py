@@ -20,6 +20,7 @@ from . import csvio
 from .algebra import dist_so2, rot2
 from .config import (
     ExperimentConfig,
+    _positive,
     elastica_from,
     energy_from,
     load_from,
@@ -80,9 +81,9 @@ def _manifest(cfg: ExperimentConfig, out: Path) -> RunManifest:
     return RunManifest(config=cfg, out_dir=out)
 
 
-def _solver_report_items(h, mesh, report) -> dict:
+def _solver_report_items(mesh, report) -> dict:
     return {
-        "h": h,
+        "h": mesh.h,
         "L": mesh.L,
         "nx": mesh.nx,
         "ny": mesh.ny,
@@ -101,13 +102,13 @@ def run_solve_strip(cfg: ExperimentConfig, out: Path) -> RunManifest:
     W = energy_from(cfg)
     g = load_from(cfg)
     scfg = solver_from(cfg)
-    mesh, h = mesh_from(cfg)
+    mesh = mesh_from(cfg)
     t0 = time.perf_counter()
-    fld, report = solve_stationary(mesh, h, g, W, scfg)
+    fld, report = solve_stationary(mesh, g, W, scfg)
     dt = time.perf_counter() - t0
     paths = [
         csvio.write_solution(out / "solution.csv", fld),
-        csvio.write_keyvalue(out / "report.csv", _solver_report_items(h, mesh, report)),
+        csvio.write_keyvalue(out / "report.csv", _solver_report_items(mesh, report)),
     ]
     manifest.record("solve-strip", "ok" if report.converged else "non-converged", dt, paths)
     manifest.write()
@@ -145,9 +146,9 @@ def run_diagnose(cfg: ExperimentConfig, out: Path) -> RunManifest:
     W = energy_from(cfg)
     g = load_from(cfg)
     scfg = solver_from(cfg)
-    mesh, h = mesh_from(cfg)
+    mesh = mesh_from(cfg)
     t0 = time.perf_counter()
-    fld, report = solve_stationary(mesh, h, g, W, scfg)
+    fld, report = solve_stationary(mesh, g, W, scfg)
     status = "ok" if report.converged else "non-converged"
     d = diagnose(fld, g, W)
     dt = time.perf_counter() - t0
@@ -158,9 +159,7 @@ def run_diagnose(cfg: ExperimentConfig, out: Path) -> RunManifest:
         csvio.write_fields(out / "fields.csv", d),
         csvio.write_moments(out / "moments.csv", d),
         csvio.write_identities(out / "identities.csv", [d.row]),
-        csvio.write_keyvalue(
-            out / "report.csv", _solver_report_items(h, mesh, report) | z_items
-        ),
+        csvio.write_keyvalue(out / "report.csv", _solver_report_items(mesh, report) | z_items),
     ]
     manifest.record("diagnose", status, dt, paths)
     manifest.write()
@@ -186,9 +185,9 @@ def run_convergence(cfg: ExperimentConfig, out: Path) -> RunManifest:
 
     fields = []
     for h in hs:
-        mesh, _ = mesh_from(cfg, h)
+        mesh = mesh_from(cfg, h)
         t0 = time.perf_counter()
-        fld, report = solve_stationary(mesh, h, g, W, scfg, start=lift(limit, mesh, h))
+        fld, report = solve_stationary(mesh, g, W, scfg, start=lift(limit, mesh))
         dt = time.perf_counter() - t0
         if not report.converged:
             manifest.record(f"solve h={h:g}", f"non-converged: {report.message}", dt)
@@ -210,18 +209,20 @@ def run_convergence(cfg: ExperimentConfig, out: Path) -> RunManifest:
 
 def run_truncation_demo(cfg: ExperimentConfig, out: Path, seed: int | None = None) -> RunManifest:
     manifest = _manifest(cfg, out)
-    a = cfg.get_float("truncation.level_min", 14.0)
-    A = cfg.get_float("truncation.level_max", 28.0)
+    a = _positive(cfg, "truncation.level_min", 14.0)
+    A = _positive(cfg, "truncation.level_max", 28.0)
     if a >= A:
         raise ConfigError(
             "truncation.level_min must be below truncation.level_max, "
             f"got {a!r} and {A!r}"
         )
-    p = cfg.get_float("truncation.p", 2.0)
+    p = _positive(cfg, "truncation.p", 2.0)
+    if p <= 1.0:
+        raise ConfigError(f"truncation.p must be above 1, got {p!r}")
     nfields = cfg.get_int("truncation.fields", 50)
     if nfields < 1:
         raise ConfigError(f"truncation.fields must be at least 1, got {nfields!r}")
-    height = cfg.get_float("truncation.height", 0.125)
+    height = _positive(cfg, "truncation.height", 0.125)
     res = cfg.get_str("truncation.resolutions", "64x8,128x16,256x32")
     if seed is None:
         seed = cfg.get_int("run.seed", 1234)

@@ -158,7 +158,7 @@ def _positive(cfg: ExperimentConfig, key: str, default: float, upper: float = np
 
 
 def mesh_from(cfg: ExperimentConfig, h: float | None = None):
-    """(mesh, h) at thickness h, default `strip.h`; `strip.nx` overrides the nx rule."""
+    """The mesh at thickness h, default `strip.h`; `strip.nx` overrides the nx rule."""
     L = _positive(cfg, "strip.L", 1.0)
     if h is None:
         h = cfg.get_float("strip.h", _REQUIRED)
@@ -166,7 +166,7 @@ def mesh_from(cfg: ExperimentConfig, h: float | None = None):
             raise ConfigError(f"strip.h must lie in (0, 0.5], got {h!r}")
     ny = cfg.get_int("strip.ny", 8)
     nx = cfg.get_int("strip.nx", mesh_rule_nx(L, h))
-    return build_mesh(L, nx, ny), h
+    return build_mesh(L, h, nx, ny)
 
 
 def sweep_from(cfg: ExperimentConfig) -> tuple[float, ...]:

@@ -88,13 +88,13 @@ class RotationProfile:
         return np.unwrap(ang)
 
 
-def slab_rotations(mesh: StripMesh, h: float, F: np.ndarray) -> RotationProfile:
+def slab_rotations(mesh: StripMesh, F: np.ndarray) -> RotationProfile:
     """Polar factors of slab averages of the scaled deformation gradient F.
 
     The strip (0, L) splits into k = floor(L/h) slabs of equal width, which
-    lies in [h, 2h) whenever h <= L/2.
+    lies in [h, 2h) whenever h <= L/2, h the mesh's thickness.
     """
-    L = mesh.L
+    L, h = mesh.L, mesh.h
     k = int(np.floor(L / h))
     if k < 2:
         raise ConfigError(f"need h <= L/2 for slab rotations, got h={h!r}, L={L!r}")
@@ -163,11 +163,11 @@ class Diagnosis:
 def diagnose(fld: DeformationField, g: LoadProfile, W: EnergyDensity) -> Diagnosis:
     """Full diagnostic pipeline for one solution."""
     mesh = fld.mesh
-    h = fld.h
+    h = mesh.h
     cols = mesh.col_x
     cw = mesh.col_w
     F = fld.gradients()
-    prof = slab_rotations(mesh, h, F)
+    prof = slab_rotations(mesh, F)
     node_theta = prof.angle_at(mesh.x1)
     col_theta = prof.angle_at(cols)
     thp = np.gradient(col_theta, cols, edge_order=2)
@@ -214,7 +214,7 @@ def diagnose(fld: DeformationField, g: LoadProfile, W: EnergyDensity) -> Diagnos
     z = ygrid / h - integral[:, None, :] / h - mesh.x2[None, :, None] * e2[:, None, :]
     z_bc_gap = float(np.max(np.linalg.norm(z[0], axis=-1)))
     z = z.reshape(-1, 2)
-    Dz = mesh.scaled_gradients(z, h)
+    Dz = mesh.scaled_gradients(z)
     Dz[:, 0, 0] -= 1.0
     Dz[:, 1, 1] -= 1.0
     rhs = np.array(G, copy=True)
@@ -272,7 +272,7 @@ def y_error(fld: DeformationField, F: np.ndarray, limit: ElasticaSolution) -> fl
     tang = np.stack([np.cos(th), np.sin(th)], axis=-1)
     err2 = np.sum((yq - limit.ybar_at(xq)) ** 2, axis=-1)
     err2 += np.sum((F[:, :, 0] - tang) ** 2, axis=-1)
-    err2 += fld.h**2 * np.sum(F[:, :, 1] ** 2, axis=-1)
+    err2 += mesh.h**2 * np.sum(F[:, :, 1] ** 2, axis=-1)
     return float(np.sqrt(mesh.qp_w * np.sum(err2)))
 
 
@@ -293,10 +293,10 @@ def convergence_study(
     for fld in fields:
         d = diagnose(fld, g, W)
         elastic = float(fld.mesh.qp_w * np.sum(W.energy(d.F)))
-        hs.append(fld.h)
+        hs.append(fld.mesh.h)
         terr.append(theta_error(d, limit))
         yerr.append(y_error(fld, d.F, limit))
-        esc.append(elastic / fld.h**2)
+        esc.append(elastic / fld.mesh.h**2)
         rows.append(d.row)
     return ConvergenceTable(
         h=np.array(hs),

@@ -7,11 +7,12 @@ Deformations store the full nodal positions but all gradient evaluations go
 through the displacement u = y - rigid, which makes the rigid state an exact
 fixed point in floating point.
 
-Everything that depends only on the grid is built once in ``build_mesh``:
-the element dof map and the band slots of the stiffness matrix.  The node
+A mesh is built for one thickness h, and everything that depends only on
+the grid and h is built once in ``build_mesh``: the element dof map, the
+band slots of the stiffness matrix, the strain operator B (the only place h
+scales the x2-derivative) and the rigid state (x1, h*x2).  The node
 numbering keeps every coupling within 2*ny + 5 dofs of the diagonal, so the
-stiffness is stored as a band.  The thickness h enters only through the
-strain operator.
+stiffness is stored as a band.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ _ETA = np.array([-1.0, -1.0, 1.0, 1.0])
 @dataclass(eq=False)
 class StripMesh:
     L: float
+    h: float
     nx: int
     ny: int
     x1: np.ndarray = field(repr=False)
@@ -39,7 +41,8 @@ class StripMesh:
     conn: np.ndarray = field(repr=False)         # (nelem, 4) corner node ids
     edofs: np.ndarray = field(repr=False)        # (nelem, 8) dofs 2*conn + (0, 1)
     shape_n: np.ndarray = field(repr=False)      # (4 qp, 4 a)
-    dshape: np.ndarray = field(repr=False)       # (4 qp, 4 a, 2) d/dx1, d/dx2
+    B: np.ndarray = field(repr=False)            # (4 qp, 4, 8) strain operator
+    rigid: np.ndarray = field(repr=False)        # (nnode, 2) rigid state (x1, h x2)
     qp_x: np.ndarray = field(repr=False)         # (nqp, 2)
     qp_col: np.ndarray = field(repr=False)       # (nqp,) quadrature column id
     col_x: np.ndarray = field(repr=False)        # (2 nx,) column positions
@@ -101,32 +104,25 @@ class StripMesh:
         out = np.einsum("qa,ea...->eq...", self.shape_n, elem)
         return out.reshape((self.nqp,) + elem.shape[2:])
 
-    def strain_operator(self, h: float) -> np.ndarray:
-        """Scaled gradient of the element shape functions, (4 qp, 4, 8).
-
-        B[q, 2i+k, 2a+j] = delta_ij d_k N_a(q), with d_2 carrying 1/h, so
-        F = Id + B u_e on each element.  The only place h scales d_2.
-        """
-        d = self.dshape / np.array([1.0, h])
-        return np.einsum("qak,ij->qikaj", d, np.eye(2)).reshape(4, 4, 8)
-
-    def scaled_gradients(self, u: np.ndarray, h: float) -> np.ndarray:
+    def scaled_gradients(self, u: np.ndarray) -> np.ndarray:
         """F = Id + (d1 u, d2 u / h) at quadrature points, shape (nqp, 2, 2).
 
         u is the displacement from the rigid state, so u = 0 returns the
         identity exactly.
         """
         ue = np.asarray(u, dtype=float).reshape(-1)[self.edofs]
-        D = np.einsum("qgd,ed->eqg", self.strain_operator(h), ue)
+        D = np.einsum("qgd,ed->eqg", self.B, ue)
         D = D.reshape(self.nqp, 2, 2)
         D[:, 0, 0] += 1.0
         D[:, 1, 1] += 1.0
         return D
 
 
-def build_mesh(L: float, nx: int, ny: int) -> StripMesh:
+def build_mesh(L: float, h: float, nx: int, ny: int) -> StripMesh:
     if not (L > 0.0):
         raise ConfigError(f"strip.L must be positive, got {L!r}")
+    if not (0.0 < h <= 0.5):
+        raise ConfigError(f"thickness h must lie in (0, 0.5], got {h!r}")
     if nx < 4 or ny < 2:
         raise ConfigError(f"mesh needs nx >= 4 and ny >= 2, got nx={nx}, ny={ny}")
     nx, ny = int(nx), int(ny)
@@ -148,9 +144,14 @@ def build_mesh(L: float, nx: int, ny: int) -> StripMesh:
     qxi = np.array([-_GP, -_GP, _GP, _GP])
     qeta = np.array([-_GP, _GP, -_GP, _GP])
     shape_n = 0.25 * (1.0 + np.outer(qxi, _XI)) * (1.0 + np.outer(qeta, _ETA))
-    dshape = np.empty((4, 4, 2))
-    dshape[:, :, 0] = 0.25 * _XI[None, :] * (1.0 + np.outer(qeta, _ETA)) * (2.0 / dx)
-    dshape[:, :, 1] = 0.25 * _ETA[None, :] * (1.0 + np.outer(qxi, _XI)) * (2.0 / dy)
+    grad_n = np.empty((4, 4, 2))
+    grad_n[:, :, 0] = 0.25 * _XI[None, :] * (1.0 + np.outer(qeta, _ETA)) * (2.0 / dx)
+    grad_n[:, :, 1] = 0.25 * _ETA[None, :] * (1.0 + np.outer(qxi, _XI)) * (2.0 / dy)
+    # B[q, 2i+k, 2a+j] = delta_ij d_k N_a(q), with d_2 carrying 1/h, so
+    # F = Id + B u_e on each element
+    B = np.einsum("qak,ij->qikaj", grad_n / np.array([1.0, h]), np.eye(2)).reshape(4, 4, 8)
+    rigid = np.array(nodes, copy=True)
+    rigid[:, 1] *= h
 
     xe = x1[ex]
     ye = x2[ey]
@@ -167,9 +168,11 @@ def build_mesh(L: float, nx: int, ny: int) -> StripMesh:
 
     k_bw = 2 * ny + 5
     k_slot, k_clamped = _stiffness_pattern(nx, ny, k_bw, edofs)
+    for a in (B, rigid):
+        a.flags.writeable = False  # shared by every field on the mesh
     return StripMesh(
-        L=float(L), nx=nx, ny=ny, x1=x1, x2=x2, nodes=nodes, conn=conn,
-        edofs=edofs, shape_n=shape_n, dshape=dshape, qp_x=qp_x, qp_col=qp_col,
+        L=float(L), h=float(h), nx=nx, ny=ny, x1=x1, x2=x2, nodes=nodes, conn=conn,
+        edofs=edofs, shape_n=shape_n, B=B, rigid=rigid, qp_x=qp_x, qp_col=qp_col,
         col_x=col_x, k_bw=k_bw, k_slot=k_slot, k_clamped=k_clamped,
     )
 
@@ -203,30 +206,23 @@ def mesh_rule_nx(L: float, h: float) -> int:
 
 @dataclass(eq=False)
 class DeformationField:
-    """Nodal deformation y of the strip at thickness h.
+    """Nodal deformation y of the strip at the mesh's thickness h.
 
     The clamped edge carries y(0, x2) = (0, h*x2); ``displacement`` is the
-    offset from the rigid state (x1, h*x2).
+    offset from the rigid state ``mesh.rigid``.
     """
 
     mesh: StripMesh
-    h: float
     y: np.ndarray  # (nnode, 2)
 
-    def rigid(self) -> np.ndarray:
-        out = np.array(self.mesh.nodes, copy=True)
-        out[:, 1] *= self.h
-        return out
-
     def displacement(self) -> np.ndarray:
-        return self.y - self.rigid()
+        return self.y - self.mesh.rigid
 
     def gradients(self) -> np.ndarray:
         """Scaled deformation gradients at quadrature points, (nqp, 2, 2)."""
-        return self.mesh.scaled_gradients(self.displacement(), self.h)
+        return self.mesh.scaled_gradients(self.displacement())
 
 
-def rigid_state(mesh: StripMesh, h: float) -> DeformationField:
-    fld = DeformationField(mesh=mesh, h=float(h), y=np.empty((mesh.nnode, 2)))
-    fld.y[:] = fld.rigid()
-    return fld
+def rigid_state(mesh: StripMesh) -> DeformationField:
+    """The rigid state as a field whose y is a writable copy of ``mesh.rigid``."""
+    return DeformationField(mesh=mesh, y=np.array(mesh.rigid, copy=True))

@@ -4,9 +4,9 @@ The discrete functional on a strip mesh is
 
     Pi(y) = sum_qp w * [ W(F) - h^2 * mu * g(x1) . y ],   F = Id + B u_e,
 
-with u the displacement from the rigid state, B the mesh's strain operator
-(the only place h scales the x2-derivative) and mu a load factor.  Newton
-iteration with Armijo backtracking on Pi inside one adaptive load loop
+with u the displacement from the rigid state, mu a load factor, and h and
+B the thickness and strain operator of the mesh, which is built for one h.
+Newton iteration with Armijo backtracking on Pi inside one adaptive load loop
 whose first increment is the whole load, mu: 0 -> 1; a failed increment is
 halved and a successful one doubled.  The loop starts from the rigid state
 or from a given field, such as ``lift`` of the rod limit: the midline with
@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import LinAlgError, solve_banded
 
 from .algebra import det2
@@ -69,12 +68,6 @@ class SolverReport:
     message: str = ""
 
 
-def _check_h(h: float) -> float:
-    if not (0.0 < h <= 0.5):
-        raise ConfigError(f"thickness h must lie in (0, 0.5], got {h!r}")
-    return float(h)
-
-
 def _guard_dets(mesh: StripMesh, F: np.ndarray, floor: float) -> None:
     d = det2(F)
     j = int(np.argmin(d))
@@ -89,10 +82,11 @@ def _assemble(mesh: StripMesh, ve: np.ndarray) -> np.ndarray:
     return v
 
 
-def load_vector(mesh: StripMesh, g: LoadProfile, h: float) -> np.ndarray:
+def load_vector(mesh: StripMesh, g: LoadProfile) -> np.ndarray:
     """Assembled load term at unit load factor, clamped rows zeroed."""
     gvals = g(mesh.qp_x[:, 0]).reshape(mesh.nelem, 4, 2)
-    return _assemble(mesh, h * h * mesh.qp_w * np.einsum("eqi,qa->eai", gvals, mesh.shape_n))
+    w = mesh.h * mesh.h * mesh.qp_w
+    return _assemble(mesh, w * np.einsum("eqi,qa->eai", gvals, mesh.shape_n))
 
 
 def elastic_residual(
@@ -112,32 +106,31 @@ def elastic_residual(
         F = fld.gradients()
     _guard_dets(mesh, F, det_floor)
     P = W.stress(F).reshape(mesh.nelem, 4, 4)
-    return _assemble(mesh, mesh.qp_w * np.einsum("eqg,qgd->ed", P, mesh.strain_operator(fld.h)))
+    return _assemble(mesh, mesh.qp_w * np.einsum("eqg,qgd->ed", P, mesh.B))
 
 
 def tangent(
     fld: DeformationField,
     W: EnergyDensity,
     det_floor: float = 0.1,
-) -> sp.dia_matrix:
+) -> np.ndarray:
     """Second derivative of the discrete functional, symmetric, band-stored.
 
-    ``data`` is the (2 bw + 1, ndof) band in LAPACK ``ab`` layout, with
-    offsets bw..-bw.  Rows and columns of clamped dofs are replaced by
-    identity.
+    Returns the (2 bw + 1, ndof) band in LAPACK ``ab`` layout, with offsets
+    bw..-bw and bw = ``mesh.k_bw``.  Rows and columns of clamped dofs are
+    replaced by identity.
     """
     mesh = fld.mesh
     F = fld.gradients()
     _guard_dets(mesh, F, det_floor)
     A = W.hessian(F).reshape(mesh.nelem, 4, 4, 4)
-    B = mesh.strain_operator(fld.h)
+    B = mesh.B
     ke = mesh.qp_w * np.einsum("qgd,eqgf->edf", B, np.einsum("eqgh,qhf->eqgf", A, B))
     bw, ndof = mesh.k_bw, 2 * mesh.nnode
     size = (2 * bw + 1) * ndof
     data = np.bincount(mesh.k_slot, weights=ke.reshape(-1), minlength=size + 1)[:size]
     data[mesh.k_clamped] = 1.0
-    offsets = np.arange(bw, -bw - 1, -1)
-    return sp.dia_matrix((data.reshape(-1, ndof), offsets), shape=(ndof, ndof))
+    return data.reshape(-1, ndof)
 
 
 def scaled_energy(
@@ -158,7 +151,7 @@ def scaled_energy(
     gvals = g(mesh.qp_x[:, 0])
     yq = mesh.qp_values(fld.y)
     work = float(mesh.qp_w * np.sum(gvals * yq))
-    return elastic, elastic - load_factor * fld.h ** 2 * work
+    return elastic, elastic - load_factor * mesh.h ** 2 * work
 
 
 def _newton(
@@ -171,7 +164,7 @@ def _newton(
 ) -> tuple[int, float]:
     """Newton with Armijo backtracking at fixed load factor.
 
-    f is ``load_vector(fld.mesh, g, fld.h)``.  The stopping bound is the
+    f is ``load_vector(fld.mesh, g)``.  The stopping bound is the
     larger of cfg.newton_tol times the load scale and the assembly's
     roundoff floor, FLOOR_C * eps * max|K| * max|y| with K the last tangent.
     A residual within the bound does not show how far the iterate still is
@@ -198,9 +191,9 @@ def _newton(
         if it >= cfg.max_iters and not last:
             raise NonConvergence("Newton iteration cap reached", rsup, it)
         K = tangent(fld, W, cfg.det_floor)
-        floor = FLOOR_C * EPS * float(np.max(np.abs(K.data))) * float(np.max(np.abs(fld.y)))
+        floor = FLOOR_C * EPS * float(np.max(np.abs(K))) * float(np.max(np.abs(fld.y)))
         try:
-            delta = solve_banded((mesh.k_bw, mesh.k_bw), K.data, -r, check_finite=False)
+            delta = solve_banded((mesh.k_bw, mesh.k_bw), K, -r, check_finite=False)
         except LinAlgError:
             raise NonConvergence("singular tangent", rsup, it) from None
         delta[~free] = 0.0
@@ -237,38 +230,38 @@ def _newton(
 
 def solve_stationary(
     mesh: StripMesh,
-    h: float,
     g: LoadProfile,
     W: EnergyDensity,
     cfg: SolverConfig | None = None,
     start: DeformationField | None = None,
 ) -> tuple[DeformationField, SolverReport]:
-    """Solve the clamped strip problem at thickness h.
+    """Solve the clamped strip problem at the mesh's thickness h.
 
-    One load loop from ``start``, a field on this mesh at this h that is
-    never mutated (each increment works on a copy), or from the rigid state
-    if it is None.  Its first increment is the whole load; an increment on
-    which Newton raises StepRejected or NonConvergence (a start that fails
-    the determinant guard included) is halved, and the loop stalls once it
-    falls below cfg.min_load_step.  After each success the increment
-    doubles.  Increments are powers of two, so every load factor is exact
-    and the path ends on 1.0.  Nothing is raised for a failed solve: the
-    report's message says why the first step failed and where the loop
-    stalled, ``iterations`` counts the Newton steps of rejected increments
-    too, and ``residual_sup`` is NaN if no increment was accepted.
+    One load loop from ``start``, a field on this mesh (else ConfigError)
+    that is never mutated, or from the rigid state if it is None.  Its first
+    increment is the whole load; an increment on which Newton raises
+    StepRejected or NonConvergence (a start that fails the determinant guard
+    included) is halved, and the loop stalls once it falls below
+    cfg.min_load_step.  After each success the increment doubles.
+    Increments are powers of two, so every load factor is exact and the path
+    ends on 1.0.  Nothing is raised for a failed solve: the report's message
+    says why the first step failed and where the loop stalled,
+    ``iterations`` counts the Newton steps of rejected increments too, and
+    ``residual_sup`` is NaN if no increment was accepted.
     """
     cfg = cfg or SolverConfig()
-    h = _check_h(h)
-    f = load_vector(mesh, g, h)
+    if start is not None and start.mesh is not mesh:
+        raise ConfigError("start must be a field on the mesh being solved")
+    f = load_vector(mesh, g)
 
     what = "cold start" if start is None else "given start"
-    fld = rigid_state(mesh, h) if start is None else start
+    fld = rigid_state(mesh) if start is None else start
     path: list[tuple[float, int]] = []
     message = ""
     mu, step, iterations, rsup = 0.0, 1.0, 0, float("nan")
     while mu < 1.0:
         s = min(step, 1.0 - mu)
-        trial = DeformationField(mesh=mesh, h=h, y=fld.y.copy())
+        trial = DeformationField(mesh=mesh, y=fld.y.copy())
         try:
             it, rsup = _newton(trial, g, f, W, mu + s, cfg)
         except (StepRejected, NonConvergence) as exc:
@@ -291,16 +284,15 @@ def solve_stationary(
     )
 
 
-def lift(rod: ElasticaSolution, mesh: StripMesh, h: float) -> DeformationField:
+def lift(rod: ElasticaSolution, mesh: StripMesh) -> DeformationField:
     """The rod's midline with each cross-section rotated by the rod angle.
 
     y(x1, x2) = ybar(x1) + h x2 (-sin theta(x1), cos theta(x1)) at every
     node, ybar and theta interpolated linearly from the rod grid.  Since
     ybar(0) = 0 and theta(0) = 0, the clamped edge gets (0, h x2) exactly.
     """
-    h = _check_h(h)
     x1 = mesh.nodes[:, 0]
     theta = rod.theta_at(x1)
     normal = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-    y = rod.ybar_at(x1) + (h * mesh.nodes[:, 1])[:, None] * normal
-    return DeformationField(mesh=mesh, h=h, y=y)
+    y = rod.ybar_at(x1) + mesh.rigid[:, 1:] * normal
+    return DeformationField(mesh=mesh, y=y)

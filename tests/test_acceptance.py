@@ -50,17 +50,17 @@ def sweep():
     limit = solve_elastica(1.0, GAMMA, 1.0, n=2048)
     fields, solve_secs = [], []
     for h in HS:
-        mesh = build_mesh(1.0, mesh_rule_nx(1.0, h), 8)
+        mesh = build_mesh(1.0, h, mesh_rule_nx(1.0, h), 8)
         t0 = time.perf_counter()
-        fld, rep = solve_stationary(mesh, h, GAMMA, W0, start=lift(limit, mesh, h))
+        fld, rep = solve_stationary(mesh, GAMMA, W0, start=lift(limit, mesh))
         solve_secs.append(time.perf_counter() - t0)
         assert rep.converged, rep.message
         fields.append(fld)
     table = convergence_study(fields, limit, GAMMA, W0)
     fine_r2 = []
     for fld in fields:
-        mesh2 = build_mesh(1.0, 2 * fld.mesh.nx, 8)
-        fld2, rep2 = solve_stationary(mesh2, fld.h, GAMMA, W0, start=lift(limit, mesh2, fld.h))
+        mesh2 = build_mesh(1.0, fld.mesh.h, 2 * fld.mesh.nx, 8)
+        fld2, rep2 = solve_stationary(mesh2, GAMMA, W0, start=lift(limit, mesh2))
         assert rep2.converged, rep2.message
         fine_r2.append(diagnose(fld2, GAMMA, W0).row.r2)
     return {
@@ -75,11 +75,11 @@ def test_criterion_01_trivial_equilibrium():
     g0 = LoadProfile.constant(0.0, 0.0)
     res_max, it_max, sec_max, r_max = 0.0, 0, 0.0, 0.0
     for h in HS:
-        mesh = build_mesh(1.0, mesh_rule_nx(1.0, h), 8)
+        mesh = build_mesh(1.0, h, mesh_rule_nx(1.0, h), 8)
         t0 = time.perf_counter()
-        fld, rep = solve_stationary(mesh, h, g0, W0)
+        fld, rep = solve_stationary(mesh, g0, W0)
         sec_max = max(sec_max, time.perf_counter() - t0)
-        assert np.array_equal(fld.y, rigid_state(mesh, h).y)
+        assert np.array_equal(fld.y, rigid_state(mesh).y)
         row = diagnose(fld, g0, W0).row
         res_max = max(res_max, rep.residual_sup)
         it_max = max(it_max, rep.iterations)

@@ -129,6 +129,10 @@ def test_truncate_bad_window_exits_2_naming_both_keys(tmp_path, capsys):
         ("solve-strip", "strip.h = 0.2\nsolver.det_floor = 1\n", "solver.det_floor"),
         ("solve-strip", "strip.h = 0.2\nsolver.max_iters = 0\n", "solver.max_iters"),
         ("converge", "sweep.h = 0.2\nelastica.tol = nan\n", "elastica.tol"),
+        ("truncate", TINY_TRUNC + "truncation.level_max = inf\n", "truncation.level_max"),
+        ("truncate", TINY_TRUNC + "truncation.level_min = nan\n", "truncation.level_min"),
+        ("truncate", TINY_TRUNC + "truncation.p = 1\n", "truncation.p"),
+        ("truncate", TINY_TRUNC + "truncation.height = 0\n", "truncation.height"),
     ],
     ids=[
         "zero-cells",
@@ -147,6 +151,10 @@ def test_truncate_bad_window_exits_2_naming_both_keys(tmp_path, capsys):
         "det-floor-one",
         "max-iters-zero",
         "elastica-tol-nan",
+        "level-max-inf",
+        "level-min-nan",
+        "p-one",
+        "height-zero",
     ],
 )
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, text, key):

@@ -31,9 +31,9 @@ W = HalfDistSquared()
 G0 = LoadProfile.constant(0.0, 0.0)
 
 
-def random_field(mesh, h, seed):
+def random_field(mesh, seed):
     """Rigid state plus a seeded random displacement that keeps det F > 0."""
-    fld = rigid_state(mesh, h)
+    fld = rigid_state(mesh)
     rng = np.random.default_rng(seed)
     du = 1e-3 * rng.standard_normal(fld.y.shape)
     du[mesh.clamped_nodes()] = 0.0
@@ -98,8 +98,8 @@ def test_keyvalue_round_trip(tmp_path):
 
 
 def test_write_solution_layout(tmp_path):
-    mesh = build_mesh(1.0, 4, 2)
-    fld = rigid_state(mesh, 0.2)
+    mesh = build_mesh(1.0, 0.2, 4, 2)
+    fld = rigid_state(mesh)
     header, rows = read_table(write_solution(tmp_path / "sol.csv", fld))
     assert header == ["node_id", "x1", "x2", "y1", "y2"]
     assert len(rows) == mesh.nnode
@@ -118,8 +118,8 @@ def test_write_elastica_layout(tmp_path):
 
 
 def test_write_rotations_layout(tmp_path):
-    mesh = build_mesh(1.0, 16, 2)
-    fld = rigid_state(mesh, 0.25)
+    mesh = build_mesh(1.0, 0.25, 16, 2)
+    fld = rigid_state(mesh)
     d = diagnose(fld, G0, W)
     header, rows = read_table(write_rotations(tmp_path / "rot.csv", d))
     assert header == ["x1", "theta_h"]
@@ -127,8 +127,8 @@ def test_write_rotations_layout(tmp_path):
 
 
 def test_write_fields_and_moments_layout(tmp_path):
-    mesh = build_mesh(1.0, 4, 2)
-    d = diagnose(random_field(mesh, 0.2, seed=6), G0, W)
+    mesh = build_mesh(1.0, 0.2, 4, 2)
+    d = diagnose(random_field(mesh, seed=6), G0, W)
     header, rows = read_table(write_fields(tmp_path / "f.csv", d))
     assert header[:2] == ["x1", "x2"]
     assert header[2:6] == ["G11", "G12", "G21", "G22"]
@@ -147,9 +147,9 @@ def test_write_fields_and_moments_layout(tmp_path):
 def test_array_rows_format_like_per_cell_rows(tmp_path):
     # the reference rows pass every cell as a numpy scalar, row by row; the
     # mesh has more nodes and quadrature points than one chunk of rows
-    mesh = build_mesh(1.0, 128, 4)
+    mesh = build_mesh(1.0, 0.2, 128, 4)
     assert min(mesh.nnode, mesh.nqp) > ROW_CHUNK
-    fld = random_field(mesh, 0.2, seed=9)
+    fld = random_field(mesh, seed=9)
     d = diagnose(fld, G0, W)
 
     ids = np.arange(mesh.nnode)

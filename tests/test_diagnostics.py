@@ -26,19 +26,17 @@ G0 = LoadProfile.constant(0.0, 0.0)
 
 
 def profile_of(fld):
-    return slab_rotations(fld.mesh, fld.h, fld.gradients())
+    return slab_rotations(fld.mesh, fld.gradients())
 
 
-def rotated_state(mesh, h, phi):
+def rotated_state(mesh, phi):
     """y = R(phi) (x1, h x2): scaled gradient R exactly, but clamp violated."""
-    R = rot2(phi)
-    pts = np.stack([mesh.nodes[:, 0], h * mesh.nodes[:, 1]], axis=1)
-    return DeformationField(mesh=mesh, h=h, y=pts @ R.T)
+    return DeformationField(mesh=mesh, y=mesh.rigid @ rot2(phi).T)
 
 
 def test_slab_rotations_rigid_state_zero():
-    mesh = build_mesh(1.0, 32, 4)
-    fld = rigid_state(mesh, 0.2)
+    mesh = build_mesh(1.0, 0.2, 32, 4)
+    fld = rigid_state(mesh)
     prof = profile_of(fld)
     assert prof.slab_angle.size == 5
     assert prof.edges[0] == 0.0 and prof.edges[-1] == pytest.approx(1.0)
@@ -46,9 +44,9 @@ def test_slab_rotations_rigid_state_zero():
 
 
 def test_slab_rotations_recover_constant_rotation():
-    mesh = build_mesh(1.0, 32, 4)
+    mesh = build_mesh(1.0, 0.1, 32, 4)
     phi = 0.7
-    fld = rotated_state(mesh, 0.1, phi)
+    fld = rotated_state(mesh, phi)
     prof = profile_of(fld)
     np.testing.assert_allclose(prof.slab_angle, phi, atol=1e-12)
     xs = np.linspace(0.0, 1.0, 41)
@@ -58,14 +56,14 @@ def test_slab_rotations_recover_constant_rotation():
 
 
 def test_slab_count_validation():
-    mesh = build_mesh(1.0, 16, 2)
+    mesh = build_mesh(0.5, 0.3, 16, 2)
     with pytest.raises(ConfigError):
-        profile_of(rigid_state(mesh, 0.8))  # only one slab fits
+        profile_of(rigid_state(mesh))  # only one slab fits
 
 
 def test_smoothed_profile_extends_constantly():
-    mesh = build_mesh(1.0, 64, 4)
-    fld = rigid_state(mesh, 0.2)
+    mesh = build_mesh(1.0, 0.2, 64, 4)
+    fld = rigid_state(mesh)
     prof = profile_of(fld)
     prof.slab_angle[:] = np.linspace(0.0, 0.4, prof.slab_angle.size)
     # beyond the outermost slab centers the profile is constant
@@ -76,14 +74,14 @@ def test_smoothed_profile_extends_constantly():
 
 
 def test_angle_at_requires_sorted_positions():
-    mesh = build_mesh(1.0, 32, 4)
-    prof = profile_of(rigid_state(mesh, 0.2))
+    mesh = build_mesh(1.0, 0.2, 32, 4)
+    prof = profile_of(rigid_state(mesh))
     with pytest.raises(DiagnosticError):
         prof.angle_at(np.array([0.5, 0.2]))
 
 
 def test_tensor_field_moments_by_hand():
-    mesh = build_mesh(1.0, 8, 4)
+    mesh = build_mesh(1.0, 0.1, 8, 4)
     vals = np.zeros((mesh.nqp, 2, 2))
     vals[:, 0, 0] = mesh.qp_x[:, 1]  # f(x2) = x2
     bar, hat = column_moments(mesh, vals)
@@ -94,16 +92,16 @@ def test_tensor_field_moments_by_hand():
 
 
 def test_strain_and_stress_vanish_on_rotated_state():
-    mesh = build_mesh(1.0, 32, 4)
-    fld = rotated_state(mesh, 0.1, -0.4)
+    mesh = build_mesh(1.0, 0.1, 32, 4)
+    fld = rotated_state(mesh, -0.4)
     d = diagnose(fld, G0, W)
     np.testing.assert_allclose(d.G, 0.0, atol=1e-10)
     np.testing.assert_allclose(d.E, 0.0, atol=1e-10)
 
 
 def test_identity_report_rigid_state_all_zero():
-    mesh = build_mesh(1.0, 64, 8)
-    fld = rigid_state(mesh, 0.1)
+    mesh = build_mesh(1.0, 0.1, 64, 8)
+    fld = rigid_state(mesh)
     row = diagnose(fld, G0, W).row
     assert row.h == 0.1
     assert (row.r1, row.r2, row.r3, row.r4) == (0.0, 0.0, 0.0, 0.0)
@@ -112,16 +110,16 @@ def test_identity_report_rigid_state_all_zero():
 
 
 def test_z_field_rigid_state_zero():
-    mesh = build_mesh(1.0, 32, 4)
-    fld = rigid_state(mesh, 0.2)
+    mesh = build_mesh(1.0, 0.2, 32, 4)
+    fld = rigid_state(mesh)
     d = diagnose(fld, G0, W)
     np.testing.assert_allclose(d.z, 0.0, atol=1e-13)
     assert d.z_bc_gap == pytest.approx(0.0, abs=1e-13)
 
 
 def test_z_identity_error_small_on_solved_field():
-    mesh = build_mesh(1.0, 64, 8)
-    fld, rep = solve_stationary(mesh, 0.1, LoadProfile.constant(0.0, -1e-3), W)
+    mesh = build_mesh(1.0, 0.1, 64, 8)
+    fld, rep = solve_stationary(mesh, LoadProfile.constant(0.0, -1e-3), W)
     assert rep.converged
     err = diagnose(fld, LoadProfile.constant(0.0, -1e-3), W).z_identity_error
     assert err < 0.2  # relative identity gap, dominated by smoothing bias
@@ -131,15 +129,15 @@ def test_r2_pinned_on_cantilever():
     # the reference cantilever at h = 0.1 on the default 64x8 mesh; r2 reads
     # the tilted load at the quadrature columns
     g = LoadProfile.constant(0.0, -1e-3)
-    mesh = build_mesh(1.0, mesh_rule_nx(1.0, 0.1), 8)
-    fld, rep = solve_stationary(mesh, 0.1, g, W)
+    mesh = build_mesh(1.0, 0.1, mesh_rule_nx(1.0, 0.1), 8)
+    fld, rep = solve_stationary(mesh, g, W)
     assert rep.converged
     assert diagnose(fld, g, W).row.r2 == pytest.approx(5.9569699680385555e-05, rel=1e-13)
 
 
 def test_theta_and_y_error_vanish_on_matching_limit():
-    mesh = build_mesh(1.0, 64, 8)
-    fld = rigid_state(mesh, 0.1)
+    mesh = build_mesh(1.0, 0.1, 64, 8)
+    fld = rigid_state(mesh)
     d = diagnose(fld, G0, W)
     sol = solve_elastica(1.0, G0, 1.0, n=64)  # zero load: theta = 0, ybar = (x, 0)
     assert theta_error(d, sol) == pytest.approx(0.0, abs=1e-13)
@@ -153,8 +151,8 @@ def test_convergence_study_two_thicknesses():
     sol = solve_elastica(1.0, g, 1.0, n=1024)
     fields = []
     for h in (0.2, 0.1):
-        mesh = build_mesh(1.0, mesh_rule_nx(1.0, h), 8)
-        fld, rep = solve_stationary(mesh, h, g, W, start=lift(sol, mesh, h))
+        mesh = build_mesh(1.0, h, mesh_rule_nx(1.0, h), 8)
+        fld, rep = solve_stationary(mesh, g, W, start=lift(sol, mesh))
         assert rep.converged
         fields.append(fld)
     table = convergence_study(fields, sol, g, W)
@@ -168,7 +166,7 @@ def test_convergence_study_two_thicknesses():
 def test_convergence_study_rejects_mismatched_lengths():
     g = LoadProfile.constant(0.0, -1e-3)
     sol = solve_elastica(1.0, g, 2.0, n=64)
-    mesh = build_mesh(1.0, 64, 8)
-    fld = rigid_state(mesh, 0.2)
+    mesh = build_mesh(1.0, 0.2, 64, 8)
+    fld = rigid_state(mesh)
     with pytest.raises(ConfigError):
         convergence_study([fld], sol, g, W)

@@ -1,15 +1,18 @@
 """Mesh construction, quadrature exactness, and scaled gradients."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+import striplab
 from striplab import build_mesh, mesh_rule_nx, rigid_state
 from striplab.errors import ConfigError
 from striplab.mesh import DeformationField
 
 
 def test_build_mesh_shapes():
-    mesh = build_mesh(2.0, 6, 4)
+    mesh = build_mesh(2.0, 0.1, 6, 4)
     assert mesh.nnode == 7 * 5
     assert mesh.nelem == 24
     assert mesh.nqp == 96
@@ -21,12 +24,55 @@ def test_build_mesh_shapes():
 
 
 def test_build_mesh_validation():
-    with pytest.raises(ConfigError):
-        build_mesh(0.0, 4, 4)
-    with pytest.raises(ConfigError):
-        build_mesh(1.0, 0, 4)
-    with pytest.raises(ConfigError):
-        build_mesh(1.0, 4, -1)
+    for L, h, nx, ny in [
+        (0.0, 0.1, 4, 4),
+        (1.0, 0.1, 0, 4),
+        (1.0, 0.1, 4, -1),
+        (1.0, 0.0, 8, 2),
+        (1.0, 0.7, 8, 2),
+        (1.0, float("nan"), 8, 2),
+    ]:
+        with pytest.raises(ConfigError):
+            build_mesh(L, h, nx, ny)
+
+
+def test_mesh_owns_its_thickness_read_only():
+    mesh = build_mesh(1.0, 0.2, 6, 3)
+    assert mesh.h == 0.2
+    assert mesh.B.shape == (4, 4, 8)
+    assert np.array_equal(mesh.rigid, mesh.nodes * [1.0, 0.2])
+    with pytest.raises(ValueError):
+        mesh.B[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        mesh.rigid[0, 0] = 1.0
+
+
+def test_no_public_callable_takes_both_mesh_and_h():
+    # a mesh is built for one h, so h never travels beside a mesh
+    both = []
+    for name in striplab.__all__:
+        obj = getattr(striplab, name)
+        if not callable(obj) or inspect.isclass(obj) and issubclass(obj, Exception):
+            continue  # modules, and error types whose signature is the builtin one
+        members = {name: obj}
+        if inspect.isclass(obj):
+            members |= {
+                f"{name}.{k}": v for k, v in vars(obj).items()
+                if not k.startswith("_") and inspect.isfunction(v)
+            }
+        for label, fn in members.items():
+            if {"mesh", "h"} <= set(inspect.signature(fn).parameters):
+                both.append(label)
+    assert both == []
+
+
+def test_rigid_state_is_a_writable_copy():
+    mesh = build_mesh(1.0, 0.2, 6, 3)
+    before = mesh.rigid.copy()
+    fld = rigid_state(mesh)
+    assert fld.y.flags.writeable and not np.shares_memory(fld.y, mesh.rigid)
+    fld.y += 1.0
+    assert np.array_equal(mesh.rigid, before)
 
 
 def test_mesh_rule_nx():
@@ -37,14 +83,14 @@ def test_mesh_rule_nx():
 
 
 def test_quadrature_weight_sums_to_area():
-    mesh = build_mesh(1.5, 7, 3)
+    mesh = build_mesh(1.5, 0.1, 7, 3)
     assert mesh.nqp * mesh.qp_w == pytest.approx(1.5, rel=1e-14)
     assert mesh.ncol * mesh.col_w == pytest.approx(1.5, rel=1e-14)
 
 
 def test_quadrature_integrates_cubics_exactly():
     # two-point Gauss per direction: exact for degree <= 3 in each variable
-    mesh = build_mesh(1.0, 5, 4)
+    mesh = build_mesh(1.0, 0.1, 5, 4)
     x1, x2 = mesh.qp_x[:, 0], mesh.qp_x[:, 1]
     val = mesh.qp_w * np.sum(x1 * x2**2)
     assert val == pytest.approx(0.5 / 12.0, rel=1e-13)
@@ -53,28 +99,28 @@ def test_quadrature_integrates_cubics_exactly():
 
 
 def test_rigid_state_gradients_identity_exactly():
-    mesh = build_mesh(1.0, 8, 4)
-    fld = rigid_state(mesh, 0.1)
+    mesh = build_mesh(1.0, 0.1, 8, 4)
+    fld = rigid_state(mesh)
     F = fld.gradients()
     assert np.array_equal(F, np.broadcast_to(np.eye(2), F.shape))
     assert np.all(fld.displacement() == 0.0)
     ids = mesh.clamped_nodes()
-    clamp = np.stack([np.zeros(ids.size), fld.h * mesh.x2], axis=1)
+    clamp = np.stack([np.zeros(ids.size), mesh.h * mesh.x2], axis=1)
     assert np.max(np.abs(fld.y[ids] - clamp)) == 0.0
 
 
 def test_scaled_gradient_of_linear_displacement():
-    mesh = build_mesh(1.0, 6, 3)
     h = 0.2
+    mesh = build_mesh(1.0, h, 6, 3)
     a, b = 0.03, -0.02
     u = np.stack([a * mesh.nodes[:, 0], b * mesh.nodes[:, 1]], axis=1)
-    F = mesh.scaled_gradients(u, h)
+    F = mesh.scaled_gradients(u)
     expect = np.array([[1.0 + a, 0.0], [0.0, 1.0 + b / h]])
     np.testing.assert_allclose(F, np.broadcast_to(expect, F.shape), atol=1e-13)
 
 
 def test_qp_values_interpolates_bilinear_exactly():
-    mesh = build_mesh(1.0, 4, 4)
+    mesh = build_mesh(1.0, 0.1, 4, 4)
     nodal = 2.0 * mesh.nodes[:, 0] - 3.0 * mesh.nodes[:, 1] + mesh.nodes[:, 0] * mesh.nodes[:, 1]
     at_qp = mesh.qp_values(nodal)
     x1, x2 = mesh.qp_x[:, 0], mesh.qp_x[:, 1]
@@ -82,7 +128,7 @@ def test_qp_values_interpolates_bilinear_exactly():
 
 
 def test_clamped_nodes_and_free_dofs():
-    mesh = build_mesh(1.0, 4, 2)
+    mesh = build_mesh(1.0, 0.1, 4, 2)
     ids = mesh.clamped_nodes()
     assert np.all(mesh.nodes[ids, 0] == 0.0)
     free = mesh.free_dofs()
@@ -91,16 +137,15 @@ def test_clamped_nodes_and_free_dofs():
 
 
 def test_node_ids_grid_matches_coordinates():
-    mesh = build_mesh(1.0, 4, 2)
+    mesh = build_mesh(1.0, 0.1, 4, 2)
     grid = np.arange(mesh.nnode).reshape(mesh.nx + 1, mesh.ny + 1)
     np.testing.assert_allclose(mesh.nodes[grid[2, 1]], [mesh.x1[2], mesh.x2[1]])
 
 
 def test_deformation_field_displacement_roundtrip():
-    mesh = build_mesh(1.0, 4, 2)
-    h = 0.1
+    mesh = build_mesh(1.0, 0.1, 4, 2)
     rng = np.random.default_rng(9)
-    fld = rigid_state(mesh, h)
+    fld = rigid_state(mesh)
     fld.y += 0.01 * rng.standard_normal(fld.y.shape)
-    rebuilt = DeformationField(mesh=mesh, h=h, y=fld.rigid() + fld.displacement())
+    rebuilt = DeformationField(mesh=mesh, y=mesh.rigid + fld.displacement())
     np.testing.assert_allclose(rebuilt.y, fld.y, atol=1e-16)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.sparse import dia_matrix
 
 from striplab import (
     HalfDistSquared,
@@ -26,9 +27,9 @@ W = HalfDistSquared()
 GAMMA = LoadProfile.constant(0.0, -1e-3)
 
 
-def perturbed_field(mesh, h, scale=1e-3, seed=17):
+def perturbed_field(mesh, scale=1e-3, seed=17):
     """Rigid state plus a small random displacement vanishing on the clamp."""
-    fld = rigid_state(mesh, h)
+    fld = rigid_state(mesh)
     rng = np.random.default_rng(seed)
     du = scale * rng.standard_normal(fld.y.shape)
     du[mesh.clamped_nodes()] = 0.0
@@ -36,23 +37,29 @@ def perturbed_field(mesh, h, scale=1e-3, seed=17):
     return fld
 
 
+def dia(K):
+    """A band returned by ``tangent`` as a scipy DIA matrix, offsets bw..-bw."""
+    bw, ndof = (K.shape[0] - 1) // 2, K.shape[1]
+    return dia_matrix((K, np.arange(bw, -bw - 1, -1)), shape=(ndof, ndof))
+
+
 def test_rigid_state_is_exact_equilibrium():
     for h in (0.2, 0.05):
-        mesh = build_mesh(1.0, 16, 4)
-        fld, rep = solve_stationary(mesh, h, LoadProfile.constant(0.0, 0.0), W)
+        mesh = build_mesh(1.0, h, 16, 4)
+        fld, rep = solve_stationary(mesh, LoadProfile.constant(0.0, 0.0), W)
         assert rep.converged
         assert rep.iterations == 0
         assert rep.residual_sup == 0.0
-        assert np.array_equal(fld.y, rigid_state(mesh, h).y)
+        assert np.array_equal(fld.y, rigid_state(mesh).y)
         el, tot = scaled_energy(fld, LoadProfile.constant(0.0, 0.0), W, 1.0)
         assert el == 0.0 and tot == 0.0
 
 
 def test_load_vector_against_dense_loops():
-    mesh = build_mesh(1.0, 4, 2)
     h = 0.2
+    mesh = build_mesh(1.0, h, 4, 2)
     g = LoadProfile.constant(0.3, -0.7)
-    got = load_vector(mesh, g, h)  # flat, length 2*nnode
+    got = load_vector(mesh, g)  # flat, length 2*nnode
     expect = np.zeros((mesh.nnode, 2))
     gvals = g(mesh.qp_x[:, 0])
     for e in range(mesh.nelem):
@@ -65,17 +72,16 @@ def test_load_vector_against_dense_loops():
 
 
 def test_residual_is_gradient_of_energy():
-    mesh = build_mesh(1.0, 8, 4)
-    h = 0.1
-    fld = perturbed_field(mesh, h)
-    r = elastic_residual(fld, W, 0.1) - load_vector(mesh, GAMMA, h)
+    mesh = build_mesh(1.0, 0.1, 8, 4)
+    fld = perturbed_field(mesh)
+    r = elastic_residual(fld, W, 0.1) - load_vector(mesh, GAMMA)
     rng = np.random.default_rng(3)
     du = rng.standard_normal(fld.y.shape)
     du[mesh.clamped_nodes()] = 0.0
     eps = 1e-7
 
     def total(y):
-        probe = DeformationField(mesh=mesh, h=h, y=y)
+        probe = DeformationField(mesh=mesh, y=y)
         _, tot = scaled_energy(probe, GAMMA, W, 1.0)
         return tot
 
@@ -85,16 +91,15 @@ def test_residual_is_gradient_of_energy():
 
 
 def test_tangent_is_derivative_of_residual():
-    mesh = build_mesh(1.0, 6, 3)
-    h = 0.1
-    fld = perturbed_field(mesh, h, seed=23)
-    K = tangent(fld, W)
+    mesh = build_mesh(1.0, 0.1, 6, 3)
+    fld = perturbed_field(mesh, seed=23)
+    K = dia(tangent(fld, W))
     rng = np.random.default_rng(4)
     du = rng.standard_normal(fld.y.shape)
     du[mesh.clamped_nodes()] = 0.0
     eps = 1e-7
-    hi = DeformationField(mesh=mesh, h=h, y=fld.y + eps * du)
-    lo = DeformationField(mesh=mesh, h=h, y=fld.y - eps * du)
+    hi = DeformationField(mesh=mesh, y=fld.y + eps * du)
+    lo = DeformationField(mesh=mesh, y=fld.y - eps * du)
     fd = (elastic_residual(hi, W, 0.1) - elastic_residual(lo, W, 0.1)) / (2 * eps)
     got = K @ du.ravel()
     free = mesh.free_dofs()
@@ -102,17 +107,17 @@ def test_tangent_is_derivative_of_residual():
 
 
 def test_tangent_is_symmetric():
-    mesh = build_mesh(1.0, 6, 3)
-    fld = perturbed_field(mesh, 0.1, seed=29)
-    K = tangent(fld, W).tocsr()
+    mesh = build_mesh(1.0, 0.1, 6, 3)
+    fld = perturbed_field(mesh, seed=29)
+    K = dia(tangent(fld, W)).tocsr()
     gap = abs(K - K.T).max()
     assert gap < 1e-12 * abs(K).max()
 
 
 def test_tangent_clamped_rows_and_columns_are_identity():
-    mesh = build_mesh(1.0, 6, 3)
-    fld = perturbed_field(mesh, 0.1, seed=31)
-    K = tangent(fld, W).tocsr()
+    mesh = build_mesh(1.0, 0.1, 6, 3)
+    fld = perturbed_field(mesh, seed=31)
+    K = dia(tangent(fld, W)).tocsr()
     fixed = np.flatnonzero(~mesh.free_dofs())
     dense = K.toarray()
     eye = np.eye(K.shape[0])
@@ -125,11 +130,11 @@ def test_tangent_clamped_rows_and_columns_are_identity():
 
 
 def test_tangent_band_layout():
-    mesh = build_mesh(1.0, 6, 3)
-    fld = perturbed_field(mesh, 0.1, seed=37)
+    mesh = build_mesh(1.0, 0.1, 6, 3)
+    fld = perturbed_field(mesh, seed=37)
     K = tangent(fld, W)
     A = W.hessian(fld.gradients()).reshape(mesh.nelem, 4, 2, 2, 2, 2)
-    B = mesh.strain_operator(fld.h).reshape(4, 2, 2, 8)
+    B = mesh.B.reshape(4, 2, 2, 8)
     ndof = 2 * mesh.nnode
     expect = np.zeros((ndof, ndof))
     for e in range(mesh.nelem):
@@ -140,17 +145,17 @@ def test_tangent_band_layout():
     expect[fixed] = 0.0
     expect[:, fixed] = 0.0
     expect[fixed, fixed] = 1.0
-    np.testing.assert_allclose(K.toarray(), expect, rtol=0, atol=1e-13 * abs(expect).max())
+    np.testing.assert_allclose(dia(K).toarray(), expect, rtol=0, atol=1e-13 * abs(expect).max())
 
     bw = 2 * mesh.ny + 5
-    assert np.array_equal(K.offsets, np.arange(bw, -bw - 1, -1))
-    # DIA -> CSR drops explicit zeros, so check the band itself: data[k, c]
+    assert mesh.k_bw == bw and K.shape == (2 * bw + 1, ndof)
+    # DIA -> CSR drops explicit zeros, so check the band itself: K[k, c]
     # is entry (c + k - bw, c)
-    k, c = np.indices(K.data.shape)
+    k, c = np.indices(K.shape)
     r = c + k - bw
     inside = (r >= 0) & (r < ndof)
     touches = inside & (np.isin(r, fixed) | np.isin(c, fixed))
-    assert np.array_equal(K.data[touches], (r == c)[touches].astype(float))
+    assert np.array_equal(K[touches], (r == c)[touches].astype(float))
 
 
 def test_singular_tangent_fails_fast_with_reason():
@@ -158,9 +163,9 @@ def test_singular_tangent_fails_fast_with_reason():
         def hessian(self, F):
             return np.zeros(F.shape + (2, 2))
 
-    mesh = build_mesh(1.0, 16, 4)
+    mesh = build_mesh(1.0, 0.2, 16, 4)
     cfg = SolverConfig(min_load_step=0.5)
-    _, rep = solve_stationary(mesh, 0.2, GAMMA, Flat(), cfg)
+    _, rep = solve_stationary(mesh, GAMMA, Flat(), cfg)
     assert not rep.converged
     assert "singular tangent" in rep.message
 
@@ -168,9 +173,9 @@ def test_singular_tangent_fails_fast_with_reason():
 def test_cold_continuation_ends_exactly_at_full_load():
     # the first step, at full load, needs more than six iterations, so the
     # load loop halves it
-    mesh = build_mesh(1.0, 16, 4)
+    mesh = build_mesh(1.0, 0.2, 16, 4)
     cfg = SolverConfig(max_iters=6)
-    _, rep = solve_stationary(mesh, 0.2, LoadProfile.constant(0.0, -0.5), W, cfg)
+    _, rep = solve_stationary(mesh, LoadProfile.constant(0.0, -0.5), W, cfg)
     assert rep.converged
     assert rep.message.startswith("cold start at full load failed: Newton iteration cap")
     loads = [mu for mu, _ in rep.path]
@@ -183,8 +188,8 @@ def test_cold_continuation_ends_exactly_at_full_load():
 
 @pytest.mark.parametrize("h, nx", [(0.0125, 320), (0.00625, 640)])
 def test_thin_cold_solve_converges_at_full_load(h, nx):
-    mesh = build_mesh(1.0, nx, 8)
-    _, rep = solve_stationary(mesh, h, GAMMA, W)
+    mesh = build_mesh(1.0, h, nx, 8)
+    _, rep = solve_stationary(mesh, GAMMA, W)
     assert rep.converged
     assert rep.message == ""
     assert [mu for mu, _ in rep.path] == [1.0]
@@ -193,14 +198,14 @@ def test_thin_cold_solve_converges_at_full_load(h, nx):
 @pytest.mark.parametrize("h, nx", [(0.2, 64), (0.025, 160), (0.0125, 320)])
 def test_solve_stops_at_the_roundoff_floor(h, nx):
     """One more full Newton step from a returned state cannot halve its residual."""
-    mesh = build_mesh(1.0, nx, 8)
-    fld, rep = solve_stationary(mesh, h, GAMMA, W)
+    mesh = build_mesh(1.0, h, nx, 8)
+    fld, rep = solve_stationary(mesh, GAMMA, W)
     assert rep.converged
-    f = load_vector(mesh, GAMMA, h)
+    f = load_vector(mesh, GAMMA)
     r = elastic_residual(fld, W, 0.1) - f
     assert float(np.max(np.abs(r))) == rep.residual_sup
     K = tangent(fld, W)
-    delta = solve_banded((mesh.k_bw, mesh.k_bw), K.data, -r)
+    delta = solve_banded((mesh.k_bw, mesh.k_bw), K, -r)
     delta[~mesh.free_dofs()] = 0.0
     fld.y = fld.y + delta.reshape(-1, 2)
     after = float(np.max(np.abs(elastic_residual(fld, W, 0.1) - f)))
@@ -212,8 +217,8 @@ TIP_X, TIP_Y = 0.421673, -0.804849  # buckled tip midline on 16x4 at h = 0.1
 
 
 def test_heavy_column_converges_by_continuation():
-    mesh = build_mesh(1.0, 16, 4)
-    _, rep = solve_stationary(mesh, 0.1, HEAVY, W)
+    mesh = build_mesh(1.0, 0.1, 16, 4)
+    _, rep = solve_stationary(mesh, HEAVY, W)
     assert rep.converged
     assert rep.message.startswith("cold start at full load failed:")
     assert "not a descent direction" in rep.message
@@ -230,16 +235,16 @@ def test_iterations_count_rejected_increments(monkeypatch):
         return tangent(*args, **kwargs)
 
     monkeypatch.setattr("striplab.solver.tangent", counted)
-    _, rep = solve_stationary(build_mesh(1.0, 16, 4), 0.1, HEAVY, W)
+    _, rep = solve_stationary(build_mesh(1.0, 0.1, 16, 4), HEAVY, W)
     assert rep.converged
     assert sum(it for _, it in rep.path) < rep.iterations <= calls
 
 
 def test_start_failing_at_full_load_still_converges():
-    mesh = build_mesh(1.0, 16, 4)
-    start = lift(solve_elastica(1.0, GAMMA, 1.0, n=256), mesh, 0.1)
+    mesh = build_mesh(1.0, 0.1, 16, 4)
+    start = lift(solve_elastica(1.0, GAMMA, 1.0, n=256), mesh)
     y0 = start.y.copy()
-    fld, rep = solve_stationary(mesh, 0.1, HEAVY, W, start=start)
+    fld, rep = solve_stationary(mesh, HEAVY, W, start=start)
     assert np.array_equal(start.y, y0)
     assert rep.converged
     assert rep.message.startswith("given start at full load failed:")
@@ -250,9 +255,9 @@ def test_start_failing_at_full_load_still_converges():
 
 
 def test_lifted_heavy_column_converges_in_one_load_step():
-    mesh = build_mesh(1.0, 16, 4)
+    mesh = build_mesh(1.0, 0.1, 16, 4)
     rod = minimize_J2(1.0, HEAVY, 1.0, n=256)
-    fld, rep = solve_stationary(mesh, 0.1, HEAVY, W, start=lift(rod, mesh, 0.1))
+    fld, rep = solve_stationary(mesh, HEAVY, W, start=lift(rod, mesh))
     assert rep.converged
     assert rep.message == ""
     assert len(rep.path) == 1
@@ -261,8 +266,8 @@ def test_lifted_heavy_column_converges_in_one_load_step():
 
 
 def test_solve_small_load_converges_and_bends_down():
-    mesh = build_mesh(1.0, 64, 8)
-    fld, rep = solve_stationary(mesh, 0.2, GAMMA, W)
+    mesh = build_mesh(1.0, 0.2, 64, 8)
+    fld, rep = solve_stationary(mesh, GAMMA, W)
     assert rep.converged
     assert rep.iterations > 0
     # tip midline moves down under a downward load
@@ -273,45 +278,53 @@ def test_solve_small_load_converges_and_bends_down():
 
 
 def test_lifted_start_converges_in_one_load_step():
-    mesh = build_mesh(1.0, 64, 8)
-    start = lift(solve_elastica(1.0, GAMMA, 1.0, n=256), mesh, 0.1)
-    _, rep = solve_stationary(mesh, 0.1, GAMMA, W, start=start)
+    mesh = build_mesh(1.0, 0.1, 64, 8)
+    start = lift(solve_elastica(1.0, GAMMA, 1.0, n=256), mesh)
+    _, rep = solve_stationary(mesh, GAMMA, W, start=start)
     assert rep.converged
     assert rep.message == ""
     assert len(rep.path) == 1
 
 
 def test_lift_meets_clamp_exactly():
-    mesh = build_mesh(1.0, 32, 4)
+    mesh = build_mesh(1.0, 0.1, 32, 4)
     rod = solve_elastica(1.0, LoadProfile.constant(0.0, -0.5), 1.0, n=64)
-    fld = lift(rod, mesh, 0.1)
+    fld = lift(rod, mesh)
     ids = mesh.clamped_nodes()
-    clamp = np.stack([np.zeros(ids.size), fld.h * mesh.x2], axis=1)
+    clamp = np.stack([np.zeros(ids.size), mesh.h * mesh.x2], axis=1)
     assert fld.y[ids].tobytes() == clamp.tobytes()  # bitwise, signed zeros included
-    assert np.max(np.abs(fld.y - rigid_state(mesh, 0.1).y)) > 0.1  # the rod is bent
+    assert np.max(np.abs(fld.y - mesh.rigid)) > 0.1  # the rod is bent
 
 
 def test_unreachable_load_reports_nonconvergence():
-    mesh = build_mesh(1.0, 16, 4)
+    mesh = build_mesh(1.0, 0.2, 16, 4)
     cfg = SolverConfig(max_iters=2, min_load_step=0.3)
-    fld, rep = solve_stationary(mesh, 0.2, LoadProfile.constant(0.0, -0.5), W, cfg)
+    fld, rep = solve_stationary(mesh, LoadProfile.constant(0.0, -0.5), W, cfg)
     assert not rep.converged
     assert "stalled" in rep.message
     assert np.all(np.isfinite(fld.y))
 
 
 def test_residual_guards_inverted_elements():
-    mesh = build_mesh(1.0, 4, 2)
-    fld = rigid_state(mesh, 0.2)
+    mesh = build_mesh(1.0, 0.2, 4, 2)
+    fld = rigid_state(mesh)
     grid = np.arange(mesh.nnode).reshape(mesh.nx + 1, mesh.ny + 1)
     fld.y[grid[2, :], 0] -= 2.0 * mesh.dx  # fold the mesh over itself
     with pytest.raises(StepRejected):
-        elastic_residual(fld, W, 0.1) - load_vector(mesh, GAMMA, fld.h)
+        elastic_residual(fld, W, 0.1) - load_vector(mesh, GAMMA)
+
+
+def test_start_on_another_mesh_is_refused():
+    # same grid, other thickness: its clamped edge spans 0.2, not 0.1
+    mesh = build_mesh(1.0, 0.1, 8, 2)
+    with pytest.raises(ConfigError, match="start"):
+        solve_stationary(mesh, GAMMA, W, start=rigid_state(build_mesh(1.0, 0.2, 8, 2)))
 
 
 def test_thickness_validation():
-    mesh = build_mesh(1.0, 8, 2)
-    with pytest.raises(ConfigError):
-        solve_stationary(mesh, 0.0, GAMMA, W)
-    with pytest.raises(ConfigError):
-        solve_stationary(mesh, 0.7, GAMMA, W)
+    # a stationary solve reads h from its mesh, so the (0, 0.5] check sits there
+    for h in (0.0, 0.7):
+        with pytest.raises(ConfigError):
+            build_mesh(1.0, h, 8, 2)
+    fld, rep = solve_stationary(build_mesh(1.0, 0.5, 8, 2), LoadProfile.constant(0.0, 0.0), W)
+    assert rep.converged and fld.mesh.h == 0.5
