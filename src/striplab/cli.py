@@ -20,6 +20,7 @@ from . import csvio
 from .algebra import dist_so2, rot2
 from .config import (
     ExperimentConfig,
+    _at_least,
     _positive,
     elastica_from,
     energy_from,
@@ -147,11 +148,14 @@ def run_diagnose(cfg: ExperimentConfig, out: Path) -> RunManifest:
     g = load_from(cfg)
     scfg = solver_from(cfg)
     mesh = mesh_from(cfg)
+    if mesh.h > mesh.L / 2:
+        raise ConfigError(f"strip.h must be at most strip.L / 2 for slab rotations, got {mesh.h!r}")
     t0 = time.perf_counter()
     fld, report = solve_stationary(mesh, g, W, scfg)
     status = "ok" if report.converged else "non-converged"
     d = diagnose(fld, g, W)
-    dt = time.perf_counter() - t0
+    manifest.record("diagnose", status, time.perf_counter() - t0)
+    t0 = time.perf_counter()
     z_items = {"z_bc_gap": d.z_bc_gap, "z_identity_error": d.z_identity_error}
     paths = [
         csvio.write_solution(out / "solution.csv", fld),
@@ -161,7 +165,7 @@ def run_diagnose(cfg: ExperimentConfig, out: Path) -> RunManifest:
         csvio.write_identities(out / "identities.csv", [d.row]),
         csvio.write_keyvalue(out / "report.csv", _solver_report_items(mesh, report) | z_items),
     ]
-    manifest.record("diagnose", status, dt, paths)
+    manifest.record("write", "ok", time.perf_counter() - t0, paths)
     manifest.write()
     return manifest
 
@@ -219,9 +223,7 @@ def run_truncation_demo(cfg: ExperimentConfig, out: Path, seed: int | None = Non
     p = _positive(cfg, "truncation.p", 2.0)
     if p <= 1.0:
         raise ConfigError(f"truncation.p must be above 1, got {p!r}")
-    nfields = cfg.get_int("truncation.fields", 50)
-    if nfields < 1:
-        raise ConfigError(f"truncation.fields must be at least 1, got {nfields!r}")
+    nfields = _at_least(cfg, "truncation.fields", 50, 1)
     height = _positive(cfg, "truncation.height", 0.125)
     res = cfg.get_str("truncation.resolutions", "64x8,128x16,256x32")
     if seed is None:

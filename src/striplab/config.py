@@ -136,12 +136,9 @@ def load_from(cfg: ExperimentConfig) -> LoadProfile:
 
 def solver_from(cfg: ExperimentConfig) -> SolverConfig:
     base = SolverConfig()
-    max_iters = cfg.get_int("solver.max_iters", base.max_iters)
-    if max_iters < 1:
-        raise ConfigError(f"solver.max_iters must be at least 1, got {max_iters!r}")
     return SolverConfig(
         newton_tol=_positive(cfg, "solver.newton_tol", base.newton_tol),
-        max_iters=max_iters,
+        max_iters=_at_least(cfg, "solver.max_iters", base.max_iters, 1),
         min_load_step=_positive(cfg, "solver.min_load_step", base.min_load_step),
         # the rigid state has det F = 1, so a floor of 1 rejects every state
         det_floor=_positive(cfg, "solver.det_floor", base.det_floor, upper=1.0),
@@ -157,6 +154,13 @@ def _positive(cfg: ExperimentConfig, key: str, default: float, upper: float = np
     return val
 
 
+def _at_least(cfg: ExperimentConfig, key: str, default: int, least: int) -> int:
+    val = cfg.get_int(key, default)
+    if val < least:
+        raise ConfigError(f"{key} must be at least {least}, got {val!r}")
+    return val
+
+
 def mesh_from(cfg: ExperimentConfig, h: float | None = None):
     """The mesh at thickness h, default `strip.h`; `strip.nx` overrides the nx rule."""
     L = _positive(cfg, "strip.L", 1.0)
@@ -164,8 +168,8 @@ def mesh_from(cfg: ExperimentConfig, h: float | None = None):
         h = cfg.get_float("strip.h", _REQUIRED)
         if not 0 < h <= 0.5:
             raise ConfigError(f"strip.h must lie in (0, 0.5], got {h!r}")
-    ny = cfg.get_int("strip.ny", 8)
-    nx = cfg.get_int("strip.nx", mesh_rule_nx(L, h))
+    ny = _at_least(cfg, "strip.ny", 8, 2)
+    nx = _at_least(cfg, "strip.nx", mesh_rule_nx(L, h), 4)
     return build_mesh(L, h, nx, ny)
 
 
@@ -173,8 +177,9 @@ def sweep_from(cfg: ExperimentConfig) -> tuple[float, ...]:
     hs = cfg.get_floats("sweep.h", DEFAULT_SWEEP)
     if len(hs) < 1:
         raise ConfigError("sweep.h must list at least one thickness")
-    if any(not 0 < h <= 0.5 for h in hs):
-        raise ConfigError(f"sweep.h values must lie in (0, 0.5], got {hs!r}")
+    h_max = min(0.5, _positive(cfg, "strip.L", 1.0) / 2)  # two slabs for slab rotations
+    if any(not 0 < h <= h_max for h in hs):
+        raise ConfigError(f"sweep.h must lie in (0, {h_max!r}], h <= strip.L / 2, got {hs!r}")
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ConfigError(f"sweep.h must be strictly decreasing, got {hs!r}")
     return tuple(hs)

@@ -1,12 +1,14 @@
 """Deterministic CSV emission and parsing for all artifact files.
 
 Floats are written with repr, which round-trips and is stable across runs,
-so identical inputs produce byte-identical files.
+so identical inputs produce byte-identical files.  Float-array tables join
+row reprs directly, since no repr (nan, inf, -0.0 too) needs csv quoting.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 
 import numpy as np
@@ -24,19 +26,25 @@ def fmt(x) -> str:
     return str(x)
 
 
-def write_table(path, header: list[str], rows) -> Path:
+def _write_lines(path, header: list[str], lines) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            if len(row) != len(header):
-                raise ConfigError(
-                    f"row width {len(row)} does not match header width {len(header)}"
-                )
-            writer.writerow([fmt(x) for x in row])
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines)
     return path
+
+
+def write_table(path, header: list[str], rows) -> Path:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in rows:
+        if len(row) != len(header):
+            raise ConfigError(
+                f"row width {len(row)} does not match header width {len(header)}"
+            )
+        writer.writerow([fmt(x) for x in row])
+    return _write_lines(path, header, [buf.getvalue()])
 
 
 def write_keyvalue(path, items: dict) -> Path:
@@ -62,30 +70,30 @@ def read_keyvalue(path) -> dict[str, str]:
 ROW_CHUNK = 512  # rows turned into Python floats at a time, which bounds a table's memory
 
 
-def _array_rows(*columns):
-    """Rows of the column-stacked float arrays, as lists of Python floats."""
+def _float_lines(*columns):
+    """Newline-ended CSV lines of the column-stacked float arrays, as write_table writes them."""
     for start in range(0, len(columns[0]), ROW_CHUNK):
-        chunk = [c[start : start + ROW_CHUNK] for c in columns]
-        yield from np.column_stack(chunk).tolist()
+        chunk = np.column_stack([c[start : start + ROW_CHUNK] for c in columns])
+        yield from (",".join(map(repr, row)) + "\n" for row in chunk.tolist())
 
 
 def write_solution(path, fld) -> Path:
     """Strip solution nodes: node_id,x1,x2,y1,y2."""
     mesh = fld.mesh
     ix, iy = np.divmod(np.arange(mesh.nnode), mesh.ny + 1)
-    coords = _array_rows(mesh.x1[ix], mesh.x2[iy], fld.y)
-    rows = ([i, *r] for i, r in enumerate(coords))
-    return write_table(path, ["node_id", "x1", "x2", "y1", "y2"], rows)
+    coords = _float_lines(mesh.x1[ix], mesh.x2[iy], fld.y)
+    lines = (f"{i},{line}" for i, line in enumerate(coords))
+    return _write_lines(path, ["node_id", "x1", "x2", "y1", "y2"], lines)
 
 
 def write_elastica(path, sol) -> Path:
-    rows = _array_rows(sol.x, sol.theta, sol.kappa, sol.ybar)
-    return write_table(path, ["x1", "theta", "kappa", "ybar1", "ybar2"], rows)
+    lines = _float_lines(sol.x, sol.theta, sol.kappa, sol.ybar)
+    return _write_lines(path, ["x1", "theta", "kappa", "ybar1", "ybar2"], lines)
 
 
 def write_rotations(path, d) -> Path:
     """Mollified angle of a Diagnosis at the mesh's node columns."""
-    return write_table(path, ["x1", "theta_h"], _array_rows(d.mesh.x1, d.node_theta))
+    return _write_lines(path, ["x1", "theta_h"], _float_lines(d.mesh.x1, d.node_theta))
 
 
 def write_fields(path, d) -> Path:
@@ -93,8 +101,8 @@ def write_fields(path, d) -> Path:
     nqp = d.mesh.nqp
     header = ["x1", "x2"] + [f"G{i}{j}" for i in (1, 2) for j in (1, 2)]
     header += [f"E{i}{j}" for i in (1, 2) for j in (1, 2)]
-    rows = _array_rows(d.mesh.qp_x, d.G.reshape(nqp, 4), d.E.reshape(nqp, 4))
-    return write_table(path, header, rows)
+    lines = _float_lines(d.mesh.qp_x, d.G.reshape(nqp, 4), d.E.reshape(nqp, 4))
+    return _write_lines(path, header, lines)
 
 
 def write_moments(path, d) -> Path:
@@ -104,10 +112,10 @@ def write_moments(path, d) -> Path:
     header += [f"barE{i}{j}" for i in (1, 2) for j in (1, 2)]
     header += [f"hatE{i}{j}" for i in (1, 2) for j in (1, 2)]
     header += ["hatG11"]
-    rows = _array_rows(
+    lines = _float_lines(
         d.mesh.col_x, d.Ebar.reshape(ncol, 4), d.Ehat.reshape(ncol, 4), d.Ghat[:, 0, 0]
     )
-    return write_table(path, header, rows)
+    return _write_lines(path, header, lines)
 
 
 def write_identities(path, rows_in) -> Path:

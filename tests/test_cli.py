@@ -133,6 +133,10 @@ def test_truncate_bad_window_exits_2_naming_both_keys(tmp_path, capsys):
         ("truncate", TINY_TRUNC + "truncation.level_min = nan\n", "truncation.level_min"),
         ("truncate", TINY_TRUNC + "truncation.p = 1\n", "truncation.p"),
         ("truncate", TINY_TRUNC + "truncation.height = 0\n", "truncation.height"),
+        ("diagnose", "strip.L = 0.5\nstrip.h = 0.4\n", "strip.h"),
+        ("converge", "strip.L = 0.5\nsweep.h = 0.4\n", "sweep.h"),
+        ("solve-strip", "strip.h = 0.2\nstrip.nx = 2\n", "strip.nx"),
+        ("solve-strip", "strip.h = 0.2\nstrip.ny = 1\n", "strip.ny"),
     ],
     ids=[
         "zero-cells",
@@ -155,6 +159,10 @@ def test_truncate_bad_window_exits_2_naming_both_keys(tmp_path, capsys):
         "level-min-nan",
         "p-one",
         "height-zero",
+        "diagnose-h-above-half-L",
+        "sweep-h-above-half-L",
+        "nx-below-4",
+        "ny-below-2",
     ],
 )
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, text, key):
@@ -302,6 +310,13 @@ def test_diagnose_emits_every_table(tmp_path):
         "manifest.csv",
     ):
         assert (out / name).exists()
+    _, manifest = read_table(out / "manifest.csv")
+    assert [r[0] for r in manifest] == ["config", "diagnose", "write"]
+    assert manifest[1][3] == ""
+    written = [p.rsplit("/", 1)[-1] for p in manifest[2][3].split(";")]
+    assert written == [
+        "solution.csv", "rotations.csv", "fields.csv", "moments.csv", "identities.csv", "report.csv"
+    ]
     _, rows = read_table(out / "identities.csv")
     assert len(rows) == 1
     assert float(rows[0][0]) == 0.2

@@ -1,5 +1,7 @@
 """Artifact CSV writers: round trips, determinism, layout validation."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,63 @@ def test_array_rows_format_like_per_cell_rows(tmp_path):
     header = ["x1", "theta", "kappa", "ybar1", "ybar2"]
     expect = write_table(tmp_path / "ref_rod.csv", header, ref).read_bytes()
     assert write_elastica(tmp_path / "rod.csv", sol).read_bytes() == expect
+
+
+def test_float_tables_write_edge_values_like_per_cell_rows(tmp_path):
+    # every float column of every float table cycles through the edge values,
+    # shifted per column; the reference passes each cell to write_table as a
+    # numpy scalar, row by row
+    edge = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e-7, 1e16, 1e22])
+    shift = iter(range(100))
+
+    def column(*shape):
+        idx = np.arange(int(np.prod(shape))).reshape(shape) + 3 * next(shift)
+        return edge[idx % edge.size]
+
+    def same_bytes(written, header, ref):
+        expect = write_table(tmp_path / f"ref_{written.name}", header, ref).read_bytes()
+        assert written.read_bytes() == expect
+        return written.read_text()
+
+    nx, ny, ncol, nqp = 7, 2, 10, 20
+    mesh = SimpleNamespace(
+        nnode=(nx + 1) * (ny + 1), ny=ny, nqp=nqp, ncol=ncol, x1=column(nx + 1),
+        x2=column(ny + 1), qp_x=column(nqp, 2), col_x=column(ncol),
+    )
+    fld = SimpleNamespace(mesh=mesh, y=column(mesh.nnode, 2))
+    ids = np.arange(mesh.nnode)
+    ix, iy = np.divmod(ids, ny + 1)
+    ref = zip(ids, mesh.x1[ix], mesh.x2[iy], fld.y[:, 0], fld.y[:, 1])
+    text = same_bytes(
+        write_solution(tmp_path / "solution.csv", fld), ["node_id", "x1", "x2", "y1", "y2"], ref
+    )
+    for cell in ("nan", "inf", "-inf", "-0.0", "5e-324", "1e-07", "1e+16", "1e+22"):
+        assert f",{cell}," in text or f",{cell}\n" in text
+
+    sol = SimpleNamespace(
+        x=column(9), theta=column(9), kappa=column(9), ybar=column(9, 2)
+    )
+    ref = zip(sol.x, sol.theta, sol.kappa, sol.ybar[:, 0], sol.ybar[:, 1])
+    header = ["x1", "theta", "kappa", "ybar1", "ybar2"]
+    same_bytes(write_elastica(tmp_path / "rod.csv", sol), header, ref)
+
+    d = SimpleNamespace(
+        mesh=mesh, node_theta=column(nx + 1), G=column(nqp, 2, 2), E=column(nqp, 2, 2),
+        Ebar=column(ncol, 2, 2), Ehat=column(ncol, 2, 2), Ghat=column(ncol, 2, 2),
+    )
+    ref = zip(mesh.x1, d.node_theta)
+    same_bytes(write_rotations(tmp_path / "rot.csv", d), ["x1", "theta_h"], ref)
+
+    written = write_fields(tmp_path / "fields.csv", d)
+    ref = ((*mesh.qp_x[q], *d.G[q].ravel(), *d.E[q].ravel()) for q in range(nqp))
+    same_bytes(written, read_table(written)[0], ref)
+
+    written = write_moments(tmp_path / "moments.csv", d)
+    ref = (
+        (mesh.col_x[c], *d.Ebar[c].ravel(), *d.Ehat[c].ravel(), d.Ghat[c, 0, 0])
+        for c in range(ncol)
+    )
+    same_bytes(written, read_table(written)[0], ref)
 
 
 def test_write_identities_layout(tmp_path):
