@@ -44,7 +44,7 @@ from .errors import (
 )
 from .loads import LoadProfile
 from .mesh import DeformationField, StripMesh, build_mesh, mesh_rule_nx, rigid_state
-from .solver import SolverConfig, SolverReport, lift, scaled_energy, solve_stationary
+from .solver import SolverReport, lift, scaled_energy, solve_stationary
 from .truncation import (
     GridFunction,
     TruncationResult,

@@ -26,7 +26,6 @@ from .config import (
     energy_from,
     load_from,
     mesh_from,
-    solver_from,
     sweep_from,
 )
 from .diagnostics import convergence_study, diagnose
@@ -40,7 +39,7 @@ from .errors import (
     TruncationFailure,
 )
 from .solver import lift, solve_stationary
-from .truncation import grad_sup, rough_field, sample_on_strip, thin_truncate
+from .truncation import grad_sup, rough_field, sample_on_strip, square_cells, thin_truncate
 
 EXIT_OK = 0
 EXIT_SOLVER = 1
@@ -77,9 +76,13 @@ class RunManifest:
         )
 
 
-def _manifest(cfg: ExperimentConfig, out: Path) -> RunManifest:
-    out.mkdir(parents=True, exist_ok=True)
-    return RunManifest(config=cfg, out_dir=out)
+def _seed(cfg: ExperimentConfig, seed: int | None) -> int:
+    """The --seed value if given, else `run.seed`; either must be non-negative."""
+    if seed is None:
+        return _at_least(cfg, "run.seed", 1234, 0)
+    if seed < 0:
+        raise ConfigError(f"--seed must be at least 0, got {seed!r}")
+    return seed
 
 
 def _solver_report_items(mesh, report) -> dict:
@@ -99,13 +102,12 @@ def _solver_report_items(mesh, report) -> dict:
 
 
 def run_solve_strip(cfg: ExperimentConfig, out: Path) -> RunManifest:
-    manifest = _manifest(cfg, out)
+    manifest = RunManifest(config=cfg, out_dir=out)
     W = energy_from(cfg)
     g = load_from(cfg)
-    scfg = solver_from(cfg)
     mesh = mesh_from(cfg)
     t0 = time.perf_counter()
-    fld, report = solve_stationary(mesh, g, W, scfg)
+    fld, report = solve_stationary(mesh, g, W)
     dt = time.perf_counter() - t0
     paths = [
         csvio.write_solution(out / "solution.csv", fld),
@@ -117,7 +119,7 @@ def run_solve_strip(cfg: ExperimentConfig, out: Path) -> RunManifest:
 
 
 def run_solve_elastica(cfg: ExperimentConfig, out: Path) -> RunManifest:
-    manifest = _manifest(cfg, out)
+    manifest = RunManifest(config=cfg, out_dir=out)
     W = energy_from(cfg)
     g = load_from(cfg)
     t0 = time.perf_counter()
@@ -143,15 +145,14 @@ def run_solve_elastica(cfg: ExperimentConfig, out: Path) -> RunManifest:
 
 
 def run_diagnose(cfg: ExperimentConfig, out: Path) -> RunManifest:
-    manifest = _manifest(cfg, out)
+    manifest = RunManifest(config=cfg, out_dir=out)
     W = energy_from(cfg)
     g = load_from(cfg)
-    scfg = solver_from(cfg)
     mesh = mesh_from(cfg)
     if mesh.h > mesh.L / 2:
         raise ConfigError(f"strip.h must be at most strip.L / 2 for slab rotations, got {mesh.h!r}")
     t0 = time.perf_counter()
-    fld, report = solve_stationary(mesh, g, W, scfg)
+    fld, report = solve_stationary(mesh, g, W)
     status = "ok" if report.converged else "non-converged"
     d = diagnose(fld, g, W)
     manifest.record("diagnose", status, time.perf_counter() - t0)
@@ -172,10 +173,9 @@ def run_diagnose(cfg: ExperimentConfig, out: Path) -> RunManifest:
 
 def run_convergence(cfg: ExperimentConfig, out: Path) -> RunManifest:
     """Elastica once, then each h of the sweep solved from its lift, then the tables."""
-    manifest = _manifest(cfg, out)
+    manifest = RunManifest(config=cfg, out_dir=out)
     W = energy_from(cfg)
     g = load_from(cfg)
-    scfg = solver_from(cfg)
     hs = sweep_from(cfg)
 
     t0 = time.perf_counter()
@@ -191,7 +191,7 @@ def run_convergence(cfg: ExperimentConfig, out: Path) -> RunManifest:
     for h in hs:
         mesh = mesh_from(cfg, h)
         t0 = time.perf_counter()
-        fld, report = solve_stationary(mesh, g, W, scfg, start=lift(limit, mesh))
+        fld, report = solve_stationary(mesh, g, W, start=lift(limit, mesh))
         dt = time.perf_counter() - t0
         if not report.converged:
             manifest.record(f"solve h={h:g}", f"non-converged: {report.message}", dt)
@@ -212,7 +212,7 @@ def run_convergence(cfg: ExperimentConfig, out: Path) -> RunManifest:
 
 
 def run_truncation_demo(cfg: ExperimentConfig, out: Path, seed: int | None = None) -> RunManifest:
-    manifest = _manifest(cfg, out)
+    manifest = RunManifest(config=cfg, out_dir=out)
     a = _positive(cfg, "truncation.level_min", 14.0)
     A = _positive(cfg, "truncation.level_max", 28.0)
     if a >= A:
@@ -226,8 +226,7 @@ def run_truncation_demo(cfg: ExperimentConfig, out: Path, seed: int | None = Non
     nfields = _at_least(cfg, "truncation.fields", 50, 1)
     height = _positive(cfg, "truncation.height", 0.125)
     res = cfg.get_str("truncation.resolutions", "64x8,128x16,256x32")
-    if seed is None:
-        seed = cfg.get_int("run.seed", 1234)
+    seed = _seed(cfg, seed)
 
     grids = []
     for token in res.split(","):
@@ -237,6 +236,12 @@ def run_truncation_demo(cfg: ExperimentConfig, out: Path, seed: int | None = Non
             raise ConfigError(f"bad truncation.resolutions entry {token!r}") from exc
         if n1 < 1 or n2 < 1:
             raise ConfigError(f"truncation.resolutions entry {token!r} needs positive cells")
+        try:
+            square_cells(n2, height / n2)  # the spacing sample_on_strip gives
+        except ConfigError as exc:
+            raise ConfigError(
+                f"truncation.resolutions entry {token!r} at truncation.height = {height!r}: {exc}"
+            ) from None
         grids.append((n1, n2))
 
     rows = []
@@ -324,10 +329,9 @@ def _hypothesis_rows(W, rng) -> list[tuple]:
 
 
 def run_energy_check(cfg: ExperimentConfig, out: Path, seed: int | None = None) -> RunManifest:
-    manifest = _manifest(cfg, out)
+    manifest = RunManifest(config=cfg, out_dir=out)
     W = energy_from(cfg)
-    if seed is None:
-        seed = cfg.get_int("run.seed", 1234)
+    seed = _seed(cfg, seed)
     t0 = time.perf_counter()
     rows = _hypothesis_rows(W, np.random.default_rng(seed))
     dt = time.perf_counter() - t0

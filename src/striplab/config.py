@@ -19,7 +19,6 @@ from .energy import EnergyDensity, IsotropicQuadratic, linearize, make_density
 from .errors import ConfigError
 from .loads import LoadProfile
 from .mesh import build_mesh, mesh_rule_nx
-from .solver import SolverConfig
 
 _KEY_RE = re.compile(r"^[a-zA-Z][a-zA-Z0-9_]*\.[a-zA-Z][a-zA-Z0-9_]*$")
 
@@ -134,23 +133,10 @@ def load_from(cfg: ExperimentConfig) -> LoadProfile:
     )
 
 
-def solver_from(cfg: ExperimentConfig) -> SolverConfig:
-    base = SolverConfig()
-    return SolverConfig(
-        newton_tol=_positive(cfg, "solver.newton_tol", base.newton_tol),
-        max_iters=_at_least(cfg, "solver.max_iters", base.max_iters, 1),
-        min_load_step=_positive(cfg, "solver.min_load_step", base.min_load_step),
-        # the rigid state has det F = 1, so a floor of 1 rejects every state
-        det_floor=_positive(cfg, "solver.det_floor", base.det_floor, upper=1.0),
-    )
-
-
-def _positive(cfg: ExperimentConfig, key: str, default: float, upper: float = np.inf) -> float:
-    """A float config value in (0, upper); the default upper bound asks for finite only."""
+def _positive(cfg: ExperimentConfig, key: str, default: float) -> float:
     val = cfg.get_float(key, default)
-    if not 0 < val < upper:
-        bound = "finite and positive" if upper == np.inf else f"in (0, {upper:g})"
-        raise ConfigError(f"{key} must be {bound}, got {val!r}")
+    if not 0 < val < np.inf:
+        raise ConfigError(f"{key} must be finite and positive, got {val!r}")
     return val
 
 
@@ -187,7 +173,5 @@ def sweep_from(cfg: ExperimentConfig) -> tuple[float, ...]:
 
 def elastica_from(cfg: ExperimentConfig, W: EnergyDensity, g: LoadProfile):
     L = _positive(cfg, "strip.L", 1.0)
-    n = cfg.get_int("elastica.n", 2048)
-    tol = _positive(cfg, "elastica.tol", 1e-12)
-    modulus = linearize(W).modulus
-    return solve_elastica(modulus, g, L, n=n, tol=tol)
+    n = _at_least(cfg, "elastica.n", 2048, 8)
+    return solve_elastica(linearize(W).modulus, g, L, n=n)

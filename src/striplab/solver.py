@@ -11,7 +11,7 @@ whose first increment is the whole load, mu: 0 -> 1; a failed increment is
 halved and a successful one doubled.  The loop starts from the rigid state
 or from a given field, such as ``lift`` of the rod limit: the midline with
 each cross-section rigidly rotated, the near-rigid state that low-energy
-equilibria stay close to.  A determinant guard det F > 0.1
+equilibria stay close to.  A determinant guard det F > DET_FLOOR
 rejects steps entering the near-degenerate regime.  Newton stops one step
 after its residual falls within the larger of a load-relative tolerance and
 the assembly's roundoff floor, and gives up on a tangent step that is not a
@@ -47,14 +47,10 @@ MAX_BACKTRACKS = 40      # Armijo halvings per Newton step
 # Roundoff floor of the assembled residual, in units of eps * max|K| * max|y|:
 # y carries eps * |y| of rounding, which the tangent K maps into the residual.
 FLOOR_C = 2.0
-
-
-@dataclass
-class SolverConfig:
-    newton_tol: float = 1e-6       # residual sup norm, relative to the load scale
-    max_iters: int = 25            # Newton iterations per load step
-    min_load_step: float = 1e-4    # give up below this increment
-    det_floor: float = 0.1         # determinant guard on scaled gradients
+NEWTON_TOL = 1e-6        # residual sup norm, relative to the load scale
+MAX_ITERS = 25           # Newton iterations per load step
+MIN_LOAD_STEP = 1e-4     # give up below this increment
+DET_FLOOR = 0.1          # determinant guard on scaled gradients
 
 
 @dataclass
@@ -68,11 +64,11 @@ class SolverReport:
     message: str = ""
 
 
-def _guard_dets(mesh: StripMesh, F: np.ndarray, floor: float) -> None:
+def _guard_dets(mesh: StripMesh, F: np.ndarray) -> None:
     d = det2(F)
     j = int(np.argmin(d))
-    if d[j] <= floor:
-        raise StepRejected(mesh.qp_x[j, 0], mesh.qp_x[j, 1], float(d[j]), floor)
+    if d[j] <= DET_FLOOR:
+        raise StepRejected(mesh.qp_x[j, 0], mesh.qp_x[j, 1], float(d[j]), DET_FLOOR)
 
 
 def _assemble(mesh: StripMesh, ve: np.ndarray) -> np.ndarray:
@@ -92,28 +88,23 @@ def load_vector(mesh: StripMesh, g: LoadProfile) -> np.ndarray:
 def elastic_residual(
     fld: DeformationField,
     W: EnergyDensity,
-    det_floor: float,
     F: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of the elastic part w.r.t. nodal positions, clamped rows zeroed.
 
     Raises StepRejected when any scaled gradient determinant falls to
-    det_floor or below.  F, if given, is ``fld.gradients()`` already
+    DET_FLOOR or below.  F, if given, is ``fld.gradients()`` already
     computed by the caller.
     """
     mesh = fld.mesh
     if F is None:
         F = fld.gradients()
-    _guard_dets(mesh, F, det_floor)
+    _guard_dets(mesh, F)
     P = W.stress(F).reshape(mesh.nelem, 4, 4)
     return _assemble(mesh, mesh.qp_w * np.einsum("eqg,qgd->ed", P, mesh.B))
 
 
-def tangent(
-    fld: DeformationField,
-    W: EnergyDensity,
-    det_floor: float = 0.1,
-) -> np.ndarray:
+def tangent(fld: DeformationField, W: EnergyDensity) -> np.ndarray:
     """Second derivative of the discrete functional, symmetric, band-stored.
 
     Returns the (2 bw + 1, ndof) band in LAPACK ``ab`` layout, with offsets
@@ -122,7 +113,7 @@ def tangent(
     """
     mesh = fld.mesh
     F = fld.gradients()
-    _guard_dets(mesh, F, det_floor)
+    _guard_dets(mesh, F)
     A = W.hessian(F).reshape(mesh.nelem, 4, 4, 4)
     B = mesh.B
     ke = mesh.qp_w * np.einsum("qgd,eqgf->edf", B, np.einsum("eqgh,qhf->eqgf", A, B))
@@ -160,17 +151,16 @@ def _newton(
     f: np.ndarray,
     W: EnergyDensity,
     load_factor: float,
-    cfg: SolverConfig,
 ) -> tuple[int, float]:
     """Newton with Armijo backtracking at fixed load factor.
 
     f is ``load_vector(fld.mesh, g)``.  The stopping bound is the
-    larger of cfg.newton_tol times the load scale and the assembly's
+    larger of NEWTON_TOL times the load scale and the assembly's
     roundoff floor, FLOOR_C * eps * max|K| * max|y| with K the last tangent.
     A residual within the bound does not show how far the iterate still is
     from the solution (at h = 0.025 two iterates 5e-12 apart have the same
     floor-level residual), so the step taken from within the bound is the
-    last: it cuts that distance quadratically.  cfg.max_iters caps the steps
+    last: it cuts that distance quadratically.  MAX_ITERS caps the steps
     taken to reach the bound.  An exact zero residual takes no step.
 
     Mutates fld.y in place; returns (iterations, residual sup norm).  Raises
@@ -179,18 +169,18 @@ def _newton(
     """
     mesh = fld.mesh
     free = mesh.free_dofs()
-    tol = cfg.newton_tol * load_factor * float(np.max(np.abs(f)))
+    tol = NEWTON_TOL * load_factor * float(np.max(np.abs(f)))
     floor = 0.0
-    r = elastic_residual(fld, W, cfg.det_floor) - load_factor * f
+    r = elastic_residual(fld, W) - load_factor * f
     rsup = float(np.max(np.abs(r)))
     _, e0 = scaled_energy(fld, g, W, load_factor)
     it = 0
     last = rsup == 0.0
     while not last:
         last = rsup <= max(tol, floor)
-        if it >= cfg.max_iters and not last:
+        if it >= MAX_ITERS and not last:
             raise NonConvergence("Newton iteration cap reached", rsup, it)
-        K = tangent(fld, W, cfg.det_floor)
+        K = tangent(fld, W)
         floor = FLOOR_C * EPS * float(np.max(np.abs(K))) * float(np.max(np.abs(fld.y)))
         try:
             delta = solve_banded((mesh.k_bw, mesh.k_bw), K, -r, check_finite=False)
@@ -206,7 +196,7 @@ def _newton(
             fld.y = y0 + alpha * delta.reshape(-1, 2)
             F = fld.gradients()
             try:
-                r = elastic_residual(fld, W, cfg.det_floor, F) - load_factor * f
+                r = elastic_residual(fld, W, F) - load_factor * f
             except StepRejected:
                 alpha *= 0.5
                 continue
@@ -232,7 +222,6 @@ def solve_stationary(
     mesh: StripMesh,
     g: LoadProfile,
     W: EnergyDensity,
-    cfg: SolverConfig | None = None,
     start: DeformationField | None = None,
 ) -> tuple[DeformationField, SolverReport]:
     """Solve the clamped strip problem at the mesh's thickness h.
@@ -242,14 +231,13 @@ def solve_stationary(
     increment is the whole load; an increment on which Newton raises
     StepRejected or NonConvergence (a start that fails the determinant guard
     included) is halved, and the loop stalls once it falls below
-    cfg.min_load_step.  After each success the increment doubles.
+    MIN_LOAD_STEP.  After each success the increment doubles.
     Increments are powers of two, so every load factor is exact and the path
     ends on 1.0.  Nothing is raised for a failed solve: the report's message
     says why the first step failed and where the loop stalled,
     ``iterations`` counts the Newton steps of rejected increments too, and
     ``residual_sup`` is NaN if no increment was accepted.
     """
-    cfg = cfg or SolverConfig()
     if start is not None and start.mesh is not mesh:
         raise ConfigError("start must be a field on the mesh being solved")
     f = load_vector(mesh, g)
@@ -263,13 +251,13 @@ def solve_stationary(
         s = min(step, 1.0 - mu)
         trial = DeformationField(mesh=mesh, y=fld.y.copy())
         try:
-            it, rsup = _newton(trial, g, f, W, mu + s, cfg)
+            it, rsup = _newton(trial, g, f, W, mu + s)
         except (StepRejected, NonConvergence) as exc:
             iterations += getattr(exc, "iterations", 0)  # StepRejected takes no step
             if s == 1.0:  # only the first step spans the whole load
                 message = f"{what} at full load failed: {exc}"
             step = 0.5 * s
-            if step < cfg.min_load_step:
+            if step < MIN_LOAD_STEP:
                 message += f"; continuation stalled at load factor {mu:.6g}: {exc}"
                 break
             continue

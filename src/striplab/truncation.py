@@ -400,15 +400,12 @@ def _reflection_rows(K: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return j_src, strip
 
 
-def reflect_to_square(u: GridFunction) -> tuple[GridFunction, np.ndarray]:
-    """Extend a strip field to the unit square by successive reflection.
+def square_cells(m: int, d2: float) -> int:
+    """Cells K across the unit square that a strip of m cells of width d2 reflects onto.
 
-    Requires square-compatible spacing: 1/d2 an even integer and an even
-    number of cells across the strip.  Returns the extended field and the
-    strip index of each extended row.
+    Requires square-compatible spacing: 1/d2 an even integer, an even number
+    m of cells across the strip, and room for at least three strips.
     """
-    d1, d2 = u.spacing
-    m = u.n2 - 1
     K = round(1.0 / d2)
     if abs(K * d2 - 1.0) > 1e-9 or K % 2 != 0:
         raise ConfigError(f"transverse spacing must evenly divide 1 into an even count, got d2={d2!r}")
@@ -417,6 +414,18 @@ def reflect_to_square(u: GridFunction) -> tuple[GridFunction, np.ndarray]:
     h = m * d2
     if int(np.floor((1.0 - h) / (2.0 * h))) < 1:
         raise ConfigError(f"strip too thick to reflect: fewer than 3 strips fit at h={h!r}")
+    return K
+
+
+def reflect_to_square(u: GridFunction) -> tuple[GridFunction, np.ndarray]:
+    """Extend a strip field to the unit square by successive reflection.
+
+    The spacing must pass ``square_cells``.  Returns the extended field and
+    the strip index of each extended row.
+    """
+    d1, d2 = u.spacing
+    m = u.n2 - 1
+    K = square_cells(m, d2)
     j_src, strip = _reflection_rows(K, m)
     ext = GridFunction(values=u.values[:, j_src], spacing=(d1, d2))
     return ext, strip

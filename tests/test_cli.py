@@ -58,26 +58,27 @@ def test_solve_strip_writes_solution_and_report(tmp_path):
 
 
 def test_manifest_lists_unread_config_keys(tmp_path):
-    # a typo, a key this subcommand never reads, the removed load_steps, and
-    # a modulus the default density does not use
+    # a typo, a key this subcommand never reads, the removed load_steps,
+    # max_iters and det_floor, and a modulus the default density does not use
     cfg = write_cfg(
         tmp_path,
         TINY_STRIP
-        + "solver.newton_tl = 1e-9\nsweep.h = 0.2\nsolver.load_steps = 10\nenergy.mu = nan\n",
+        + "solver.newton_tl = 1e-9\nsweep.h = 0.2\nsolver.load_steps = 10\nenergy.mu = nan\n"
+        + "solver.max_iters = 3\nsolver.det_floor = 0.5\n",
     )
     out = tmp_path / "out"
     assert main(["solve-strip", "--config", cfg, "--out", str(out)]) == 0
     _, manifest = read_table(out / "manifest.csv")
     assert manifest[0][0] == "config"
-    assert manifest[0][3] == "energy.mu;solver.load_steps;solver.newton_tl;sweep.h"
-
-
-def test_solver_failure_exits_1(tmp_path, capsys):
-    cfg = write_cfg(
-        tmp_path,
-        "strip.h = 0.2\nstrip.nx = 16\nstrip.ny = 2\nload.g2 = -0.5\n"
-        "solver.max_iters = 2\nsolver.min_load_step = 0.3\n",
+    assert manifest[0][3] == (
+        "energy.mu;solver.det_floor;solver.load_steps;solver.max_iters;solver.newton_tl;sweep.h"
     )
+
+
+def test_solver_failure_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("striplab.solver.MAX_ITERS", 2)
+    monkeypatch.setattr("striplab.solver.MIN_LOAD_STEP", 0.3)
+    cfg = write_cfg(tmp_path, "strip.h = 0.2\nstrip.nx = 16\nstrip.ny = 2\nload.g2 = -0.5\n")
     out = tmp_path / "out"
     assert main(["solve-strip", "--config", cfg, "--out", str(out)]) == 1
     report = read_keyvalue(out / "report.csv")
@@ -124,11 +125,6 @@ def test_truncate_bad_window_exits_2_naming_both_keys(tmp_path, capsys):
         ("solve-elastica", "strip.L = inf\n", "strip.L"),
         ("solve-strip", "strip.h = 0.2\nload.g2 = inf\n", "load.g2"),
         ("solve-elastica", "load.g2 = nan\n", "load.g2"),
-        ("solve-strip", "strip.h = 0.2\nsolver.newton_tol = nan\n", "solver.newton_tol"),
-        ("solve-strip", "strip.h = 0.2\nsolver.min_load_step = nan\n", "solver.min_load_step"),
-        ("solve-strip", "strip.h = 0.2\nsolver.det_floor = 1\n", "solver.det_floor"),
-        ("solve-strip", "strip.h = 0.2\nsolver.max_iters = 0\n", "solver.max_iters"),
-        ("converge", "sweep.h = 0.2\nelastica.tol = nan\n", "elastica.tol"),
         ("truncate", TINY_TRUNC + "truncation.level_max = inf\n", "truncation.level_max"),
         ("truncate", TINY_TRUNC + "truncation.level_min = nan\n", "truncation.level_min"),
         ("truncate", TINY_TRUNC + "truncation.p = 1\n", "truncation.p"),
@@ -137,6 +133,11 @@ def test_truncate_bad_window_exits_2_naming_both_keys(tmp_path, capsys):
         ("converge", "strip.L = 0.5\nsweep.h = 0.4\n", "sweep.h"),
         ("solve-strip", "strip.h = 0.2\nstrip.nx = 2\n", "strip.nx"),
         ("solve-strip", "strip.h = 0.2\nstrip.ny = 1\n", "strip.ny"),
+        ("truncate", TINY_TRUNC + "run.seed = -3\n", "run.seed"),
+        ("energy-check", "run.seed = -3\n", "run.seed"),
+        ("truncate", "truncation.resolutions = 64x8,64x7\n", "truncation.resolutions"),
+        ("truncate", TINY_TRUNC + "truncation.height = 0.4\n", "truncation.height"),
+        ("solve-elastica", "elastica.n = 4\n", "elastica.n"),
     ],
     ids=[
         "zero-cells",
@@ -150,11 +151,6 @@ def test_truncate_bad_window_exits_2_naming_both_keys(tmp_path, capsys):
         "elastica-L-inf",
         "g2-inf",
         "elastica-g2-nan",
-        "newton-tol-nan",
-        "min-load-step-nan",
-        "det-floor-one",
-        "max-iters-zero",
-        "elastica-tol-nan",
         "level-max-inf",
         "level-min-nan",
         "p-one",
@@ -163,6 +159,11 @@ def test_truncate_bad_window_exits_2_naming_both_keys(tmp_path, capsys):
         "sweep-h-above-half-L",
         "nx-below-4",
         "ny-below-2",
+        "truncate-seed-negative",
+        "energy-check-seed-negative",
+        "odd-cells-across",
+        "height-too-thick",
+        "elastica-n-below-8",
     ],
 )
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, text, key):
@@ -170,6 +171,7 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, text
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_converge_builds_meshes_through_strip_nx_and_ny(tmp_path):
@@ -231,7 +233,7 @@ def test_solver_outputs_are_deterministic(tmp_path, command, text):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
-def test_truncate_seed_changes_the_fields(tmp_path):
+def test_truncate_seed_changes_the_fields(tmp_path, capsys):
     cfg = write_cfg(tmp_path, TINY_TRUNC)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["truncate", "--config", cfg, "--out", str(out_a), "--seed", "7"]) == 0
@@ -241,6 +243,8 @@ def test_truncate_seed_changes_the_fields(tmp_path):
     assert [r[1] for r in rows_a] != [r[1] for r in rows_b]
     summary = read_keyvalue(out_a / "summary.csv")
     assert "q_max_64x8" in summary
+    assert main(["truncate", "--config", cfg, "--out", str(tmp_path / "c"), "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_energy_check_default_density_passes(tmp_path):

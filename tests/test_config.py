@@ -14,7 +14,6 @@ from striplab.config import (
     load_from,
     mesh_from,
     parse_config_text,
-    solver_from,
     sweep_from,
 )
 from striplab.errors import ConfigError
@@ -145,14 +144,6 @@ def test_load_from_constant_and_sampled():
 
     with pytest.raises(ConfigError, match="samples_g1"):
         load_from(ExperimentConfig.from_text("load.samples_x = 0.0, 1.0"))
-
-
-def test_solver_from_overrides():
-    cfg = ExperimentConfig.from_text("solver.newton_tol = 1e-8\nsolver.min_load_step = 0.01\n")
-    sc = solver_from(cfg)
-    assert sc.newton_tol == 1e-8
-    assert sc.min_load_step == 0.01
-    assert sc.max_iters == solver_from(ExperimentConfig.from_text("")).max_iters
 
 
 def test_mesh_from_rule_and_overrides():

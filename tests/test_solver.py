@@ -10,7 +10,6 @@ from scipy.sparse import dia_matrix
 from striplab import (
     HalfDistSquared,
     LoadProfile,
-    SolverConfig,
     build_mesh,
     lift,
     minimize_J2,
@@ -21,6 +20,7 @@ from striplab import (
 )
 from striplab.errors import ConfigError, StepRejected
 from striplab.mesh import DeformationField
+from striplab import solver
 from striplab.solver import elastic_residual, load_vector, tangent
 
 W = HalfDistSquared()
@@ -74,7 +74,7 @@ def test_load_vector_against_dense_loops():
 def test_residual_is_gradient_of_energy():
     mesh = build_mesh(1.0, 0.1, 8, 4)
     fld = perturbed_field(mesh)
-    r = elastic_residual(fld, W, 0.1) - load_vector(mesh, GAMMA)
+    r = elastic_residual(fld, W) - load_vector(mesh, GAMMA)
     rng = np.random.default_rng(3)
     du = rng.standard_normal(fld.y.shape)
     du[mesh.clamped_nodes()] = 0.0
@@ -100,7 +100,7 @@ def test_tangent_is_derivative_of_residual():
     eps = 1e-7
     hi = DeformationField(mesh=mesh, y=fld.y + eps * du)
     lo = DeformationField(mesh=mesh, y=fld.y - eps * du)
-    fd = (elastic_residual(hi, W, 0.1) - elastic_residual(lo, W, 0.1)) / (2 * eps)
+    fd = (elastic_residual(hi, W) - elastic_residual(lo, W)) / (2 * eps)
     got = K @ du.ravel()
     free = mesh.free_dofs()
     np.testing.assert_allclose(got[free], fd[free], rtol=2e-6, atol=2e-9)
@@ -158,31 +158,31 @@ def test_tangent_band_layout():
     assert np.array_equal(K[touches], (r == c)[touches].astype(float))
 
 
-def test_singular_tangent_fails_fast_with_reason():
+def test_singular_tangent_fails_fast_with_reason(monkeypatch):
     class Flat(HalfDistSquared):
         def hessian(self, F):
             return np.zeros(F.shape + (2, 2))
 
     mesh = build_mesh(1.0, 0.2, 16, 4)
-    cfg = SolverConfig(min_load_step=0.5)
-    _, rep = solve_stationary(mesh, GAMMA, Flat(), cfg)
+    monkeypatch.setattr("striplab.solver.MIN_LOAD_STEP", 0.5)
+    _, rep = solve_stationary(mesh, GAMMA, Flat())
     assert not rep.converged
     assert "singular tangent" in rep.message
 
 
-def test_cold_continuation_ends_exactly_at_full_load():
+def test_cold_continuation_ends_exactly_at_full_load(monkeypatch):
     # the first step, at full load, needs more than six iterations, so the
     # load loop halves it
     mesh = build_mesh(1.0, 0.2, 16, 4)
-    cfg = SolverConfig(max_iters=6)
-    _, rep = solve_stationary(mesh, LoadProfile.constant(0.0, -0.5), W, cfg)
+    monkeypatch.setattr("striplab.solver.MAX_ITERS", 6)
+    _, rep = solve_stationary(mesh, LoadProfile.constant(0.0, -0.5), W)
     assert rep.converged
     assert rep.message.startswith("cold start at full load failed: Newton iteration cap")
     loads = [mu for mu, _ in rep.path]
     assert all(a < b for a, b in zip(loads, loads[1:]))
-    # each increment is 2^-k >= min_load_step, so every load factor is a
+    # each increment is 2^-k >= MIN_LOAD_STEP, so every load factor is a
     # dyadic rational with a small denominator (0.1 would have 2^55)
-    assert all(Fraction(mu).denominator <= 1 / cfg.min_load_step for mu in loads)
+    assert all(Fraction(mu).denominator <= 1 / solver.MIN_LOAD_STEP for mu in loads)
     assert rep.path[-1][0] == 1.0
 
 
@@ -202,13 +202,13 @@ def test_solve_stops_at_the_roundoff_floor(h, nx):
     fld, rep = solve_stationary(mesh, GAMMA, W)
     assert rep.converged
     f = load_vector(mesh, GAMMA)
-    r = elastic_residual(fld, W, 0.1) - f
+    r = elastic_residual(fld, W) - f
     assert float(np.max(np.abs(r))) == rep.residual_sup
     K = tangent(fld, W)
     delta = solve_banded((mesh.k_bw, mesh.k_bw), K, -r)
     delta[~mesh.free_dofs()] = 0.0
     fld.y = fld.y + delta.reshape(-1, 2)
-    after = float(np.max(np.abs(elastic_residual(fld, W, 0.1) - f)))
+    after = float(np.max(np.abs(elastic_residual(fld, W) - f)))
     assert after > 0.5 * rep.residual_sup
 
 
@@ -296,10 +296,11 @@ def test_lift_meets_clamp_exactly():
     assert np.max(np.abs(fld.y - mesh.rigid)) > 0.1  # the rod is bent
 
 
-def test_unreachable_load_reports_nonconvergence():
+def test_unreachable_load_reports_nonconvergence(monkeypatch):
     mesh = build_mesh(1.0, 0.2, 16, 4)
-    cfg = SolverConfig(max_iters=2, min_load_step=0.3)
-    fld, rep = solve_stationary(mesh, LoadProfile.constant(0.0, -0.5), W, cfg)
+    monkeypatch.setattr("striplab.solver.MAX_ITERS", 2)
+    monkeypatch.setattr("striplab.solver.MIN_LOAD_STEP", 0.3)
+    fld, rep = solve_stationary(mesh, LoadProfile.constant(0.0, -0.5), W)
     assert not rep.converged
     assert "stalled" in rep.message
     assert np.all(np.isfinite(fld.y))
@@ -311,7 +312,7 @@ def test_residual_guards_inverted_elements():
     grid = np.arange(mesh.nnode).reshape(mesh.nx + 1, mesh.ny + 1)
     fld.y[grid[2, :], 0] -= 2.0 * mesh.dx  # fold the mesh over itself
     with pytest.raises(StepRejected):
-        elastic_residual(fld, W, 0.1) - load_vector(mesh, GAMMA)
+        elastic_residual(fld, W) - load_vector(mesh, GAMMA)
 
 
 def test_start_on_another_mesh_is_refused():
