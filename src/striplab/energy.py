@@ -45,6 +45,11 @@ BASIS = np.array(
     ]
 )
 
+# delta_ij delta_kl at ikjl, the identity on 2x2 matrices in the (..., 2, 2,
+# 2, 2) layout of ``hessian``.  Outer products are broadcast products, one
+# multiplication per entry as in an einsum, so they give the same bits.
+_EYE4 = ID2[:, None, :, None] * ID2[None, :, None, :]
+
 
 class EnergyDensity:
     """Base class: frame-indifferent stored energy W(F) on 2x2 matrices."""
@@ -101,15 +106,11 @@ class HalfDistSquared(EnergyDensity):
         v = F[..., 1, 0] - F[..., 0, 1]
         r = np.hypot(u, v)
         c, s = u / r, v / r
-        T = np.empty(F.shape)  # R(F) @ J2, the tangent direction to SO(2)
-        T[..., 0, 0] = -s
-        T[..., 0, 1] = -c
-        T[..., 1, 0] = c
-        T[..., 1, 1] = -s
-        eye = np.einsum("ij,kl->ikjl", ID2, ID2)
-        out = np.broadcast_to(eye, F.shape[:-2] + (2, 2, 2, 2)).copy()
-        out -= np.einsum("...ik,...jl->...ikjl", T, T) / r[..., None, None, None, None]
-        return out
+        # R(F) @ J2, the tangent direction to SO(2), flattened row-major with
+        # the points last, so that the outer product runs along them
+        T = np.stack([-s, -c, c, -s]).reshape(4, -1)
+        out = _EYE4.reshape(4, 4, 1) - T[:, None] * T[None, :] / r.reshape(-1)
+        return out.transpose(2, 0, 1).reshape(F.shape[:-2] + (2, 2, 2, 2))
 
 
 class IsotropicQuadratic(EnergyDensity):
@@ -145,10 +146,11 @@ class IsotropicQuadratic(EnergyDensity):
         F = np.asarray(F, dtype=float)
         S = self._second_pk(self.green(F))
         FFt = F @ trans2(F)
-        out = np.einsum("ij,...kl->...ikjl", ID2, S)
-        out = out + self.mu * np.einsum("...ij,kl->...ikjl", FFt, ID2)
-        out = out + self.mu * np.einsum("...il,...jk->...ikjl", F, F)
-        out = out + self.lam * np.einsum("...ik,...jl->...ikjl", F, F)
+        # at ikjl: delta_ij S_kl + mu ((F F^T)_ij delta_kl + F_il F_jk) + lam F_ik F_jl
+        out = ID2[:, None, :, None] * S[..., None, :, None, :]
+        out = out + self.mu * (FFt[..., :, None, :, None] * ID2[None, :, None, :])
+        out = out + self.mu * (F[..., :, None, None, :] * trans2(F)[..., None, :, :, None])
+        out = out + self.lam * (F[..., :, :, None, None] * F[..., None, None, :, :])
         return out
 
 

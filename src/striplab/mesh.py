@@ -10,9 +10,11 @@ fixed point in floating point.
 A mesh is built for one thickness h, and everything that depends only on
 the grid and h is built once in ``build_mesh``: the element dof map, the
 band slots of the stiffness matrix, the strain operator B (the only place h
-scales the x2-derivative) and the rigid state (x1, h*x2).  The node
-numbering keeps every coupling within 2*ny + 5 dofs of the diagonal, so the
-stiffness is stored as a band.
+and the element enter), the (64, 64) element-stiffness operator k_op made
+from B and the quadrature weight, and the rigid state (x1, h*x2).  With
+these, gradients, residual and tangent of all elements are each one matrix
+product.  The node numbering keeps every coupling within 2*ny + 5 dofs of
+the diagonal, so the stiffness is stored as a band.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ class StripMesh:
     edofs: np.ndarray = field(repr=False)        # (nelem, 8) dofs 2*conn + (0, 1)
     shape_n: np.ndarray = field(repr=False)      # (4 qp, 4 a)
     B: np.ndarray = field(repr=False)            # (4 qp, 4, 8) strain operator
+    k_op: np.ndarray = field(repr=False)         # (64, 64) element stiffness operator
     rigid: np.ndarray = field(repr=False)        # (nnode, 2) rigid state (x1, h x2)
     qp_x: np.ndarray = field(repr=False)         # (nqp, 2)
     qp_col: np.ndarray = field(repr=False)       # (nqp,) quadrature column id
@@ -101,7 +104,7 @@ class StripMesh:
     def qp_values(self, nodal: np.ndarray) -> np.ndarray:
         """Interpolate a nodal field to quadrature points, flat (nqp, ...)."""
         elem = np.asarray(nodal)[self.conn]
-        out = np.einsum("qa,ea...->eq...", self.shape_n, elem)
+        out = np.moveaxis(np.tensordot(elem, self.shape_n, axes=(1, 1)), -1, 1)
         return out.reshape((self.nqp,) + elem.shape[2:])
 
     def scaled_gradients(self, u: np.ndarray) -> np.ndarray:
@@ -111,8 +114,7 @@ class StripMesh:
         identity exactly.
         """
         ue = np.asarray(u, dtype=float).reshape(-1)[self.edofs]
-        D = np.einsum("qgd,ed->eqg", self.B, ue)
-        D = D.reshape(self.nqp, 2, 2)
+        D = (ue @ self.B.reshape(16, 8).T).reshape(self.nqp, 2, 2)
         D[:, 0, 0] += 1.0
         D[:, 1, 1] += 1.0
         return D
@@ -150,6 +152,10 @@ def build_mesh(L: float, h: float, nx: int, ny: int) -> StripMesh:
     # B[q, 2i+k, 2a+j] = delta_ij d_k N_a(q), with d_2 carrying 1/h, so
     # F = Id + B u_e on each element
     B = np.einsum("qak,ij->qikaj", grad_n / np.array([1.0, h]), np.eye(2)).reshape(4, 4, 8)
+    # k_op[(q, g, m), (d, f)] = w B[q, g, d] B[q, m, f] with w the quadrature
+    # weight, so the element stiffness sum_q w B_q^T A_q B_q of a Hessian A
+    # at the points is A.reshape(nelem, 64) @ k_op
+    k_op = (0.25 * dx * dy) * np.einsum("qgd,qmf->qgmdf", B, B).reshape(64, 64)
     rigid = np.array(nodes, copy=True)
     rigid[:, 1] *= h
 
@@ -168,12 +174,12 @@ def build_mesh(L: float, h: float, nx: int, ny: int) -> StripMesh:
 
     k_bw = 2 * ny + 5
     k_slot, k_clamped = _stiffness_pattern(nx, ny, k_bw, edofs)
-    for a in (B, rigid):
+    for a in (B, k_op, rigid):
         a.flags.writeable = False  # shared by every field on the mesh
     return StripMesh(
         L=float(L), h=float(h), nx=nx, ny=ny, x1=x1, x2=x2, nodes=nodes, conn=conn,
-        edofs=edofs, shape_n=shape_n, B=B, rigid=rigid, qp_x=qp_x, qp_col=qp_col,
-        col_x=col_x, k_bw=k_bw, k_slot=k_slot, k_clamped=k_clamped,
+        edofs=edofs, shape_n=shape_n, B=B, k_op=k_op, rigid=rigid, qp_x=qp_x,
+        qp_col=qp_col, col_x=col_x, k_bw=k_bw, k_slot=k_slot, k_clamped=k_clamped,
     )
 
 

@@ -17,13 +17,17 @@ after its residual falls within the larger of a load-relative tolerance and
 the assembly's roundoff floor, and gives up on a tangent step that is not a
 descent direction.
 
-The residual is B^T P and the tangent B^T A B, element by element.  Vectors
-are summed into nodes with ``np.bincount`` over the element dofs and the
-tangent's band with one ``np.bincount`` over the band slots that
-``build_mesh`` computed once; couplings to clamped dofs fall into a discarded
-slot and the clamped diagonal is set to 1.  Summation follows element order,
-so residual and tangent are bit-reproducible.  Each Newton step solves the
-band by LAPACK's banded LU.
+The residual is B^T P and the tangent sum_q w B_q^T A_q B_q, each assembled
+for all elements by one matrix product with an operator ``build_mesh`` made
+once: P.reshape(nelem, 16) @ B.reshape(16, 8) for the residual and
+A.reshape(nelem, 64) @ k_op for the element stiffnesses.  Vectors are summed
+into nodes with ``np.bincount`` over the element dofs and the tangent's band
+with one ``np.bincount`` over the band slots that ``build_mesh`` computed
+once; couplings to clamped dofs fall into a discarded slot and the clamped
+diagonal is set to 1.  Summation follows element order, and each element's
+product does not depend on how BLAS splits the rows among threads, so
+residual and tangent are bit-reproducible.  Each Newton step solves the band
+by LAPACK's banded LU.
 """
 
 from __future__ import annotations
@@ -100,23 +104,28 @@ def elastic_residual(
     if F is None:
         F = fld.gradients()
     _guard_dets(mesh, F)
-    P = W.stress(F).reshape(mesh.nelem, 4, 4)
-    return _assemble(mesh, mesh.qp_w * np.einsum("eqg,qgd->ed", P, mesh.B))
+    P = W.stress(F).reshape(mesh.nelem, 16)
+    return _assemble(mesh, mesh.qp_w * (P @ mesh.B.reshape(16, 8)))
 
 
-def tangent(fld: DeformationField, W: EnergyDensity) -> np.ndarray:
+def tangent(
+    fld: DeformationField,
+    W: EnergyDensity,
+    F: np.ndarray | None = None,
+) -> np.ndarray:
     """Second derivative of the discrete functional, symmetric, band-stored.
 
     Returns the (2 bw + 1, ndof) band in LAPACK ``ab`` layout, with offsets
     bw..-bw and bw = ``mesh.k_bw``.  Rows and columns of clamped dofs are
-    replaced by identity.
+    replaced by identity.  F, if given, is ``fld.gradients()`` that the
+    caller has already passed through ``elastic_residual``'s determinant
+    guard; otherwise it is computed and guarded here.
     """
     mesh = fld.mesh
-    F = fld.gradients()
-    _guard_dets(mesh, F)
-    A = W.hessian(F).reshape(mesh.nelem, 4, 4, 4)
-    B = mesh.B
-    ke = mesh.qp_w * np.einsum("qgd,eqgf->edf", B, np.einsum("eqgh,qhf->eqgf", A, B))
+    if F is None:
+        F = fld.gradients()
+        _guard_dets(mesh, F)
+    ke = W.hessian(F).reshape(mesh.nelem, 64) @ mesh.k_op
     bw, ndof = mesh.k_bw, 2 * mesh.nnode
     size = (2 * bw + 1) * ndof
     data = np.bincount(mesh.k_slot, weights=ke.reshape(-1), minlength=size + 1)[:size]
@@ -171,16 +180,17 @@ def _newton(
     free = mesh.free_dofs()
     tol = NEWTON_TOL * load_factor * float(np.max(np.abs(f)))
     floor = 0.0
-    r = elastic_residual(fld, W) - load_factor * f
+    F = fld.gradients()
+    r = elastic_residual(fld, W, F) - load_factor * f
     rsup = float(np.max(np.abs(r)))
-    _, e0 = scaled_energy(fld, g, W, load_factor)
+    _, e0 = scaled_energy(fld, g, W, load_factor, F)
     it = 0
     last = rsup == 0.0
     while not last:
         last = rsup <= max(tol, floor)
         if it >= MAX_ITERS and not last:
             raise NonConvergence("Newton iteration cap reached", rsup, it)
-        K = tangent(fld, W)
+        K = tangent(fld, W, F)  # F of the iterate, guarded with its residual
         floor = FLOOR_C * EPS * float(np.max(np.abs(K))) * float(np.max(np.abs(fld.y)))
         try:
             delta = solve_banded((mesh.k_bw, mesh.k_bw), K, -r, check_finite=False)

@@ -1,5 +1,8 @@
 """End-to-end driver runs: exit codes, artifacts, determinism."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +234,24 @@ def test_solver_outputs_are_deterministic(tmp_path, command, text):
     assert len(names) >= 3
     for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+def test_solve_strip_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the element operators are BLAS products, so the thread count must not
+    # change how any entry is summed
+    cfg = write_cfg(tmp_path, "strip.L = 1.0\nstrip.h = 0.025\nload.g2 = -1e-3\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        cmd = [sys.executable, "-m", "striplab.cli", "solve-strip", "--config", cfg]
+        run = subprocess.run(cmd + ["--out", str(out)], env=env, capture_output=True)
+        assert run.returncode == 0, run.stderr
+        outs.append(out)
+    for name in ("solution.csv", "report.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_truncate_seed_changes_the_fields(tmp_path, capsys):

@@ -83,6 +83,34 @@ def test_frame_indifference(W):
         np.testing.assert_allclose(W.energy(rot2(a) @ F), W.energy(F), rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("W", DENSITIES[1:], ids=lambda W: f"mu={W.mu},lam={W.lam}")
+def test_isotropic_hessian_is_bitwise_the_einsum_form(W):
+    F = np.eye(2) + 0.4 * np.random.default_rng(13).standard_normal((3, 5, 2, 2))
+    S = W._second_pk(W.green(F))
+    FFt = F @ np.swapaxes(F, -1, -2)
+    eye = np.eye(2)
+    expect = np.einsum("ij,...kl->...ikjl", eye, S)
+    expect = expect + W.mu * np.einsum("...ij,kl->...ikjl", FFt, eye)
+    expect = expect + W.mu * np.einsum("...il,...jk->...ikjl", F, F)
+    expect = expect + W.lam * np.einsum("...ik,...jl->...ikjl", F, F)
+    assert np.array_equal(W.hessian(F), expect)
+
+
+def test_half_dist_hessian_is_bitwise_the_einsum_form():
+    W = HalfDistSquared()
+    F = sample_states(14, n=24).reshape(3, 8, 2, 2)
+    u = F[..., 0, 0] + F[..., 1, 1]
+    v = F[..., 1, 0] - F[..., 0, 1]
+    r = np.hypot(u, v)
+    c, s = u / r, v / r
+    T = np.stack([np.stack([-s, -c], -1), np.stack([c, -s], -1)], -2)
+    eye = np.einsum("ij,kl->ikjl", np.eye(2), np.eye(2))
+    expect = np.broadcast_to(eye, F.shape + (2, 2)).copy()
+    expect -= np.einsum("...ik,...jl->...ikjl", T, T) / r[..., None, None, None, None]
+    assert np.array_equal(W.hessian(F), expect)
+    assert W.hessian(np.eye(2)).shape == (2, 2, 2, 2)
+
+
 def test_half_dist_rejects_nonpositive_det():
     W = HalfDistSquared()
     with pytest.raises(DomainError):

@@ -45,6 +45,9 @@ def test_mesh_owns_its_thickness_read_only():
         mesh.B[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         mesh.rigid[0, 0] = 1.0
+    assert mesh.k_op.shape == (64, 64)
+    with pytest.raises(ValueError):
+        mesh.k_op[0, 0] = 1.0
 
 
 def test_no_public_callable_takes_both_mesh_and_h():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
-from scipy.sparse import dia_matrix
+from scipy.sparse import coo_matrix, dia_matrix, diags
 
 from striplab import (
     HalfDistSquared,
@@ -19,7 +19,7 @@ from striplab import (
     solve_stationary,
 )
 from striplab.errors import ConfigError, StepRejected
-from striplab.mesh import DeformationField
+from striplab.mesh import DeformationField, StripMesh
 from striplab import solver
 from striplab.solver import elastic_residual, load_vector, tangent
 
@@ -156,6 +156,63 @@ def test_tangent_band_layout():
     inside = (r >= 0) & (r < ndof)
     touches = inside & (np.isin(r, fixed) | np.isin(c, fixed))
     assert np.array_equal(K[touches], (r == c)[touches].astype(float))
+
+
+@pytest.mark.parametrize("nx, ny", [(16, 4), (160, 8)])
+def test_operator_assembly_matches_element_definition(nx, ny):
+    """Residual B^T P, tangent sum_q w B_q^T A_q B_q and F = Id + B u_e, by definition."""
+    mesh = build_mesh(1.0, 0.025, nx, ny)
+    fld = perturbed_field(mesh, scale=1e-5, seed=41)
+    ue = fld.displacement().reshape(-1)[mesh.edofs]
+    F = np.einsum("qgd,ed->eqg", mesh.B, ue).reshape(mesh.nqp, 2, 2) + np.eye(2)
+    got = mesh.scaled_gradients(fld.displacement())
+    assert np.max(np.abs(got - F)) <= 1e-13 * np.max(np.abs(F))
+
+    P = W.stress(F).reshape(mesh.nelem, 4, 4)
+    expect = np.zeros(2 * mesh.nnode)
+    np.add.at(expect, mesh.edofs, mesh.qp_w * np.einsum("qgd,eqg->ed", mesh.B, P))
+    expect.reshape(-1, 2)[mesh.clamped_nodes()] = 0.0
+    got = elastic_residual(fld, W)
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    A = W.hessian(F).reshape(mesh.nelem, 4, 4, 4)
+    ke = mesh.qp_w * np.einsum("qgd,eqgh,qhf->edf", mesh.B, A, mesh.B)
+    ndof = 2 * mesh.nnode
+    rows = np.repeat(mesh.edofs, 8, axis=1).reshape(-1)
+    cols = np.tile(mesh.edofs, 8).reshape(-1)
+    fixed = ~mesh.free_dofs()
+    keep = ~(fixed[rows] | fixed[cols])
+    expect = coo_matrix((ke.reshape(-1)[keep], (rows[keep], cols[keep])), shape=(ndof, ndof))
+    expect = (expect + diags(fixed.astype(float))).tocsr()
+    gap = abs(dia(tangent(fld, W)).tocsr() - expect).max()
+    assert gap <= 1e-13 * abs(expect).max()
+
+
+def test_tangent_takes_the_callers_gradients_bitwise():
+    mesh = build_mesh(1.0, 0.1, 16, 4)
+    fld = perturbed_field(mesh, scale=1e-4, seed=43)
+    assert np.array_equal(tangent(fld, W, fld.gradients()), tangent(fld, W))
+
+
+def test_newton_builds_gradients_once_per_evaluation(monkeypatch):
+    # each residual evaluation builds F once and shares it with the energy
+    # and the tangent; the solve's closing energy builds one more
+    counts = {"gradients": 0, "residual": 0}
+    scaled_gradients = StripMesh.scaled_gradients
+
+    def gradients(self, u):
+        counts["gradients"] += 1
+        return scaled_gradients(self, u)
+
+    def residual(*args, **kwargs):
+        counts["residual"] += 1
+        return elastic_residual(*args, **kwargs)
+
+    monkeypatch.setattr(StripMesh, "scaled_gradients", gradients)
+    monkeypatch.setattr("striplab.solver.elastic_residual", residual)
+    _, rep = solve_stationary(build_mesh(1.0, 0.1, 16, 4), GAMMA, W)
+    assert rep.converged and rep.iterations > 1
+    assert counts["gradients"] == counts["residual"] + 1
 
 
 def test_singular_tangent_fails_fast_with_reason(monkeypatch):
