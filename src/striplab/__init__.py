@@ -31,7 +31,6 @@ from .energy import (
     IsotropicQuadratic,
     Linearization,
     linearize,
-    make_density,
     modulus_closed_form,
 )
 from .errors import (

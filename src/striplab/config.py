@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .elastica import solve_elastica
-from .energy import EnergyDensity, IsotropicQuadratic, linearize, make_density
+from .energy import EnergyDensity, HalfDistSquared, IsotropicQuadratic, linearize
 from .errors import ConfigError
 from .loads import LoadProfile
 from .mesh import build_mesh, mesh_rule_nx
@@ -104,13 +104,19 @@ _REQUIRED = object()
 
 
 def energy_from(cfg: ExperimentConfig) -> EnergyDensity:
-    """The `energy.kind` density; only isotropic-quadratic reads the moduli."""
-    W = make_density(cfg.get_str("energy.kind", "half-dist-squared"))
-    if isinstance(W, IsotropicQuadratic):
-        W = IsotropicQuadratic(
+    """The `energy.kind` density (any case, `_` for `-`), built once.
+
+    Only isotropic-quadratic reads `energy.mu` and `energy.lambda`, default 1.
+    """
+    kind = cfg.get_str("energy.kind", "half-dist-squared")
+    norm = kind.strip().lower().replace("_", "-")
+    if norm == "half-dist-squared":
+        return HalfDistSquared()
+    if norm == "isotropic-quadratic":
+        return IsotropicQuadratic(
             mu=cfg.get_float("energy.mu", 1.0), lam=cfg.get_float("energy.lambda", 1.0)
         )
-    return W
+    raise ConfigError(f"unknown energy.kind {kind!r}")
 
 
 def load_from(cfg: ExperimentConfig) -> LoadProfile:

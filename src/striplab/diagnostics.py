@@ -51,7 +51,6 @@ class RotationProfile:
     """Slab rotations of one strip solution and their mollification."""
 
     h: float
-    L: float
     edges: np.ndarray        # (k+1,) slab boundaries
     slab_angle: np.ndarray   # (k,) unwrapped polar angles of slab means
 
@@ -109,7 +108,7 @@ def slab_rotations(mesh: StripMesh, F: np.ndarray) -> RotationProfile:
         ang = polar_angle(means)
     except DomainError as exc:
         raise DiagnosticError(f"slab average is degenerate: {exc}") from exc
-    return RotationProfile(h=h, L=L, edges=edges, slab_angle=np.unwrap(ang))
+    return RotationProfile(h=h, edges=edges, slab_angle=np.unwrap(ang))
 
 
 def column_moments(mesh: StripMesh, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,11 +143,8 @@ class Diagnosis:
     """
 
     mesh: StripMesh
-    profile: RotationProfile
     F: np.ndarray                # scaled deformation gradient
     node_theta: np.ndarray       # mollified angle at mesh.x1
-    col_theta: np.ndarray        # mollified angle at mesh.col_x
-    col_theta_prime: np.ndarray  # its derivative along the columns
     G: np.ndarray                # scaled strain (R^T F - Id)/h
     E: np.ndarray                # scaled stress DW(Id + hG)/h
     Ebar: np.ndarray             # zeroth x2-moment of E per column
@@ -224,8 +220,7 @@ def diagnose(fld: DeformationField, g: LoadProfile, W: EnergyDensity) -> Diagnos
     den = np.sqrt(mesh.qp_w * np.sum(rhs**2))
 
     return Diagnosis(
-        mesh=mesh, profile=prof, F=F, node_theta=node_theta, col_theta=col_theta,
-        col_theta_prime=thp, G=G, E=E, Ebar=Ebar, Ehat=Ehat, Ghat=Ghat, z=z,
+        mesh=mesh, F=F, node_theta=node_theta, G=G, E=E, Ebar=Ebar, Ehat=Ehat, Ghat=Ghat, z=z,
         row=IdentityRow(h=h, r1=r1, r2=r2, r3=r3, r4=r4, r5=r5),
         z_bc_gap=z_bc_gap, z_identity_error=float(num / max(den, EPS_DIV)),
     )

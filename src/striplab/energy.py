@@ -120,10 +120,10 @@ class IsotropicQuadratic(EnergyDensity):
     coercive_globally = False  # vanishes on reflections
 
     def __init__(self, mu: float = 1.0, lam: float = 0.0):
-        if not (mu > 0.0):
-            raise ConfigError(f"energy.mu must be positive, got {mu!r}")
-        if not (lam >= 0.0):
-            raise ConfigError(f"energy.lambda must be nonnegative, got {lam!r}")
+        if not (0.0 < mu < np.inf):
+            raise ConfigError(f"energy.mu must be finite and positive, got {mu!r}")
+        if not (0.0 <= lam < np.inf):
+            raise ConfigError(f"energy.lambda must be finite and nonnegative, got {lam!r}")
         self.mu = float(mu)
         self.lam = float(lam)
 
@@ -152,15 +152,6 @@ class IsotropicQuadratic(EnergyDensity):
         out = out + self.mu * (F[..., :, None, None, :] * trans2(F)[..., None, :, :, None])
         out = out + self.lam * (F[..., :, :, None, None] * F[..., None, None, :, :])
         return out
-
-
-def make_density(kind: str, mu: float = 1.0, lam: float = 0.0) -> EnergyDensity:
-    norm = kind.strip().lower().replace("_", "-")
-    if norm == "half-dist-squared":
-        return HalfDistSquared()
-    if norm == "isotropic-quadratic":
-        return IsotropicQuadratic(mu=mu, lam=lam)
-    raise ConfigError(f"unknown energy.kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -206,10 +197,8 @@ def linearize(W: EnergyDensity) -> Linearization:
     return Linearization(matrix=M, modulus=1.0 / einv)
 
 
-def taylor_remainder(W: EnergyDensity, A: np.ndarray, lin: Linearization | None = None) -> np.ndarray:
-    """First-derivative remainder DW(Id + A) - L[A]; o(|A|) near the identity."""
-    if lin is None:
-        lin = linearize(W)
+def taylor_remainder(W: EnergyDensity, A: np.ndarray, lin: Linearization) -> np.ndarray:
+    """First-derivative remainder DW(Id + A) - lin[A], lin = linearize(W); o(|A|) at Id."""
     A = np.asarray(A, dtype=float)
     return W.stress(ID2 + A) - lin.apply(A)
 

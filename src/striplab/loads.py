@@ -27,16 +27,24 @@ class LoadProfile:
 
     @classmethod
     def from_samples(cls, xs, vals) -> "LoadProfile":
+        """Interpolate samples vals (m, 2) at increasing positions xs.
+
+        Errors name the key: `load.samples_x`, `load.samples_g1` or `_g2`."""
         xs = np.asarray(xs, dtype=float)
         vals = np.asarray(vals, dtype=float)
         if xs.ndim != 1 or vals.shape != (xs.size, 2):
             raise ConfigError(
-                f"load samples need shapes (m,) and (m, 2), got {xs.shape} and {vals.shape}"
+                f"load.samples_x: load samples need shapes (m,) and (m, 2), "
+                f"got {xs.shape} and {vals.shape}"
             )
         if xs.size < 2 or np.any(np.diff(xs) <= 0):
-            raise ConfigError("load sample positions must be strictly increasing, length >= 2")
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vals))):
-            raise ConfigError("load samples must be finite")
+            raise ConfigError(
+                "load.samples_x: load sample positions must be strictly increasing, length >= 2"
+            )
+        for key, v in (("load.samples_x", xs), ("load.samples_g1", vals[:, 0]),
+                       ("load.samples_g2", vals[:, 1])):
+            if not np.all(np.isfinite(v)):
+                raise ConfigError(f"{key}: load samples must be finite")
         return cls(xs=xs, vals=vals)
 
     def __call__(self, x) -> np.ndarray:

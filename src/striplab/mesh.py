@@ -95,12 +95,6 @@ class StripMesh:
         """Node ids on the clamped edge x1 = 0."""
         return np.arange(self.ny + 1)
 
-    def free_dofs(self) -> np.ndarray:
-        """Boolean mask over the 2*nnode displacement dofs."""
-        free = np.ones((self.nnode, 2), dtype=bool)
-        free[self.clamped_nodes()] = False
-        return free.reshape(-1)
-
     def qp_values(self, nodal: np.ndarray) -> np.ndarray:
         """Interpolate a nodal field to quadrature points, flat (nqp, ...)."""
         elem = np.asarray(nodal)[self.conn]

@@ -24,10 +24,11 @@ A.reshape(nelem, 64) @ k_op for the element stiffnesses.  Vectors are summed
 into nodes with ``np.bincount`` over the element dofs and the tangent's band
 with one ``np.bincount`` over the band slots that ``build_mesh`` computed
 once; couplings to clamped dofs fall into a discarded slot and the clamped
-diagonal is set to 1.  Summation follows element order, and each element's
-product does not depend on how BLAS splits the rows among threads, so
-residual and tangent are bit-reproducible.  Each Newton step solves the band
-by LAPACK's banded LU.
+diagonal is set to 1; with the clamped residual rows zeroed, assembly alone
+keeps every Newton step at exactly 0 on the clamped edge.  Summation
+follows element order, and each element's product does not depend on how
+BLAS splits the rows among threads, so residual and tangent are
+bit-reproducible.  Each Newton step solves the band by LAPACK's banded LU.
 """
 
 from __future__ import annotations
@@ -89,42 +90,29 @@ def load_vector(mesh: StripMesh, g: LoadProfile) -> np.ndarray:
     return _assemble(mesh, w * np.einsum("eqi,qa->eai", gvals, mesh.shape_n))
 
 
-def elastic_residual(
-    fld: DeformationField,
-    W: EnergyDensity,
-    F: np.ndarray | None = None,
-) -> np.ndarray:
+def elastic_residual(fld: DeformationField, W: EnergyDensity, F: np.ndarray) -> np.ndarray:
     """Gradient of the elastic part w.r.t. nodal positions, clamped rows zeroed.
 
-    Raises StepRejected when any scaled gradient determinant falls to
-    DET_FLOOR or below.  F, if given, is ``fld.gradients()`` already
-    computed by the caller.
+    F is ``fld.gradients()``.  Raises StepRejected when any scaled gradient
+    determinant falls to DET_FLOOR or below; this is the solver's one
+    determinant guard.
     """
     mesh = fld.mesh
-    if F is None:
-        F = fld.gradients()
     _guard_dets(mesh, F)
     P = W.stress(F).reshape(mesh.nelem, 16)
     return _assemble(mesh, mesh.qp_w * (P @ mesh.B.reshape(16, 8)))
 
 
-def tangent(
-    fld: DeformationField,
-    W: EnergyDensity,
-    F: np.ndarray | None = None,
-) -> np.ndarray:
+def tangent(fld: DeformationField, W: EnergyDensity, F: np.ndarray) -> np.ndarray:
     """Second derivative of the discrete functional, symmetric, band-stored.
 
     Returns the (2 bw + 1, ndof) band in LAPACK ``ab`` layout, with offsets
     bw..-bw and bw = ``mesh.k_bw``.  Rows and columns of clamped dofs are
-    replaced by identity.  F, if given, is ``fld.gradients()`` that the
-    caller has already passed through ``elastic_residual``'s determinant
-    guard; otherwise it is computed and guarded here.
+    replaced by identity, so with the clamped residual rows zeroed the
+    Newton step is exactly 0 there.  F is ``fld.gradients()``, already
+    passed through ``elastic_residual``'s determinant guard.
     """
     mesh = fld.mesh
-    if F is None:
-        F = fld.gradients()
-        _guard_dets(mesh, F)
     ke = W.hessian(F).reshape(mesh.nelem, 64) @ mesh.k_op
     bw, ndof = mesh.k_bw, 2 * mesh.nnode
     size = (2 * bw + 1) * ndof
@@ -137,16 +125,14 @@ def scaled_energy(
     fld: DeformationField,
     g: LoadProfile,
     W: EnergyDensity,
-    load_factor: float = 1.0,
-    F: np.ndarray | None = None,
+    load_factor: float,
+    F: np.ndarray,
 ) -> tuple[float, float]:
     """(elastic energy, total energy with the load term) of a deformation.
 
-    F, if given, is ``fld.gradients()`` already computed by the caller.
+    F is ``fld.gradients()``.
     """
     mesh = fld.mesh
-    if F is None:
-        F = fld.gradients()
     elastic = float(mesh.qp_w * np.sum(W.energy(F)))
     gvals = g(mesh.qp_x[:, 0])
     yq = mesh.qp_values(fld.y)
@@ -172,18 +158,27 @@ def _newton(
     last: it cuts that distance quadratically.  MAX_ITERS caps the steps
     taken to reach the bound.  An exact zero residual takes no step.
 
+    One local ``evaluate`` turns positions into F, the residual, its sup
+    norm and the total energy, at the start state and at every line-search
+    trial.  No step is masked: assembly makes it exactly 0 on clamped dofs.
+
     Mutates fld.y in place; returns (iterations, residual sup norm).  Raises
     StepRejected (only at the start state, before any step) or
     NonConvergence, whose ``iterations`` counts the steps taken.
     """
     mesh = fld.mesh
-    free = mesh.free_dofs()
     tol = NEWTON_TOL * load_factor * float(np.max(np.abs(f)))
     floor = 0.0
-    F = fld.gradients()
-    r = elastic_residual(fld, W, F) - load_factor * f
-    rsup = float(np.max(np.abs(r)))
-    _, e0 = scaled_energy(fld, g, W, load_factor, F)
+
+    def evaluate(y):
+        """Move fld to y: (F, residual, its sup norm, total energy)."""
+        fld.y = y
+        F = fld.gradients()
+        r = elastic_residual(fld, W, F) - load_factor * f
+        _, e = scaled_energy(fld, g, W, load_factor, F)
+        return F, r, float(np.max(np.abs(r))), e
+
+    F, r, rsup, e0 = evaluate(fld.y)
     it = 0
     last = rsup == 0.0
     while not last:
@@ -196,24 +191,19 @@ def _newton(
             delta = solve_banded((mesh.k_bw, mesh.k_bw), K, -r, check_finite=False)
         except LinAlgError:
             raise NonConvergence("singular tangent", rsup, it) from None
-        delta[~free] = 0.0
         slope = float(r @ delta)
         if slope >= 0.0:
             raise NonConvergence("tangent step is not a descent direction", rsup, it)
         y0 = fld.y.copy()
         alpha = 1.0
         for _ in range(MAX_BACKTRACKS):
-            fld.y = y0 + alpha * delta.reshape(-1, 2)
-            F = fld.gradients()
             try:
-                r = elastic_residual(fld, W, F) - load_factor * f
+                F_new, r_new, rsup_new, e1 = evaluate(y0 + alpha * delta.reshape(-1, 2))
             except StepRejected:
                 alpha *= 0.5
                 continue
-            _, e1 = scaled_energy(fld, g, W, load_factor, F)
             # near the residual floor the energy difference drowns in
             # roundoff; accept on plain residual decrease as well
-            rsup_new = float(np.max(np.abs(r)))
             if e1 <= e0 + ARMIJO_C * alpha * slope or rsup_new <= (1.0 - ARMIJO_C * alpha) * rsup:
                 break
             alpha *= 0.5
@@ -222,8 +212,7 @@ def _newton(
             if last:
                 break  # the step was a refinement of an iterate within the bound
             raise NonConvergence("line search failed", rsup, it)
-        e0 = e1
-        rsup = rsup_new
+        F, r, rsup, e0 = F_new, r_new, rsup_new, e1
         it += 1
     return it, rsup
 
@@ -246,7 +235,8 @@ def solve_stationary(
     ends on 1.0.  Nothing is raised for a failed solve: the report's message
     says why the first step failed and where the loop stalled,
     ``iterations`` counts the Newton steps of rejected increments too, and
-    ``residual_sup`` is NaN if no increment was accepted.
+    ``residual_sup`` is NaN if no increment was accepted.  The reported
+    energies are taken at the last accepted load factor.
     """
     if start is not None and start.mesh is not mesh:
         raise ConfigError("start must be a field on the mesh being solved")
@@ -275,7 +265,7 @@ def solve_stationary(
         fld, mu = trial, mu + s
         path.append((mu, it))
         step = 2.0 * s
-    el, tot = scaled_energy(fld, g, W, mu)
+    el, tot = scaled_energy(fld, g, W, mu, fld.gradients())
     return fld, SolverReport(
         converged=mu == 1.0, iterations=iterations, residual_sup=rsup,
         elastic_energy=el, total_energy=tot, path=path, message=message,

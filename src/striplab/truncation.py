@@ -65,10 +65,6 @@ class GridFunction:
         return self.values.shape[1]
 
     @property
-    def ncomp(self) -> int:
-        return 1 if self.values.ndim == 2 else self.values.shape[2]
-
-    @property
     def cell_area(self) -> float:
         return self.spacing[0] * self.spacing[1]
 
@@ -390,16 +386,6 @@ class TruncationResult:
         self.extension_factor = self.lam / self.level if self.level > 0 else 1.0
 
 
-def _reflection_rows(K: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Source row and strip index for each extended row J in 0..K."""
-    J = np.arange(K + 1)
-    t = J - K // 2
-    strip = np.floor_divide(t + m // 2, m)
-    inner = t - strip * m
-    j_src = np.where(strip % 2 == 0, inner + m // 2, m // 2 - inner)
-    return j_src, strip
-
-
 def square_cells(m: int, d2: float) -> int:
     """Cells K across the unit square that a strip of m cells of width d2 reflects onto.
 
@@ -417,18 +403,21 @@ def square_cells(m: int, d2: float) -> int:
     return K
 
 
-def reflect_to_square(u: GridFunction) -> tuple[GridFunction, np.ndarray]:
+def reflect_to_square(u: GridFunction) -> GridFunction:
     """Extend a strip field to the unit square by successive reflection.
 
-    The spacing must pass ``square_cells``.  Returns the extended field and
-    the strip index of each extended row.
+    The spacing must pass ``square_cells``.  Extended row J of K lies in
+    strip floor((J - K/2 + m/2) / m), the center strip being 0; even strips
+    copy the m + 1 source rows in order, odd strips mirror them.
     """
     d1, d2 = u.spacing
     m = u.n2 - 1
     K = square_cells(m, d2)
-    j_src, strip = _reflection_rows(K, m)
-    ext = GridFunction(values=u.values[:, j_src], spacing=(d1, d2))
-    return ext, strip
+    t = np.arange(K + 1) - K // 2
+    strip = np.floor_divide(t + m // 2, m)
+    inner = t - strip * m
+    j_src = np.where(strip % 2 == 0, inner + m // 2, m // 2 - inner)
+    return GridFunction(values=u.values[:, j_src], spacing=(d1, d2))
 
 
 def _strip_slice(i0: int, K: int, m: int) -> np.ndarray:
@@ -450,7 +439,7 @@ def thin_truncate(u: GridFunction, a: float, A: float, p: float = 2.0) -> Trunca
     """
     if not (0 < a < A):
         raise ConfigError(f"need 0 < a < A, got a={a!r}, A={A!r}")
-    ext, _ = reflect_to_square(u)
+    ext = reflect_to_square(u)
     m = u.n2 - 1
     K = ext.n2 - 1
     # every threshold below is at least a, so radii that cannot reach a are skipped
@@ -496,17 +485,16 @@ def thin_truncate(u: GridFunction, a: float, A: float, p: float = 2.0) -> Trunca
     )
 
 
-def rough_field(seed: int, vector: bool = True):
-    """A resolution-independent test field: low modes plus sharp bumps.
+def rough_field(seed: int):
+    """A resolution-independent 2-vector test field: low modes plus sharp bumps.
 
-    Returns a callable (x, y) -> values with the last axis the component
-    axis when vector.  Parameters are drawn once from the seed, so samples
+    Returns a callable (x, y) -> values with the last axis of length 2 the
+    component axis.  Parameters are drawn once from the seed, so samples
     on different grids discretize the same function.
     """
     rng = np.random.default_rng(seed)
-    ncomp = 2 if vector else 1
     comps = []
-    for _ in range(ncomp):
+    for _ in range(2):
         nmode = 6
         kvec = rng.integers(-3, 4, size=(nmode, 2))
         kvec[np.all(kvec == 0, axis=1)] = [1, 0]
@@ -517,14 +505,12 @@ def rough_field(seed: int, vector: bool = True):
     bx = rng.uniform(0.1, 0.9, size=nbump)
     by_rel = rng.uniform(0.2, 0.8, size=nbump)
     bw = rng.uniform(0.015, 0.04, size=nbump)
-    bamp = rng.uniform(0.3, 1.0, size=(nbump, ncomp)) * rng.choice(
-        [-1.0, 1.0], size=(nbump, ncomp)
-    )
+    bamp = rng.uniform(0.3, 1.0, size=(nbump, 2)) * rng.choice([-1.0, 1.0], size=(nbump, 2))
 
     def evaluate(x: np.ndarray, y: np.ndarray, height: float = 1.0) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        out = np.zeros(x.shape + (ncomp,))
+        out = np.zeros(x.shape + (2,))
         for c, (kvec, amp, phase) in enumerate(comps):
             arg = 2.0 * np.pi * (
                 x[..., None] * kvec[:, 0] + y[..., None] * kvec[:, 1]
@@ -533,8 +519,6 @@ def rough_field(seed: int, vector: bool = True):
         for b in range(nbump):
             d2 = (x - bx[b]) ** 2 + (y - by_rel[b] * height) ** 2
             out += bamp[b] * np.exp(-d2 / bw[b] ** 2)[..., None]
-        if not vector:
-            return out[..., 0]
         return out
 
     return evaluate

@@ -141,6 +141,46 @@ def test_truncate_bad_window_exits_2_naming_both_keys(tmp_path, capsys):
         ("truncate", "truncation.resolutions = 64x8,64x7\n", "truncation.resolutions"),
         ("truncate", TINY_TRUNC + "truncation.height = 0.4\n", "truncation.height"),
         ("solve-elastica", "elastica.n = 4\n", "elastica.n"),
+        (
+            "solve-strip",
+            "strip.h = 0.2\nenergy.kind = isotropic-quadratic\nenergy.mu = inf\n",
+            "energy.mu",
+        ),
+        (
+            "converge",
+            "sweep.h = 0.2\nenergy.kind = isotropic-quadratic\nenergy.lambda = inf\n",
+            "energy.lambda",
+        ),
+        (
+            "solve-strip",
+            "strip.h = 0.2\nload.samples_x = 0, 1\n"
+            "load.samples_g1 = 0, 0, 0\nload.samples_g2 = -1, -1, -1\n",
+            "load.samples_x",
+        ),
+        (
+            "solve-strip",
+            "strip.h = 0.2\nload.samples_x = 1, 0\n"
+            "load.samples_g1 = 0, 0\nload.samples_g2 = -1, -1\n",
+            "load.samples_x",
+        ),
+        (
+            "solve-strip",
+            "strip.h = 0.2\nload.samples_x = 0.5\n"
+            "load.samples_g1 = 0\nload.samples_g2 = -1\n",
+            "load.samples_x",
+        ),
+        (
+            "solve-strip",
+            "strip.h = 0.2\nload.samples_x = 0, 1\n"
+            "load.samples_g1 = 0, nan\nload.samples_g2 = -1, -1\n",
+            "load.samples_g1",
+        ),
+        (
+            "solve-strip",
+            "strip.h = 0.2\nload.samples_x = 0, 1\n"
+            "load.samples_g1 = 0, 0\nload.samples_g2 = -1, inf\n",
+            "load.samples_g2",
+        ),
     ],
     ids=[
         "zero-cells",
@@ -167,6 +207,13 @@ def test_truncate_bad_window_exits_2_naming_both_keys(tmp_path, capsys):
         "odd-cells-across",
         "height-too-thick",
         "elastica-n-below-8",
+        "mu-inf",
+        "lambda-inf",
+        "sample-positions-vs-values",
+        "sample-positions-decreasing",
+        "single-sample",
+        "sample-g1-nan",
+        "sample-g2-inf",
     ],
 )
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, text, key):

@@ -128,6 +128,22 @@ def test_energy_from_default_and_isotropic():
     assert (W.mu, W.lam) == (2.0, 0.5)
 
 
+def test_energy_from_spelling_and_errors():
+    def density(text):
+        return energy_from(ExperimentConfig.from_text(text))
+
+    assert isinstance(density("energy.kind = half-dist-squared"), HalfDistSquared)
+    assert isinstance(density("energy.kind = half_dist_squared"), HalfDistSquared)
+    W = density("energy.kind = isotropic_quadratic\nenergy.mu = 2.0\nenergy.lambda = 1.0")
+    assert isinstance(W, IsotropicQuadratic) and W.mu == 2.0
+    with pytest.raises(ConfigError, match="unknown energy.kind 'neo-hookean'"):
+        density("energy.kind = neo-hookean")
+    with pytest.raises(ConfigError):
+        IsotropicQuadratic(mu=-1.0)
+    with pytest.raises(ConfigError):
+        IsotropicQuadratic(mu=1.0, lam=-0.5)
+
+
 def test_load_from_constant_and_sampled():
     assert np.all(load_from(ExperimentConfig.from_text("")).vals == 0.0)
     g = load_from(ExperimentConfig.from_text("load.g2 = -1e-3"))

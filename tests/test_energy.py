@@ -7,7 +7,6 @@ from striplab import (
     HalfDistSquared,
     IsotropicQuadratic,
     linearize,
-    make_density,
     modulus_closed_form,
     rot2,
 )
@@ -156,22 +155,9 @@ def test_taylor_remainder_superlinear(W):
     rng = np.random.default_rng(21)
     A = rng.standard_normal((2, 2))
     ts = np.array([1e-2, 5e-3, 2.5e-3])
-    rem = taylor_remainder(W, ts[:, None, None] * A)
+    rem = taylor_remainder(W, ts[:, None, None] * A, linearize(W))
     rnorm = np.sqrt(np.sum(rem**2, axis=(-2, -1)))
     if rnorm.max() >= 1e-14:
         ratios = rnorm[:-1] / rnorm[1:]
         # o(t): halving t must shrink the remainder faster than linearly
         assert np.all(ratios > 2.5)
-
-
-def test_make_density_spelling_and_errors():
-    assert isinstance(make_density("half-dist-squared"), HalfDistSquared)
-    assert isinstance(make_density("half_dist_squared"), HalfDistSquared)
-    W = make_density("isotropic_quadratic", mu=2.0, lam=1.0)
-    assert isinstance(W, IsotropicQuadratic) and W.mu == 2.0
-    with pytest.raises(ConfigError):
-        make_density("neo-hookean")
-    with pytest.raises(ConfigError):
-        IsotropicQuadratic(mu=-1.0)
-    with pytest.raises(ConfigError):
-        IsotropicQuadratic(mu=1.0, lam=-0.5)

@@ -130,13 +130,14 @@ def test_qp_values_interpolates_bilinear_exactly():
     np.testing.assert_allclose(at_qp, 2.0 * x1 - 3.0 * x2 + x1 * x2, atol=1e-13)
 
 
-def test_clamped_nodes_and_free_dofs():
+def test_clamped_nodes_are_the_first_column():
     mesh = build_mesh(1.0, 0.1, 4, 2)
     ids = mesh.clamped_nodes()
     assert np.all(mesh.nodes[ids, 0] == 0.0)
-    free = mesh.free_dofs()
-    assert free.sum() == 2 * (mesh.nnode - ids.size)
-    assert not free[: 2 * ids.size].any()
+    # every node on x1 = 0 is clamped, and they come first, so the clamped
+    # dofs are 0 .. 2 * ids.size - 1
+    assert np.array_equal(ids, np.flatnonzero(mesh.nodes[:, 0] == 0.0))
+    assert np.array_equal(ids, np.arange(ids.size))
 
 
 def test_node_ids_grid_matches_coordinates():

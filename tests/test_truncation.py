@@ -68,12 +68,11 @@ def test_grid_function_validation():
 
 def test_grid_function_properties():
     gf = GridFunction(values=np.zeros((5, 3, 2)), spacing=(0.25, 0.5))
-    assert (gf.n1, gf.n2, gf.ncomp) == (5, 3, 2)
+    assert (gf.n1, gf.n2) == (5, 3)
     assert gf.cell_area == pytest.approx(0.125)
     assert gf.extent == pytest.approx((1.0, 1.0))
     assert gf.components().shape == (5, 3, 2)
     sc = GridFunction(values=np.zeros((5, 3)), spacing=(0.25, 0.5))
-    assert sc.ncomp == 1
     assert sc.components().shape == (5, 3, 1)
 
 
@@ -166,7 +165,7 @@ def test_maximal_function_floor_keeps_every_decision(grid):
     floor = 14.0
     for seed in (*range(8), 28, 31):
         u = sample_on_strip(rough_field(seed), *grid, 0.125)
-        g = gradient_magnitude(reflect_to_square(u)[0])
+        g = gradient_magnitude(reflect_to_square(u))
         full = maximal_function(g).values
         pruned = maximal_function(g, floor=floor).values
         for A in (28.0, 42.0):
@@ -178,7 +177,7 @@ def test_maximal_function_floor_keeps_every_decision(grid):
 
 def test_maximal_function_floor_skips_radii(monkeypatch):
     u = sample_on_strip(rough_field(0), 256, 32, 0.125)
-    g = gradient_magnitude(reflect_to_square(u)[0])
+    g = gradient_magnitude(reflect_to_square(u))
     n_radii = len(_ball_kernels(g)) - 1  # fills the kernel cache first
     assert n_radii == 19
     calls = []
@@ -407,19 +406,17 @@ def tent_row(J, K, m):
 
 def test_reflect_to_square_row_map_matches_tent_oracle():
     u = random_scalar(7, 5, (0.2, 1.0 / 16.0), seed=12)
-    ext, strip = reflect_to_square(u)
+    ext = reflect_to_square(u)
     K = round(1.0 / u.spacing[1])
     m = u.n2 - 1
     assert ext.values.shape == (7, K + 1)
     for J in range(K + 1):
         assert np.array_equal(ext.values[:, J], u.values[:, tent_row(J, K, m)])
-    # center strip is index 0; the shared top row is labeled by the strip above
-    assert strip[(K - m) // 2 : (K - m) // 2 + m + 1].tolist() == [0] * m + [1]
 
 
 def test_reflect_to_square_every_strip_recovers_the_field():
     u = random_scalar(6, 5, (0.25, 1.0 / 32.0), seed=13)
-    ext, _ = reflect_to_square(u)
+    ext = reflect_to_square(u)
     K, m = ext.n2 - 1, u.n2 - 1
     n_side = (K - m) // (2 * m)
     assert n_side >= 1
@@ -528,13 +525,6 @@ def test_rough_field_is_deterministic_and_resolution_independent():
     coarse = sample_on_strip(fn_a, 32, 4, 0.125)
     fine = sample_on_strip(fn_a, 64, 8, 0.125)
     assert np.array_equal(coarse.values, fine.values[::2, ::2])
-
-
-def test_rough_field_scalar_variant():
-    fn = rough_field(2, vector=False)
-    u = sample_on_strip(fn, 16, 2, 0.125)
-    assert u.values.ndim == 2
-    assert u.ncomp == 1
 
 
 def test_sample_on_strip_grid_layout():
