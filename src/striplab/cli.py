@@ -39,7 +39,7 @@ from .errors import (
     TruncationFailure,
 )
 from .solver import lift, solve_stationary
-from .truncation import grad_sup, rough_field, sample_on_strip, square_cells, thin_truncate
+from .truncation import rough_field, sample_on_strip, square_cells, thin_truncate
 
 EXIT_OK = 0
 EXIT_SOLVER = 1
@@ -260,7 +260,7 @@ def run_truncation_demo(cfg: ExperimentConfig, out: Path, seed: int | None = Non
                     result.q,
                     result.mismatch_area,
                     result.strip_index,
-                    grad_sup(result.v),
+                    result.grad_sup,
                 )
             )
     dt = time.perf_counter() - t0

@@ -146,7 +146,7 @@ def _newton(
     f: np.ndarray,
     W: EnergyDensity,
     load_factor: float,
-) -> tuple[int, float]:
+) -> tuple[int, float, float, float]:
     """Newton with Armijo backtracking at fixed load factor.
 
     f is ``load_vector(fld.mesh, g)``.  The stopping bound is the
@@ -159,10 +159,12 @@ def _newton(
     taken to reach the bound.  An exact zero residual takes no step.
 
     One local ``evaluate`` turns positions into F, the residual, its sup
-    norm and the total energy, at the start state and at every line-search
-    trial.  No step is masked: assembly makes it exactly 0 on clamped dofs.
+    norm and the (elastic, total) energy pair, at the start state and at
+    every line-search trial.  No step is masked: assembly makes it exactly
+    0 on clamped dofs.
 
-    Mutates fld.y in place; returns (iterations, residual sup norm).  Raises
+    Mutates fld.y in place; returns (iterations, residual sup norm, elastic
+    energy, total energy), the energies those of the returned iterate.  Raises
     StepRejected (only at the start state, before any step) or
     NonConvergence, whose ``iterations`` counts the steps taken.
     """
@@ -171,14 +173,13 @@ def _newton(
     floor = 0.0
 
     def evaluate(y):
-        """Move fld to y: (F, residual, its sup norm, total energy)."""
+        """Move fld to y: (F, residual, its sup norm, (elastic, total) energy)."""
         fld.y = y
         F = fld.gradients()
         r = elastic_residual(fld, W, F) - load_factor * f
-        _, e = scaled_energy(fld, g, W, load_factor, F)
-        return F, r, float(np.max(np.abs(r))), e
+        return F, r, float(np.max(np.abs(r))), scaled_energy(fld, g, W, load_factor, F)
 
-    F, r, rsup, e0 = evaluate(fld.y)
+    F, r, rsup, en0 = evaluate(fld.y)
     it = 0
     last = rsup == 0.0
     while not last:
@@ -198,13 +199,14 @@ def _newton(
         alpha = 1.0
         for _ in range(MAX_BACKTRACKS):
             try:
-                F_new, r_new, rsup_new, e1 = evaluate(y0 + alpha * delta.reshape(-1, 2))
+                F_new, r_new, rsup_new, en1 = evaluate(y0 + alpha * delta.reshape(-1, 2))
             except StepRejected:
                 alpha *= 0.5
                 continue
             # near the residual floor the energy difference drowns in
             # roundoff; accept on plain residual decrease as well
-            if e1 <= e0 + ARMIJO_C * alpha * slope or rsup_new <= (1.0 - ARMIJO_C * alpha) * rsup:
+            if (en1[1] <= en0[1] + ARMIJO_C * alpha * slope
+                    or rsup_new <= (1.0 - ARMIJO_C * alpha) * rsup):
                 break
             alpha *= 0.5
         else:
@@ -212,9 +214,9 @@ def _newton(
             if last:
                 break  # the step was a refinement of an iterate within the bound
             raise NonConvergence("line search failed", rsup, it)
-        F, r, rsup, e0 = F_new, r_new, rsup_new, e1
+        F, r, rsup, en0 = F_new, r_new, rsup_new, en1
         it += 1
-    return it, rsup
+    return it, rsup, *en0
 
 
 def solve_stationary(
@@ -236,7 +238,8 @@ def solve_stationary(
     says why the first step failed and where the loop stalled,
     ``iterations`` counts the Newton steps of rejected increments too, and
     ``residual_sup`` is NaN if no increment was accepted.  The reported
-    energies are taken at the last accepted load factor.
+    energies are those Newton measured on the last accepted iterate, at its
+    load factor; with none accepted they are taken at load factor 0.
     """
     if start is not None and start.mesh is not mesh:
         raise ConfigError("start must be a field on the mesh being solved")
@@ -251,7 +254,7 @@ def solve_stationary(
         s = min(step, 1.0 - mu)
         trial = DeformationField(mesh=mesh, y=fld.y.copy())
         try:
-            it, rsup = _newton(trial, g, f, W, mu + s)
+            it, rsup, el, tot = _newton(trial, g, f, W, mu + s)
         except (StepRejected, NonConvergence) as exc:
             iterations += getattr(exc, "iterations", 0)  # StepRejected takes no step
             if s == 1.0:  # only the first step spans the whole load
@@ -265,7 +268,8 @@ def solve_stationary(
         fld, mu = trial, mu + s
         path.append((mu, it))
         step = 2.0 * s
-    el, tot = scaled_energy(fld, g, W, mu, fld.gradients())
+    if not path:
+        el, tot = scaled_energy(fld, g, W, mu, fld.gradients())
     return fld, SolverReport(
         converged=mu == 1.0, iterations=iterations, residual_sup=rsup,
         elastic_energy=el, total_energy=tot, path=path, message=message,

@@ -82,15 +82,21 @@ class GridFunction:
 def gradient_magnitude(gf: GridFunction) -> GridFunction:
     """Pointwise |grad u| from forward differences, anchored at cell corners.
 
-    The (n1-1, n2-1) anchored values are edge-padded back to node shape so
-    downstream averaging sees a field on the same grid.
+    The squared differences are summed component by component on 2-d
+    slices, in component order, which for one or two components is bitwise
+    the sum over the component axis.  The (n1-1, n2-1) anchored values are
+    edge-padded back to node shape so downstream averaging sees a field on
+    the same grid.
     """
     u = gf.components()
     d1, d2 = gf.spacing
-    gx = (u[1:, :-1] - u[:-1, :-1]) / d1
-    gy = (u[:-1, 1:] - u[:-1, :-1]) / d2
-    mag = np.sqrt(np.sum(gx**2 + gy**2, axis=-1))
-    mag = np.pad(mag, ((0, 1), (0, 1)), mode="edge")
+    sq = 0.0
+    for c in range(u.shape[-1]):
+        uc = u[:, :, c]
+        gx = (uc[1:, :-1] - uc[:-1, :-1]) / d1
+        gy = (uc[:-1, 1:] - uc[:-1, :-1]) / d2
+        sq = sq + (gx**2 + gy**2)
+    mag = np.pad(np.sqrt(sq), ((0, 1), (0, 1)), mode="edge")
     return GridFunction(values=mag, spacing=gf.spacing)
 
 
@@ -192,6 +198,8 @@ def maximal_function(grad_mag: GridFunction, *, floor: float = 0.0) -> GridFunct
     diameter.  Ball averages count only in-domain nodes.  Each ball sum is
     one FFT convolution zero-padded to n + m nodes per axis (rounded up to
     a fast length), which is exact for offsets up to m (see _ball_kernels).
+    The padded shape never shrinks as r grows, so radii that share one come
+    one after another; f is transformed once per run of them.
 
     floor > 0 skips the largest radii whose ball averages provably stay
     below floor at every node: a box sum of f bounds each ball sum from
@@ -211,8 +219,11 @@ def maximal_function(grad_mag: GridFunction, *, floor: float = 0.0) -> GridFunct
     if floor > 0:
         kernels = kernels[: _reaching_radii(f, kernels, floor)]
     out = f.copy()
+    shape = None
     for kfft, pshape, den, _ in kernels:
-        num = sfft.irfft2(sfft.rfft2(f, s=pshape) * kfft, s=pshape)[:n1, :n2]
+        if pshape != shape:
+            shape, ffft = pshape, sfft.rfft2(f, s=pshape)
+        num = sfft.irfft2(ffft * kfft, s=pshape)[:n1, :n2]
         np.maximum(out, num / den, out=out)
     return GridFunction(values=np.maximum(out, 0.0), spacing=grad_mag.spacing)
 
@@ -242,25 +253,31 @@ def select_lambda(
 def _good_set_kappa(u: np.ndarray, good: np.ndarray, t: float, spacing) -> float:
     """Extension constant: level t or the windowed good-set steepness of u.
 
-    Checks all good node pairs within a KAPPA_WINDOW-cell box; the certified
-    bound is measured on the final output, so locality here costs quality at
-    worst.
+    u is (n1, n2, ncomp).  Checks all good node pairs within a KAPPA_WINDOW-
+    cell box, over every component at once; the certified bound is measured
+    on the final output, so locality here costs quality at worst.
+
+    Bad nodes are NaN in a (ncomp, n1, n2) copy of u, so a pair with a bad
+    end differs by NaN, which fmax and fmin skip: per window offset,
+    max |a - b| over the good pairs is max(fmax(a - b), -fmin(a - b)), and
+    NaN exactly when the offset has no good pair.  Offsets no pair fits in
+    (di >= n1 or |dj| >= n2) are skipped.
     """
     d1, d2 = spacing
-    best = 0.0
     n1, n2 = good.shape
+    g = np.where(good, np.moveaxis(u, -1, 0), np.nan)
+    best = 0.0
     for di in range(0, KAPPA_WINDOW + 1):
         for dj in range(-KAPPA_WINDOW, KAPPA_WINDOW + 1):
-            if di == 0 and dj <= 0:
+            if (di == 0 and dj <= 0) or di >= n1 or abs(dj) >= n2:
                 continue
-            dist = np.hypot(di * d1, dj * d2)
-            sl_a = (slice(di, n1), slice(max(dj, 0), n2 + min(dj, 0)))
-            sl_b = (slice(0, n1 - di), slice(max(-dj, 0), n2 - max(dj, 0)))
-            pair = good[sl_a] & good[sl_b]
-            if not np.any(pair):
+            sl_a = (slice(None), slice(di, n1), slice(max(dj, 0), n2 + min(dj, 0)))
+            sl_b = (slice(None), slice(0, n1 - di), slice(max(-dj, 0), n2 - max(dj, 0)))
+            diff = g[sl_a] - g[sl_b]
+            steep = max(np.fmax.reduce(diff, axis=None), -np.fmin.reduce(diff, axis=None))
+            if np.isnan(steep):
                 continue
-            diff = np.abs(u[sl_a] - u[sl_b])[pair]
-            best = max(best, float(np.max(diff)) / dist)
+            best = max(best, float(steep) / np.hypot(di * d1, dj * d2))
     return max(t, best)
 
 
@@ -356,10 +373,7 @@ def _truncate_at_level(
     if not bad.any():
         return GridFunction(values=u.values.copy(), spacing=u.spacing), bad, t
     comps = u.components()
-    kappa = max(
-        _good_set_kappa(comps[:, :, c], ~bad, t, u.spacing)
-        for c in range(comps.shape[-1])
-    )
+    kappa = _good_set_kappa(comps, ~bad, t, u.spacing)
     v = _mcshane(comps, ~bad, kappa, u.spacing, fill=fill)
     if u.values.ndim == 2:
         v = v[:, :, 0]
@@ -372,7 +386,8 @@ class TruncationResult:
 
     v: GridFunction
     level: float        # selected level, always in [a, A]
-    lam: float          # certified bound: max(level, measured sup |grad v|)
+    lam: float          # certified bound: max(level, grad_sup)
+    grad_sup: float     # measured sup |grad v| on the strip grid
     bad_mask: np.ndarray  # {u != v} on the strip grid
     q: float            # lam^2 * area{u != v} / (energy / log(A/a))
     strip_index: int
@@ -464,7 +479,8 @@ def thin_truncate(u: GridFunction, a: float, A: float, p: float = 2.0) -> Trunca
     area = float(np.sum(mask) * u.cell_area)
     energy = dirichlet_energy(u)
     log_ratio = float(np.log(A / a))
-    lam = max(level, grad_sup(v_strip))
+    sup = grad_sup(v_strip)
+    lam = max(level, sup)
     if area == 0.0:
         q = 0.0
     elif energy == 0.0:
@@ -475,6 +491,7 @@ def thin_truncate(u: GridFunction, a: float, A: float, p: float = 2.0) -> Trunca
         v=v_strip,
         level=level,
         lam=lam,
+        grad_sup=sup,
         bad_mask=mask,
         q=q,
         strip_index=i0,

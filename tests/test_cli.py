@@ -245,6 +245,16 @@ def test_truncate_unreachable_level_exits_3(tmp_path, capsys):
     assert "good set is empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["1x8", "2x8", "3x8"])
+def test_truncate_grids_coarser_than_the_window(tmp_path, grid):
+    # fewer nodes along the strip than the steepness window spans
+    cfg = write_cfg(tmp_path, f"truncation.fields = 3\ntruncation.resolutions = {grid}\n")
+    out = tmp_path / "o"
+    assert main(["truncate", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = read_table(out / "qstats.csv")
+    assert [r[0] for r in rows] == [grid] * 3
+
+
 def test_truncate_outputs_are_deterministic(tmp_path):
     cfg = write_cfg(tmp_path, TINY_TRUNC)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -27,6 +27,7 @@ from striplab.truncation import (
     LADDER_FACTOR,
     N_CANDIDATES,
     _ball_kernels,
+    _good_set_kappa,
     _mcshane,
     _strip_slice,
     _truncate_at_level,
@@ -85,6 +86,19 @@ def test_gradient_magnitude_exact_on_linear_fields():
     vec = linear_field(9, 7, (0.125, 0.2), [(1.0, 2.0), (-3.0, 0.25)])
     frob = np.sqrt(1.0 + 4.0 + 9.0 + 0.0625)
     assert gradient_magnitude(vec).values == pytest.approx(frob, rel=1e-13)
+
+
+@pytest.mark.parametrize("ncomp", [1, 2])
+def test_gradient_magnitude_matches_component_axis_sum_bitwise(ncomp):
+    u = sample_on_strip(rough_field(5), 64, 64, 1.0)
+    values = u.values[:, :, :ncomp] if ncomp > 1 else u.values[:, :, 0]
+    gf = GridFunction(values=values, spacing=u.spacing)
+    comps = gf.components()
+    d1, d2 = gf.spacing
+    gx = (comps[1:, :-1] - comps[:-1, :-1]) / d1
+    gy = (comps[:-1, 1:] - comps[:-1, :-1]) / d2
+    expect = np.pad(np.sqrt(np.sum(gx**2 + gy**2, axis=-1)), ((0, 1), (0, 1)), mode="edge")
+    assert gradient_magnitude(gf).values.tobytes() == expect.tobytes()
 
 
 def test_dirichlet_energy_and_sup_on_linear_field():
@@ -187,12 +201,26 @@ def test_maximal_function_floor_skips_radii(monkeypatch):
         calls.append(1)
         return irfft2(*args, **kwargs)
 
+    forward = []
+    rfft2 = truncation.sfft.rfft2
+
+    def counting_forward(*args, **kwargs):
+        forward.append(kwargs["s"])
+        return rfft2(*args, **kwargs)
+
     monkeypatch.setattr(truncation.sfft, "irfft2", counting)
+    monkeypatch.setattr(truncation.sfft, "rfft2", counting_forward)
+    # f is transformed once per distinct padded shape of the convolved radii
+    shapes = [pshape for _, pshape, _, _ in _ball_kernels(g)[1:]]
     maximal_function(g, floor=14.0)
     assert 0 < len(calls) < n_radii
+    assert forward == list(dict.fromkeys(shapes[: len(calls)]))
     calls.clear()
+    forward.clear()
     maximal_function(g)
     assert len(calls) == n_radii
+    assert forward == list(dict.fromkeys(shapes))
+    assert len(forward) < n_radii
 
 
 def test_maximal_function_validation():
@@ -271,6 +299,49 @@ def dense_mcshane(u, good, t, spacing):
             for c in range(ncomp):
                 v[i, j, c] = np.min(u[gi, gj, c] + kappa * dist)
     return v, kappa
+
+
+def _kappa_bits(u, good, t, spacing):
+    """(scan, loop oracle) steepness constants as bytes."""
+    got = _good_set_kappa(u, good, t, spacing)
+    _, expect = dense_mcshane(u, good, t, spacing)
+    return np.float64(got).tobytes(), np.float64(expect).tobytes()
+
+
+def test_good_set_kappa_matches_loop_oracle_bitwise():
+    rng = np.random.default_rng(12)
+    spacing = (0.07, 0.045)
+    vec = rng.standard_normal((14, 11, 2))
+    good = rng.random((14, 11)) > 0.3
+    t = 0.5
+    got, expect = _kappa_bits(vec, good, t, spacing)
+    assert got == expect
+    assert np.frombuffer(got)[0] > t
+    scalar = vec[:, :, :1]
+    got, expect = _kappa_bits(scalar, good, t, spacing)
+    assert got == expect
+    assert np.frombuffer(got)[0] > t
+
+
+def test_good_set_kappa_without_pairs_is_the_level():
+    # good nodes further apart than the window on both axes: no pair to test
+    u = np.random.default_rng(3).standard_normal((12, 12, 2))
+    good = np.zeros((12, 12), dtype=bool)
+    good[::KAPPA_WINDOW + 1, ::KAPPA_WINDOW + 1] = True
+    t = 0.25
+    got, expect = _kappa_bits(u, good, t, (0.1, 0.1))
+    assert got == expect == np.float64(t).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 5), (5, 3)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_good_set_kappa_on_grids_smaller_than_the_window(shape):
+    rng = np.random.default_rng(sum(shape))
+    u = 10.0 * rng.standard_normal(shape + (2,))
+    good = np.ones(shape, dtype=bool)
+    good[0, 0] = False
+    got, expect = _kappa_bits(u, good, 0.1, (0.2, 0.3))
+    assert got == expect
+    assert np.frombuffer(got)[0] > 0.1
 
 
 def test_lipschitz_truncate_matches_loop_oracle():
