@@ -13,9 +13,6 @@ from .errors import DomainError
 
 ID2 = np.eye(2)
 
-# rotation generator: J @ e1 = e2, J @ e2 = -e1; d/da rot2(a) = rot2(a) @ J2
-J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
-
 
 def det2(F: np.ndarray) -> np.ndarray:
     F = np.asarray(F)

@@ -220,9 +220,6 @@ def run_truncation_demo(cfg: ExperimentConfig, out: Path, seed: int | None = Non
             "truncation.level_min must be below truncation.level_max, "
             f"got {a!r} and {A!r}"
         )
-    p = _positive(cfg, "truncation.p", 2.0)
-    if p <= 1.0:
-        raise ConfigError(f"truncation.p must be above 1, got {p!r}")
     nfields = _at_least(cfg, "truncation.fields", 50, 1)
     height = _positive(cfg, "truncation.height", 0.125)
     res = cfg.get_str("truncation.resolutions", "64x8,128x16,256x32")
@@ -231,7 +228,7 @@ def run_truncation_demo(cfg: ExperimentConfig, out: Path, seed: int | None = Non
     grids = []
     for token in res.split(","):
         try:
-            n1, n2 = (int(p_) for p_ in token.lower().split("x"))
+            n1, n2 = (int(part) for part in token.lower().split("x"))
         except ValueError as exc:
             raise ConfigError(f"bad truncation.resolutions entry {token!r}") from exc
         if n1 < 1 or n2 < 1:
@@ -250,7 +247,7 @@ def run_truncation_demo(cfg: ExperimentConfig, out: Path, seed: int | None = Non
         for idx in range(nfields):
             fn = rough_field(seed + idx)
             u = sample_on_strip(fn, n1, n2, height)
-            result = thin_truncate(u, a, A, p)
+            result = thin_truncate(u, a, A)
             rows.append(
                 (
                     f"{n1}x{n2}",
@@ -379,9 +376,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     runner, _, seeded = COMMANDS[args.command]
     try:
+        out = Path(args.out)
+        # the nearest existing part of --out must be a directory to write into
+        found = next(p for p in (out, *out.parents) if p.exists())
+        if not found.is_dir():
+            raise ConfigError(f"--out must name a directory, but {found} is a file")
         cfg = ExperimentConfig.load(args.config)
         extra = {"seed": args.seed} if seeded else {}
-        manifest = runner(cfg, Path(args.out), **extra)
+        manifest = runner(cfg, out, **extra)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

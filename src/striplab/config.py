@@ -56,9 +56,13 @@ class ExperimentConfig:
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
         path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        return cls(raw=parse_config_text(path.read_text()), source=str(path))
+        try:
+            text = path.read_text()
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        return cls(raw=parse_config_text(text), source=str(path))
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":

@@ -27,6 +27,11 @@ from scipy.linalg import solve_banded, solveh_banded
 from .errors import ConfigError, NonConvergence
 from .loads import LoadProfile
 
+ROD_TOL = 1e-12          # Newton: sup norm of the finite-difference residual
+ROD_MAX_ITERS = 60       # Newton iterations per load ramp
+DESCENT_GTOL = 1e-10     # descent: sup norm of the discrete gradient
+DESCENT_MAX_ITERS = 500  # descent iterations
+
 
 @dataclass(eq=False)
 class ElasticaSolution:
@@ -118,14 +123,7 @@ def _finish(x, theta, modulus, g, iterations) -> ElasticaSolution:
     return sol
 
 
-def solve_elastica(
-    modulus: float,
-    g: LoadProfile,
-    L: float,
-    n: int = 256,
-    tol: float = 1e-12,
-    max_iters: int = 60,
-) -> ElasticaSolution:
+def solve_elastica(modulus: float, g: LoadProfile, L: float, n: int) -> ElasticaSolution:
     """Damped Newton on the finite-difference rod equation.
 
     Load ramping engages when the dimensionless stiffness 12 |gtilde| L^2 / E
@@ -150,13 +148,13 @@ def solve_elastica(
         r = _ode_residual(theta, gt, c, dx)
         rn = float(np.max(np.abs(r)))
         it = 0
-        while rn > tol:
+        while rn > ROD_TOL:
             # the second difference amplifies roundoff by c/dx^2; stop once
-            # the residual sits at that floor even if tol is tighter
+            # the residual sits at that floor even if ROD_TOL is tighter
             floor = 32.0 * eps * (4.0 * c * max(1e-3, float(np.max(np.abs(theta)))) / dx**2)
             if rn <= floor:
                 break
-            if it >= max_iters:
+            if it >= ROD_MAX_ITERS:
                 raise NonConvergence("rod Newton iteration cap reached", rn)
             ab = _ode_jacobian(theta, gt, c, dx)
             delta = solve_banded((1, 1), ab, -r)
@@ -197,14 +195,7 @@ def _j2_discrete(theta, gtv, c, dx, wq):
     return val, grad[1:]  # theta(0) is constrained
 
 
-def minimize_J2(
-    modulus: float,
-    g: LoadProfile,
-    L: float,
-    n: int = 256,
-    gtol: float = 1e-10,
-    max_iters: int = 500,
-) -> ElasticaSolution:
+def minimize_J2(modulus: float, g: LoadProfile, L: float, n: int) -> ElasticaSolution:
     """Direct descent on the discretized limit functional.
 
     Descent direction is the gradient preconditioned by the (constant,
@@ -229,9 +220,9 @@ def minimize_J2(
     ab[0, 1:] = -c / dx
     theta = np.zeros(n + 1)
     val, grad = _j2_discrete(theta, gtv, c, dx, wq)
-    for it in range(max_iters):
+    for it in range(DESCENT_MAX_ITERS):
         gsup = float(np.max(np.abs(grad))) if grad.size else 0.0
-        if gsup <= gtol:
+        if gsup <= DESCENT_GTOL:
             return _finish(x, theta, modulus, g, it)
         d = -solveh_banded(ab, grad)
         slope = float(grad @ d)

@@ -106,8 +106,9 @@ class HalfDistSquared(EnergyDensity):
         v = F[..., 1, 0] - F[..., 0, 1]
         r = np.hypot(u, v)
         c, s = u / r, v / r
-        # R(F) @ J2, the tangent direction to SO(2), flattened row-major with
-        # the points last, so that the outer product runs along them
+        # R(F) J, with J = [[0, -1], [1, 0]] the rotation generator, is the
+        # tangent direction to SO(2); flattened row-major with the points
+        # last, so that the outer product runs along them
         T = np.stack([-s, -c, c, -s]).reshape(4, -1)
         out = _EYE4.reshape(4, 4, 1) - T[:, None] * T[None, :] / r.reshape(-1)
         return out.transpose(2, 0, 1).reshape(F.shape[:-2] + (2, 2, 2, 2))
@@ -119,7 +120,7 @@ class IsotropicQuadratic(EnergyDensity):
     kind = "isotropic-quadratic"
     coercive_globally = False  # vanishes on reflections
 
-    def __init__(self, mu: float = 1.0, lam: float = 0.0):
+    def __init__(self, mu: float, lam: float):
         if not (0.0 < mu < np.inf):
             raise ConfigError(f"energy.mu must be finite and positive, got {mu!r}")
         if not (0.0 <= lam < np.inf):

@@ -4,7 +4,7 @@ Given a grid-sampled field u, the kit replaces it by a Lipschitz function v
 that agrees with u outside a small bad set:
 
 * the bad set is a superlevel set of the Hardy-Littlewood maximal function of
-  |grad u|, with the level chosen by minimizing t^p * area{Mf > t} over a
+  |grad u|, with the level chosen by minimizing t^2 * area{Mf > t} over a
   geometric candidate grid in [a, A];
 * on the bad set, v is the upper McShane extension of u from the good set,
   component by component;
@@ -15,12 +15,12 @@ that agrees with u outside a small bad set:
 The certified gradient bound is measured on the discrete gradient of the
 output, so `sup |grad v| <= lam` holds exactly by construction.  The chosen
 level always lies in [a, A]; the certified bound can exceed it by the
-measured extension factor.
+measured extension factor lam / level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
@@ -228,24 +228,20 @@ def maximal_function(grad_mag: GridFunction, *, floor: float = 0.0) -> GridFunct
     return GridFunction(values=np.maximum(out, 0.0), spacing=grad_mag.spacing)
 
 
-def select_lambda(
-    f: GridFunction, a: float, A: float, p: float = 2.0
-) -> tuple[float, np.ndarray]:
-    """Minimize g(t) = t^p * area{f > t} over a geometric grid of levels.
+def select_lambda(f: GridFunction, a: float, A: float) -> tuple[float, np.ndarray]:
+    """Minimize g(t) = t^2 * area{f > t} over a geometric grid of levels.
 
     Returns the minimizing level (first hit on ties, i.e. the smallest) and
     the boolean superlevel mask at that level.
     """
     if not (0 < a < A):
         raise ConfigError(f"need 0 < a < A, got a={a!r}, A={A!r}")
-    if not p > 1:
-        raise ConfigError(f"need p > 1, got p={p!r}")
     if f.values.ndim != 2:
         raise ConfigError("level selection expects a scalar field")
     cand = np.geomspace(a, A, N_CANDIDATES)
     flat = np.sort(f.values, axis=None)
     counts = flat.size - np.searchsorted(flat, cand, side="right")
-    g = cand**p * counts * f.cell_area
+    g = cand**2 * counts * f.cell_area
     lam = float(cand[int(np.argmin(g))])
     return lam, f.values > lam
 
@@ -395,10 +391,6 @@ class TruncationResult:
     mismatch_area: float
     energy: float
     log_ratio: float
-    extension_factor: float = field(init=False)
-
-    def __post_init__(self):
-        self.extension_factor = self.lam / self.level if self.level > 0 else 1.0
 
 
 def square_cells(m: int, d2: float) -> int:
@@ -444,11 +436,11 @@ def _strip_slice(i0: int, K: int, m: int) -> np.ndarray:
     return rows
 
 
-def thin_truncate(u: GridFunction, a: float, A: float, p: float = 2.0) -> TruncationResult:
+def thin_truncate(u: GridFunction, a: float, A: float) -> TruncationResult:
     """Truncate a thin-strip field via reflection and strip selection.
 
     Extends u to the unit square, truncates there at the level minimizing
-    t^p * area{Mf > t} over [a, A], picks the strip with the fewest bad
+    t^2 * area{Mf > t} over [a, A], picks the strip with the fewest bad
     nodes (ties: smaller |i|, then smaller i), and maps it back with the
     matching orientation.
     """
@@ -459,7 +451,7 @@ def thin_truncate(u: GridFunction, a: float, A: float, p: float = 2.0) -> Trunca
     K = ext.n2 - 1
     # every threshold below is at least a, so radii that cannot reach a are skipped
     mf = maximal_function(gradient_magnitude(ext), floor=a)
-    level, bad_probe = select_lambda(mf, a, A, p)
+    level, bad_probe = select_lambda(mf, a, A)
 
     n_side = (K - m) // (2 * m)
     bad_counts = {}

@@ -10,28 +10,14 @@ import time
 import numpy as np
 import pytest
 
-from striplab import (
-    HalfDistSquared,
-    IsotropicQuadratic,
-    LoadProfile,
-    build_mesh,
-    convergence_study,
-    grad_sup,
-    gtilde,
-    lift,
-    linearize,
-    mesh_rule_nx,
-    minimize_J2,
-    rigid_state,
-    rough_field,
-    sample_on_strip,
-    solve_elastica,
-    solve_stationary,
-    thin_truncate,
-)
 from striplab.cli import _hypothesis_rows
-from striplab.diagnostics import diagnose
-from striplab.elastica import _j2_discrete
+from striplab.diagnostics import convergence_study, diagnose
+from striplab.elastica import _j2_discrete, gtilde, minimize_J2, solve_elastica
+from striplab.energy import HalfDistSquared, IsotropicQuadratic, linearize
+from striplab.loads import LoadProfile
+from striplab.mesh import build_mesh, mesh_rule_nx, rigid_state
+from striplab.solver import lift, solve_stationary
+from striplab.truncation import grad_sup, rough_field, sample_on_strip, thin_truncate
 
 HS = (0.2, 0.1, 0.05, 0.025)
 W0 = HalfDistSquared()

@@ -6,8 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import polar as scipy_polar
 
-from striplab import dist_so2, polar_angle, rot2, svd2_vals
-from striplab.algebra import det2, frob, trace2, trans2
+from striplab.algebra import det2, dist_so2, frob, polar_angle, rot2, svd2_vals, trace2, trans2
 from striplab.errors import DomainError
 
 # entries bounded away from the degenerate cone so det F > 0 is decidable

@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from striplab import HalfDistSquared
 from striplab.cli import _hypothesis_rows, main, run_energy_check
 from striplab.config import ExperimentConfig
 from striplab.csvio import read_keyvalue, read_table
+from striplab.energy import HalfDistSquared
 from striplab.errors import DiagnosticError
 
 TINY_STRIP = """
@@ -96,6 +96,25 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "case", ["config-is-a-directory", "config-not-utf8", "out-is-a-file", "out-under-a-file"]
+)
+def test_unreadable_config_or_file_out_exits_2(tmp_path, capsys, case):
+    cfg, out = write_cfg(tmp_path, TINY_STRIP), tmp_path / "o"
+    if case == "config-is-a-directory":
+        cfg = str(tmp_path)
+    elif case == "config-not-utf8":
+        (tmp_path / "run.cfg").write_bytes(b"strip.h = 0.2\n# \xff\xfe\n")
+    else:
+        out.write_text("keep")
+    target = out / "sub" if case == "out-under-a-file" else out
+    assert main(["solve-strip", "--config", cfg, "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert ("--out" in err) == case.startswith("out")
+    assert (out.read_text() == "keep") if case.startswith("out") else not out.exists()
+
+
 def test_malformed_config_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "strip.h 0.2\n")
     assert main(["solve-strip", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -130,7 +149,6 @@ def test_truncate_bad_window_exits_2_naming_both_keys(tmp_path, capsys):
         ("solve-elastica", "load.g2 = nan\n", "load.g2"),
         ("truncate", TINY_TRUNC + "truncation.level_max = inf\n", "truncation.level_max"),
         ("truncate", TINY_TRUNC + "truncation.level_min = nan\n", "truncation.level_min"),
-        ("truncate", TINY_TRUNC + "truncation.p = 1\n", "truncation.p"),
         ("truncate", TINY_TRUNC + "truncation.height = 0\n", "truncation.height"),
         ("diagnose", "strip.L = 0.5\nstrip.h = 0.4\n", "strip.h"),
         ("converge", "strip.L = 0.5\nsweep.h = 0.4\n", "sweep.h"),
@@ -196,7 +214,6 @@ def test_truncate_bad_window_exits_2_naming_both_keys(tmp_path, capsys):
         "elastica-g2-nan",
         "level-max-inf",
         "level-min-nan",
-        "p-one",
         "height-zero",
         "diagnose-h-above-half-L",
         "sweep-h-above-half-L",
@@ -234,6 +251,15 @@ def test_converge_builds_meshes_through_strip_nx_and_ny(tmp_path):
     assert manifest[0][3] == "strip.h"
     rule = (out_rule / "convergence.csv").read_bytes()
     assert (out_nx / "convergence.csv").read_bytes() != rule
+
+
+def test_truncate_lists_the_removed_exponent_key_as_unread(tmp_path):
+    # the level rule's exponent is fixed at 2; an old truncation.p is ignored
+    cfg = write_cfg(tmp_path, TINY_TRUNC + "truncation.p = 1\n")
+    out = tmp_path / "o"
+    assert main(["truncate", "--config", cfg, "--out", str(out)]) == 0
+    _, manifest = read_table(out / "manifest.csv")
+    assert "truncation.p" in manifest[0][3].split(";")
 
 
 def test_truncate_unreachable_level_exits_3(tmp_path, capsys):

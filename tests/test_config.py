@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from striplab import HalfDistSquared, IsotropicQuadratic, mesh_rule_nx
 from striplab.config import (
     _REQUIRED,
     DEFAULT_SWEEP,
@@ -16,7 +15,9 @@ from striplab.config import (
     parse_config_text,
     sweep_from,
 )
+from striplab.energy import HalfDistSquared, IsotropicQuadratic
 from striplab.errors import ConfigError
+from striplab.mesh import mesh_rule_nx
 
 BASIC = """
 # cantilever reference
@@ -139,7 +140,7 @@ def test_energy_from_spelling_and_errors():
     with pytest.raises(ConfigError, match="unknown energy.kind 'neo-hookean'"):
         density("energy.kind = neo-hookean")
     with pytest.raises(ConfigError):
-        IsotropicQuadratic(mu=-1.0)
+        IsotropicQuadratic(mu=-1.0, lam=1.0)
     with pytest.raises(ConfigError):
         IsotropicQuadratic(mu=1.0, lam=-0.5)
 

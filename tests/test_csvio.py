@@ -5,29 +5,27 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from striplab import (
-    HalfDistSquared,
-    LoadProfile,
-    build_mesh,
-    diagnose,
-    rigid_state,
-    solve_elastica,
-)
 from striplab.csvio import (
     ROW_CHUNK,
     fmt,
     read_keyvalue,
     read_table,
+    write_convergence,
     write_elastica,
+    write_fields,
     write_identities,
     write_keyvalue,
+    write_moments,
     write_rotations,
     write_solution,
     write_table,
 )
-from striplab.diagnostics import ConvergenceTable, IdentityRow
-from striplab.csvio import write_convergence, write_fields, write_moments
+from striplab.diagnostics import ConvergenceTable, IdentityRow, diagnose
+from striplab.elastica import solve_elastica
+from striplab.energy import HalfDistSquared
 from striplab.errors import ConfigError
+from striplab.loads import LoadProfile
+from striplab.mesh import build_mesh, rigid_state
 
 W = HalfDistSquared()
 G0 = LoadProfile.constant(0.0, 0.0)

@@ -3,23 +3,21 @@
 import numpy as np
 import pytest
 
-from striplab import (
-    HalfDistSquared,
-    LoadProfile,
-    build_mesh,
+from striplab.algebra import rot2
+from striplab.diagnostics import (
+    column_moments,
     convergence_study,
     diagnose,
-    lift,
-    mesh_rule_nx,
-    rigid_state,
-    rot2,
     slab_rotations,
-    solve_elastica,
-    solve_stationary,
+    theta_error,
+    y_error,
 )
-from striplab.diagnostics import column_moments, theta_error, y_error
+from striplab.elastica import solve_elastica
+from striplab.energy import HalfDistSquared
 from striplab.errors import ConfigError, DiagnosticError
-from striplab.mesh import DeformationField
+from striplab.loads import LoadProfile
+from striplab.mesh import DeformationField, build_mesh, mesh_rule_nx, rigid_state
+from striplab.solver import lift, solve_stationary
 
 W = HalfDistSquared()
 G0 = LoadProfile.constant(0.0, 0.0)

@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from striplab import (
+from striplab.algebra import det2, rot2
+from striplab.energy import (
+    BASIS,
     HalfDistSquared,
     IsotropicQuadratic,
     linearize,
     modulus_closed_form,
-    rot2,
+    taylor_remainder,
 )
-from striplab.algebra import det2
-from striplab.energy import BASIS, taylor_remainder
 from striplab.errors import ConfigError, DomainError
 
 DENSITIES = [HalfDistSquared(), IsotropicQuadratic(1.0, 1.0), IsotropicQuadratic(2.0, 0.5)]

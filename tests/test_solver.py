@@ -7,21 +7,20 @@ import pytest
 from scipy.linalg import solve_banded
 from scipy.sparse import coo_matrix, dia_matrix, diags
 
-from striplab import (
-    HalfDistSquared,
-    LoadProfile,
-    build_mesh,
-    lift,
-    minimize_J2,
-    rigid_state,
-    scaled_energy,
-    solve_elastica,
-    solve_stationary,
-)
-from striplab.errors import ConfigError, StepRejected
-from striplab.mesh import DeformationField, StripMesh
 from striplab import solver
-from striplab.solver import elastic_residual, load_vector, tangent
+from striplab.elastica import minimize_J2, solve_elastica
+from striplab.energy import HalfDistSquared
+from striplab.errors import ConfigError, StepRejected
+from striplab.loads import LoadProfile
+from striplab.mesh import DeformationField, StripMesh, build_mesh, rigid_state
+from striplab.solver import (
+    elastic_residual,
+    lift,
+    load_vector,
+    scaled_energy,
+    solve_stationary,
+    tangent,
+)
 
 W = HalfDistSquared()
 GAMMA = LoadProfile.constant(0.0, -1e-3)

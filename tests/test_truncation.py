@@ -4,10 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft as sfft
 
-from striplab import (
+from striplab import truncation
+from striplab.errors import ConfigError, TruncationFailure
+from striplab.truncation import (
+    KAPPA_WINDOW,
+    LADDER_FACTOR,
+    N_CANDIDATES,
     GridFunction,
-    TruncationFailure,
+    _ball_kernels,
+    _good_set_kappa,
+    _mcshane,
+    _strip_slice,
+    _truncate_at_level,
     dirichlet_energy,
     grad_sup,
     gradient_magnitude,
@@ -17,20 +27,6 @@ from striplab import (
     sample_on_strip,
     select_lambda,
     thin_truncate,
-)
-from striplab.errors import ConfigError
-from scipy import fft as sfft
-
-from striplab import truncation
-from striplab.truncation import (
-    KAPPA_WINDOW,
-    LADDER_FACTOR,
-    N_CANDIDATES,
-    _ball_kernels,
-    _good_set_kappa,
-    _mcshane,
-    _strip_slice,
-    _truncate_at_level,
 )
 
 
@@ -236,22 +232,13 @@ def test_maximal_function_validation():
 def test_select_lambda_matches_argmin_oracle():
     gf = random_scalar(20, 14, (0.05, 0.07), seed=9, scale=3.0)
     gf.values = np.abs(gf.values) + 0.1
-    a, A, p = 0.2, 8.0, 2.0
+    a, A = 0.2, 8.0
     cand = np.geomspace(a, A, 64)
-    g = np.array([t**p * np.sum(gf.values > t) * gf.cell_area for t in cand])
+    g = np.array([t**2 * np.sum(gf.values > t) * gf.cell_area for t in cand])
     expect = cand[np.argmin(g)]
-    lam, mask = select_lambda(gf, a, A, p)
+    lam, mask = select_lambda(gf, a, A)
     assert lam == expect
     assert np.array_equal(mask, gf.values > lam)
-
-
-def test_select_lambda_respects_exponent():
-    # higher p penalizes large levels more, so the level cannot increase
-    gf = random_scalar(16, 16, (0.06, 0.06), seed=21, scale=5.0)
-    gf.values = np.abs(gf.values)
-    lam2, _ = select_lambda(gf, 0.5, 12.0, p=2.0)
-    lam4, _ = select_lambda(gf, 0.5, 12.0, p=4.0)
-    assert lam4 <= lam2
 
 
 def test_select_lambda_validation():
@@ -261,8 +248,6 @@ def test_select_lambda_validation():
         select_lambda(gf, 2.0, 1.0)
     with pytest.raises(ConfigError):
         select_lambda(gf, 0.0, 1.0)
-    with pytest.raises(ConfigError):
-        select_lambda(gf, 0.5, 1.0, p=1.0)
     with pytest.raises(ConfigError):
         select_lambda(GridFunction(values=np.zeros((4, 4, 2)), spacing=(0.1, 0.1)), 1.0, 2.0)
 
@@ -520,7 +505,6 @@ def test_thin_truncate_gentle_field_passes_through():
     assert np.array_equal(res.v.values, u.values)
     assert res.strip_index == 0
     assert res.lam == res.level
-    assert res.extension_factor == 1.0
 
 
 def test_thin_truncate_certificates_on_rough_field():
@@ -538,7 +522,6 @@ def test_thin_truncate_certificates_on_rough_field():
     assert res.energy == pytest.approx(dirichlet_energy(u), rel=1e-13)
     recomputed = res.lam**2 * res.mismatch_area * np.log(A / a) / res.energy
     assert res.q == pytest.approx(recomputed, rel=1e-12)
-    assert res.extension_factor == pytest.approx(res.lam / res.level, rel=1e-13)
 
 
 def test_thin_truncate_strip_field_is_a_strip_of_the_square_output():
