@@ -176,7 +176,7 @@ def run_convergence(cfg: ExperimentConfig, out: Path) -> RunManifest:
     manifest = RunManifest(config=cfg, out_dir=out)
     W = energy_from(cfg)
     g = load_from(cfg)
-    hs = sweep_from(cfg)
+    meshes = [mesh_from(cfg, h) for h in sweep_from(cfg)]  # every bad value fails before output
 
     t0 = time.perf_counter()
     limit = elastica_from(cfg, W, g)
@@ -188,15 +188,14 @@ def run_convergence(cfg: ExperimentConfig, out: Path) -> RunManifest:
     )
 
     fields = []
-    for h in hs:
-        mesh = mesh_from(cfg, h)
+    for mesh in meshes:
         t0 = time.perf_counter()
         fld, report = solve_stationary(mesh, g, W, start=lift(limit, mesh))
         dt = time.perf_counter() - t0
         if not report.converged:
-            manifest.record(f"solve h={h:g}", f"non-converged: {report.message}", dt)
+            manifest.record(f"solve h={mesh.h:g}", f"non-converged: {report.message}", dt)
             continue
-        manifest.record(f"solve h={h:g}", "ok", dt)
+        manifest.record(f"solve h={mesh.h:g}", "ok", dt)
         fields.append(fld)
 
     if fields:
@@ -247,7 +246,12 @@ def run_truncation_demo(cfg: ExperimentConfig, out: Path, seed: int | None = Non
         for idx in range(nfields):
             fn = rough_field(seed + idx)
             u = sample_on_strip(fn, n1, n2, height)
-            result = thin_truncate(u, a, A)
+            try:
+                result = thin_truncate(u, a, A)
+            except TruncationFailure as exc:
+                manifest.record("truncate", f"failed: {exc}", time.perf_counter() - t0)
+                manifest.write()
+                raise
             rows.append(
                 (
                     f"{n1}x{n2}",

@@ -43,7 +43,7 @@ from .elastica import ElasticaSolution
 from .energy import EnergyDensity
 from .errors import ConfigError, NonConvergence, StepRejected
 from .loads import LoadProfile
-from .mesh import DeformationField, StripMesh, rigid_state
+from .mesh import DeformationField, StripMesh
 
 EPS = np.finfo(float).eps
 
@@ -90,29 +90,27 @@ def load_vector(mesh: StripMesh, g: LoadProfile) -> np.ndarray:
     return _assemble(mesh, w * np.einsum("eqi,qa->eai", gvals, mesh.shape_n))
 
 
-def elastic_residual(fld: DeformationField, W: EnergyDensity, F: np.ndarray) -> np.ndarray:
+def elastic_residual(mesh: StripMesh, W: EnergyDensity, F: np.ndarray) -> np.ndarray:
     """Gradient of the elastic part w.r.t. nodal positions, clamped rows zeroed.
 
-    F is ``fld.gradients()``.  Raises StepRejected when any scaled gradient
-    determinant falls to DET_FLOOR or below; this is the solver's one
-    determinant guard.
+    F holds the scaled gradients at the quadrature points.  Raises
+    StepRejected when any of their determinants falls to DET_FLOOR or
+    below; this is the solver's one determinant guard.
     """
-    mesh = fld.mesh
     _guard_dets(mesh, F)
     P = W.stress(F).reshape(mesh.nelem, 16)
     return _assemble(mesh, mesh.qp_w * (P @ mesh.B.reshape(16, 8)))
 
 
-def tangent(fld: DeformationField, W: EnergyDensity, F: np.ndarray) -> np.ndarray:
+def tangent(mesh: StripMesh, W: EnergyDensity, F: np.ndarray) -> np.ndarray:
     """Second derivative of the discrete functional, symmetric, band-stored.
 
     Returns the (2 bw + 1, ndof) band in LAPACK ``ab`` layout, with offsets
     bw..-bw and bw = ``mesh.k_bw``.  Rows and columns of clamped dofs are
     replaced by identity, so with the clamped residual rows zeroed the
-    Newton step is exactly 0 there.  F is ``fld.gradients()``, already
+    Newton step is exactly 0 there.  F holds the scaled gradients, already
     passed through ``elastic_residual``'s determinant guard.
     """
-    mesh = fld.mesh
     ke = W.hessian(F).reshape(mesh.nelem, 64) @ mesh.k_op
     bw, ndof = mesh.k_bw, 2 * mesh.nnode
     size = (2 * bw + 1) * ndof
@@ -122,36 +120,37 @@ def tangent(fld: DeformationField, W: EnergyDensity, F: np.ndarray) -> np.ndarra
 
 
 def scaled_energy(
-    fld: DeformationField,
-    g: LoadProfile,
+    mesh: StripMesh,
+    y: np.ndarray,
+    gq: np.ndarray,
     W: EnergyDensity,
     load_factor: float,
     F: np.ndarray,
 ) -> tuple[float, float]:
-    """(elastic energy, total energy with the load term) of a deformation.
+    """(elastic energy, total energy with the load term) of positions y.
 
-    F is ``fld.gradients()``.
+    gq is the load at the quadrature points, ``g(mesh.qp_x[:, 0])``, and F
+    the scaled gradients of y.
     """
-    mesh = fld.mesh
     elastic = float(mesh.qp_w * np.sum(W.energy(F)))
-    gvals = g(mesh.qp_x[:, 0])
-    yq = mesh.qp_values(fld.y)
-    work = float(mesh.qp_w * np.sum(gvals * yq))
+    work = float(mesh.qp_w * np.sum(gq * mesh.qp_values(y)))
     return elastic, elastic - load_factor * mesh.h ** 2 * work
 
 
 def _newton(
-    fld: DeformationField,
-    g: LoadProfile,
+    mesh: StripMesh,
+    y: np.ndarray,
+    gq: np.ndarray,
     f: np.ndarray,
     W: EnergyDensity,
     load_factor: float,
-) -> tuple[int, float, float, float]:
-    """Newton with Armijo backtracking at fixed load factor.
+) -> tuple[int, np.ndarray, float, float, float]:
+    """Newton with Armijo backtracking at fixed load factor, from positions y.
 
-    f is ``load_vector(fld.mesh, g)``.  The stopping bound is the
-    larger of NEWTON_TOL times the load scale and the assembly's
-    roundoff floor, FLOOR_C * eps * max|K| * max|y| with K the last tangent.
+    gq is the load at the quadrature points and f ``load_vector(mesh, g)``.
+    The stopping bound is the larger of NEWTON_TOL times the load scale and
+    the assembly's roundoff floor, FLOOR_C * eps * max|K| * max|y| with K
+    the last tangent.
     A residual within the bound does not show how far the iterate still is
     from the solution (at h = 0.025 two iterates 5e-12 apart have the same
     floor-level residual), so the step taken from within the bound is the
@@ -163,31 +162,30 @@ def _newton(
     every line-search trial.  No step is masked: assembly makes it exactly
     0 on clamped dofs.
 
-    Mutates fld.y in place; returns (iterations, residual sup norm, elastic
-    energy, total energy), the energies those of the returned iterate.  Raises
-    StepRejected (only at the start state, before any step) or
-    NonConvergence, whose ``iterations`` counts the steps taken.
+    Writes no array it is given; returns (iterations, positions, residual
+    sup norm, elastic energy, total energy) of the returned iterate, which
+    is y itself if no step is taken.  Raises StepRejected (only at the
+    start state, before any step) or NonConvergence, whose ``iterations``
+    counts the steps taken.
     """
-    mesh = fld.mesh
     tol = NEWTON_TOL * load_factor * float(np.max(np.abs(f)))
     floor = 0.0
 
     def evaluate(y):
-        """Move fld to y: (F, residual, its sup norm, (elastic, total) energy)."""
-        fld.y = y
-        F = fld.gradients()
-        r = elastic_residual(fld, W, F) - load_factor * f
-        return F, r, float(np.max(np.abs(r))), scaled_energy(fld, g, W, load_factor, F)
+        """(F, residual, its sup norm, (elastic, total) energy) at positions y."""
+        F = mesh.scaled_gradients(y - mesh.rigid)
+        r = elastic_residual(mesh, W, F) - load_factor * f
+        return F, r, float(np.max(np.abs(r))), scaled_energy(mesh, y, gq, W, load_factor, F)
 
-    F, r, rsup, en0 = evaluate(fld.y)
+    F, r, rsup, en0 = evaluate(y)
     it = 0
     last = rsup == 0.0
     while not last:
         last = rsup <= max(tol, floor)
         if it >= MAX_ITERS and not last:
             raise NonConvergence("Newton iteration cap reached", rsup, it)
-        K = tangent(fld, W, F)  # F of the iterate, guarded with its residual
-        floor = FLOOR_C * EPS * float(np.max(np.abs(K))) * float(np.max(np.abs(fld.y)))
+        K = tangent(mesh, W, F)  # F of the iterate, guarded with its residual
+        floor = FLOOR_C * EPS * float(np.max(np.abs(K))) * float(np.max(np.abs(y)))
         try:
             delta = solve_banded((mesh.k_bw, mesh.k_bw), K, -r, check_finite=False)
         except LinAlgError:
@@ -195,11 +193,11 @@ def _newton(
         slope = float(r @ delta)
         if slope >= 0.0:
             raise NonConvergence("tangent step is not a descent direction", rsup, it)
-        y0 = fld.y.copy()
         alpha = 1.0
         for _ in range(MAX_BACKTRACKS):
+            y_new = y + alpha * delta.reshape(-1, 2)
             try:
-                F_new, r_new, rsup_new, en1 = evaluate(y0 + alpha * delta.reshape(-1, 2))
+                F_new, r_new, rsup_new, en1 = evaluate(y_new)
             except StepRejected:
                 alpha *= 0.5
                 continue
@@ -210,13 +208,12 @@ def _newton(
                 break
             alpha *= 0.5
         else:
-            fld.y = y0
             if last:
                 break  # the step was a refinement of an iterate within the bound
             raise NonConvergence("line search failed", rsup, it)
-        F, r, rsup, en0 = F_new, r_new, rsup_new, en1
+        y, F, r, rsup, en0 = y_new, F_new, r_new, rsup_new, en1
         it += 1
-    return it, rsup, *en0
+    return it, y, rsup, *en0
 
 
 def solve_stationary(
@@ -239,22 +236,23 @@ def solve_stationary(
     ``iterations`` counts the Newton steps of rejected increments too, and
     ``residual_sup`` is NaN if no increment was accepted.  The reported
     energies are those Newton measured on the last accepted iterate, at its
-    load factor; with none accepted they are taken at load factor 0.
+    load factor; with none accepted they are taken at load factor 0.  The
+    returned field owns its positions.
     """
     if start is not None and start.mesh is not mesh:
         raise ConfigError("start must be a field on the mesh being solved")
     f = load_vector(mesh, g)
+    gq = g(mesh.qp_x[:, 0])
 
     what = "cold start" if start is None else "given start"
-    fld = rigid_state(mesh) if start is None else start
+    y = mesh.rigid if start is None else start.y
     path: list[tuple[float, int]] = []
     message = ""
     mu, step, iterations, rsup = 0.0, 1.0, 0, float("nan")
     while mu < 1.0:
         s = min(step, 1.0 - mu)
-        trial = DeformationField(mesh=mesh, y=fld.y.copy())
         try:
-            it, rsup, el, tot = _newton(trial, g, f, W, mu + s)
+            it, y_new, rsup, el, tot = _newton(mesh, y, gq, f, W, mu + s)
         except (StepRejected, NonConvergence) as exc:
             iterations += getattr(exc, "iterations", 0)  # StepRejected takes no step
             if s == 1.0:  # only the first step spans the whole load
@@ -265,12 +263,12 @@ def solve_stationary(
                 break
             continue
         iterations += it
-        fld, mu = trial, mu + s
+        y, mu = y_new, mu + s
         path.append((mu, it))
         step = 2.0 * s
     if not path:
-        el, tot = scaled_energy(fld, g, W, mu, fld.gradients())
-    return fld, SolverReport(
+        el, tot = scaled_energy(mesh, y, gq, W, mu, mesh.scaled_gradients(y - mesh.rigid))
+    return DeformationField(mesh=mesh, y=y.copy()), SolverReport(
         converged=mu == 1.0, iterations=iterations, residual_sup=rsup,
         elastic_energy=el, total_energy=tot, path=path, message=message,
     )

@@ -353,29 +353,6 @@ def _mcshane(
     return v
 
 
-def _truncate_at_level(
-    u: GridFunction, mf: GridFunction, t: float, fill: np.ndarray | None = None
-) -> tuple[GridFunction, np.ndarray, float]:
-    """Shared core: good set from mf at level t, McShane fill on the rest.
-
-    fill optionally limits which bad nodes are overwritten; values on filled
-    nodes do not depend on the restriction.
-    """
-    bad = mf.values > t
-    if bad.all():
-        raise TruncationFailure(
-            f"good set is empty at level {t!r}; raise the upper bound A"
-        )
-    if not bad.any():
-        return GridFunction(values=u.values.copy(), spacing=u.spacing), bad, t
-    comps = u.components()
-    kappa = _good_set_kappa(comps, ~bad, t, u.spacing)
-    v = _mcshane(comps, ~bad, kappa, u.spacing, fill=fill)
-    if u.values.ndim == 2:
-        v = v[:, :, 0]
-    return GridFunction(values=v, spacing=u.spacing), bad, kappa
-
-
 @dataclass(eq=False)
 class TruncationResult:
     """Outcome of a thin-strip truncation."""
@@ -390,7 +367,6 @@ class TruncationResult:
     kappa: float
     mismatch_area: float
     energy: float
-    log_ratio: float
 
 
 def square_cells(m: int, d2: float) -> int:
@@ -439,10 +415,10 @@ def _strip_slice(i0: int, K: int, m: int) -> np.ndarray:
 def thin_truncate(u: GridFunction, a: float, A: float) -> TruncationResult:
     """Truncate a thin-strip field via reflection and strip selection.
 
-    Extends u to the unit square, truncates there at the level minimizing
-    t^2 * area{Mf > t} over [a, A], picks the strip with the fewest bad
-    nodes (ties: smaller |i|, then smaller i), and maps it back with the
-    matching orientation.
+    Extends u to the unit square, takes the level minimizing t^2 *
+    area{Mf > t} over [a, A], picks the strip with the fewest bad nodes
+    (Mf > level; ties: smaller |i|, then smaller i), McShane-fills its bad
+    nodes from the good set, and maps it back with the matching orientation.
     """
     if not (0 < a < A):
         raise ConfigError(f"need 0 < a < A, got a={a!r}, A={A!r}")
@@ -451,26 +427,29 @@ def thin_truncate(u: GridFunction, a: float, A: float) -> TruncationResult:
     K = ext.n2 - 1
     # every threshold below is at least a, so radii that cannot reach a are skipped
     mf = maximal_function(gradient_magnitude(ext), floor=a)
-    level, bad_probe = select_lambda(mf, a, A)
+    level, bad = select_lambda(mf, a, A)
+    if bad.all():
+        raise TruncationFailure(f"good set is empty at level {level!r}; raise the upper bound A")
 
     n_side = (K - m) // (2 * m)
     bad_counts = {}
     for i0 in range(-n_side, n_side + 1):
         rows = _strip_slice(i0, K, m)
-        bad_counts[i0] = int(np.sum(bad_probe[:, rows]))
+        bad_counts[i0] = int(np.sum(bad[:, rows]))
     i0 = min(bad_counts, key=lambda i: (bad_counts[i], abs(i), i))
     rows = _strip_slice(i0, K, m)
 
-    # fill only the selected strip's nodes; nothing else is read back
-    fill = np.zeros_like(bad_probe)
-    fill[:, rows] = True
-    v_ext, bad_ext, kappa = _truncate_at_level(ext, mf, level, fill=fill)
+    ext_u, kappa = ext.components(), level
+    if bad.any():
+        fill = np.zeros_like(bad)  # only the selected strip is read back
+        fill[:, rows] = True
+        kappa = _good_set_kappa(ext_u, ~bad, level, ext.spacing)
+        ext_u = _mcshane(ext_u, ~bad, kappa, ext.spacing, fill=fill)
 
-    v_strip = GridFunction(values=v_ext.values[:, rows], spacing=u.spacing)
+    v_strip = GridFunction(values=ext_u[:, rows].reshape(u.values.shape), spacing=u.spacing)
     mask = np.any(v_strip.components() != u.components(), axis=-1)
     area = float(np.sum(mask) * u.cell_area)
     energy = dirichlet_energy(u)
-    log_ratio = float(np.log(A / a))
     sup = grad_sup(v_strip)
     lam = max(level, sup)
     if area == 0.0:
@@ -478,7 +457,7 @@ def thin_truncate(u: GridFunction, a: float, A: float) -> TruncationResult:
     elif energy == 0.0:
         q = float("inf")
     else:
-        q = lam * lam * area / (energy / log_ratio)
+        q = lam * lam * area / (energy / float(np.log(A / a)))
     return TruncationResult(
         v=v_strip,
         level=level,
@@ -490,7 +469,6 @@ def thin_truncate(u: GridFunction, a: float, A: float) -> TruncationResult:
         kappa=kappa,
         mismatch_area=area,
         energy=energy,
-        log_ratio=log_ratio,
     )
 
 

@@ -154,6 +154,8 @@ def test_truncate_bad_window_exits_2_naming_both_keys(tmp_path, capsys):
         ("converge", "strip.L = 0.5\nsweep.h = 0.4\n", "sweep.h"),
         ("solve-strip", "strip.h = 0.2\nstrip.nx = 2\n", "strip.nx"),
         ("solve-strip", "strip.h = 0.2\nstrip.ny = 1\n", "strip.ny"),
+        ("converge", "sweep.h = 0.2\nelastica.n = 64\nstrip.nx = 2\n", "strip.nx"),
+        ("converge", "sweep.h = 0.2\nelastica.n = 64\nstrip.ny = 1\n", "strip.ny"),
         ("truncate", TINY_TRUNC + "run.seed = -3\n", "run.seed"),
         ("energy-check", "run.seed = -3\n", "run.seed"),
         ("truncate", "truncation.resolutions = 64x8,64x7\n", "truncation.resolutions"),
@@ -219,6 +221,8 @@ def test_truncate_bad_window_exits_2_naming_both_keys(tmp_path, capsys):
         "sweep-h-above-half-L",
         "nx-below-4",
         "ny-below-2",
+        "converge-nx-below-4",
+        "converge-ny-below-2",
         "truncate-seed-negative",
         "energy-check-seed-negative",
         "odd-cells-across",
@@ -267,8 +271,12 @@ def test_truncate_unreachable_level_exits_3(tmp_path, capsys):
         tmp_path,
         TINY_TRUNC + "truncation.level_min = 0.5\ntruncation.level_max = 1.0\n",
     )
-    assert main(["truncate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    out = tmp_path / "o"
+    assert main(["truncate", "--config", cfg, "--out", str(out)]) == 3
     assert "good set is empty" in capsys.readouterr().err
+    _, manifest = read_table(out / "manifest.csv")
+    assert [row[0] for row in manifest] == ["config", "truncate"]
+    assert manifest[1][1].startswith("failed: good set is empty")
 
 
 @pytest.mark.parametrize("grid", ["1x8", "2x8", "3x8"])

@@ -17,7 +17,6 @@ from striplab.truncation import (
     _good_set_kappa,
     _mcshane,
     _strip_slice,
-    _truncate_at_level,
     dirichlet_energy,
     grad_sup,
     gradient_magnitude,
@@ -338,7 +337,11 @@ def test_lipschitz_truncate_matches_loop_oracle():
     good = ~(mf.values > t)
     assert good.any() and not good.all()
     expect, _ = dense_mcshane(u.components(), good, t, u.spacing)
-    v, _, _ = _truncate_at_level(u, mf, t)
+    comps = u.components()
+    kappa = _good_set_kappa(comps, good, t, u.spacing)
+    v = GridFunction(
+        values=_mcshane(comps, good, kappa, u.spacing).reshape(u.values.shape), spacing=u.spacing
+    )
     np.testing.assert_allclose(v.values, expect[:, :, 0], rtol=1e-13, atol=1e-13)
     assert np.array_equal(v.values[good], u.values[good])
 
@@ -358,7 +361,11 @@ def test_lipschitz_truncate_vector_components_fill_independently():
     good = ~(mf.values > t)
     assert good.any() and not good.all()
     expect, _ = dense_mcshane(u.components(), good, t, u.spacing)
-    v, _, _ = _truncate_at_level(u, mf, t)
+    comps = u.components()
+    kappa = _good_set_kappa(comps, good, t, u.spacing)
+    v = GridFunction(
+        values=_mcshane(comps, good, kappa, u.spacing).reshape(u.values.shape), spacing=u.spacing
+    )
     np.testing.assert_allclose(v.values, expect, rtol=1e-13, atol=1e-13)
 
 
@@ -439,19 +446,6 @@ def test_mcshane_single_good_node():
             assert np.array_equal(v, unpruned_mcshane(comps, good, kappa, spacing))
 
 
-def test_lipschitz_truncate_untouched_when_level_clears_field():
-    u = linear_field(10, 8, (0.1, 0.1), [(0.01, 0.02)])
-    v, _, _ = _truncate_at_level(u, maximal_function(gradient_magnitude(u)), 1.0)
-    assert v is not u
-    assert np.array_equal(v.values, u.values)
-
-
-def test_lipschitz_truncate_empty_good_set_fails():
-    u = linear_field(10, 8, (0.1, 0.1), [(100.0, 100.0)])
-    with pytest.raises(TruncationFailure, match="good set is empty"):
-        _truncate_at_level(u, maximal_function(gradient_magnitude(u)), 1.0)
-
-
 # ----------------------------------------------------------- reflection
 
 
@@ -503,6 +497,7 @@ def test_thin_truncate_gentle_field_passes_through():
     assert res.mismatch_area == 0.0
     assert not res.bad_mask.any()
     assert np.array_equal(res.v.values, u.values)
+    assert not np.shares_memory(res.v.values, u.values)
     assert res.strip_index == 0
     assert res.lam == res.level
 
