@@ -28,7 +28,7 @@ from .config import (
     mesh_from,
     sweep_from,
 )
-from .diagnostics import convergence_study, diagnose
+from .diagnostics import ConvergenceRow, IdentityRow, convergence_study, diagnose
 from .energy import linearize, taylor_remainder
 from .errors import (
     ConfigError,
@@ -163,7 +163,7 @@ def run_diagnose(cfg: ExperimentConfig, out: Path) -> RunManifest:
         csvio.write_rotations(out / "rotations.csv", d),
         csvio.write_fields(out / "fields.csv", d),
         csvio.write_moments(out / "moments.csv", d),
-        csvio.write_identities(out / "identities.csv", [d.row]),
+        csvio.write_table(out / "identities.csv", IdentityRow._fields, [d.row]),
         csvio.write_keyvalue(out / "report.csv", _solver_report_items(mesh, report) | z_items),
     ]
     manifest.record("write", "ok", time.perf_counter() - t0, paths)
@@ -200,10 +200,10 @@ def run_convergence(cfg: ExperimentConfig, out: Path) -> RunManifest:
 
     if fields:
         t0 = time.perf_counter()
-        table = convergence_study(fields, limit, g, W)
+        errors, identities = convergence_study(fields, limit, g, W)
         paths = [
-            csvio.write_convergence(out / "convergence.csv", table),
-            csvio.write_identities(out / "identities.csv", table.residuals),
+            csvio.write_table(out / "convergence.csv", ConvergenceRow._fields, errors),
+            csvio.write_table(out / "identities.csv", IdentityRow._fields, identities),
         ]
         manifest.record("diagnostics", "ok", time.perf_counter() - t0, paths)
     manifest.write()

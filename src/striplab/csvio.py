@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ def fmt(x) -> str:
     return str(x)
 
 
-def _write_lines(path, header: list[str], lines) -> Path:
+def _write_lines(path, header: Sequence[str], lines) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
@@ -35,7 +36,8 @@ def _write_lines(path, header: list[str], lines) -> Path:
     return path
 
 
-def write_table(path, header: list[str], rows) -> Path:
+def write_table(path, header: Sequence[str], rows) -> Path:
+    """One row per tuple; a NamedTuple row type's ``_fields`` is its header."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for row in rows:
@@ -79,9 +81,7 @@ def _float_lines(*columns):
 
 def write_solution(path, fld) -> Path:
     """Strip solution nodes: node_id,x1,x2,y1,y2."""
-    mesh = fld.mesh
-    ix, iy = np.divmod(np.arange(mesh.nnode), mesh.ny + 1)
-    coords = _float_lines(mesh.x1[ix], mesh.x2[iy], fld.y)
+    coords = _float_lines(fld.mesh.nodes, fld.y)
     lines = (f"{i},{line}" for i, line in enumerate(coords))
     return _write_lines(path, ["node_id", "x1", "x2", "y1", "y2"], lines)
 
@@ -117,13 +117,3 @@ def write_moments(path, d) -> Path:
     )
     return _write_lines(path, header, lines)
 
-
-def write_identities(path, rows_in) -> Path:
-    rows = (r.as_tuple() for r in rows_in)
-    return write_table(path, ["h", "r1", "r2", "r3", "r4", "r5"], rows)
-
-
-def write_convergence(path, table) -> Path:
-    return write_table(
-        path, ["h", "theta_err_L2", "y_err_W12", "energy_over_h2"], table.rows()
-    )

@@ -15,17 +15,19 @@
   or to vanish with h.
 
 ``convergence_study`` tabulates the records of an h-sweep against the rod
-solution.
+solution.  Each table is defined once, as its row type: the fields of
+``ConvergenceRow`` and ``IdentityRow`` are the CSV headers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import dist_so2, polar_angle, rot2
-from .elastica import ElasticaSolution, gtilde
+from .elastica import ElasticaSolution, gtilde, midline
 from .energy import EnergyDensity
 from .errors import ConfigError, DiagnosticError, DomainError
 from .loads import LoadProfile
@@ -46,49 +48,22 @@ def _bin_sum(idx: np.ndarray, T: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(flat, weights=T.reshape(-1), minlength=4 * n).reshape(n, 2, 2)
 
 
-@dataclass(frozen=True, eq=False)
-class RotationProfile:
-    """Slab rotations of one strip solution and their mollification."""
+def _slab_weights(mesh: StripMesh, k: int, xs: np.ndarray) -> np.ndarray:
+    """Mollifier mass each of k equal slabs of (0, L) contributes at xs, (len, k).
 
-    h: float
-    edges: np.ndarray        # (k+1,) slab boundaries
-    slab_angle: np.ndarray   # (k,) unwrapped polar angles of slab means
-
-    def _weights(self, xs: np.ndarray) -> np.ndarray:
-        """Mollifier mass each slab contributes at the points xs, (len, k).
-
-        The slab profile is extended constantly beyond [0, L], which amounts
-        to treating the outermost slab boundaries as infinite.
-        """
-        lo = self.edges[:-1].copy()
-        hi = self.edges[1:].copy()
-        lo[0] = -np.inf
-        hi[-1] = np.inf
-        a = _bump_cdf((xs[:, None] - lo[None, :]) / self.h)
-        b = _bump_cdf((xs[:, None] - hi[None, :]) / self.h)
-        return a - b
-
-    def smoothed_matrix_at(self, xs) -> np.ndarray:
-        """Entrywise mollified rotation matrices, before projection."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        w = self._weights(xs)
-        return np.einsum("xk,kij->xij", w, rot2(self.slab_angle))
-
-    def angle_at(self, xs) -> np.ndarray:
-        """Projected, unwrapped angle of the mollified profile at sorted xs."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        if xs.size > 1 and np.any(np.diff(xs) < 0):
-            raise DiagnosticError("rotation profile must be sampled at sorted x1")
-        M = self.smoothed_matrix_at(xs)
-        try:
-            ang = polar_angle(M)
-        except DomainError as exc:
-            raise DiagnosticError(f"mollified rotation degenerate: {exc}") from exc
-        return np.unwrap(ang)
+    The slab profile is extended constantly beyond [0, L], which amounts
+    to treating the outermost slab boundaries as infinite.
+    """
+    edges = np.linspace(0.0, mesh.L, k + 1)
+    lo, hi = edges[:-1], edges[1:]
+    lo[0], hi[-1] = -np.inf, np.inf
+    a = _bump_cdf((xs[:, None] - lo[None, :]) / mesh.h)
+    b = _bump_cdf((xs[:, None] - hi[None, :]) / mesh.h)
+    return a - b
 
 
-def slab_rotations(mesh: StripMesh, F: np.ndarray) -> RotationProfile:
-    """Polar factors of slab averages of the scaled deformation gradient F.
+def slab_rotations(mesh: StripMesh, F: np.ndarray) -> np.ndarray:
+    """Unwrapped polar angles of slab averages of the scaled gradient F, (k,).
 
     The strip (0, L) splits into k = floor(L/h) slabs of equal width, which
     lies in [h, 2h) whenever h <= L/2, h the mesh's thickness.
@@ -97,7 +72,6 @@ def slab_rotations(mesh: StripMesh, F: np.ndarray) -> RotationProfile:
     k = int(np.floor(L / h))
     if k < 2:
         raise ConfigError(f"need h <= L/2 for slab rotations, got h={h!r}, L={L!r}")
-    edges = np.linspace(0.0, L, k + 1)
     idx = np.clip((mesh.qp_x[:, 0] * (k / L)).astype(int), 0, k - 1)
     sums = _bin_sum(idx, F, k)
     counts = np.bincount(idx, minlength=k).astype(float)
@@ -108,7 +82,20 @@ def slab_rotations(mesh: StripMesh, F: np.ndarray) -> RotationProfile:
         ang = polar_angle(means)
     except DomainError as exc:
         raise DiagnosticError(f"slab average is degenerate: {exc}") from exc
-    return RotationProfile(h=h, edges=edges, slab_angle=np.unwrap(ang))
+    return np.unwrap(ang)
+
+
+def mollified_angle(mesh: StripMesh, slab_angle: np.ndarray, xs) -> np.ndarray:
+    """Projected, unwrapped angle of the entrywise mollified slab rotations at sorted xs."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if xs.size > 1 and np.any(np.diff(xs) < 0):
+        raise DiagnosticError("rotation profile must be sampled at sorted x1")
+    w = _slab_weights(mesh, slab_angle.size, xs)
+    try:
+        ang = polar_angle(np.einsum("xk,kij->xij", w, rot2(slab_angle)))
+    except DomainError as exc:
+        raise DiagnosticError(f"mollified rotation degenerate: {exc}") from exc
+    return np.unwrap(ang)
 
 
 def column_moments(mesh: StripMesh, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,9 +106,8 @@ def column_moments(mesh: StripMesh, T: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return bar, hat
 
 
-@dataclass
-class IdentityRow:
-    """Residuals of the limit identities for one thickness."""
+class IdentityRow(NamedTuple):
+    """Residuals of the limit identities for one thickness: a row of identities.csv."""
 
     h: float
     r1: float  # first strain moment against -theta'/12, relative
@@ -130,8 +116,14 @@ class IdentityRow:
     r4: float  # skew part of the scaled stress, L1 over h
     r5: float  # rigidity ratio: |F - R|^2 over dist^2(F, SO(2))
 
-    def as_tuple(self) -> tuple[float, ...]:
-        return (self.h, self.r1, self.r2, self.r3, self.r4, self.r5)
+
+class ConvergenceRow(NamedTuple):
+    """Errors against the rod limit for one thickness: a row of convergence.csv."""
+
+    h: float
+    theta_err_L2: float    # mollified angle against the rod angle, L2(0, L)
+    y_err_W12: float       # y against the rod midline, W^{1,2}(strip)
+    energy_over_h2: float  # elastic energy over h^2
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,9 +155,9 @@ def diagnose(fld: DeformationField, g: LoadProfile, W: EnergyDensity) -> Diagnos
     cols = mesh.col_x
     cw = mesh.col_w
     F = fld.gradients()
-    prof = slab_rotations(mesh, F)
-    node_theta = prof.angle_at(mesh.x1)
-    col_theta = prof.angle_at(cols)
+    slab_angle = slab_rotations(mesh, F)
+    node_theta = mollified_angle(mesh, slab_angle, mesh.x1)
+    col_theta = mollified_angle(mesh, slab_angle, cols)
     thp = np.gradient(col_theta, cols, edge_order=2)
     Rq = rot2(col_theta[mesh.qp_col])
 
@@ -202,10 +194,8 @@ def diagnose(fld: DeformationField, g: LoadProfile, W: EnergyDensity) -> Diagnos
     # z at the nodes, and the z-identity: the finite-element gradient of z
     # against the quadrature-point strain; both sides are discrete, so the
     # gap shrinks at the interpolation order of the mesh
-    e1 = np.stack([np.cos(node_theta), np.sin(node_theta)], axis=-1)
+    integral = midline(mesh.x1, node_theta)
     e2 = np.stack([-np.sin(node_theta), np.cos(node_theta)], axis=-1)
-    seg = 0.5 * np.diff(mesh.x1)[:, None] * (e1[:-1] + e1[1:])
-    integral = np.vstack([np.zeros((1, 2)), np.cumsum(seg, axis=0)])
     ygrid = fld.y.reshape(mesh.nx + 1, mesh.ny + 1, 2)
     z = ygrid / h - integral[:, None, :] / h - mesh.x2[None, :, None] * e2[:, None, :]
     z_bc_gap = float(np.max(np.linalg.norm(z[0], axis=-1)))
@@ -224,26 +214,6 @@ def diagnose(fld: DeformationField, g: LoadProfile, W: EnergyDensity) -> Diagnos
         row=IdentityRow(h=h, r1=r1, r2=r2, r3=r3, r4=r4, r5=r5),
         z_bc_gap=z_bc_gap, z_identity_error=float(num / max(den, EPS_DIV)),
     )
-
-
-@dataclass(eq=False)
-class ConvergenceTable:
-    """Per-thickness errors against the rod limit plus identity residuals."""
-
-    h: np.ndarray
-    theta_err: np.ndarray
-    y_err: np.ndarray
-    energy_over_h2: np.ndarray
-    residuals: list[IdentityRow]
-
-    def rows(self):
-        for i in range(self.h.size):
-            yield (
-                float(self.h[i]),
-                float(self.theta_err[i]),
-                float(self.y_err[i]),
-                float(self.energy_over_h2[i]),
-            )
 
 
 def theta_error(d: Diagnosis, limit: ElasticaSolution) -> float:
@@ -276,7 +246,8 @@ def convergence_study(
     limit: ElasticaSolution,
     g: LoadProfile,
     W: EnergyDensity,
-) -> ConvergenceTable:
+) -> tuple[list[ConvergenceRow], list[IdentityRow]]:
+    """One convergence.csv row and one identities.csv row per field."""
     if not fields:
         raise ConfigError("convergence study needs at least one solution")
     for fld in fields:
@@ -284,19 +255,13 @@ def convergence_study(
             raise ConfigError(
                 f"strip length {fld.mesh.L!r} does not match rod length {limit.L!r}"
             )
-    hs, terr, yerr, esc, rows = [], [], [], [], []
+    errors, identities = [], []
     for fld in fields:
         d = diagnose(fld, g, W)
+        h = fld.mesh.h
         elastic = float(fld.mesh.qp_w * np.sum(W.energy(d.F)))
-        hs.append(fld.mesh.h)
-        terr.append(theta_error(d, limit))
-        yerr.append(y_error(fld, d.F, limit))
-        esc.append(elastic / fld.mesh.h**2)
-        rows.append(d.row)
-    return ConvergenceTable(
-        h=np.array(hs),
-        theta_err=np.array(terr),
-        y_err=np.array(yerr),
-        energy_over_h2=np.array(esc),
-        residuals=rows,
-    )
+        errors.append(
+            ConvergenceRow(h, theta_error(d, limit), y_error(fld, d.F, limit), elastic / h**2)
+        )
+        identities.append(d.row)
+    return errors, identities

@@ -108,15 +108,18 @@ def J2_eval(sol: ElasticaSolution, g: LoadProfile) -> float:
     return float(np.trapezoid(integrand, sol.x))
 
 
-def _finish(x, theta, modulus, g, iterations) -> ElasticaSolution:
-    # curvature from centered differences (second-order one-sided at the
-    # ends); midline by trapezoid integration of the unit tangent from 0
-    kappa = np.gradient(theta, x, edge_order=2)
+def midline(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Trapezoid integral from 0 of the unit tangent (cos theta, sin theta), (n+1, 2)."""
     tang = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     seg = 0.5 * np.diff(x)[:, None] * (tang[:-1] + tang[1:])
-    ybar = np.vstack([np.zeros((1, 2)), np.cumsum(seg, axis=0)])
+    return np.vstack([np.zeros((1, 2)), np.cumsum(seg, axis=0)])
+
+
+def _finish(x, theta, modulus, g, iterations) -> ElasticaSolution:
+    # curvature from centered differences (second-order one-sided at the ends)
+    kappa = np.gradient(theta, x, edge_order=2)
     sol = ElasticaSolution(
-        x=x, theta=theta, kappa=kappa, ybar=ybar, j2=0.0, modulus=modulus,
+        x=x, theta=theta, kappa=kappa, ybar=midline(x, theta), j2=0.0, modulus=modulus,
         iterations=iterations,
     )
     sol.j2 = J2_eval(sol, g)

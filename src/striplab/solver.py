@@ -83,11 +83,10 @@ def _assemble(mesh: StripMesh, ve: np.ndarray) -> np.ndarray:
     return v
 
 
-def load_vector(mesh: StripMesh, g: LoadProfile) -> np.ndarray:
-    """Assembled load term at unit load factor, clamped rows zeroed."""
-    gvals = g(mesh.qp_x[:, 0]).reshape(mesh.nelem, 4, 2)
+def load_vector(mesh: StripMesh, gq: np.ndarray) -> np.ndarray:
+    """Assembled load term of gq = g(mesh.qp_x[:, 0]) at unit load factor, clamped rows zeroed."""
     w = mesh.h * mesh.h * mesh.qp_w
-    return _assemble(mesh, w * np.einsum("eqi,qa->eai", gvals, mesh.shape_n))
+    return _assemble(mesh, w * np.einsum("eqi,qa->eai", gq.reshape(mesh.nelem, 4, 2), mesh.shape_n))
 
 
 def elastic_residual(mesh: StripMesh, W: EnergyDensity, F: np.ndarray) -> np.ndarray:
@@ -147,7 +146,7 @@ def _newton(
 ) -> tuple[int, np.ndarray, float, float, float]:
     """Newton with Armijo backtracking at fixed load factor, from positions y.
 
-    gq is the load at the quadrature points and f ``load_vector(mesh, g)``.
+    gq is the load at the quadrature points and f ``load_vector(mesh, gq)``.
     The stopping bound is the larger of NEWTON_TOL times the load scale and
     the assembly's roundoff floor, FLOOR_C * eps * max|K| * max|y| with K
     the last tangent.
@@ -241,8 +240,8 @@ def solve_stationary(
     """
     if start is not None and start.mesh is not mesh:
         raise ConfigError("start must be a field on the mesh being solved")
-    f = load_vector(mesh, g)
     gq = g(mesh.qp_x[:, 0])
+    f = load_vector(mesh, gq)
 
     what = "cold start" if start is None else "given start"
     y = mesh.rigid if start is None else start.y

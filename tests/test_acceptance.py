@@ -42,7 +42,7 @@ def sweep():
         solve_secs.append(time.perf_counter() - t0)
         assert rep.converged, rep.message
         fields.append(fld)
-    table = convergence_study(fields, limit, GAMMA, W0)
+    errors, identities = convergence_study(fields, limit, GAMMA, W0)
     fine_r2 = []
     for fld in fields:
         mesh2 = build_mesh(1.0, fld.mesh.h, 2 * fld.mesh.nx, 8)
@@ -50,7 +50,8 @@ def sweep():
         assert rep2.converged, rep2.message
         fine_r2.append(diagnose(fld2, GAMMA, W0).row.r2)
     return {
-        "table": table,
+        "errors": errors,
+        "identities": identities,
         "fine_r2": np.asarray(fine_r2),
         "solve_secs": solve_secs,
         "wall": time.perf_counter() - t_wall,
@@ -80,7 +81,7 @@ def test_criterion_01_trivial_equilibrium():
 
 
 def test_criterion_02_energy_scaling(sweep):
-    esc = np.asarray(sweep["table"].energy_over_h2)
+    esc = np.array([r.energy_over_h2 for r in sweep["errors"]])
     ratio = float(esc.max() / esc.min())
     ok = ratio <= 2.0 and sweep["wall"] <= 300.0
     _report(
@@ -93,8 +94,8 @@ def test_criterion_02_energy_scaling(sweep):
 
 
 def test_criterion_03_convergence_of_equilibria(sweep):
-    t = np.asarray(sweep["table"].theta_err)
-    y = np.asarray(sweep["table"].y_err)
+    t = np.array([r.theta_err_L2 for r in sweep["errors"]])
+    y = np.array([r.y_err_W12 for r in sweep["errors"]])
     ok = (
         bool(np.all(np.diff(t) < 0))
         and t[-1] <= 0.5 * t[0]
@@ -111,7 +112,7 @@ def test_criterion_03_convergence_of_equilibria(sweep):
 
 
 def test_criterion_04_identity_residuals(sweep):
-    rows = sweep["table"].residuals
+    rows = sweep["identities"]
     r1 = np.array([r.r1 for r in rows])
     r2 = np.array([r.r2 for r in rows])
     r3 = np.array([r.r3 for r in rows])
@@ -134,7 +135,7 @@ def test_criterion_04_identity_residuals(sweep):
 
 
 def test_criterion_05_rigidity_ratio(sweep):
-    r5 = np.array([r.r5 for r in sweep["table"].residuals])
+    r5 = np.array([r.r5 for r in sweep["identities"]])
     spread = float(r5.max() / r5.min())
     ok = bool(np.all(np.isfinite(r5))) and spread <= 2.0
     _report(

@@ -433,7 +433,8 @@ def test_diagnose_emits_every_table(tmp_path):
     assert written == [
         "solution.csv", "rotations.csv", "fields.csv", "moments.csv", "identities.csv", "report.csv"
     ]
-    _, rows = read_table(out / "identities.csv")
+    header, rows = read_table(out / "identities.csv")
+    assert header == ["h", "r1", "r2", "r3", "r4", "r5"]
     assert len(rows) == 1
     assert float(rows[0][0]) == 0.2
     # the clamp gap of z tracks the mollified angle at x1 = 0, small under
@@ -448,10 +449,12 @@ def test_converge_runs_the_sweep(tmp_path):
     )
     out = tmp_path / "o"
     assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
-    _, rows = read_table(out / "convergence.csv")
+    header, rows = read_table(out / "convergence.csv")
+    assert header == ["h", "theta_err_L2", "y_err_W12", "energy_over_h2"]
     assert len(rows) == 2
     assert float(rows[1][1]) < float(rows[0][1])  # theta error shrinks with h
-    _, ids = read_table(out / "identities.csv")
+    header, ids = read_table(out / "identities.csv")
+    assert header == ["h", "r1", "r2", "r3", "r4", "r5"]
     assert [float(r[0]) for r in ids] == [0.2, 0.1]
     _, manifest = read_table(out / "manifest.csv")
     steps = [r[0] for r in manifest]

@@ -10,17 +10,15 @@ from striplab.csvio import (
     fmt,
     read_keyvalue,
     read_table,
-    write_convergence,
     write_elastica,
     write_fields,
-    write_identities,
     write_keyvalue,
     write_moments,
     write_rotations,
     write_solution,
     write_table,
 )
-from striplab.diagnostics import ConvergenceTable, IdentityRow, diagnose
+from striplab.diagnostics import ConvergenceRow, IdentityRow, diagnose
 from striplab.elastica import solve_elastica
 from striplab.energy import HalfDistSquared
 from striplab.errors import ConfigError
@@ -210,6 +208,7 @@ def test_float_tables_write_edge_values_like_per_cell_rows(tmp_path):
     fld = SimpleNamespace(mesh=mesh, y=column(mesh.nnode, 2))
     ids = np.arange(mesh.nnode)
     ix, iy = np.divmod(ids, ny + 1)
+    mesh.nodes = np.column_stack([mesh.x1[ix], mesh.x2[iy]])  # build_mesh's node order
     ref = zip(ids, mesh.x1[ix], mesh.x2[iy], fld.y[:, 0], fld.y[:, 1])
     text = same_bytes(
         write_solution(tmp_path / "solution.csv", fld), ["node_id", "x1", "x2", "y1", "y2"], ref
@@ -243,25 +242,22 @@ def test_float_tables_write_edge_values_like_per_cell_rows(tmp_path):
     same_bytes(written, read_table(written)[0], ref)
 
 
-def test_write_identities_layout(tmp_path):
+def test_identity_table_layout(tmp_path):
     rows_in = [
         IdentityRow(h=0.2, r1=0.1, r2=0.01, r3=1e-8, r4=1e-7, r5=5.0),
         IdentityRow(h=0.1, r1=0.05, r2=0.02, r3=1e-8, r4=1e-7, r5=5.5),
     ]
-    header, rows = read_table(write_identities(tmp_path / "ids.csv", rows_in))
+    header, rows = read_table(write_table(tmp_path / "ids.csv", IdentityRow._fields, rows_in))
     assert header == ["h", "r1", "r2", "r3", "r4", "r5"]
     assert [float(r[0]) for r in rows] == [0.2, 0.1]
     assert float(rows[1][1]) == 0.05
 
 
-def test_write_convergence_layout(tmp_path):
-    table = ConvergenceTable(
-        h=np.array([0.2, 0.1]),
-        theta_err=np.array([2e-4, 1e-4]),
-        y_err=np.array([0.2, 0.1]),
-        energy_over_h2=np.array([3e-7, 3e-7]),
-        residuals=[],
-    )
-    header, rows = read_table(write_convergence(tmp_path / "conv.csv", table))
+def test_convergence_table_layout(tmp_path):
+    rows_in = [
+        ConvergenceRow(h=0.2, theta_err_L2=2e-4, y_err_W12=0.2, energy_over_h2=3e-7),
+        ConvergenceRow(h=0.1, theta_err_L2=1e-4, y_err_W12=0.1, energy_over_h2=3e-7),
+    ]
+    header, rows = read_table(write_table(tmp_path / "conv.csv", ConvergenceRow._fields, rows_in))
     assert header == ["h", "theta_err_L2", "y_err_W12", "energy_over_h2"]
     assert [float(r[1]) for r in rows] == [2e-4, 1e-4]

@@ -5,9 +5,11 @@ import pytest
 
 from striplab.algebra import rot2
 from striplab.diagnostics import (
+    _slab_weights,
     column_moments,
     convergence_study,
     diagnose,
+    mollified_angle,
     slab_rotations,
     theta_error,
     y_error,
@@ -23,7 +25,7 @@ W = HalfDistSquared()
 G0 = LoadProfile.constant(0.0, 0.0)
 
 
-def profile_of(fld):
+def slab_angle_of(fld):
     return slab_rotations(fld.mesh, fld.gradients())
 
 
@@ -35,47 +37,50 @@ def rotated_state(mesh, phi):
 def test_slab_rotations_rigid_state_zero():
     mesh = build_mesh(1.0, 0.2, 32, 4)
     fld = rigid_state(mesh)
-    prof = profile_of(fld)
-    assert prof.slab_angle.size == 5
-    assert prof.edges[0] == 0.0 and prof.edges[-1] == pytest.approx(1.0)
-    assert np.all(prof.slab_angle == 0.0)
+    slab_angle = slab_angle_of(fld)
+    assert slab_angle.size == 5
+    assert np.all(slab_angle == 0.0)
 
 
 def test_slab_rotations_recover_constant_rotation():
     mesh = build_mesh(1.0, 0.1, 32, 4)
     phi = 0.7
     fld = rotated_state(mesh, phi)
-    prof = profile_of(fld)
-    np.testing.assert_allclose(prof.slab_angle, phi, atol=1e-12)
+    slab_angle = slab_angle_of(fld)
+    np.testing.assert_allclose(slab_angle, phi, atol=1e-12)
     xs = np.linspace(0.0, 1.0, 41)
-    np.testing.assert_allclose(prof.angle_at(xs), phi, atol=1e-12)
-    R = prof.smoothed_matrix_at(xs)
-    np.testing.assert_allclose(R, np.broadcast_to(rot2(phi), R.shape), atol=1e-12)
+    np.testing.assert_allclose(mollified_angle(mesh, slab_angle, xs), phi, atol=1e-12)
+    # the bump weights are a partition of unity, so a constant profile stays put
+    w = _slab_weights(mesh, slab_angle.size, xs)
+    np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_slab_count_validation():
     mesh = build_mesh(0.5, 0.3, 16, 2)
     with pytest.raises(ConfigError):
-        profile_of(rigid_state(mesh))  # only one slab fits
+        slab_angle_of(rigid_state(mesh))  # only one slab fits
 
 
 def test_smoothed_profile_extends_constantly():
     mesh = build_mesh(1.0, 0.2, 64, 4)
     fld = rigid_state(mesh)
-    prof = profile_of(fld)
-    prof.slab_angle[:] = np.linspace(0.0, 0.4, prof.slab_angle.size)
+    slab_angle = np.linspace(0.0, 0.4, slab_angle_of(fld).size)
+
+    def at(x):
+        return mollified_angle(mesh, slab_angle, np.array([x]))
+
     # beyond the outermost slab centers the profile is constant
-    assert prof.angle_at(np.array([0.0])) == pytest.approx(prof.slab_angle[0], abs=1e-12)
-    assert prof.angle_at(np.array([1.0])) == pytest.approx(prof.slab_angle[-1], abs=1e-12)
-    mid = prof.angle_at(np.array([0.5]))
-    assert prof.slab_angle.min() <= mid <= prof.slab_angle.max()
+    assert at(0.0) == pytest.approx(slab_angle[0], abs=1e-12)
+    assert at(1.0) == pytest.approx(slab_angle[-1], abs=1e-12)
+    mid = at(0.5)
+    assert slab_angle.min() <= mid <= slab_angle.max()
 
 
 def test_angle_at_requires_sorted_positions():
     mesh = build_mesh(1.0, 0.2, 32, 4)
-    prof = profile_of(rigid_state(mesh))
+    slab_angle = slab_angle_of(rigid_state(mesh))
     with pytest.raises(DiagnosticError):
-        prof.angle_at(np.array([0.5, 0.2]))
+        mollified_angle(mesh, slab_angle, np.array([0.5, 0.2]))
 
 
 def test_tensor_field_moments_by_hand():
@@ -104,7 +109,7 @@ def test_identity_report_rigid_state_all_zero():
     assert row.h == 0.1
     assert (row.r1, row.r2, row.r3, row.r4) == (0.0, 0.0, 0.0, 0.0)
     assert row.r5 == 1.0  # 0/0 convention for an exactly rigid field
-    assert row.as_tuple() == (0.1, 0.0, 0.0, 0.0, 0.0, 1.0)
+    assert row == (0.1, 0.0, 0.0, 0.0, 0.0, 1.0)
 
 
 def test_z_field_rigid_state_zero():
@@ -153,12 +158,11 @@ def test_convergence_study_two_thicknesses():
         fld, rep = solve_stationary(mesh, g, W, start=lift(sol, mesh))
         assert rep.converged
         fields.append(fld)
-    table = convergence_study(fields, sol, g, W)
-    rows = list(table.rows())
+    rows, identities = convergence_study(fields, sol, g, W)
     assert len(rows) == 2
     assert rows[1][1] < rows[0][1]  # theta error decreases with h
     assert rows[1][2] < rows[0][2]  # y error decreases with h
-    assert table.residuals[0].r1 > table.residuals[1].r1
+    assert identities[0].r1 > identities[1].r1
 
 
 def test_convergence_study_rejects_mismatched_lengths():

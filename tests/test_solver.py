@@ -77,9 +77,9 @@ def test_load_vector_against_dense_loops():
     h = 0.2
     mesh = build_mesh(1.0, h, 4, 2)
     g = LoadProfile.constant(0.3, -0.7)
-    got = load_vector(mesh, g)  # flat, length 2*nnode
-    expect = np.zeros((mesh.nnode, 2))
     gvals = g(mesh.qp_x[:, 0])
+    got = load_vector(mesh, gvals)  # flat, length 2*nnode
+    expect = np.zeros((mesh.nnode, 2))
     for e in range(mesh.nelem):
         for q in range(4):
             qp = 4 * e + q
@@ -92,7 +92,7 @@ def test_load_vector_against_dense_loops():
 def test_residual_is_gradient_of_energy():
     mesh = build_mesh(1.0, 0.1, 8, 4)
     fld = perturbed_field(mesh)
-    r = elastic_residual(mesh, W, fld.gradients()) - load_vector(mesh, GAMMA)
+    r = elastic_residual(mesh, W, fld.gradients()) - load_vector(mesh, GAMMA(mesh.qp_x[:, 0]))
     rng = np.random.default_rng(3)
     du = rng.standard_normal(fld.y.shape)
     du[mesh.clamped_nodes()] = 0.0
@@ -274,7 +274,7 @@ def test_solve_stops_at_the_roundoff_floor(h, nx):
     mesh = build_mesh(1.0, h, nx, 8)
     fld, rep = solve_stationary(mesh, GAMMA, W)
     assert rep.converged
-    f = load_vector(mesh, GAMMA)
+    f = load_vector(mesh, GAMMA(mesh.qp_x[:, 0]))
     F = fld.gradients()
     r = elastic_residual(mesh, W, F) - f
     assert float(np.max(np.abs(r))) == rep.residual_sup
@@ -392,7 +392,7 @@ def test_residual_guards_inverted_elements():
     grid = np.arange(mesh.nnode).reshape(mesh.nx + 1, mesh.ny + 1)
     fld.y[grid[2, :], 0] -= 2.0 * mesh.dx  # fold the mesh over itself
     with pytest.raises(StepRejected):
-        elastic_residual(mesh, W, fld.gradients()) - load_vector(mesh, GAMMA)
+        elastic_residual(mesh, W, fld.gradients()) - load_vector(mesh, GAMMA(mesh.qp_x[:, 0]))
 
 
 def test_start_on_another_mesh_is_refused():
