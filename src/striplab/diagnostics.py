@@ -110,7 +110,7 @@ class IdentityRow(NamedTuple):
     """Residuals of the limit identities for one thickness: a row of identities.csv."""
 
     h: float
-    r1: float  # first strain moment against -theta'/12, relative
+    r1: float  # |hatG11 + theta'/12| / |theta'|: 1/12 of the gap relative to theta'/12
     r2: float  # stress moment balance against the tilted load
     r3: float  # free-end first stress moment
     r4: float  # skew part of the scaled stress, L1 over h
@@ -192,8 +192,9 @@ def diagnose(fld: DeformationField, g: LoadProfile, W: EnergyDensity) -> Diagnos
     r5 = 1.0 if num5 == 0.0 and den5 == 0.0 else num5 / (den5 + EPS_DIV)
 
     # z at the nodes, and the z-identity: the finite-element gradient of z
-    # against the quadrature-point strain; both sides are discrete, so the
-    # gap shrinks at the interpolation order of the mesh
+    # against the quadrature-point strain.  The gap is x1 mesh error: at
+    # fixed h it halves with each doubling of nx, but the default nx rule
+    # holds dx/h fixed, so along an h-sweep it does not shrink (it rises)
     integral = midline(mesh.x1, node_theta)
     e2 = np.stack([-np.sin(node_theta), np.cos(node_theta)], axis=-1)
     ygrid = fld.y.reshape(mesh.nx + 1, mesh.ny + 1, 2)

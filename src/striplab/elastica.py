@@ -126,20 +126,23 @@ def _finish(x, theta, modulus, g, iterations) -> ElasticaSolution:
     return sol
 
 
+def _rod_setup(modulus: float, g: LoadProfile, L: float, n: int):
+    """Checked inputs of both rod routes: nodes x, spacing dx, c = E/12, gtilde at x."""
+    if not (modulus > 0.0 and L > 0.0):
+        raise ConfigError(f"need modulus > 0 and L > 0, got {modulus!r}, {L!r}")
+    if n < 8:
+        raise ConfigError(f"elastica grid needs n >= 8, got {n}")
+    x = np.linspace(0.0, L, n + 1)
+    return x, L / n, modulus / 12.0, gtilde(g, L, x)
+
+
 def solve_elastica(modulus: float, g: LoadProfile, L: float, n: int) -> ElasticaSolution:
     """Damped Newton on the finite-difference rod equation.
 
     Load ramping engages when the dimensionless stiffness 12 |gtilde| L^2 / E
     exceeds 5.  Raises NonConvergence if Newton stalls.
     """
-    if not (modulus > 0.0 and L > 0.0):
-        raise ConfigError(f"need modulus > 0 and L > 0, got {modulus!r}, {L!r}")
-    if n < 8:
-        raise ConfigError(f"elastica grid needs n >= 8, got {n}")
-    x = np.linspace(0.0, L, n + 1)
-    dx = L / n
-    c = modulus / 12.0
-    gtv = gtilde(g, L, x)
+    x, dx, c, gtv = _rod_setup(modulus, g, L, n)
     strength = 12.0 * float(np.max(np.abs(gtv))) * L**2 / modulus
     ramps = 1 if strength <= 5.0 else int(np.ceil(strength / 5.0))
 
@@ -205,16 +208,9 @@ def minimize_J2(modulus: float, g: LoadProfile, L: float, n: int) -> ElasticaSol
     positive definite) bending block, with Armijo backtracking on the
     functional value; independent of the Newton route in ``solve_elastica``.
     """
-    if not (modulus > 0.0 and L > 0.0):
-        raise ConfigError(f"need modulus > 0 and L > 0, got {modulus!r}, {L!r}")
-    if n < 8:
-        raise ConfigError(f"elastica grid needs n >= 8, got {n}")
-    x = np.linspace(0.0, L, n + 1)
-    dx = L / n
-    c = modulus / 12.0
+    x, dx, c, gtv = _rod_setup(modulus, g, L, n)
     wq = np.full(n + 1, dx)
     wq[0] = wq[-1] = 0.5 * dx
-    gtv = gtilde(g, L, x)
 
     # bending Hessian on the free nodes 1..n (SPD tridiagonal)
     ab = np.zeros((2, n))
