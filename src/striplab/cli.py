@@ -28,7 +28,7 @@ from .config import (
     mesh_from,
     sweep_from,
 )
-from .diagnostics import ConvergenceRow, IdentityRow, convergence_study, diagnose
+from .diagnostics import ConvergenceRow, IdentityRow, diagnose, theta_error, y_error
 from .energy import linearize, taylor_remainder
 from .errors import (
     ConfigError,
@@ -36,7 +36,6 @@ from .errors import (
     DomainError,
     NonConvergence,
     StepRejected,
-    TruncationFailure,
 )
 from .solver import lift, solve_stationary
 from .truncation import rough_field, sample_on_strip, square_cells, thin_truncate
@@ -172,7 +171,7 @@ def run_diagnose(cfg: ExperimentConfig, out: Path) -> RunManifest:
 
 
 def run_convergence(cfg: ExperimentConfig, out: Path) -> RunManifest:
-    """Elastica once, then each h of the sweep solved from its lift, then the tables."""
+    """Elastica once, then each h of the sweep solved from its lift and tabulated."""
     manifest = RunManifest(config=cfg, out_dir=out)
     W = energy_from(cfg)
     g = load_from(cfg)
@@ -187,25 +186,30 @@ def run_convergence(cfg: ExperimentConfig, out: Path) -> RunManifest:
         [csvio.write_elastica(out / "elastica.csv", limit)],
     )
 
-    fields = []
+    errors, identities = [], []
+    diag_s = 0.0
     for mesh in meshes:
+        h = mesh.h
         t0 = time.perf_counter()
         fld, report = solve_stationary(mesh, g, W, start=lift(limit, mesh))
-        dt = time.perf_counter() - t0
+        t1 = time.perf_counter()
         if not report.converged:
-            manifest.record(f"solve h={mesh.h:g}", f"non-converged: {report.message}", dt)
+            manifest.record(f"solve h={h:g}", f"non-converged: {report.message}", t1 - t0)
             continue
-        manifest.record(f"solve h={mesh.h:g}", "ok", dt)
-        fields.append(fld)
+        manifest.record(f"solve h={h:g}", "ok", t1 - t0)
+        d = diagnose(fld, g, W)
+        energy = report.elastic_energy / h**2  # the energy the solver measured
+        errors.append(ConvergenceRow(h, theta_error(d, limit), y_error(fld, d.F, limit), energy))
+        identities.append(d.row)
+        diag_s += time.perf_counter() - t1
 
-    if fields:
+    if errors:
         t0 = time.perf_counter()
-        errors, identities = convergence_study(fields, limit, g, W)
         paths = [
             csvio.write_table(out / "convergence.csv", ConvergenceRow._fields, errors),
             csvio.write_table(out / "identities.csv", IdentityRow._fields, identities),
         ]
-        manifest.record("diagnostics", "ok", time.perf_counter() - t0, paths)
+        manifest.record("diagnostics", "ok", diag_s + time.perf_counter() - t0, paths)
     manifest.write()
     return manifest
 
@@ -240,21 +244,24 @@ def run_truncation_demo(cfg: ExperimentConfig, out: Path, seed: int | None = Non
             ) from None
         grids.append((n1, n2))
 
-    rows = []
+    rows, summary = [], {}
     t0 = time.perf_counter()
     for n1, n2 in grids:
+        key = f"{n1}x{n2}"
+        qs = []
         for idx in range(nfields):
             fn = rough_field(seed + idx)
             u = sample_on_strip(fn, n1, n2, height)
             try:
                 result = thin_truncate(u, a, A)
-            except TruncationFailure as exc:
+            except DiagnosticError as exc:
                 manifest.record("truncate", f"failed: {exc}", time.perf_counter() - t0)
                 manifest.write()
                 raise
+            qs.append(result.q)
             rows.append(
                 (
-                    f"{n1}x{n2}",
+                    key,
                     seed + idx,
                     result.level,
                     result.lam,
@@ -264,21 +271,17 @@ def run_truncation_demo(cfg: ExperimentConfig, out: Path, seed: int | None = Non
                     result.grad_sup,
                 )
             )
+        summary[f"q_max_{key}"] = max(qs)
+        summary[f"q_mean_{key}"] = sum(qs) / len(qs)
     dt = time.perf_counter() - t0
     paths = [
         csvio.write_table(
             out / "qstats.csv",
             ["grid", "seed", "level", "lam", "q", "mismatch_area", "strip_index", "grad_sup_v"],
             rows,
-        )
+        ),
+        csvio.write_keyvalue(out / "summary.csv", summary),
     ]
-    summary = {}
-    for n1, n2 in grids:
-        key = f"{n1}x{n2}"
-        qs = [r[4] for r in rows if r[0] == key]
-        summary[f"q_max_{key}"] = max(qs)
-        summary[f"q_mean_{key}"] = sum(qs) / len(qs)
-    paths.append(csvio.write_keyvalue(out / "summary.csv", summary))
     manifest.record("truncate", "ok", dt, paths)
     manifest.write()
     return manifest
@@ -394,7 +397,7 @@ def main(argv=None) -> int:
     except (NonConvergence, StepRejected) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (DiagnosticError, TruncationFailure, DomainError) as exc:
+    except (DiagnosticError, DomainError) as exc:
         print(f"diagnostic failure: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTIC
     return EXIT_OK if manifest.all_ok else EXIT_SOLVER

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .elastica import solve_elastica
+from .elastica import ROD_N, solve_elastica
 from .energy import EnergyDensity, HalfDistSquared, IsotropicQuadratic, linearize
 from .errors import ConfigError
 from .loads import LoadProfile
@@ -182,6 +182,4 @@ def sweep_from(cfg: ExperimentConfig) -> tuple[float, ...]:
 
 
 def elastica_from(cfg: ExperimentConfig, W: EnergyDensity, g: LoadProfile):
-    L = _positive(cfg, "strip.L", 1.0)
-    n = _at_least(cfg, "elastica.n", 2048, 8)
-    return solve_elastica(linearize(W).modulus, g, L, n=n)
+    return solve_elastica(linearize(W).modulus, g, _positive(cfg, "strip.L", 1.0), n=ROD_N)

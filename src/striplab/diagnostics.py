@@ -14,9 +14,10 @@
 * residuals r1..r5 of the identities that the limit theory predicts to hold
   or to vanish with h.
 
-``convergence_study`` tabulates the records of an h-sweep against the rod
-solution.  Each table is defined once, as its row type: the fields of
-``ConvergenceRow`` and ``IdentityRow`` are the CSV headers.
+``theta_error`` and ``y_error`` measure a solution against the rod.  Each
+table is defined once, as its row type: the fields of ``ConvergenceRow``
+and ``IdentityRow`` are the CSV headers, and ``cli.run_convergence`` fills
+one row of each per thickness as it solves.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ class ConvergenceRow(NamedTuple):
     h: float
     theta_err_L2: float    # mollified angle against the rod angle, L2(0, L)
     y_err_W12: float       # y against the rod midline, W^{1,2}(strip)
-    energy_over_h2: float  # elastic energy over h^2
+    energy_over_h2: float  # the solver's elastic energy over h^2
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,28 +242,3 @@ def y_error(fld: DeformationField, F: np.ndarray, limit: ElasticaSolution) -> fl
     err2 += mesh.h**2 * np.sum(F[:, :, 1] ** 2, axis=-1)
     return float(np.sqrt(mesh.qp_w * np.sum(err2)))
 
-
-def convergence_study(
-    fields: list[DeformationField],
-    limit: ElasticaSolution,
-    g: LoadProfile,
-    W: EnergyDensity,
-) -> tuple[list[ConvergenceRow], list[IdentityRow]]:
-    """One convergence.csv row and one identities.csv row per field."""
-    if not fields:
-        raise ConfigError("convergence study needs at least one solution")
-    for fld in fields:
-        if abs(fld.mesh.L - limit.L) > 1e-12 * max(1.0, limit.L):
-            raise ConfigError(
-                f"strip length {fld.mesh.L!r} does not match rod length {limit.L!r}"
-            )
-    errors, identities = [], []
-    for fld in fields:
-        d = diagnose(fld, g, W)
-        h = fld.mesh.h
-        elastic = float(fld.mesh.qp_w * np.sum(W.energy(d.F)))
-        errors.append(
-            ConvergenceRow(h, theta_error(d, limit), y_error(fld, d.F, limit), elastic / h**2)
-        )
-        identities.append(d.row)
-    return errors, identities

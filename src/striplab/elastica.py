@@ -27,6 +27,7 @@ from scipy.linalg import solve_banded, solveh_banded
 from .errors import ConfigError, NonConvergence
 from .loads import LoadProfile
 
+ROD_N = 2048             # grid intervals of the rod that the CLI solves
 ROD_TOL = 1e-12          # Newton: sup norm of the finite-difference residual
 ROD_MAX_ITERS = 60       # Newton iterations per load ramp
 DESCENT_GTOL = 1e-10     # descent: sup norm of the discrete gradient
@@ -165,16 +166,14 @@ def solve_elastica(modulus: float, g: LoadProfile, L: float, n: int) -> Elastica
             ab = _ode_jacobian(theta, gt, c, dx)
             delta = solve_banded((1, 1), ab, -r)
             alpha = 1.0
-            while True:
+            for _ in range(41):  # alpha = 1, 1/2, ..., 2**-40 < 1e-12
                 trial = theta.copy()
                 trial[1:] += alpha * delta
                 rt = _ode_residual(trial, gt, c, dx)
-                if float(np.max(np.abs(rt))) <= (1.0 - 1e-4 * alpha) * rn or alpha < 1e-12:
+                if float(np.max(np.abs(rt))) <= (1.0 - 1e-4 * alpha) * rn:
                     break
                 alpha *= 0.5
-            if alpha < 1e-12:
-                if rn <= floor:
-                    break
+            else:
                 raise NonConvergence("rod line search stalled", rn)
             theta = trial
             r = rt

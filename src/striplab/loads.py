@@ -1,7 +1,7 @@
 """Transverse load profiles g(x1) acting on the strip midline direction.
 
-A profile is either a constant 2-vector or linear interpolation of samples;
-outside the sample range it extends constantly.
+A profile is linear interpolation of samples, extended constantly outside
+their range; a constant profile is two equal samples at x = 0 and 1.
 """
 
 from __future__ import annotations
@@ -15,15 +15,15 @@ from .errors import ConfigError
 
 @dataclass(frozen=True, eq=False)
 class LoadProfile:
-    xs: np.ndarray | None  # None for a constant profile
-    vals: np.ndarray       # (2,) constant, or (m, 2) samples
+    xs: np.ndarray    # (m,) increasing sample positions
+    vals: np.ndarray  # (m, 2) samples
 
     @classmethod
     def constant(cls, g1: float, g2: float) -> "LoadProfile":
         vals = np.array([float(g1), float(g2)])
         if not np.all(np.isfinite(vals)):
             raise ConfigError(f"load.g1 and load.g2 must be finite, got {g1!r} and {g2!r}")
-        return cls(xs=None, vals=vals)
+        return cls(xs=np.array([0.0, 1.0]), vals=np.array([vals, vals]))
 
     @classmethod
     def from_samples(cls, xs, vals) -> "LoadProfile":
@@ -49,10 +49,6 @@ class LoadProfile:
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self.xs is None:
-            out = np.empty(x.shape + (2,))
-            out[...] = self.vals
-            return out
         g1 = np.interp(x, self.xs, self.vals[:, 0])
         g2 = np.interp(x, self.xs, self.vals[:, 1])
         return np.stack([g1, g2], axis=-1)

@@ -73,7 +73,10 @@ def _guard_dets(mesh: StripMesh, F: np.ndarray) -> None:
     d = det2(F)
     j = int(np.argmin(d))
     if d[j] <= DET_FLOOR:
-        raise StepRejected(mesh.qp_x[j, 0], mesh.qp_x[j, 1], float(d[j]), DET_FLOOR)
+        raise StepRejected(
+            f"determinant guard: det = {d[j]:.6g} <= {DET_FLOOR:g} "
+            f"at quadrature point ({mesh.qp_x[j, 0]:.6g}, {mesh.qp_x[j, 1]:.6g})"
+        )
 
 
 def _assemble(mesh: StripMesh, ve: np.ndarray) -> np.ndarray:

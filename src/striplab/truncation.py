@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
-from .errors import ConfigError, TruncationFailure
+from .errors import ConfigError, DiagnosticError
 
 KAPPA_WINDOW = 4  # cells; pair window for the good-set steepness measurement
 LADDER_FACTOR = np.sqrt(2.0)
@@ -429,7 +429,7 @@ def thin_truncate(u: GridFunction, a: float, A: float) -> TruncationResult:
     mf = maximal_function(gradient_magnitude(ext), floor=a)
     level, bad = select_lambda(mf, a, A)
     if bad.all():
-        raise TruncationFailure(f"good set is empty at level {level!r}; raise the upper bound A")
+        raise DiagnosticError(f"good set is empty at level {level!r}; raise the upper bound A")
 
     n_side = (K - m) // (2 * m)
     bad_counts = {}

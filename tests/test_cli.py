@@ -1,6 +1,7 @@
 """End-to-end driver runs: exit codes, artifacts, determinism."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -154,13 +155,12 @@ def test_truncate_bad_window_exits_2_naming_both_keys(tmp_path, capsys):
         ("converge", "strip.L = 0.5\nsweep.h = 0.4\n", "sweep.h"),
         ("solve-strip", "strip.h = 0.2\nstrip.nx = 2\n", "strip.nx"),
         ("solve-strip", "strip.h = 0.2\nstrip.ny = 1\n", "strip.ny"),
-        ("converge", "sweep.h = 0.2\nelastica.n = 64\nstrip.nx = 2\n", "strip.nx"),
-        ("converge", "sweep.h = 0.2\nelastica.n = 64\nstrip.ny = 1\n", "strip.ny"),
+        ("converge", "sweep.h = 0.2\nstrip.nx = 2\n", "strip.nx"),
+        ("converge", "sweep.h = 0.2\nstrip.ny = 1\n", "strip.ny"),
         ("truncate", TINY_TRUNC + "run.seed = -3\n", "run.seed"),
         ("energy-check", "run.seed = -3\n", "run.seed"),
         ("truncate", "truncation.resolutions = 64x8,64x7\n", "truncation.resolutions"),
         ("truncate", TINY_TRUNC + "truncation.height = 0.4\n", "truncation.height"),
-        ("solve-elastica", "elastica.n = 4\n", "elastica.n"),
         (
             "solve-strip",
             "strip.h = 0.2\nenergy.kind = isotropic-quadratic\nenergy.mu = inf\n",
@@ -227,7 +227,6 @@ def test_truncate_bad_window_exits_2_naming_both_keys(tmp_path, capsys):
         "energy-check-seed-negative",
         "odd-cells-across",
         "height-too-thick",
-        "elastica-n-below-8",
         "mu-inf",
         "lambda-inf",
         "sample-positions-vs-values",
@@ -246,7 +245,7 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, text
 
 
 def test_converge_builds_meshes_through_strip_nx_and_ny(tmp_path):
-    base = TINY_STRIP + "strip.ny = 4\nsweep.h = 0.2, 0.1\nelastica.n = 64\n"
+    base = TINY_STRIP + "strip.ny = 4\nsweep.h = 0.2, 0.1\n"
     out_rule, out_nx = tmp_path / "rule", tmp_path / "nx"
     assert main(["converge", "--config", write_cfg(tmp_path, base), "--out", str(out_rule)]) == 0
     cfg = write_cfg(tmp_path, base + "strip.nx = 32\n", name="nx.cfg")
@@ -310,7 +309,7 @@ def test_truncate_outputs_are_deterministic(tmp_path):
     "command, text",
     [
         ("diagnose", TINY_STRIP),
-        ("converge", TINY_STRIP + "sweep.h = 0.2, 0.1\nelastica.n = 512\n"),
+        ("converge", TINY_STRIP + "sweep.h = 0.2, 0.1\n"),
     ],
     ids=["diagnose", "converge"],
 )
@@ -402,14 +401,14 @@ def test_energy_check_negative_control_fails_loudly(tmp_path, monkeypatch):
 
 
 def test_solve_elastica_writes_rod_tables(tmp_path):
-    cfg = write_cfg(tmp_path, "load.g2 = -1e-3\nelastica.n = 128\n")
+    cfg = write_cfg(tmp_path, "load.g2 = -1e-3\n")
     out = tmp_path / "o"
     assert main(["solve-elastica", "--config", cfg, "--out", str(out)]) == 0
     report = read_keyvalue(out / "report.csv")
     assert float(report["tip_angle"]) < 0.0
-    assert report["n"] == "128"
+    assert report["n"] == "2048"  # elastica.ROD_N
     _, rows = read_table(out / "elastica.csv")
-    assert len(rows) == 129
+    assert len(rows) == 2049
 
 
 def test_diagnose_emits_every_table(tmp_path):
@@ -443,10 +442,7 @@ def test_diagnose_emits_every_table(tmp_path):
 
 
 def test_converge_runs_the_sweep(tmp_path):
-    cfg = write_cfg(
-        tmp_path,
-        "load.g2 = -1e-3\nsweep.h = 0.2, 0.1\nelastica.n = 512\n",
-    )
+    cfg = write_cfg(tmp_path, "load.g2 = -1e-3\nsweep.h = 0.2, 0.1\n")
     out = tmp_path / "o"
     assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
     header, rows = read_table(out / "convergence.csv")
@@ -471,3 +467,29 @@ def test_converge_solves_every_thickness_of_the_thin_sweep(tmp_path):
     }
     _, rows = read_table(out / "convergence.csv")
     assert [float(r[0]) for r in rows] == [0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625]
+
+
+@pytest.mark.parametrize(
+    "name, commands, overrides",
+    [
+        ("cantilever.cfg", ("diagnose", "converge", "energy-check"), {}),
+        ("thin.cfg", ("diagnose", "converge", "energy-check"), {"sweep.h": "0.2"}),
+        ("truncation.cfg", ("truncate",), {"truncation.fields": "2"}),
+    ],
+    ids=["cantilever", "thin", "truncation"],
+)
+def test_every_shipped_config_key_is_read(tmp_path, name, commands, overrides):
+    # a key that no subcommand using the config reads sets nothing; the
+    # overrides only shorten the runs, and keep the config's set of keys
+    text = (CONFIGS / name).read_text()
+    for key, value in overrides.items():
+        text, n = re.subn(rf"^{re.escape(key)}\s*=.*$", f"{key} = {value}", text, flags=re.M)
+        assert n == 1, key
+    cfg = write_cfg(tmp_path, text)
+    unread = []
+    for command in commands:
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        _, manifest = read_table(out / "manifest.csv")
+        unread.append(set(manifest[0][3].split(";")) - {""})
+    assert set.intersection(*unread) == set()

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from striplab.algebra import rot2
+from striplab.cli import main
+from striplab.config import ExperimentConfig, elastica_from, load_from, mesh_from
+from striplab.csvio import read_table
 from striplab.diagnostics import (
     _slab_weights,
     column_moments,
-    convergence_study,
     diagnose,
     mollified_angle,
     slab_rotations,
@@ -149,26 +151,23 @@ def test_theta_and_y_error_vanish_on_matching_limit():
     assert err == pytest.approx(0.1, abs=1e-2)  # sqrt of integral of h^2 |Re2|^2 = h
 
 
-def test_convergence_study_two_thicknesses():
-    g = LoadProfile.constant(0.0, -1e-3)
-    sol = solve_elastica(1.0, g, 1.0, n=1024)
-    fields = []
-    for h in (0.2, 0.1):
-        mesh = build_mesh(1.0, h, mesh_rule_nx(1.0, h), 8)
-        fld, rep = solve_stationary(mesh, g, W, start=lift(sol, mesh))
-        assert rep.converged
-        fields.append(fld)
-    rows, identities = convergence_study(fields, sol, g, W)
+def test_converge_two_thicknesses(tmp_path):
+    # the converge subcommand tabulates each h as it solves it
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("load.g2 = -1e-3\nsweep.h = 0.2, 0.1\n")
+    out = tmp_path / "o"
+    assert main(["converge", "--config", str(cfg_path), "--out", str(out)]) == 0
+    _, rows = read_table(out / "convergence.csv")
+    _, identities = read_table(out / "identities.csv")
     assert len(rows) == 2
-    assert rows[1][1] < rows[0][1]  # theta error decreases with h
-    assert rows[1][2] < rows[0][2]  # y error decreases with h
-    assert identities[0].r1 > identities[1].r1
-
-
-def test_convergence_study_rejects_mismatched_lengths():
-    g = LoadProfile.constant(0.0, -1e-3)
-    sol = solve_elastica(1.0, g, 2.0, n=64)
-    mesh = build_mesh(1.0, 0.2, 64, 8)
-    fld = rigid_state(mesh)
-    with pytest.raises(ConfigError):
-        convergence_study([fld], sol, g, W)
+    assert float(rows[1][1]) < float(rows[0][1])  # theta error decreases with h
+    assert float(rows[1][2]) < float(rows[0][2])  # y error decreases with h
+    assert float(identities[0][1]) > float(identities[1][1])  # r1
+    # energy_over_h2 is the energy the strip solver reports, not a recomputation
+    cfg = ExperimentConfig.load(cfg_path)
+    g = load_from(cfg)
+    rod = elastica_from(cfg, W, g)
+    for row in rows:
+        mesh = mesh_from(cfg, float(row[0]))
+        _, report = solve_stationary(mesh, g, W, start=lift(rod, mesh))
+        assert row[3] == repr(report.elastic_energy / mesh.h**2)

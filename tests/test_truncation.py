@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import fft as sfft
 
 from striplab import truncation
-from striplab.errors import ConfigError, TruncationFailure
+from striplab.errors import ConfigError, DiagnosticError
 from striplab.truncation import (
     KAPPA_WINDOW,
     LADDER_FACTOR,
@@ -563,7 +563,7 @@ def test_thin_truncate_heavy_fields_pinned(seed, level, strip_index, n_bad, q, l
 
 def test_thin_truncate_low_window_exhausts_good_set():
     u = sample_on_strip(rough_field(1), 64, 8, 0.125)
-    with pytest.raises(TruncationFailure, match="good set is empty"):
+    with pytest.raises(DiagnosticError, match="good set is empty"):
         thin_truncate(u, 0.5, 1.0)
 
 
