@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import dist_so2, polar_angle, rot2
+from .algebra import dist_so2, polar_angle, rot2, tmul2, trans2
 from .elastica import ElasticaSolution, gtilde, midline
 from .energy import EnergyDensity
 from .errors import ConfigError, DiagnosticError, DomainError
@@ -162,7 +162,7 @@ def diagnose(fld: DeformationField, g: LoadProfile, W: EnergyDensity) -> Diagnos
     thp = np.gradient(col_theta, cols, edge_order=2)
     Rq = rot2(col_theta[mesh.qp_col])
 
-    G = np.einsum("qji,qjk->qik", Rq, F)
+    G = tmul2(Rq, F)
     G[:, 0, 0] -= 1.0
     G[:, 1, 1] -= 1.0
     G /= h
@@ -179,7 +179,7 @@ def diagnose(fld: DeformationField, g: LoadProfile, W: EnergyDensity) -> Diagnos
     r1 = col_l2(Ghat[:, 0, 0] + thp / 12.0) / (col_l2(thp) + EPS_DIV)
 
     gt = gtilde(g, mesh.L, np.append(cols, mesh.L))[:-1]
-    mism = Ebar[:, :, 0] + h * np.einsum("cji,cj->ci", rot2(col_theta), gt)
+    mism = Ebar[:, :, 0] + h * tmul2(rot2(col_theta), gt[:, :, None])[:, :, 0]
     r2 = float(np.sqrt(cw * np.sum(mism**2)))
 
     Ehat11 = Ehat[:, 0, 0]
@@ -207,7 +207,7 @@ def diagnose(fld: DeformationField, g: LoadProfile, W: EnergyDensity) -> Diagnos
     Dz[:, 1, 1] -= 1.0
     rhs = np.array(G, copy=True)
     rhs[:, 0, 0] += mesh.qp_x[:, 1] * thp[mesh.qp_col]
-    rhs = np.einsum("qij,qjk->qik", Rq, rhs)
+    rhs = tmul2(trans2(Rq), rhs)
     num = np.sqrt(mesh.qp_w * np.sum((Dz - rhs) ** 2))
     den = np.sqrt(mesh.qp_w * np.sum(rhs**2))
 

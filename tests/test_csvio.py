@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from striplab import csvio
 from striplab.csvio import (
     ROW_CHUNK,
     fmt,
@@ -187,8 +188,10 @@ def test_array_rows_format_like_per_cell_rows(tmp_path):
 def test_float_tables_write_edge_values_like_per_cell_rows(tmp_path):
     # every float column of every float table cycles through the edge values,
     # shifted per column; the reference passes each cell to write_table as a
-    # numpy scalar, row by row
-    edge = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e-7, 1e16, 1e22])
+    # numpy scalar, row by row.  0.0 and -0.0 are equal but print apart, and
+    # both NaNs print as nan
+    nan_neg = np.copysign(np.nan, -1.0)
+    edge = np.array([np.nan, nan_neg, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e-7, 1e16, 1e22])
     shift = iter(range(100))
 
     def column(*shape):
@@ -213,7 +216,7 @@ def test_float_tables_write_edge_values_like_per_cell_rows(tmp_path):
     text = same_bytes(
         write_solution(tmp_path / "solution.csv", fld), ["node_id", "x1", "x2", "y1", "y2"], ref
     )
-    for cell in ("nan", "inf", "-inf", "-0.0", "5e-324", "1e-07", "1e+16", "1e+22"):
+    for cell in ("nan", "inf", "-inf", "0.0", "-0.0", "5e-324", "1e-07", "1e+16", "1e+22"):
         assert f",{cell}," in text or f",{cell}\n" in text
 
     sol = SimpleNamespace(
@@ -240,6 +243,37 @@ def test_float_tables_write_edge_values_like_per_cell_rows(tmp_path):
         for c in range(ncol)
     )
     same_bytes(written, read_table(written)[0], ref)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 10_000])
+def test_float_tables_match_per_cell_rows_at_any_chunk_size(tmp_path, monkeypatch, rows):
+    # each chunk formats its own distinct values: chunks of one row, of a
+    # size that divides no table evenly, and one chunk for the whole table
+    monkeypatch.setattr(csvio, "ROW_CHUNK", rows)
+    mesh = build_mesh(1.0, 0.2, 8, 2)
+    fld = random_field(mesh, seed=4)
+    d = diagnose(fld, G0, W)
+
+    ids = np.arange(mesh.nnode)
+    ix, iy = np.divmod(ids, mesh.ny + 1)
+    ref = zip(ids, mesh.x1[ix], mesh.x2[iy], fld.y[:, 0], fld.y[:, 1])
+    header = ["node_id", "x1", "x2", "y1", "y2"]
+    expect = write_table(tmp_path / "ref_solution.csv", header, ref).read_bytes()
+    assert write_solution(tmp_path / "solution.csv", fld).read_bytes() == expect
+
+    written = write_fields(tmp_path / "fields.csv", d)
+    ref = ((*mesh.qp_x[q], *d.G[q].ravel(), *d.E[q].ravel()) for q in range(mesh.nqp))
+    expect = write_table(tmp_path / "ref_fields.csv", read_table(written)[0], ref).read_bytes()
+    assert written.read_bytes() == expect
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+def test_float_tables_reject_other_dtypes(tmp_path, dtype):
+    # the bit-pattern key reads 8-byte floats only
+    d = SimpleNamespace(mesh=SimpleNamespace(x1=np.arange(4, dtype=dtype)))
+    d.node_theta = np.zeros(4, dtype=dtype)
+    with pytest.raises(TypeError, match=np.dtype(dtype).name):
+        write_rotations(tmp_path / "rot.csv", d)
 
 
 def test_identity_table_layout(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from striplab.algebra import rot2
+from striplab.algebra import rot2, tmul2, trans2
 from striplab.cli import main
 from striplab.config import ExperimentConfig, elastica_from, load_from, mesh_from
 from striplab.csvio import read_table
@@ -102,6 +102,31 @@ def test_strain_and_stress_vanish_on_rotated_state():
     d = diagnose(fld, G0, W)
     np.testing.assert_allclose(d.G, 0.0, atol=1e-10)
     np.testing.assert_allclose(d.E, 0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-3])
+def test_diagnose_products_are_einsum_bitwise(noise):
+    # the three 2x2 products of diagnose against the einsums they replaced:
+    # G = Rq^T F, the rotated load, and Rq times the z-identity's right-hand
+    # side.  Without noise, every zero is -0.0 and rot2(0) has a -0.0 entry,
+    # where a plain sum of the two products would give -0.0 and einsum 0.0
+    mesh = build_mesh(1.0, 0.2, 16, 4)
+    rng = np.random.default_rng(5)
+    fld = rigid_state(mesh)
+    fld.y += noise * rng.standard_normal(fld.y.shape)
+    F = fld.gradients()
+    R = rot2(noise * rng.uniform(-np.pi, np.pi, mesh.nqp))
+    g = noise * rng.standard_normal((mesh.nqp, 2))
+    F[F == 0.0] = -0.0
+    g[g == 0.0] = -0.0
+
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.int64)
+
+    assert np.array_equal(bits(tmul2(R, F)), bits(np.einsum("qji,qjk->qik", R, F)))
+    rotated = tmul2(R, g[:, :, None])[:, :, 0]
+    assert np.array_equal(bits(rotated), bits(np.einsum("cji,cj->ci", R, g)))
+    assert np.array_equal(bits(tmul2(trans2(R), F)), bits(np.einsum("qij,qjk->qik", R, F)))
 
 
 def test_identity_report_rigid_state_all_zero():
