@@ -106,10 +106,10 @@ def run_solve_strip(cfg: ExperimentConfig, out: Path) -> RunManifest:
     g = load_from(cfg)
     mesh = mesh_from(cfg)
     t0 = time.perf_counter()
-    fld, report = solve_stationary(mesh, g, W)
+    y, report = solve_stationary(mesh, g, W)
     dt = time.perf_counter() - t0
     paths = [
-        csvio.write_solution(out / "solution.csv", fld),
+        csvio.write_solution(out / "solution.csv", mesh, y),
         csvio.write_keyvalue(out / "report.csv", _solver_report_items(mesh, report)),
     ]
     manifest.record("solve-strip", "ok" if report.converged else "non-converged", dt, paths)
@@ -151,14 +151,14 @@ def run_diagnose(cfg: ExperimentConfig, out: Path) -> RunManifest:
     if mesh.h > mesh.L / 2:
         raise ConfigError(f"strip.h must be at most strip.L / 2 for slab rotations, got {mesh.h!r}")
     t0 = time.perf_counter()
-    fld, report = solve_stationary(mesh, g, W)
+    y, report = solve_stationary(mesh, g, W)
     status = "ok" if report.converged else "non-converged"
-    d = diagnose(fld, g, W)
+    d = diagnose(mesh, y, g, W)
     manifest.record("diagnose", status, time.perf_counter() - t0)
     t0 = time.perf_counter()
     z_items = {"z_bc_gap": d.z_bc_gap, "z_identity_error": d.z_identity_error}
     paths = [
-        csvio.write_solution(out / "solution.csv", fld),
+        csvio.write_solution(out / "solution.csv", mesh, y),
         csvio.write_rotations(out / "rotations.csv", d),
         csvio.write_fields(out / "fields.csv", d),
         csvio.write_moments(out / "moments.csv", d),
@@ -191,15 +191,15 @@ def run_convergence(cfg: ExperimentConfig, out: Path) -> RunManifest:
     for mesh in meshes:
         h = mesh.h
         t0 = time.perf_counter()
-        fld, report = solve_stationary(mesh, g, W, start=lift(limit, mesh))
+        y, report = solve_stationary(mesh, g, W, start=lift(limit, mesh))
         t1 = time.perf_counter()
         if not report.converged:
             manifest.record(f"solve h={h:g}", f"non-converged: {report.message}", t1 - t0)
             continue
         manifest.record(f"solve h={h:g}", "ok", t1 - t0)
-        d = diagnose(fld, g, W)
+        d = diagnose(mesh, y, g, W)
         energy = report.elastic_energy / h**2  # the energy the solver measured
-        errors.append(ConvergenceRow(h, theta_error(d, limit), y_error(fld, d.F, limit), energy))
+        errors.append(ConvergenceRow(h, theta_error(d, limit), y_error(d, y, limit), energy))
         identities.append(d.row)
         diag_s += time.perf_counter() - t1
 

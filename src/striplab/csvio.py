@@ -91,9 +91,9 @@ def _float_lines(*columns):
         yield from (",".join(row) + "\n" for row in cells.tolist())
 
 
-def write_solution(path, fld) -> Path:
-    """Strip solution nodes: node_id,x1,x2,y1,y2."""
-    coords = _float_lines(fld.mesh.nodes, fld.y)
+def write_solution(path, mesh, y) -> Path:
+    """Strip solution y at the mesh's nodes: node_id,x1,x2,y1,y2."""
+    coords = _float_lines(mesh.nodes, y)
     lines = (f"{i},{line}" for i, line in enumerate(coords))
     return _write_lines(path, ["node_id", "x1", "x2", "y1", "y2"], lines)
 

@@ -1,6 +1,7 @@
 """Diagnostics that connect a strip solution to its one-dimensional limit.
 
-``diagnose`` computes, once per solution, one ``Diagnosis`` record:
+A solution is the (nnode, 2) position array y on its mesh.  ``diagnose``
+computes, once per solution, one ``Diagnosis`` record:
 
 * per-slab rotations: polar factors of slab averages of the scaled gradient,
   on a partition of (0, L) into slabs of width in [h, 2h);
@@ -14,10 +15,10 @@
 * residuals r1..r5 of the identities that the limit theory predicts to hold
   or to vanish with h.
 
-``theta_error`` and ``y_error`` measure a solution against the rod.  Each
-table is defined once, as its row type: the fields of ``ConvergenceRow``
-and ``IdentityRow`` are the CSV headers, and ``cli.run_convergence`` fills
-one row of each per thickness as it solves.
+``theta_error`` and ``y_error`` read a Diagnosis and measure the solution
+against the rod.  Each table is defined once, as its row type: the fields
+of ``ConvergenceRow`` and ``IdentityRow`` are the CSV headers, and
+``cli.run_convergence`` fills one row of each per thickness as it solves.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .elastica import ElasticaSolution, gtilde, midline
 from .energy import EnergyDensity
 from .errors import ConfigError, DiagnosticError, DomainError
 from .loads import LoadProfile
-from .mesh import DeformationField, StripMesh
+from .mesh import StripMesh
 
 EPS_DIV = 1e-30
 
@@ -149,13 +150,12 @@ class Diagnosis:
     z_identity_error: float      # relative L2 gap of Dz against R (G + x2 th' e11)
 
 
-def diagnose(fld: DeformationField, g: LoadProfile, W: EnergyDensity) -> Diagnosis:
-    """Full diagnostic pipeline for one solution."""
-    mesh = fld.mesh
+def diagnose(mesh: StripMesh, y: np.ndarray, g: LoadProfile, W: EnergyDensity) -> Diagnosis:
+    """Full diagnostic pipeline for the solution y on mesh."""
     h = mesh.h
     cols = mesh.col_x
     cw = mesh.col_w
-    F = fld.gradients()
+    F = mesh.scaled_gradients(y - mesh.rigid)
     slab_angle = slab_rotations(mesh, F)
     node_theta = mollified_angle(mesh, slab_angle, mesh.x1)
     col_theta = mollified_angle(mesh, slab_angle, cols)
@@ -198,7 +198,7 @@ def diagnose(fld: DeformationField, g: LoadProfile, W: EnergyDensity) -> Diagnos
     # holds dx/h fixed, so along an h-sweep it does not shrink (it rises)
     integral = midline(mesh.x1, node_theta)
     e2 = np.stack([-np.sin(node_theta), np.cos(node_theta)], axis=-1)
-    ygrid = fld.y.reshape(mesh.nx + 1, mesh.ny + 1, 2)
+    ygrid = y.reshape(mesh.nx + 1, mesh.ny + 1, 2)
     z = ygrid / h - integral[:, None, :] / h - mesh.x2[None, :, None] * e2[:, None, :]
     z_bc_gap = float(np.max(np.linalg.norm(z[0], axis=-1)))
     z = z.reshape(-1, 2)
@@ -225,16 +225,16 @@ def theta_error(d: Diagnosis, limit: ElasticaSolution) -> float:
     return float(np.sqrt(np.trapezoid(diff**2, xs)))
 
 
-def y_error(fld: DeformationField, F: np.ndarray, limit: ElasticaSolution) -> float:
+def y_error(d: Diagnosis, y: np.ndarray, limit: ElasticaSolution) -> float:
     """W^{1,2}(strip) distance between y and the midline (extended in x2).
 
-    F is the scaled gradient of y.  Gradient part: d1 y against the rod
-    tangent, d2 y against zero (the unscaled transverse derivative of the
-    limit vanishes).
+    d is y's Diagnosis, whose F is the scaled gradient of y.  Gradient part:
+    d1 y against the rod tangent, d2 y against zero (the unscaled transverse
+    derivative of the limit vanishes).
     """
-    mesh = fld.mesh
+    mesh, F = d.mesh, d.F
     xq = mesh.qp_x[:, 0]
-    yq = mesh.qp_values(fld.y)
+    yq = mesh.qp_values(y)
     th = limit.theta_at(xq)
     tang = np.stack([np.cos(th), np.sin(th)], axis=-1)
     err2 = np.sum((yq - limit.ybar_at(xq)) ** 2, axis=-1)

@@ -203,11 +203,3 @@ def taylor_remainder(W: EnergyDensity, A: np.ndarray, lin: Linearization) -> np.
     A = np.asarray(A, dtype=float)
     return W.stress(ID2 + A) - lin.apply(A)
 
-
-def modulus_closed_form(W: EnergyDensity) -> float:
-    """Reference modulus values: 1, or 4 mu (mu + lam) / (2 mu + lam)."""
-    if isinstance(W, HalfDistSquared):
-        return 1.0
-    if isinstance(W, IsotropicQuadratic):
-        return 4.0 * W.mu * (W.mu + W.lam) / (2.0 * W.mu + W.lam)
-    raise ConfigError(f"no closed-form modulus for density kind {W.kind!r}")

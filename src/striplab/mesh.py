@@ -3,9 +3,9 @@
 The strip is meshed with a uniform nx-by-ny grid of rectangles, 2x2 Gauss
 quadrature per element.  Node n = ix*(ny+1) + iy, so each x1-column is
 contiguous, and node n carries the displacement dofs 2n and 2n+1.
-Deformations store the full nodal positions but all gradient evaluations go
-through the displacement u = y - rigid, which makes the rigid state an exact
-fixed point in floating point.
+A deformation is its (nnode, 2) array y of nodal positions, but all gradient
+evaluations go through the displacement u = y - rigid, which makes the rigid
+state an exact fixed point in floating point.
 
 A mesh is built for one thickness h, and everything that depends only on
 the grid and h is built once in ``build_mesh``: the element dof map, the
@@ -202,27 +202,3 @@ def _stiffness_pattern(nx: int, ny: int, bw: int, edofs: np.ndarray):
 def mesh_rule_nx(L: float, h: float) -> int:
     """Default x1 resolution: at least 64 elements and at least 4 per width h."""
     return max(64, int(np.ceil(4.0 * L / h)))
-
-
-@dataclass(eq=False)
-class DeformationField:
-    """Nodal deformation y of the strip at the mesh's thickness h.
-
-    The clamped edge carries y(0, x2) = (0, h*x2); ``displacement`` is the
-    offset from the rigid state ``mesh.rigid``.
-    """
-
-    mesh: StripMesh
-    y: np.ndarray  # (nnode, 2)
-
-    def displacement(self) -> np.ndarray:
-        return self.y - self.mesh.rigid
-
-    def gradients(self) -> np.ndarray:
-        """Scaled deformation gradients at quadrature points, (nqp, 2, 2)."""
-        return self.mesh.scaled_gradients(self.displacement())
-
-
-def rigid_state(mesh: StripMesh) -> DeformationField:
-    """The rigid state as a field whose y is a writable copy of ``mesh.rigid``."""
-    return DeformationField(mesh=mesh, y=np.array(mesh.rigid, copy=True))

@@ -43,7 +43,7 @@ from .elastica import ElasticaSolution
 from .energy import EnergyDensity
 from .errors import ConfigError, NonConvergence, StepRejected
 from .loads import LoadProfile
-from .mesh import DeformationField, StripMesh
+from .mesh import StripMesh
 
 EPS = np.finfo(float).eps
 
@@ -222,12 +222,14 @@ def solve_stationary(
     mesh: StripMesh,
     g: LoadProfile,
     W: EnergyDensity,
-    start: DeformationField | None = None,
-) -> tuple[DeformationField, SolverReport]:
+    start: np.ndarray | None = None,
+) -> tuple[np.ndarray, SolverReport]:
     """Solve the clamped strip problem at the mesh's thickness h.
 
-    One load loop from ``start``, a field on this mesh (else ConfigError)
-    that is never mutated, or from the rigid state if it is None.  Its first
+    One load loop from ``start``, a position array that is never mutated,
+    or from the rigid state if it is None.  No Newton step moves a clamped
+    dof, so a start of another shape than ``mesh.rigid``, or whose clamped
+    nodes differ from ``mesh.rigid``'s, raises ConfigError.  The first
     increment is the whole load; an increment on which Newton raises
     StepRejected or NonConvergence (a start that fails the determinant guard
     included) is halved, and the loop stalls once it falls below
@@ -239,15 +241,18 @@ def solve_stationary(
     ``residual_sup`` is NaN if no increment was accepted.  The reported
     energies are those Newton measured on the last accepted iterate, at its
     load factor; with none accepted they are taken at load factor 0.  The
-    returned field owns its positions.
+    solve returns a new position array.
     """
-    if start is not None and start.mesh is not mesh:
-        raise ConfigError("start must be a field on the mesh being solved")
+    c = mesh.clamped_nodes()
+    if start is not None and not (
+        np.shape(start) == mesh.rigid.shape and np.array_equal(start[c], mesh.rigid[c])
+    ):
+        raise ConfigError(f"start must be a {mesh.rigid.shape} array on the clamp (0, h x2)")
     gq = g(mesh.qp_x[:, 0])
     f = load_vector(mesh, gq)
 
     what = "cold start" if start is None else "given start"
-    y = mesh.rigid if start is None else start.y
+    y = mesh.rigid if start is None else start
     path: list[tuple[float, int]] = []
     message = ""
     mu, step, iterations, rsup = 0.0, 1.0, 0, float("nan")
@@ -270,13 +275,13 @@ def solve_stationary(
         step = 2.0 * s
     if not path:
         el, tot = scaled_energy(mesh, y, gq, W, mu, mesh.scaled_gradients(y - mesh.rigid))
-    return DeformationField(mesh=mesh, y=y.copy()), SolverReport(
+    return y.copy(), SolverReport(
         converged=mu == 1.0, iterations=iterations, residual_sup=rsup,
         elastic_energy=el, total_energy=tot, path=path, message=message,
     )
 
 
-def lift(rod: ElasticaSolution, mesh: StripMesh) -> DeformationField:
+def lift(rod: ElasticaSolution, mesh: StripMesh) -> np.ndarray:
     """The rod's midline with each cross-section rotated by the rod angle.
 
     y(x1, x2) = ybar(x1) + h x2 (-sin theta(x1), cos theta(x1)) at every
@@ -286,5 +291,4 @@ def lift(rod: ElasticaSolution, mesh: StripMesh) -> DeformationField:
     x1 = mesh.nodes[:, 0]
     theta = rod.theta_at(x1)
     normal = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-    y = rod.ybar_at(x1) + mesh.rigid[:, 1:] * normal
-    return DeformationField(mesh=mesh, y=y)
+    return rod.ybar_at(x1) + mesh.rigid[:, 1:] * normal

@@ -24,7 +24,7 @@ from striplab.elastica import solve_elastica
 from striplab.energy import HalfDistSquared
 from striplab.errors import ConfigError
 from striplab.loads import LoadProfile
-from striplab.mesh import build_mesh, rigid_state
+from striplab.mesh import build_mesh
 
 W = HalfDistSquared()
 G0 = LoadProfile.constant(0.0, 0.0)
@@ -32,12 +32,10 @@ G0 = LoadProfile.constant(0.0, 0.0)
 
 def random_field(mesh, seed):
     """Rigid state plus a seeded random displacement that keeps det F > 0."""
-    fld = rigid_state(mesh)
     rng = np.random.default_rng(seed)
-    du = 1e-3 * rng.standard_normal(fld.y.shape)
+    du = 1e-3 * rng.standard_normal(mesh.rigid.shape)
     du[mesh.clamped_nodes()] = 0.0
-    fld.y += du
-    return fld
+    return mesh.rigid + du
 
 
 def test_fmt_is_type_stable():
@@ -98,8 +96,7 @@ def test_keyvalue_round_trip(tmp_path):
 
 def test_write_solution_layout(tmp_path):
     mesh = build_mesh(1.0, 0.2, 4, 2)
-    fld = rigid_state(mesh)
-    header, rows = read_table(write_solution(tmp_path / "sol.csv", fld))
+    header, rows = read_table(write_solution(tmp_path / "sol.csv", mesh, mesh.rigid))
     assert header == ["node_id", "x1", "x2", "y1", "y2"]
     assert len(rows) == mesh.nnode
     assert rows[0][:3] == ["0", "0.0", "-0.5"]
@@ -118,8 +115,7 @@ def test_write_elastica_layout(tmp_path):
 
 def test_write_rotations_layout(tmp_path):
     mesh = build_mesh(1.0, 0.25, 16, 2)
-    fld = rigid_state(mesh)
-    d = diagnose(fld, G0, W)
+    d = diagnose(mesh, mesh.rigid, G0, W)
     header, rows = read_table(write_rotations(tmp_path / "rot.csv", d))
     assert header == ["x1", "theta_h"]
     assert len(rows) == mesh.nx + 1
@@ -127,7 +123,7 @@ def test_write_rotations_layout(tmp_path):
 
 def test_write_fields_and_moments_layout(tmp_path):
     mesh = build_mesh(1.0, 0.2, 4, 2)
-    d = diagnose(random_field(mesh, seed=6), G0, W)
+    d = diagnose(mesh, random_field(mesh, seed=6), G0, W)
     header, rows = read_table(write_fields(tmp_path / "f.csv", d))
     assert header[:2] == ["x1", "x2"]
     assert header[2:6] == ["G11", "G12", "G21", "G22"]
@@ -148,15 +144,15 @@ def test_array_rows_format_like_per_cell_rows(tmp_path):
     # mesh has more nodes and quadrature points than one chunk of rows
     mesh = build_mesh(1.0, 0.2, 128, 4)
     assert min(mesh.nnode, mesh.nqp) > ROW_CHUNK
-    fld = random_field(mesh, seed=9)
-    d = diagnose(fld, G0, W)
+    y = random_field(mesh, seed=9)
+    d = diagnose(mesh, y, G0, W)
 
     ids = np.arange(mesh.nnode)
     ix, iy = np.divmod(ids, mesh.ny + 1)
-    ref = zip(ids, mesh.x1[ix], mesh.x2[iy], fld.y[:, 0], fld.y[:, 1])
+    ref = zip(ids, mesh.x1[ix], mesh.x2[iy], y[:, 0], y[:, 1])
     header = ["node_id", "x1", "x2", "y1", "y2"]
     expect = write_table(tmp_path / "ref_solution.csv", header, ref).read_bytes()
-    assert write_solution(tmp_path / "solution.csv", fld).read_bytes() == expect
+    assert write_solution(tmp_path / "solution.csv", mesh, y).read_bytes() == expect
 
     header, _ = read_table(write_fields(tmp_path / "fields.csv", d))
     ref = (
@@ -208,13 +204,13 @@ def test_float_tables_write_edge_values_like_per_cell_rows(tmp_path):
         nnode=(nx + 1) * (ny + 1), ny=ny, nqp=nqp, ncol=ncol, x1=column(nx + 1),
         x2=column(ny + 1), qp_x=column(nqp, 2), col_x=column(ncol),
     )
-    fld = SimpleNamespace(mesh=mesh, y=column(mesh.nnode, 2))
+    y = column(mesh.nnode, 2)
     ids = np.arange(mesh.nnode)
     ix, iy = np.divmod(ids, ny + 1)
     mesh.nodes = np.column_stack([mesh.x1[ix], mesh.x2[iy]])  # build_mesh's node order
-    ref = zip(ids, mesh.x1[ix], mesh.x2[iy], fld.y[:, 0], fld.y[:, 1])
+    ref = zip(ids, mesh.x1[ix], mesh.x2[iy], y[:, 0], y[:, 1])
     text = same_bytes(
-        write_solution(tmp_path / "solution.csv", fld), ["node_id", "x1", "x2", "y1", "y2"], ref
+        write_solution(tmp_path / "solution.csv", mesh, y), ["node_id", "x1", "x2", "y1", "y2"], ref
     )
     for cell in ("nan", "inf", "-inf", "0.0", "-0.0", "5e-324", "1e-07", "1e+16", "1e+22"):
         assert f",{cell}," in text or f",{cell}\n" in text
@@ -251,15 +247,15 @@ def test_float_tables_match_per_cell_rows_at_any_chunk_size(tmp_path, monkeypatc
     # size that divides no table evenly, and one chunk for the whole table
     monkeypatch.setattr(csvio, "ROW_CHUNK", rows)
     mesh = build_mesh(1.0, 0.2, 8, 2)
-    fld = random_field(mesh, seed=4)
-    d = diagnose(fld, G0, W)
+    y = random_field(mesh, seed=4)
+    d = diagnose(mesh, y, G0, W)
 
     ids = np.arange(mesh.nnode)
     ix, iy = np.divmod(ids, mesh.ny + 1)
-    ref = zip(ids, mesh.x1[ix], mesh.x2[iy], fld.y[:, 0], fld.y[:, 1])
+    ref = zip(ids, mesh.x1[ix], mesh.x2[iy], y[:, 0], y[:, 1])
     header = ["node_id", "x1", "x2", "y1", "y2"]
     expect = write_table(tmp_path / "ref_solution.csv", header, ref).read_bytes()
-    assert write_solution(tmp_path / "solution.csv", fld).read_bytes() == expect
+    assert write_solution(tmp_path / "solution.csv", mesh, y).read_bytes() == expect
 
     written = write_fields(tmp_path / "fields.csv", d)
     ref = ((*mesh.qp_x[q], *d.G[q].ravel(), *d.E[q].ravel()) for q in range(mesh.nqp))

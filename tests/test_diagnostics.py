@@ -20,26 +20,25 @@ from striplab.elastica import solve_elastica
 from striplab.energy import HalfDistSquared
 from striplab.errors import ConfigError, DiagnosticError
 from striplab.loads import LoadProfile
-from striplab.mesh import DeformationField, build_mesh, mesh_rule_nx, rigid_state
+from striplab.mesh import build_mesh, mesh_rule_nx
 from striplab.solver import lift, solve_stationary
 
 W = HalfDistSquared()
 G0 = LoadProfile.constant(0.0, 0.0)
 
 
-def slab_angle_of(fld):
-    return slab_rotations(fld.mesh, fld.gradients())
+def slab_angle_of(mesh, y):
+    return slab_rotations(mesh, mesh.scaled_gradients(y - mesh.rigid))
 
 
 def rotated_state(mesh, phi):
     """y = R(phi) (x1, h x2): scaled gradient R exactly, but clamp violated."""
-    return DeformationField(mesh=mesh, y=mesh.rigid @ rot2(phi).T)
+    return mesh.rigid @ rot2(phi).T
 
 
 def test_slab_rotations_rigid_state_zero():
     mesh = build_mesh(1.0, 0.2, 32, 4)
-    fld = rigid_state(mesh)
-    slab_angle = slab_angle_of(fld)
+    slab_angle = slab_angle_of(mesh, mesh.rigid)
     assert slab_angle.size == 5
     assert np.all(slab_angle == 0.0)
 
@@ -47,8 +46,7 @@ def test_slab_rotations_rigid_state_zero():
 def test_slab_rotations_recover_constant_rotation():
     mesh = build_mesh(1.0, 0.1, 32, 4)
     phi = 0.7
-    fld = rotated_state(mesh, phi)
-    slab_angle = slab_angle_of(fld)
+    slab_angle = slab_angle_of(mesh, rotated_state(mesh, phi))
     np.testing.assert_allclose(slab_angle, phi, atol=1e-12)
     xs = np.linspace(0.0, 1.0, 41)
     np.testing.assert_allclose(mollified_angle(mesh, slab_angle, xs), phi, atol=1e-12)
@@ -60,13 +58,12 @@ def test_slab_rotations_recover_constant_rotation():
 def test_slab_count_validation():
     mesh = build_mesh(0.5, 0.3, 16, 2)
     with pytest.raises(ConfigError):
-        slab_angle_of(rigid_state(mesh))  # only one slab fits
+        slab_angle_of(mesh, mesh.rigid)  # only one slab fits
 
 
 def test_smoothed_profile_extends_constantly():
     mesh = build_mesh(1.0, 0.2, 64, 4)
-    fld = rigid_state(mesh)
-    slab_angle = np.linspace(0.0, 0.4, slab_angle_of(fld).size)
+    slab_angle = np.linspace(0.0, 0.4, slab_angle_of(mesh, mesh.rigid).size)
 
     def at(x):
         return mollified_angle(mesh, slab_angle, np.array([x]))
@@ -80,7 +77,7 @@ def test_smoothed_profile_extends_constantly():
 
 def test_angle_at_requires_sorted_positions():
     mesh = build_mesh(1.0, 0.2, 32, 4)
-    slab_angle = slab_angle_of(rigid_state(mesh))
+    slab_angle = slab_angle_of(mesh, mesh.rigid)
     with pytest.raises(DiagnosticError):
         mollified_angle(mesh, slab_angle, np.array([0.5, 0.2]))
 
@@ -98,8 +95,7 @@ def test_tensor_field_moments_by_hand():
 
 def test_strain_and_stress_vanish_on_rotated_state():
     mesh = build_mesh(1.0, 0.1, 32, 4)
-    fld = rotated_state(mesh, -0.4)
-    d = diagnose(fld, G0, W)
+    d = diagnose(mesh, rotated_state(mesh, -0.4), G0, W)
     np.testing.assert_allclose(d.G, 0.0, atol=1e-10)
     np.testing.assert_allclose(d.E, 0.0, atol=1e-10)
 
@@ -112,9 +108,8 @@ def test_diagnose_products_are_einsum_bitwise(noise):
     # where a plain sum of the two products would give -0.0 and einsum 0.0
     mesh = build_mesh(1.0, 0.2, 16, 4)
     rng = np.random.default_rng(5)
-    fld = rigid_state(mesh)
-    fld.y += noise * rng.standard_normal(fld.y.shape)
-    F = fld.gradients()
+    y = mesh.rigid + noise * rng.standard_normal(mesh.rigid.shape)
+    F = mesh.scaled_gradients(y - mesh.rigid)
     R = rot2(noise * rng.uniform(-np.pi, np.pi, mesh.nqp))
     g = noise * rng.standard_normal((mesh.nqp, 2))
     F[F == 0.0] = -0.0
@@ -131,8 +126,7 @@ def test_diagnose_products_are_einsum_bitwise(noise):
 
 def test_identity_report_rigid_state_all_zero():
     mesh = build_mesh(1.0, 0.1, 64, 8)
-    fld = rigid_state(mesh)
-    row = diagnose(fld, G0, W).row
+    row = diagnose(mesh, mesh.rigid, G0, W).row
     assert row.h == 0.1
     assert (row.r1, row.r2, row.r3, row.r4) == (0.0, 0.0, 0.0, 0.0)
     assert row.r5 == 1.0  # 0/0 convention for an exactly rigid field
@@ -141,17 +135,16 @@ def test_identity_report_rigid_state_all_zero():
 
 def test_z_field_rigid_state_zero():
     mesh = build_mesh(1.0, 0.2, 32, 4)
-    fld = rigid_state(mesh)
-    d = diagnose(fld, G0, W)
+    d = diagnose(mesh, mesh.rigid, G0, W)
     np.testing.assert_allclose(d.z, 0.0, atol=1e-13)
     assert d.z_bc_gap == pytest.approx(0.0, abs=1e-13)
 
 
 def test_z_identity_error_small_on_solved_field():
     mesh = build_mesh(1.0, 0.1, 64, 8)
-    fld, rep = solve_stationary(mesh, LoadProfile.constant(0.0, -1e-3), W)
+    y, rep = solve_stationary(mesh, LoadProfile.constant(0.0, -1e-3), W)
     assert rep.converged
-    err = diagnose(fld, LoadProfile.constant(0.0, -1e-3), W).z_identity_error
+    err = diagnose(mesh, y, LoadProfile.constant(0.0, -1e-3), W).z_identity_error
     assert err < 0.2  # relative identity gap, dominated by smoothing bias
 
 
@@ -160,19 +153,18 @@ def test_r2_pinned_on_cantilever():
     # the tilted load at the quadrature columns
     g = LoadProfile.constant(0.0, -1e-3)
     mesh = build_mesh(1.0, 0.1, mesh_rule_nx(1.0, 0.1), 8)
-    fld, rep = solve_stationary(mesh, g, W)
+    y, rep = solve_stationary(mesh, g, W)
     assert rep.converged
-    assert diagnose(fld, g, W).row.r2 == pytest.approx(5.9569699680385555e-05, rel=1e-13)
+    assert diagnose(mesh, y, g, W).row.r2 == pytest.approx(5.9569699680385555e-05, rel=1e-13)
 
 
 def test_theta_and_y_error_vanish_on_matching_limit():
     mesh = build_mesh(1.0, 0.1, 64, 8)
-    fld = rigid_state(mesh)
-    d = diagnose(fld, G0, W)
+    d = diagnose(mesh, mesh.rigid, G0, W)
     sol = solve_elastica(1.0, G0, 1.0, n=64)  # zero load: theta = 0, ybar = (x, 0)
     assert theta_error(d, sol) == pytest.approx(0.0, abs=1e-13)
     # y_error retains the h |dy2| transverse term, zero only in-plane parts
-    err = y_error(fld, d.F, sol)
+    err = y_error(d, mesh.rigid, sol)
     assert err == pytest.approx(0.1, abs=1e-2)  # sqrt of integral of h^2 |Re2|^2 = h
 
 

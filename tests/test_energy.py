@@ -9,7 +9,6 @@ from striplab.energy import (
     HalfDistSquared,
     IsotropicQuadratic,
     linearize,
-    modulus_closed_form,
     taylor_remainder,
 )
 from striplab.errors import ConfigError, DomainError
@@ -120,19 +119,17 @@ def test_half_dist_rejects_nonpositive_det():
 
 def test_modulus_half_dist_is_one():
     assert linearize(HalfDistSquared()).modulus == pytest.approx(1.0, abs=1e-12)
-    assert modulus_closed_form(HalfDistSquared()) == 1.0
 
 
 @pytest.mark.parametrize("mu,lam", [(1.0, 1.0), (2.0, 0.5), (0.7, 3.0), (1.0, 0.0)])
 def test_modulus_isotropic_closed_form(mu, lam):
     W = IsotropicQuadratic(mu, lam)
     expect = 4.0 * mu * (mu + lam) / (2.0 * mu + lam)
-    assert modulus_closed_form(W) == pytest.approx(expect, rel=1e-15)
     assert linearize(W).modulus == pytest.approx(expect, rel=1e-12)
 
 
 def test_modulus_isotropic_unit_parameters():
-    assert modulus_closed_form(IsotropicQuadratic(1.0, 1.0)) == pytest.approx(8.0 / 3.0, rel=1e-15)
+    assert linearize(IsotropicQuadratic(1.0, 1.0)).modulus == pytest.approx(8.0 / 3.0, rel=1e-12)
 
 
 def test_linearization_apply_matches_matrix():

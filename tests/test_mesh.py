@@ -9,7 +9,7 @@ import pytest
 
 import striplab
 from striplab.errors import ConfigError
-from striplab.mesh import DeformationField, build_mesh, mesh_rule_nx, rigid_state
+from striplab.mesh import build_mesh, mesh_rule_nx
 
 
 def test_build_mesh_shapes():
@@ -76,15 +76,6 @@ def test_no_public_callable_takes_both_mesh_and_h():
     assert both == []
 
 
-def test_rigid_state_is_a_writable_copy():
-    mesh = build_mesh(1.0, 0.2, 6, 3)
-    before = mesh.rigid.copy()
-    fld = rigid_state(mesh)
-    assert fld.y.flags.writeable and not np.shares_memory(fld.y, mesh.rigid)
-    fld.y += 1.0
-    assert np.array_equal(mesh.rigid, before)
-
-
 def test_mesh_rule_nx():
     assert mesh_rule_nx(1.0, 0.2) == 64
     assert mesh_rule_nx(1.0, 0.05) == 80
@@ -110,13 +101,11 @@ def test_quadrature_integrates_cubics_exactly():
 
 def test_rigid_state_gradients_identity_exactly():
     mesh = build_mesh(1.0, 0.1, 8, 4)
-    fld = rigid_state(mesh)
-    F = fld.gradients()
+    F = mesh.scaled_gradients(mesh.rigid - mesh.rigid)
     assert np.array_equal(F, np.broadcast_to(np.eye(2), F.shape))
-    assert np.all(fld.displacement() == 0.0)
     ids = mesh.clamped_nodes()
     clamp = np.stack([np.zeros(ids.size), mesh.h * mesh.x2], axis=1)
-    assert np.max(np.abs(fld.y[ids] - clamp)) == 0.0
+    assert np.max(np.abs(mesh.rigid[ids] - clamp)) == 0.0
 
 
 def test_scaled_gradient_of_linear_displacement():
@@ -152,11 +141,3 @@ def test_node_ids_grid_matches_coordinates():
     grid = np.arange(mesh.nnode).reshape(mesh.nx + 1, mesh.ny + 1)
     np.testing.assert_allclose(mesh.nodes[grid[2, 1]], [mesh.x1[2], mesh.x2[1]])
 
-
-def test_deformation_field_displacement_roundtrip():
-    mesh = build_mesh(1.0, 0.1, 4, 2)
-    rng = np.random.default_rng(9)
-    fld = rigid_state(mesh)
-    fld.y += 0.01 * rng.standard_normal(fld.y.shape)
-    rebuilt = DeformationField(mesh=mesh, y=mesh.rigid + fld.displacement())
-    np.testing.assert_allclose(rebuilt.y, fld.y, atol=1e-16)

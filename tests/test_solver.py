@@ -12,7 +12,7 @@ from striplab.elastica import minimize_J2, solve_elastica
 from striplab.energy import HalfDistSquared
 from striplab.errors import ConfigError, StepRejected
 from striplab.loads import LoadProfile
-from striplab.mesh import DeformationField, StripMesh, build_mesh, rigid_state
+from striplab.mesh import StripMesh, build_mesh
 from striplab.solver import (
     elastic_residual,
     lift,
@@ -28,12 +28,10 @@ GAMMA = LoadProfile.constant(0.0, -1e-3)
 
 def perturbed_field(mesh, scale=1e-3, seed=17):
     """Rigid state plus a small random displacement vanishing on the clamp."""
-    fld = rigid_state(mesh)
     rng = np.random.default_rng(seed)
-    du = scale * rng.standard_normal(fld.y.shape)
+    du = scale * rng.standard_normal(mesh.rigid.shape)
     du[mesh.clamped_nodes()] = 0.0
-    fld.y += du
-    return fld
+    return mesh.rigid + du
 
 
 def dia(K):
@@ -45,13 +43,13 @@ def dia(K):
 def test_rigid_state_is_exact_equilibrium():
     for h in (0.2, 0.05):
         mesh = build_mesh(1.0, h, 16, 4)
-        fld, rep = solve_stationary(mesh, LoadProfile.constant(0.0, 0.0), W)
+        y, rep = solve_stationary(mesh, LoadProfile.constant(0.0, 0.0), W)
         assert rep.converged
         assert rep.iterations == 0
         assert rep.residual_sup == 0.0
-        assert np.array_equal(fld.y, rigid_state(mesh).y)
+        assert np.array_equal(y, mesh.rigid)
         gq = LoadProfile.constant(0.0, 0.0)(mesh.qp_x[:, 0])
-        el, tot = scaled_energy(mesh, fld.y, gq, W, 1.0, fld.gradients())
+        el, tot = scaled_energy(mesh, y, gq, W, 1.0, mesh.scaled_gradients(y - mesh.rigid))
         assert el == 0.0 and tot == 0.0
 
 
@@ -61,14 +59,14 @@ def test_solver_returns_positions_it_owns():
     mesh = build_mesh(1.0, 0.1, 16, 4)
     zero = LoadProfile.constant(0.0, 0.0)
     rigid = mesh.rigid.copy()
-    fld, rep = solve_stationary(mesh, zero, W)
+    y, rep = solve_stationary(mesh, zero, W)
     assert rep.converged and rep.iterations == 0
-    assert fld.y.flags.writeable
-    assert not np.shares_memory(fld.y, mesh.rigid)
+    assert y.flags.writeable
+    assert not np.shares_memory(y, mesh.rigid)
     start = lift(solve_elastica(1.0, zero, 1.0, n=256), mesh)
-    fld, rep = solve_stationary(mesh, zero, W, start=start)
+    y, rep = solve_stationary(mesh, zero, W, start=start)
     assert rep.converged and rep.iterations == 0
-    assert not np.shares_memory(fld.y, start.y)
+    assert not np.shares_memory(y, start)
     assert not mesh.rigid.flags.writeable
     assert mesh.rigid.tobytes() == rigid.tobytes()
 
@@ -91,35 +89,35 @@ def test_load_vector_against_dense_loops():
 
 def test_residual_is_gradient_of_energy():
     mesh = build_mesh(1.0, 0.1, 8, 4)
-    fld = perturbed_field(mesh)
-    r = elastic_residual(mesh, W, fld.gradients()) - load_vector(mesh, GAMMA(mesh.qp_x[:, 0]))
+    y = perturbed_field(mesh)
+    F = mesh.scaled_gradients(y - mesh.rigid)
+    r = elastic_residual(mesh, W, F) - load_vector(mesh, GAMMA(mesh.qp_x[:, 0]))
     rng = np.random.default_rng(3)
-    du = rng.standard_normal(fld.y.shape)
+    du = rng.standard_normal(y.shape)
     du[mesh.clamped_nodes()] = 0.0
     eps = 1e-7
 
     def total(y):
-        probe = DeformationField(mesh=mesh, y=y)
-        _, tot = scaled_energy(mesh, y, GAMMA(mesh.qp_x[:, 0]), W, 1.0, probe.gradients())
+        F = mesh.scaled_gradients(y - mesh.rigid)
+        _, tot = scaled_energy(mesh, y, GAMMA(mesh.qp_x[:, 0]), W, 1.0, F)
         return tot
 
-    fd = (total(fld.y + eps * du) - total(fld.y - eps * du)) / (2 * eps)
+    fd = (total(y + eps * du) - total(y - eps * du)) / (2 * eps)
     analytic = float(r @ du.ravel())
     assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-12)
 
 
 def test_tangent_is_derivative_of_residual():
     mesh = build_mesh(1.0, 0.1, 6, 3)
-    fld = perturbed_field(mesh, seed=23)
-    K = dia(tangent(mesh, W, fld.gradients()))
+    y = perturbed_field(mesh, seed=23)
+    K = dia(tangent(mesh, W, mesh.scaled_gradients(y - mesh.rigid)))
     rng = np.random.default_rng(4)
-    du = rng.standard_normal(fld.y.shape)
+    du = rng.standard_normal(y.shape)
     du[mesh.clamped_nodes()] = 0.0
     eps = 1e-7
-    hi = DeformationField(mesh=mesh, y=fld.y + eps * du)
-    lo = DeformationField(mesh=mesh, y=fld.y - eps * du)
-    fd = elastic_residual(mesh, W, hi.gradients()) - elastic_residual(mesh, W, lo.gradients())
-    fd /= 2 * eps
+    hi = mesh.scaled_gradients(y + eps * du - mesh.rigid)
+    lo = mesh.scaled_gradients(y - eps * du - mesh.rigid)
+    fd = (elastic_residual(mesh, W, hi) - elastic_residual(mesh, W, lo)) / (2 * eps)
     got = K @ du.ravel()
     fixed = np.arange(2 * mesh.clamped_nodes().size)
     np.testing.assert_allclose(np.delete(got, fixed), np.delete(fd, fixed), rtol=2e-6, atol=2e-9)
@@ -127,16 +125,16 @@ def test_tangent_is_derivative_of_residual():
 
 def test_tangent_is_symmetric():
     mesh = build_mesh(1.0, 0.1, 6, 3)
-    fld = perturbed_field(mesh, seed=29)
-    K = dia(tangent(mesh, W, fld.gradients())).tocsr()
+    y = perturbed_field(mesh, seed=29)
+    K = dia(tangent(mesh, W, mesh.scaled_gradients(y - mesh.rigid))).tocsr()
     gap = abs(K - K.T).max()
     assert gap < 1e-12 * abs(K).max()
 
 
 def test_tangent_clamped_rows_and_columns_are_identity():
     mesh = build_mesh(1.0, 0.1, 6, 3)
-    fld = perturbed_field(mesh, seed=31)
-    K = dia(tangent(mesh, W, fld.gradients())).tocsr()
+    y = perturbed_field(mesh, seed=31)
+    K = dia(tangent(mesh, W, mesh.scaled_gradients(y - mesh.rigid))).tocsr()
     fixed = np.arange(2 * mesh.clamped_nodes().size)
     dense = K.toarray()
     eye = np.eye(K.shape[0])
@@ -150,9 +148,10 @@ def test_tangent_clamped_rows_and_columns_are_identity():
 
 def test_tangent_band_layout():
     mesh = build_mesh(1.0, 0.1, 6, 3)
-    fld = perturbed_field(mesh, seed=37)
-    K = tangent(mesh, W, fld.gradients())
-    A = W.hessian(fld.gradients()).reshape(mesh.nelem, 4, 2, 2, 2, 2)
+    y = perturbed_field(mesh, seed=37)
+    F = mesh.scaled_gradients(y - mesh.rigid)
+    K = tangent(mesh, W, F)
+    A = W.hessian(F).reshape(mesh.nelem, 4, 2, 2, 2, 2)
     B = mesh.B.reshape(4, 2, 2, 8)
     ndof = 2 * mesh.nnode
     expect = np.zeros((ndof, ndof))
@@ -181,17 +180,17 @@ def test_tangent_band_layout():
 def test_operator_assembly_matches_element_definition(nx, ny):
     """Residual B^T P, tangent sum_q w B_q^T A_q B_q and F = Id + B u_e, by definition."""
     mesh = build_mesh(1.0, 0.025, nx, ny)
-    fld = perturbed_field(mesh, scale=1e-5, seed=41)
-    ue = fld.displacement().reshape(-1)[mesh.edofs]
+    y = perturbed_field(mesh, scale=1e-5, seed=41)
+    ue = (y - mesh.rigid).reshape(-1)[mesh.edofs]
     F = np.einsum("qgd,ed->eqg", mesh.B, ue).reshape(mesh.nqp, 2, 2) + np.eye(2)
-    got = mesh.scaled_gradients(fld.displacement())
+    got = mesh.scaled_gradients(y - mesh.rigid)
     assert np.max(np.abs(got - F)) <= 1e-13 * np.max(np.abs(F))
 
     P = W.stress(F).reshape(mesh.nelem, 4, 4)
     expect = np.zeros(2 * mesh.nnode)
     np.add.at(expect, mesh.edofs, mesh.qp_w * np.einsum("qgd,eqg->ed", mesh.B, P))
     expect.reshape(-1, 2)[mesh.clamped_nodes()] = 0.0
-    got = elastic_residual(mesh, W, fld.gradients())
+    got = elastic_residual(mesh, W, mesh.scaled_gradients(y - mesh.rigid))
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
     A = W.hessian(F).reshape(mesh.nelem, 4, 4, 4)
@@ -203,7 +202,7 @@ def test_operator_assembly_matches_element_definition(nx, ny):
     keep = ~(fixed[rows] | fixed[cols])
     expect = coo_matrix((ke.reshape(-1)[keep], (rows[keep], cols[keep])), shape=(ndof, ndof))
     expect = (expect + diags(fixed.astype(float))).tocsr()
-    gap = abs(dia(tangent(mesh, W, fld.gradients())).tocsr() - expect).max()
+    gap = abs(dia(tangent(mesh, W, mesh.scaled_gradients(y - mesh.rigid))).tocsr() - expect).max()
     assert gap <= 1e-13 * abs(expect).max()
 
 
@@ -246,10 +245,10 @@ def test_cold_continuation_ends_exactly_at_full_load(monkeypatch):
     # load loop halves it
     mesh = build_mesh(1.0, 0.2, 16, 4)
     monkeypatch.setattr("striplab.solver.MAX_ITERS", 6)
-    fld, rep = solve_stationary(mesh, LoadProfile.constant(0.0, -0.5), W)
+    y, rep = solve_stationary(mesh, LoadProfile.constant(0.0, -0.5), W)
     assert rep.converged
     ids = mesh.clamped_nodes()
-    assert fld.y[ids].tobytes() == mesh.rigid[ids].tobytes()
+    assert y[ids].tobytes() == mesh.rigid[ids].tobytes()
     assert rep.message.startswith("cold start at full load failed: Newton iteration cap")
     loads = [mu for mu, _ in rep.path]
     assert all(a < b for a, b in zip(loads, loads[1:]))
@@ -272,17 +271,17 @@ def test_thin_cold_solve_converges_at_full_load(h, nx):
 def test_solve_stops_at_the_roundoff_floor(h, nx):
     """One more full Newton step from a returned state cannot halve its residual."""
     mesh = build_mesh(1.0, h, nx, 8)
-    fld, rep = solve_stationary(mesh, GAMMA, W)
+    y, rep = solve_stationary(mesh, GAMMA, W)
     assert rep.converged
     f = load_vector(mesh, GAMMA(mesh.qp_x[:, 0]))
-    F = fld.gradients()
+    F = mesh.scaled_gradients(y - mesh.rigid)
     r = elastic_residual(mesh, W, F) - f
     assert float(np.max(np.abs(r))) == rep.residual_sup
     K = tangent(mesh, W, F)
     delta = solve_banded((mesh.k_bw, mesh.k_bw), K, -r)
     assert not delta[np.arange(2 * mesh.clamped_nodes().size)].any()  # assembly holds the clamp
-    fld.y = fld.y + delta.reshape(-1, 2)
-    after = float(np.max(np.abs(elastic_residual(mesh, W, fld.gradients()) - f)))
+    F = mesh.scaled_gradients(y + delta.reshape(-1, 2) - mesh.rigid)
+    after = float(np.max(np.abs(elastic_residual(mesh, W, F) - f)))
     assert after > 0.5 * rep.residual_sup
 
 
@@ -292,14 +291,14 @@ TIP_X, TIP_Y = 0.421673, -0.804849  # buckled tip midline on 16x4 at h = 0.1
 
 def test_heavy_column_converges_by_continuation():
     mesh = build_mesh(1.0, 0.1, 16, 4)
-    fld, rep = solve_stationary(mesh, HEAVY, W)
+    y, rep = solve_stationary(mesh, HEAVY, W)
     assert rep.converged
     assert rep.message.startswith("cold start at full load failed:")
     assert "not a descent direction" in rep.message
     assert len(rep.path) > 1
     assert rep.path[-1][0] == 1.0
     ids = mesh.clamped_nodes()
-    assert fld.y[ids].tobytes() == mesh.rigid[ids].tobytes()
+    assert y[ids].tobytes() == mesh.rigid[ids].tobytes()
 
 
 def test_iterations_count_rejected_increments(monkeypatch):
@@ -319,37 +318,37 @@ def test_iterations_count_rejected_increments(monkeypatch):
 def test_start_failing_at_full_load_still_converges():
     mesh = build_mesh(1.0, 0.1, 16, 4)
     start = lift(solve_elastica(1.0, GAMMA, 1.0, n=256), mesh)
-    y0 = start.y.copy()
-    fld, rep = solve_stationary(mesh, HEAVY, W, start=start)
-    assert np.array_equal(start.y, y0)
+    y0 = start.copy()
+    y, rep = solve_stationary(mesh, HEAVY, W, start=start)
+    assert np.array_equal(start, y0)
     assert rep.converged
     assert rep.message.startswith("given start at full load failed:")
     assert len(rep.path) > 1
     assert rep.path[-1][0] == 1.0
-    tip = fld.y[mesh.nx * (mesh.ny + 1) + mesh.ny // 2]
+    tip = y[mesh.nx * (mesh.ny + 1) + mesh.ny // 2]
     assert tip == pytest.approx([TIP_X, TIP_Y], abs=1e-6)
     ids = mesh.clamped_nodes()
-    assert fld.y[ids].tobytes() == mesh.rigid[ids].tobytes()
+    assert y[ids].tobytes() == mesh.rigid[ids].tobytes()
 
 
 def test_lifted_heavy_column_converges_in_one_load_step():
     mesh = build_mesh(1.0, 0.1, 16, 4)
     rod = minimize_J2(1.0, HEAVY, 1.0, n=256)
-    fld, rep = solve_stationary(mesh, HEAVY, W, start=lift(rod, mesh))
+    y, rep = solve_stationary(mesh, HEAVY, W, start=lift(rod, mesh))
     assert rep.converged
     assert rep.message == ""
     assert len(rep.path) == 1
-    tip = fld.y[mesh.nx * (mesh.ny + 1) + mesh.ny // 2]
+    tip = y[mesh.nx * (mesh.ny + 1) + mesh.ny // 2]
     assert tip == pytest.approx([TIP_X, TIP_Y], abs=1e-6)
 
 
 def test_solve_small_load_converges_and_bends_down():
     mesh = build_mesh(1.0, 0.2, 64, 8)
-    fld, rep = solve_stationary(mesh, GAMMA, W)
+    y, rep = solve_stationary(mesh, GAMMA, W)
     assert rep.converged
     assert rep.iterations > 0
     # tip midline moves down under a downward load
-    tip = fld.y[mesh.nx * (mesh.ny + 1) + mesh.ny // 2]
+    tip = y[mesh.nx * (mesh.ny + 1) + mesh.ny // 2]
     assert tip[1] < 0.0
     assert rep.elastic_energy > 0.0
     assert rep.total_energy < 0.0  # work done exceeds stored energy at equilibrium
@@ -367,39 +366,52 @@ def test_lifted_start_converges_in_one_load_step():
 def test_lift_meets_clamp_exactly():
     mesh = build_mesh(1.0, 0.1, 32, 4)
     rod = solve_elastica(1.0, LoadProfile.constant(0.0, -0.5), 1.0, n=64)
-    fld = lift(rod, mesh)
+    y = lift(rod, mesh)
     ids = mesh.clamped_nodes()
     clamp = np.stack([np.zeros(ids.size), mesh.h * mesh.x2], axis=1)
-    assert fld.y[ids].tobytes() == clamp.tobytes()  # bitwise, signed zeros included
-    assert np.max(np.abs(fld.y - mesh.rigid)) > 0.1  # the rod is bent
+    assert y[ids].tobytes() == clamp.tobytes()  # bitwise, signed zeros included
+    assert np.max(np.abs(y - mesh.rigid)) > 0.1  # the rod is bent
 
 
 def test_unreachable_load_reports_nonconvergence(monkeypatch):
     mesh = build_mesh(1.0, 0.2, 16, 4)
     monkeypatch.setattr("striplab.solver.MAX_ITERS", 2)
     monkeypatch.setattr("striplab.solver.MIN_LOAD_STEP", 0.3)
-    fld, rep = solve_stationary(mesh, LoadProfile.constant(0.0, -0.5), W)
+    y, rep = solve_stationary(mesh, LoadProfile.constant(0.0, -0.5), W)
     assert not rep.converged
     assert "stalled" in rep.message
-    assert np.all(np.isfinite(fld.y))
+    assert np.all(np.isfinite(y))
     ids = mesh.clamped_nodes()
-    assert fld.y[ids].tobytes() == mesh.rigid[ids].tobytes()
+    assert y[ids].tobytes() == mesh.rigid[ids].tobytes()
 
 
 def test_residual_guards_inverted_elements():
     mesh = build_mesh(1.0, 0.2, 4, 2)
-    fld = rigid_state(mesh)
+    y = mesh.rigid.copy()
     grid = np.arange(mesh.nnode).reshape(mesh.nx + 1, mesh.ny + 1)
-    fld.y[grid[2, :], 0] -= 2.0 * mesh.dx  # fold the mesh over itself
+    y[grid[2, :], 0] -= 2.0 * mesh.dx  # fold the mesh over itself
+    F = mesh.scaled_gradients(y - mesh.rigid)
     with pytest.raises(StepRejected):
-        elastic_residual(mesh, W, fld.gradients()) - load_vector(mesh, GAMMA(mesh.qp_x[:, 0]))
+        elastic_residual(mesh, W, F) - load_vector(mesh, GAMMA(mesh.qp_x[:, 0]))
 
 
 def test_start_on_another_mesh_is_refused():
     # same grid, other thickness: its clamped edge spans 0.2, not 0.1
     mesh = build_mesh(1.0, 0.1, 8, 2)
     with pytest.raises(ConfigError, match="start"):
-        solve_stationary(mesh, GAMMA, W, start=rigid_state(build_mesh(1.0, 0.2, 8, 2)))
+        solve_stationary(mesh, GAMMA, W, start=build_mesh(1.0, 0.2, 8, 2).rigid)
+
+
+def test_start_off_the_clamp_is_refused():
+    # no Newton step moves a clamped dof, so such a start would be solved
+    # with its clamped edge where it was given
+    mesh = build_mesh(1.0, 0.1, 16, 4)
+    start = mesh.rigid.copy()
+    start[mesh.clamped_nodes(), 1] += 0.01
+    with pytest.raises(ConfigError, match="clamp"):
+        solve_stationary(mesh, GAMMA, W, start=start)
+    with pytest.raises(ConfigError, match="start"):
+        solve_stationary(mesh, GAMMA, W, start=mesh.rigid[:-1])
 
 
 def test_thickness_validation():
@@ -407,5 +419,6 @@ def test_thickness_validation():
     for h in (0.0, 0.7):
         with pytest.raises(ConfigError):
             build_mesh(1.0, h, 8, 2)
-    fld, rep = solve_stationary(build_mesh(1.0, 0.5, 8, 2), LoadProfile.constant(0.0, 0.0), W)
-    assert rep.converged and fld.mesh.h == 0.5
+    mesh = build_mesh(1.0, 0.5, 8, 2)
+    y, rep = solve_stationary(mesh, LoadProfile.constant(0.0, 0.0), W)
+    assert rep.converged and np.array_equal(y, mesh.rigid)
