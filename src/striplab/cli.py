@@ -28,15 +28,9 @@ from .config import (
     mesh_from,
     sweep_from,
 )
-from .diagnostics import ConvergenceRow, IdentityRow, diagnose, theta_error, y_error
+from .diagnostics import ConvergenceRow, IdentityRow, diagnose, slab_bins, theta_error, y_error
 from .energy import linearize, taylor_remainder
-from .errors import (
-    ConfigError,
-    DiagnosticError,
-    DomainError,
-    NonConvergence,
-    StepRejected,
-)
+from .errors import ConfigError, DiagnosticError, DomainError, NonConvergence
 from .solver import lift, solve_stationary
 from .truncation import rough_field, sample_on_strip, square_cells, thin_truncate
 
@@ -148,22 +142,21 @@ def run_diagnose(cfg: ExperimentConfig, out: Path) -> RunManifest:
     W = energy_from(cfg)
     g = load_from(cfg)
     mesh = mesh_from(cfg)
-    if mesh.h > mesh.L / 2:
-        raise ConfigError(f"strip.h must be at most strip.L / 2 for slab rotations, got {mesh.h!r}")
+    slab_bins(mesh)
     t0 = time.perf_counter()
     y, report = solve_stationary(mesh, g, W)
     status = "ok" if report.converged else "non-converged"
     d = diagnose(mesh, y, g, W)
     manifest.record("diagnose", status, time.perf_counter() - t0)
     t0 = time.perf_counter()
-    z_items = {"z_bc_gap": d.z_bc_gap, "z_identity_error": d.z_identity_error}
+    items = _solver_report_items(mesh, report) | {"z_bc_gap": d.z_bc_gap}
     paths = [
         csvio.write_solution(out / "solution.csv", mesh, y),
         csvio.write_rotations(out / "rotations.csv", d),
         csvio.write_fields(out / "fields.csv", d),
         csvio.write_moments(out / "moments.csv", d),
         csvio.write_table(out / "identities.csv", IdentityRow._fields, [d.row]),
-        csvio.write_keyvalue(out / "report.csv", _solver_report_items(mesh, report) | z_items),
+        csvio.write_keyvalue(out / "report.csv", items),
     ]
     manifest.record("write", "ok", time.perf_counter() - t0, paths)
     manifest.write()
@@ -175,7 +168,9 @@ def run_convergence(cfg: ExperimentConfig, out: Path) -> RunManifest:
     manifest = RunManifest(config=cfg, out_dir=out)
     W = energy_from(cfg)
     g = load_from(cfg)
-    meshes = [mesh_from(cfg, h) for h in sweep_from(cfg)]  # every bad value fails before output
+    meshes = [mesh_from(cfg, h) for h in sweep_from(cfg)]
+    for mesh in meshes:  # every bad value fails before output
+        slab_bins(mesh)
 
     t0 = time.perf_counter()
     limit = elastica_from(cfg, W, g)
@@ -394,7 +389,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NonConvergence, StepRejected) as exc:
+    except NonConvergence as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (DiagnosticError, DomainError) as exc:

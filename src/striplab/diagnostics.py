@@ -11,7 +11,8 @@ computes, once per solution, one ``Diagnosis`` record:
   columns;
 * the scaled strain G = (R^T F - Id)/h and scaled stress E = DW(Id + hG)/h
   at quadrature points, plus their zeroth and first moments in x2;
-* the correction z = y/h - (1/h) int_0^x1 R e1 - x2 R e2 at the nodes;
+* the correction z = y/h - (1/h) int_0^x1 R e1 - x2 R e2 on the clamped
+  edge, where its sup is |sin(theta_h(0)/2)|, O(h);
 * residuals r1..r5 of the identities that the limit theory predicts to hold
   or to vanish with h.
 
@@ -28,8 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import dist_so2, polar_angle, rot2, tmul2, trans2
-from .elastica import ElasticaSolution, gtilde, midline
+from .algebra import dist_so2, polar_angle, rot2, tmul2
+from .elastica import ElasticaSolution, gtilde
 from .energy import EnergyDensity
 from .errors import ConfigError, DiagnosticError, DomainError
 from .loads import LoadProfile
@@ -64,22 +65,27 @@ def _slab_weights(mesh: StripMesh, k: int, xs: np.ndarray) -> np.ndarray:
     return a - b
 
 
-def slab_rotations(mesh: StripMesh, F: np.ndarray) -> np.ndarray:
-    """Unwrapped polar angles of slab averages of the scaled gradient F, (k,).
+def slab_bins(mesh: StripMesh) -> tuple[int, np.ndarray]:
+    """The slab count k = floor(L/h) and each quadrature point's slab, (nqp,).
 
-    The strip (0, L) splits into k = floor(L/h) slabs of equal width, which
-    lies in [h, 2h) whenever h <= L/2, h the mesh's thickness.
+    The k slabs of (0, L) have equal width, which lies in [h, 2h) whenever
+    h <= L/2.  Raises ConfigError if k < 2 or a slab holds no quadrature point.
     """
     L, h = mesh.L, mesh.h
     k = int(np.floor(L / h))
     if k < 2:
-        raise ConfigError(f"need h <= L/2 for slab rotations, got h={h!r}, L={L!r}")
+        raise ConfigError(f"strip.h must be at most strip.L / 2 for slab rotations, got {h!r}")
     idx = np.clip((mesh.qp_x[:, 0] * (k / L)).astype(int), 0, k - 1)
+    if np.any(np.bincount(idx, minlength=k) == 0):
+        raise ConfigError(f"strip.nx = {mesh.nx} is too coarse for {k} slabs at h = {h!r}")
+    return k, idx
+
+
+def slab_rotations(mesh: StripMesh, F: np.ndarray) -> np.ndarray:
+    """Unwrapped polar angles of slab averages of the scaled gradient F, (k,)."""
+    k, idx = slab_bins(mesh)
     sums = _bin_sum(idx, F, k)
-    counts = np.bincount(idx, minlength=k).astype(float)
-    if np.any(counts == 0):
-        raise DiagnosticError("a slab contains no quadrature points; refine the mesh")
-    means = sums / counts[:, None, None]
+    means = sums / np.bincount(idx, minlength=k)[:, None, None]
     try:
         ang = polar_angle(means)
     except DomainError as exc:
@@ -144,10 +150,8 @@ class Diagnosis:
     Ebar: np.ndarray             # zeroth x2-moment of E per column
     Ehat: np.ndarray             # first x2-moment of E per column
     Ghat: np.ndarray             # first x2-moment of G per column
-    z: np.ndarray                # (nnode, 2) normalized correction
     row: IdentityRow
-    z_bc_gap: float              # sup |z(0, x2)|, expected O(sqrt(h))
-    z_identity_error: float      # relative L2 gap of Dz against R (G + x2 th' e11)
+    z_bc_gap: float              # sup |z(0, x2)| = |sin(theta_h(0)/2)|, O(h)
 
 
 def diagnose(mesh: StripMesh, y: np.ndarray, g: LoadProfile, W: EnergyDensity) -> Diagnosis:
@@ -192,29 +196,14 @@ def diagnose(mesh: StripMesh, y: np.ndarray, g: LoadProfile, W: EnergyDensity) -
     den5 = float(mesh.qp_w * np.sum(dist_so2(F) ** 2))
     r5 = 1.0 if num5 == 0.0 and den5 == 0.0 else num5 / (den5 + EPS_DIV)
 
-    # z at the nodes, and the z-identity: the finite-element gradient of z
-    # against the quadrature-point strain.  The gap is x1 mesh error: at
-    # fixed h it halves with each doubling of nx, but the default nx rule
-    # holds dx/h fixed, so along an h-sweep it does not shrink (it rises)
-    integral = midline(mesh.x1, node_theta)
-    e2 = np.stack([-np.sin(node_theta), np.cos(node_theta)], axis=-1)
-    ygrid = y.reshape(mesh.nx + 1, mesh.ny + 1, 2)
-    z = ygrid / h - integral[:, None, :] / h - mesh.x2[None, :, None] * e2[:, None, :]
-    z_bc_gap = float(np.max(np.linalg.norm(z[0], axis=-1)))
-    z = z.reshape(-1, 2)
-    Dz = mesh.scaled_gradients(z)
-    Dz[:, 0, 0] -= 1.0
-    Dz[:, 1, 1] -= 1.0
-    rhs = np.array(G, copy=True)
-    rhs[:, 0, 0] += mesh.qp_x[:, 1] * thp[mesh.qp_col]
-    rhs = tmul2(trans2(Rq), rhs)
-    num = np.sqrt(mesh.qp_w * np.sum((Dz - rhs) ** 2))
-    den = np.sqrt(mesh.qp_w * np.sum(rhs**2))
+    # z on the clamped edge, where y = (0, h x2) and int_0^0 R e1 = 0
+    th0 = node_theta[0]
+    z0 = y[mesh.clamped_nodes()] / h - mesh.x2[:, None] * np.array([-np.sin(th0), np.cos(th0)])
 
     return Diagnosis(
-        mesh=mesh, F=F, node_theta=node_theta, G=G, E=E, Ebar=Ebar, Ehat=Ehat, Ghat=Ghat, z=z,
+        mesh=mesh, F=F, node_theta=node_theta, G=G, E=E, Ebar=Ebar, Ehat=Ehat, Ghat=Ghat,
         row=IdentityRow(h=h, r1=r1, r2=r2, r3=r3, r4=r4, r5=r5),
-        z_bc_gap=z_bc_gap, z_identity_error=float(num / max(den, EPS_DIV)),
+        z_bc_gap=float(np.max(np.linalg.norm(z0, axis=-1))),
     )
 
 

@@ -91,6 +91,28 @@ def test_solver_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert report["message"].startswith("cold start at full load failed:")
 
 
+def test_rod_solver_failure_exits_1_without_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("striplab.elastica.ROD_MAX_ITERS", 0)
+    out = tmp_path / "o"
+    assert main(["converge", "--config", str(CONFIGS / "cantilever.cfg"), "--out", str(out)]) == 1
+    assert "solver failure: rod Newton iteration cap reached" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_converge_tabulates_only_the_thicknesses_that_solve(tmp_path):
+    cfg = write_cfg(tmp_path, "load.g2 = -3\nsweep.h = 0.2, 0.1\n")
+    out = tmp_path / "o"
+    assert main(["converge", "--config", cfg, "--out", str(out)]) == 1
+    _, manifest = read_table(out / "manifest.csv")
+    status = {r[0]: r[1] for r in manifest}
+    assert status["solve h=0.2"].startswith("non-converged:")
+    assert "continuation stalled at load factor 0.762451" in status["solve h=0.2"]
+    assert status["solve h=0.1"] == "ok"
+    for name in ("convergence.csv", "identities.csv"):
+        _, rows = read_table(out / name)
+        assert [float(r[0]) for r in rows] == [0.1]
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     code = main(["solve-strip", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
     assert code == 2
@@ -201,6 +223,9 @@ def test_truncate_bad_window_exits_2_naming_both_keys(tmp_path, capsys):
             "load.samples_g1 = 0, 0\nload.samples_g2 = -1, inf\n",
             "load.samples_g2",
         ),
+        ("diagnose", "strip.h = 0.05\nstrip.nx = 4\n", "strip.nx"),
+        ("converge", "sweep.h = 0.05\nstrip.nx = 4\n", "strip.nx"),
+        ("truncate", "truncation.resolutions = 64by8\n", "truncation.resolutions"),
     ],
     ids=[
         "zero-cells",
@@ -234,6 +259,9 @@ def test_truncate_bad_window_exits_2_naming_both_keys(tmp_path, capsys):
         "single-sample",
         "sample-g1-nan",
         "sample-g2-inf",
+        "diagnose-slab-without-quadrature",
+        "converge-slab-without-quadrature",
+        "resolution-not-NxM",
     ],
 )
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, text, key):
@@ -438,7 +466,12 @@ def test_diagnose_emits_every_table(tmp_path):
     assert float(rows[0][0]) == 0.2
     # the clamp gap of z tracks the mollified angle at x1 = 0, small under
     # this load but not zero
-    assert 0.0 <= float(read_keyvalue(out / "report.csv")["z_bc_gap"]) < 1e-2
+    report = read_keyvalue(out / "report.csv")
+    assert 0.0 <= float(report["z_bc_gap"]) < 1e-2
+    assert list(report) == [
+        "h", "L", "nx", "ny", "converged", "iterations", "residual_sup", "elastic_energy",
+        "total_energy", "message", "load_path", "z_bc_gap",
+    ]  # the z-identity row is gone
 
 
 def test_converge_runs_the_sweep(tmp_path):

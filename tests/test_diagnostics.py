@@ -12,12 +12,13 @@ from striplab.diagnostics import (
     column_moments,
     diagnose,
     mollified_angle,
+    slab_bins,
     slab_rotations,
     theta_error,
     y_error,
 )
 from striplab.elastica import solve_elastica
-from striplab.energy import HalfDistSquared
+from striplab.energy import HalfDistSquared, IsotropicQuadratic
 from striplab.errors import ConfigError, DiagnosticError
 from striplab.loads import LoadProfile
 from striplab.mesh import build_mesh, mesh_rule_nx
@@ -59,6 +60,8 @@ def test_slab_count_validation():
     mesh = build_mesh(0.5, 0.3, 16, 2)
     with pytest.raises(ConfigError):
         slab_angle_of(mesh, mesh.rigid)  # only one slab fits
+    with pytest.raises(ConfigError, match="strip.nx"):
+        slab_bins(build_mesh(1.0, 0.05, 4, 8))  # 20 slabs share 8 quadrature columns
 
 
 def test_smoothed_profile_extends_constantly():
@@ -136,16 +139,21 @@ def test_identity_report_rigid_state_all_zero():
 def test_z_field_rigid_state_zero():
     mesh = build_mesh(1.0, 0.2, 32, 4)
     d = diagnose(mesh, mesh.rigid, G0, W)
-    np.testing.assert_allclose(d.z, 0.0, atol=1e-13)
     assert d.z_bc_gap == pytest.approx(0.0, abs=1e-13)
 
 
-def test_z_identity_error_small_on_solved_field():
-    mesh = build_mesh(1.0, 0.1, 64, 8)
-    y, rep = solve_stationary(mesh, LoadProfile.constant(0.0, -1e-3), W)
+@pytest.mark.parametrize("density", [HalfDistSquared(), IsotropicQuadratic(1.0, 1.0)])
+@pytest.mark.parametrize("g2", [-1e-3, -1.0])
+@pytest.mark.parametrize("h", [0.2, 0.1, 0.025])
+def test_z_bc_gap_is_half_angle_sine_at_the_clamp(density, g2, h):
+    # on the clamped edge y = (0, h x2), so z(0, x2) = x2 (sin, 1 - cos)(theta_h(0))
+    g = LoadProfile.constant(0.0, g2)
+    mesh = build_mesh(1.0, h, mesh_rule_nx(1.0, h), 8)
+    y, rep = solve_stationary(mesh, g, density)
     assert rep.converged
-    err = diagnose(mesh, y, LoadProfile.constant(0.0, -1e-3), W).z_identity_error
-    assert err < 0.2  # relative identity gap, dominated by smoothing bias
+    d = diagnose(mesh, y, g, density)
+    assert d.z_bc_gap > 0.0
+    assert d.z_bc_gap == pytest.approx(abs(np.sin(d.node_theta[0] / 2)), rel=1e-12)
 
 
 def test_r2_pinned_on_cantilever():
