@@ -3,9 +3,13 @@
 Given a grid-sampled field u, the kit replaces it by a Lipschitz function v
 that agrees with u outside a small bad set:
 
-* the bad set is a superlevel set of the Hardy-Littlewood maximal function of
-  |grad u|, with the level chosen by minimizing t^2 * area{Mf > t} over a
-  geometric candidate grid in [a, A];
+* the bad set is a superlevel set of the box maximal function of |grad u|
+  from a summed-area table, with the level chosen by minimizing
+  t^2 * area{Mf > t} over a geometric candidate grid in [a, A].  The
+  truncation lemma needs only a maximal operator comparable to the
+  centred-ball one (Acerbi & Fusco 1984; Friesecke, James & Mueller 2002,
+  appendix), and the box of half-width floor(r / d) holds the disc of
+  radius r and lies in the disc of radius sqrt(2) * r;
 * on the bad set, v is the upper McShane extension of u from the good set,
   component by component;
 * the thin-rectangle variant extends u from a strip of height h to the unit
@@ -23,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import ConfigError, DiagnosticError
 
@@ -110,104 +113,31 @@ def grad_sup(gf: GridFunction) -> float:
     return float(np.max(gradient_magnitude(gf).values[:-1, :-1]))
 
 
-_KERNEL_CACHE: dict = {}
+def maximal_function(grad_mag: GridFunction) -> GridFunction:
+    """Box maximal function from one summed-area table, over a radius ladder.
 
+    Radii run from half a cell by factors of sqrt(2) up to the domain
+    diameter.  Radius r averages f over the in-domain nodes of the box of
+    half-width m = min(floor(r / d), n - 1) per axis; the smallest box is
+    the node itself, so the output dominates the input.  Each box sum is
+    the summed-area table's rows at the clipped window ends
+    min(i + m1 + 1, n1) and max(i - m1, 0), differenced, then likewise in
+    j; radii that share (m1, m2) are averaged once.
 
-def _radius_ladder(gf: GridFunction) -> np.ndarray:
-    d1, d2 = gf.spacing
-    r = 0.5 * min(d1, d2)
-    diam = float(np.hypot(*gf.extent))
-    radii = [r]
-    while radii[-1] < diam:
-        radii.append(radii[-1] * LADDER_FACTOR)
-    return np.array(radii)
+    The Lipschitz truncation lemma needs only a maximal operator comparable
+    to the centred-ball one (Acerbi & Fusco 1984; the appendix of
+    Friesecke, James & Mueller 2002).  The box of radius r contains every
+    node of the disc of radius r and lies inside the disc of radius
+    sqrt(2) * r, the next rung (the last disc covers the domain).  So for
+    f >= 0, with #S the in-domain node count of S and D_r the disc average,
 
+        (#disc_r / #box_r) D_r  <=  B_r  <=  (#disc_sqrt2r / #box_r) D_sqrt2r,
 
-def _ball_kernels(gf: GridFunction):
-    """FFT kernels and in-domain counts for each ladder radius, cached per grid.
-
-    Each entry is (kernel transform, padded shape, in-domain count, (m1, m2)).
-    A ball of radius r spans offsets -m..m per axis, m = min(r/d, n - 1), and
-    is transformed at p = next_fast_len(n + m).  That padding is exact: for
-    an output node i in [0, n) the offset i - k of each kernel tap k in
-    [-m, m] lies in [-m, n - 1 + m].  As p >= n + m, no index wraps past p,
-    and the negative ones wrap to [p - m, p), which lies at or beyond n,
-    where the padded input is zero.  So the circular convolution equals the
-    linear one on the domain.
-    """
-    key = (gf.n1, gf.n2, gf.spacing)
-    hit = _KERNEL_CACHE.get(key)
-    if hit is not None:
-        return hit
-    d1, d2 = gf.spacing
-    ones = np.ones((gf.n1, gf.n2))
-    entries = []
-    for r in _radius_ladder(gf):
-        m1 = min(int(r / d1), gf.n1 - 1)
-        m2 = min(int(r / d2), gf.n2 - 1)
-        off1 = np.arange(-m1, m1 + 1)
-        off2 = np.arange(-m2, m2 + 1)
-        mask = (off1[:, None] * d1) ** 2 + (off2[None, :] * d2) ** 2 <= r * r
-        pshape = (sfft.next_fast_len(gf.n1 + m1), sfft.next_fast_len(gf.n2 + m2))
-        kern = np.zeros(pshape)
-        kern[np.ix_(off1 % pshape[0], off2 % pshape[1])] = mask
-        kfft = sfft.rfft2(kern)
-        den = sfft.irfft2(sfft.rfft2(ones, s=pshape) * kfft, s=pshape)[: gf.n1, : gf.n2]
-        entries.append((kfft, pshape, np.maximum(den, 0.5), (m1, m2)))
-    _KERNEL_CACHE[key] = entries
-    return entries
-
-
-def _reaching_radii(f: np.ndarray, kernels, floor: float) -> int:
-    """How many of the ladder kernels, smallest first, can reach floor.
-
-    f >= 0, so the sum of f over the in-domain part of the box
-    [i - m1, i + m1] x [j - m2, j + m2] is at least the ball sum at (i, j).
-    Box sums come from one summed-area table as separable window sums: its
-    rows taken at the clipped ends i + m1 + 1 and i - m1, then the columns
-    of that difference at j + m2 + 1 and j - m2.  A radius whose bound
-    max((box + slack) / den) stays below floor cannot reach it anywhere.
-    slack = 1e-9 * sum(f) covers the roundoff of the table and of the FFT
-    ball sum; for f >= 0 both stay within a few eps * sum(f) (under
-    4 eps * sum(f) on the reflected 65x65 squares).  Radii are checked
-    from the largest down, and the first one the bound cannot skip ends
-    the search.
-    """
-    n1, n2 = f.shape
-    table = np.zeros((n1 + 1, n2 + 1))
-    np.cumsum(np.cumsum(f, axis=0), axis=1, out=table[1:, 1:])
-    slack = 1e-9 * table[-1, -1]
-    i = np.arange(n1)
-    j = np.arange(n2)
-    for keep in range(len(kernels), 0, -1):
-        _, _, den, (m1, m2) = kernels[keep - 1]
-        rows = (np.take(table, np.minimum(i + m1 + 1, n1), axis=0)
-                - np.take(table, np.maximum(i - m1, 0), axis=0))
-        box = (np.take(rows, np.minimum(j + m2 + 1, n2), axis=1)
-               - np.take(rows, np.maximum(j - m2, 0), axis=1))
-        if np.max((box + slack) / den) >= floor:
-            return keep
-    return 0
-
-
-def maximal_function(grad_mag: GridFunction, *, floor: float = 0.0) -> GridFunction:
-    """Discrete Hardy-Littlewood maximal function over a geometric radius ladder.
-
-    Radii run from half a cell (ball = the node itself, so the output
-    dominates the input pointwise) by factors of sqrt(2) up to the domain
-    diameter.  Ball averages count only in-domain nodes.  Each ball sum is
-    one FFT convolution zero-padded to n + m nodes per axis (rounded up to
-    a fast length), which is exact for offsets up to m (see _ball_kernels).
-    The padded shape never shrinks as r grows, so radii that share one come
-    one after another; f is transformed once per run of them.
-
-    floor > 0 skips the largest radii whose ball averages provably stay
-    below floor at every node: a box sum of f bounds each ball sum from
-    above (see _reaching_radii).  A skipped radius cannot lift any value to
-    floor or above, so wherever the full maximal function is >= floor the
-    output is bitwise the same, and below floor it is still >= f.  Callers
-    that only compare the output with levels c >= floor (as thin_truncate
-    does) get the same decisions.  floor = 0 convolves every radius.
+    and c Mf <= box Mf <= C Mf for the disc maximal function Mf, with c the
+    least and C the largest of these count ratios over radii and nodes.
+    They depend only on the grid; away from the edges of a fine grid they
+    tend to pi / 4 and pi / 2.  The certified bound sup |grad v| <= lam is
+    measured on the output, so it holds either way.
     """
     if grad_mag.values.ndim != 2:
         raise ConfigError("maximal function expects a scalar field")
@@ -215,17 +145,24 @@ def maximal_function(grad_mag: GridFunction, *, floor: float = 0.0) -> GridFunct
         raise ConfigError("maximal function expects a nonnegative field")
     f = grad_mag.values
     n1, n2 = f.shape
-    kernels = _ball_kernels(grad_mag)[1:]
-    if floor > 0:
-        kernels = kernels[: _reaching_radii(f, kernels, floor)]
+    d1, d2 = grad_mag.spacing
+    radii = [0.5 * min(d1, d2)]
+    while radii[-1] < np.hypot(*grad_mag.extent):
+        radii.append(radii[-1] * LADDER_FACTOR)
+    table = np.zeros((n1 + 1, n2 + 1))
+    np.cumsum(np.cumsum(f, axis=0), axis=1, out=table[1:, 1:])
+    i, j = np.arange(n1), np.arange(n2)
     out = f.copy()
-    shape = None
-    for kfft, pshape, den, _ in kernels:
-        if pshape != shape:
-            shape, ffft = pshape, sfft.rfft2(f, s=pshape)
-        num = sfft.irfft2(ffft * kfft, s=pshape)[:n1, :n2]
-        np.maximum(out, num / den, out=out)
-    return GridFunction(values=np.maximum(out, 0.0), spacing=grad_mag.spacing)
+    for m1, m2 in dict.fromkeys((min(int(r / d1), n1 - 1), min(int(r / d2), n2 - 1))
+                                for r in radii):
+        if m1 == m2 == 0:
+            continue
+        hi1, lo1 = np.minimum(i + m1 + 1, n1), np.maximum(i - m1, 0)
+        hi2, lo2 = np.minimum(j + m2 + 1, n2), np.maximum(j - m2, 0)
+        rows = np.take(table, hi1, axis=0) - np.take(table, lo1, axis=0)
+        box = np.take(rows, hi2, axis=1) - np.take(rows, lo2, axis=1)
+        np.maximum(out, box / np.outer(hi1 - lo1, hi2 - lo2), out=out)
+    return GridFunction(values=out, spacing=grad_mag.spacing)
 
 
 def select_lambda(f: GridFunction, a: float, A: float) -> tuple[float, np.ndarray]:
@@ -416,17 +353,19 @@ def thin_truncate(u: GridFunction, a: float, A: float) -> TruncationResult:
     """Truncate a thin-strip field via reflection and strip selection.
 
     Extends u to the unit square, takes the level minimizing t^2 *
-    area{Mf > t} over [a, A], picks the strip with the fewest bad nodes
-    (Mf > level; ties: smaller |i|, then smaller i), McShane-fills its bad
-    nodes from the good set, and maps it back with the matching orientation.
+    area{Mf > t} over [a, A], with Mf the box maximal function of |grad u|
+    from a summed-area table (comparable to the centred-ball one, which is
+    all the truncation lemma needs: see maximal_function), picks the strip
+    with the fewest bad nodes (Mf > level; ties: smaller |i|, then smaller
+    i), McShane-fills its bad nodes from the good set, and maps it back with
+    the matching orientation.
     """
     if not (0 < a < A):
         raise ConfigError(f"need 0 < a < A, got a={a!r}, A={A!r}")
     ext = reflect_to_square(u)
     m = u.n2 - 1
     K = ext.n2 - 1
-    # every threshold below is at least a, so radii that cannot reach a are skipped
-    mf = maximal_function(gradient_magnitude(ext), floor=a)
+    mf = maximal_function(gradient_magnitude(ext))
     level, bad = select_lambda(mf, a, A)
     if bad.all():
         raise DiagnosticError(f"good set is empty at level {level!r}; raise the upper bound A")
