@@ -161,15 +161,25 @@ def dense_box_maximal(f, spacing):
 
 
 def test_maximal_function_matches_dense_oracle():
+    gf = random_scalar(9, 7, (0.1, 0.15), seed=3)
+    gf.values = np.abs(gf.values)
+    mf = maximal_function(gf)
+    assert np.all(mf.values >= gf.values)  # smallest box is the node itself
+    expect = dense_box_maximal(gf.values, gf.spacing)
+    assert mf.values == pytest.approx(expect, rel=1e-10, abs=1e-12)
+
+
+def test_maximal_function_matches_dense_oracle_at_padding_edge():
+    # the summed-area table's zero row and column are read by every window
+    # that starts at the first node, and the largest boxes clip to m = n - 1
+    # on both axes, so their windows run from the padding to the far edge
     n1, n2, spacing = 14, 13, (0.07, 0.11)
     gf = random_scalar(n1, n2, spacing, seed=17)
     gf.values = np.abs(gf.values)
     gf.values[0, 0] += 6.0  # a corner spike weighs most on the far side
-    # the largest boxes clip to m = n - 1 on both axes
     r_max = ladder(gf.values, spacing)[-1]
     assert r_max / spacing[0] > n1 and r_max / spacing[1] > n2
     mf = maximal_function(gf)
-    assert np.all(mf.values >= gf.values)  # smallest box is the node itself
     expect = dense_box_maximal(gf.values, gf.spacing)
     assert mf.values == pytest.approx(expect, rel=1e-10, abs=1e-12)
 
