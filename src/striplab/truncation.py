@@ -236,35 +236,33 @@ def _mcshane(
     gives U' >= U, so every node that passes, and every node attaining U,
     lies within R = max_c (U'_c + slack_c - min_g u_c(g)) / kappa of the
     box; the window is the tile's index box grown by ceil(R / d) + 1 cells
-    per axis.  Good nodes are in row-major order, so the window is a run of
-    rows of them, and the candidates keep their order.
+    per axis and clipped to the grid, and its candidates are that block's
+    good nodes, with values from u's (ncomp, n1, n2) component planes.  The
+    minimum over them runs along the middle axis of (ncomp, candidates,
+    tile nodes): an elementwise minimum of contiguous rows.
     """
     d1, d2 = spacing
     n1, n2 = good.shape
     xs = np.arange(n1) * d1
     ys = np.arange(n2) * d2
-    gi, gj = np.nonzero(good)
-    gx, gy = xs[gi], ys[gj]
-    gvals = u[good]  # (ngood, ncomp)
-    gmin = np.min(gvals, axis=0, initial=np.inf)
-    row_start = np.searchsorted(gi, np.arange(n1 + 1))
+    planes = np.moveaxis(u, -1, 0)
+    gmin = np.min(planes, axis=(1, 2), where=good, initial=np.inf)
 
     def window(i0, i1, j0, j1, w1, w2):
-        """Good-node indices in rows i0-w1..i1+w1 and columns j0-w2..j1+w2."""
-        lo = row_start[max(i0 - w1, 0)]
-        hi = row_start[min(i1 + w1 + 1, n1)]
-        cols = gj[lo:hi]
-        return lo + np.flatnonzero((cols >= j0 - w2) & (cols <= j1 + w2))
+        """Positions and values of the good nodes in rows i0-w1..i1+w1, columns j0-w2..j1+w2."""
+        r0, c0 = max(i0 - w1, 0), max(j0 - w2, 0)
+        wi, wj = np.nonzero(good[r0:i1 + w1 + 1, c0:j1 + w2 + 1])
+        return xs[r0:][wi], ys[c0:][wj], planes[:, r0:, c0:][:, wi, wj]
 
-    def tile_bound(w, x0, x1, y0, y1):
-        """Tile upper bound over good nodes w, and its slack."""
-        far = np.hypot(np.maximum(gx[w] - x0, x1 - gx[w]), np.maximum(gy[w] - y0, y1 - gy[w]))
-        upper = np.min(gvals[w] + kappa * far[:, None], axis=0)
+    def tile_bound(wx, wy, wvals, x0, x1, y0, y1):
+        """Tile upper bound over the good nodes of a window, and its slack."""
+        far = np.hypot(np.maximum(wx - x0, x1 - wx), np.maximum(wy - y0, y1 - wy))
+        upper = np.min(wvals + kappa * far, axis=-1)
         return upper, 1e-9 * (1.0 + np.abs(upper))
 
     bad = ~good if fill is None else fill & ~good
     bi, bj = np.nonzero(bad)
-    v = u.copy()
+    v = planes.copy()
     tile = (bi // MCSHANE_TILE) * (n2 // MCSHANE_TILE + 1) + bj // MCSHANE_TILE
     order = np.argsort(tile, kind="stable")
     for sel in np.split(order, np.flatnonzero(np.diff(tile[order])) + 1):
@@ -274,20 +272,19 @@ def _mcshane(
         i0, i1, j0, j1 = ti.min(), ti.max(), tj.min(), tj.max()
         box = x0, x1, y0, y1 = xs[i0], xs[i1], ys[j0], ys[j1]
         grow = 1
-        while (w := window(i0, i1, j0, j1, grow, grow)).size == 0 and grow < max(n1, n2):
+        while (w := window(i0, i1, j0, j1, grow, grow))[0].size == 0 and grow < max(n1, n2):
             grow *= 2
-        upper, slack = tile_bound(w, *box)
+        upper, slack = tile_bound(*w, *box)
         reach = np.max(upper + slack - gmin) / kappa
-        w = window(i0, i1, j0, j1, int(min(np.ceil(reach / d1), n1)) + 1,
-                   int(min(np.ceil(reach / d2), n2)) + 1)
-        upper, slack = tile_bound(w, *box)
-        wx, wy, wvals = gx[w], gy[w], gvals[w]
+        wx, wy, wvals = window(i0, i1, j0, j1, int(min(np.ceil(reach / d1), n1)) + 1,
+                               int(min(np.ceil(reach / d2), n2)) + 1)
+        upper, slack = tile_bound(wx, wy, wvals, *box)
         near = np.hypot(np.maximum(np.maximum(x0 - wx, wx - x1), 0.0),
                         np.maximum(np.maximum(y0 - wy, wy - y1), 0.0))
-        keep = np.any(wvals + kappa * near[:, None] <= upper + slack, axis=1)
-        dist = np.hypot(xs[ti][:, None] - wx[None, keep], ys[tj][:, None] - wy[None, keep])
-        v[ti, tj] = np.min(wvals[None, keep, :] + kappa * dist[:, :, None], axis=1)
-    return v
+        keep = np.any(wvals + kappa * near <= (upper + slack)[:, None], axis=0)
+        dist = np.hypot(xs[ti] - wx[keep, None], ys[tj] - wy[keep, None])
+        v[:, ti, tj] = np.min(wvals[:, keep, None] + kappa * dist, axis=1)
+    return np.moveaxis(v, 0, -1)
 
 
 @dataclass(eq=False)
@@ -328,7 +325,8 @@ def reflect_to_square(u: GridFunction) -> GridFunction:
 
     The spacing must pass ``square_cells``.  Extended row J of K lies in
     strip floor((J - K/2 + m/2) / m), the center strip being 0; even strips
-    copy the m + 1 source rows in order, odd strips mirror them.
+    copy the m + 1 source rows in order, odd strips mirror them.  A vector
+    field's values are a view of contiguous (ncomp, n1, K + 1) planes.
     """
     d1, d2 = u.spacing
     m = u.n2 - 1
@@ -337,7 +335,9 @@ def reflect_to_square(u: GridFunction) -> GridFunction:
     strip = np.floor_divide(t + m // 2, m)
     inner = t - strip * m
     j_src = np.where(strip % 2 == 0, inner + m // 2, m // 2 - inner)
-    return GridFunction(values=u.values[:, j_src], spacing=(d1, d2))
+    planes = np.take(np.ascontiguousarray(np.moveaxis(u.components(), -1, 0)), j_src, axis=2)
+    values = np.moveaxis(planes, 0, -1) if u.values.ndim == 3 else planes[0]
+    return GridFunction(values=values, spacing=(d1, d2))
 
 
 def _strip_slice(i0: int, K: int, m: int) -> np.ndarray:

@@ -452,6 +452,27 @@ def test_mcshane_single_good_node():
             assert np.array_equal(v, unpruned_mcshane(comps, good, kappa, spacing))
 
 
+@pytest.mark.parametrize("ncomp", [1, 2])
+def test_mcshane_and_kappa_bytes_do_not_depend_on_layout(ncomp):
+    # an interleaved (n1, n2, ncomp) array and a view of (ncomp, n1, n2)
+    # planes holding the same values give the same bytes
+    u = sample_on_strip(rough_field(9), 40, 40, 1.0)
+    mf = maximal_function(gradient_magnitude(u))
+    good = ~(mf.values > float(np.quantile(mf.values, 0.7)))
+    interleaved = np.ascontiguousarray(u.components()[:, :, :ncomp])
+    planed = np.moveaxis(np.ascontiguousarray(np.moveaxis(interleaved, -1, 0)), 0, -1)
+    assert np.moveaxis(planed, -1, 0).flags.c_contiguous
+    kappas = [_good_set_kappa(x, good, 0.5, u.spacing) for x in (interleaved, planed)]
+    assert np.float64(kappas[0]).tobytes() == np.float64(kappas[1]).tobytes()
+    fill = np.zeros_like(good)
+    fill[:, 12:20] = True
+    for restrict in (None, fill):
+        v_int, v_pl = (_mcshane(x, good, kappas[0], u.spacing, fill=restrict)
+                       for x in (interleaved, planed))
+        assert v_int.shape == v_pl.shape == interleaved.shape
+        assert v_int.tobytes() == v_pl.tobytes()
+
+
 # ----------------------------------------------------------- reflection
 
 
@@ -461,13 +482,18 @@ def tent_row(J, K, m):
 
 
 def test_reflect_to_square_row_map_matches_tent_oracle():
-    u = random_scalar(7, 5, (0.2, 1.0 / 16.0), seed=12)
-    ext = reflect_to_square(u)
-    K = round(1.0 / u.spacing[1])
-    m = u.n2 - 1
-    assert ext.values.shape == (7, K + 1)
-    for J in range(K + 1):
-        assert np.array_equal(ext.values[:, J], u.values[:, tent_row(J, K, m)])
+    scalar = random_scalar(7, 5, (0.2, 1.0 / 16.0), seed=12)
+    vector = GridFunction(values=np.random.default_rng(12).standard_normal((7, 5, 2)),
+                          spacing=scalar.spacing)
+    K = round(1.0 / scalar.spacing[1])
+    m = scalar.n2 - 1
+    for u in (scalar, vector):
+        ext = reflect_to_square(u)
+        assert ext.values.shape == (7, K + 1) + u.values.shape[2:]
+        for J in range(K + 1):
+            assert np.array_equal(ext.values[:, J], u.values[:, tent_row(J, K, m)])
+    # a vector field's square is a view of contiguous component planes
+    assert np.moveaxis(ext.values, -1, 0).flags.c_contiguous
 
 
 def test_reflect_to_square_every_strip_recovers_the_field():
@@ -564,6 +590,22 @@ def test_thin_truncate_heavy_fields_pinned(seed, level, strip_index, n_bad, q, l
     assert res.q == pytest.approx(q, rel=1e-12)
     assert res.lam == pytest.approx(lam, rel=1e-12)
     assert res.kappa == pytest.approx(kappa, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed, n1, n2", [(0, 128, 16), (28, 256, 32)])
+def test_thin_truncate_fill_matches_unpruned_oracle_on_the_square(seed, n1, n2):
+    # the pruned, windowed fill on the reflected square equals the McShane
+    # minimum over every good node of the square, bit for bit
+    u = sample_on_strip(rough_field(seed), n1, n2, 0.125)
+    res = thin_truncate(u, 14.0, 28.0)
+    ext = reflect_to_square(u)
+    bad = maximal_function(gradient_magnitude(ext)).values > res.level
+    rows = _strip_slice(res.strip_index, ext.n2 - 1, u.n2 - 1)
+    fill = np.zeros_like(bad)
+    fill[:, rows] = True
+    assert (fill & bad).any()
+    expect = unpruned_mcshane(ext.components(), ~bad, res.kappa, ext.spacing, fill=fill)
+    assert res.v.values.tobytes() == expect[:, rows].reshape(u.values.shape).tobytes()
 
 
 def test_thin_truncate_low_window_exhausts_good_set():
