@@ -64,10 +64,6 @@ class ExperimentConfig:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
         return cls(raw=parse_config_text(text), source=str(path))
 
-    @classmethod
-    def from_text(cls, text: str) -> "ExperimentConfig":
-        return cls(raw=parse_config_text(text))
-
     @property
     def hash(self) -> str:
         return config_hash(self.raw)
@@ -95,7 +91,8 @@ class ExperimentConfig:
 
     def get_floats(self, key: str, default=None):
         def parse(text):
-            return tuple(float(p) for p in text.split(",") if p.strip())
+            # an empty value is the empty list; float rejects an empty entry
+            return tuple(float(p) for p in text.split(",")) if text.strip() else ()
 
         return self._get(key, default, parse, "a number list")
 

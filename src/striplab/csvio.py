@@ -1,4 +1,4 @@
-"""Deterministic CSV emission and parsing for all artifact files.
+"""Deterministic CSV emission for all artifact files.
 
 Floats are written with repr, which round-trips and is stable across runs,
 so identical inputs produce byte-identical files.  Float-array tables
@@ -53,22 +53,6 @@ def write_table(path, header: Sequence[str], rows) -> Path:
 
 def write_keyvalue(path, items: dict) -> Path:
     return write_table(path, ["key", "value"], [(k, v) for k, v in items.items()])
-
-
-def read_table(path) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
-    if not rows:
-        raise ConfigError(f"empty CSV file: {path}")
-    return rows[0], rows[1:]
-
-
-def read_keyvalue(path) -> dict[str, str]:
-    header, rows = read_table(path)
-    if header != ["key", "value"]:
-        raise ConfigError(f"not a key/value CSV: {path}")
-    return {k: v for k, v in rows}
 
 
 ROW_CHUNK = 512  # rows turned into Python floats at a time, which bounds a table's memory

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded, solveh_banded
 
 from .errors import ConfigError, NonConvergence
 from .loads import LoadProfile
@@ -143,6 +142,9 @@ def solve_elastica(modulus: float, g: LoadProfile, L: float, n: int) -> Elastica
     Load ramping engages when the dimensionless stiffness 12 |gtilde| L^2 / E
     exceeds 5.  Raises NonConvergence if Newton stalls.
     """
+    # deferred: scipy.linalg takes most of the CLI's start-up; only solves need it
+    from scipy.linalg import solve_banded
+
     x, dx, c, gtv = _rod_setup(modulus, g, L, n)
     strength = 12.0 * float(np.max(np.abs(gtv))) * L**2 / modulus
     ramps = 1 if strength <= 5.0 else int(np.ceil(strength / 5.0))
@@ -207,6 +209,9 @@ def minimize_J2(modulus: float, g: LoadProfile, L: float, n: int) -> ElasticaSol
     positive definite) bending block, with Armijo backtracking on the
     functional value; independent of the Newton route in ``solve_elastica``.
     """
+    # deferred: scipy.linalg takes most of the CLI's start-up; only solves need it
+    from scipy.linalg import solveh_banded
+
     x, dx, c, gtv = _rod_setup(modulus, g, L, n)
     wq = np.full(n + 1, dx)
     wq[0] = wq[-1] = 0.5 * dx
@@ -238,10 +243,3 @@ def minimize_J2(modulus: float, g: LoadProfile, L: float, n: int) -> ElasticaSol
     raise NonConvergence(
         "descent iteration cap reached", float(np.max(np.abs(grad)))
     )
-
-
-def linear_cantilever_theta(gamma: float, modulus: float, L: float, x: np.ndarray) -> np.ndarray:
-    """Small-load closed form for g = (0, -gamma): the linearized rod equation
-    -(E/12) theta'' + gamma (L - x1) = 0 with theta(0) = 0, theta'(L) = 0."""
-    x = np.asarray(x, dtype=float)
-    return (12.0 * gamma / modulus) * (L * x**2 / 2.0 - x**3 / 6.0 - L**2 * x / 2.0)

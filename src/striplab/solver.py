@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
 
 from .algebra import det2
 from .elastica import ElasticaSolution
@@ -170,6 +169,9 @@ def _newton(
     start state, before any step) or NonConvergence, whose ``iterations``
     counts the steps taken.
     """
+    # deferred: scipy.linalg takes most of the CLI's start-up; only solves need it
+    from scipy.linalg import solve_banded
+
     tol = NEWTON_TOL * load_factor * float(np.max(np.abs(f)))
     floor = 0.0
 
@@ -190,7 +192,7 @@ def _newton(
         floor = FLOOR_C * EPS * float(np.max(np.abs(K))) * float(np.max(np.abs(y)))
         try:
             delta = solve_banded((mesh.k_bw, mesh.k_bw), K, -r, check_finite=False)
-        except LinAlgError:
+        except np.linalg.LinAlgError:
             raise NonConvergence("singular tangent", rsup, it) from None
         slope = float(r @ delta)
         if slope >= 0.0:

@@ -16,12 +16,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from striplab import csvio
 from striplab.cli import main
 from striplab.elastica import _j2_discrete, gtilde, minimize_J2, solve_elastica
 from striplab.energy import HalfDistSquared, IsotropicQuadratic, linearize
 from striplab.loads import LoadProfile
 from striplab.mesh import mesh_rule_nx
+
+from helpers import read_keyvalue, read_table
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 HS = (0.2, 0.1, 0.05, 0.025)
@@ -46,7 +47,7 @@ def _run(out: Path, command: str, config, *args) -> Path:
 
 def _table(path) -> dict:
     """The columns of a CSV by header: floats where every entry parses, else strings."""
-    header, rows = csvio.read_table(path)
+    header, rows = read_table(path)
     cols = {}
     for name, col in zip(header, np.array(rows).T):
         try:
@@ -89,7 +90,7 @@ def test_criterion_01_trivial_equilibrium(tmp_path):
         sol = _table(out / "solution.csv")
         assert np.array_equal(sol["y1"], sol["x1"])
         assert np.array_equal(sol["y2"], h * sol["x2"])
-        report = csvio.read_keyvalue(out / "report.csv")
+        report = read_keyvalue(out / "report.csv")
         ids = _table(out / "identities.csv")
         res_max = max(res_max, float(report["residual_sup"]))
         it_max = max(it_max, int(report["iterations"]))
@@ -215,7 +216,7 @@ def test_criterion_08_truncation_sweep(tmp_path):
         assert np.all(rows["grad_sup_v"] <= rows["lam"])
         assert np.all((a <= rows["level"]) & (rows["level"] <= A))
         assert np.all(np.isfinite(rows["q"]))
-        summary = csvio.read_keyvalue(out / "summary.csv")
+        summary = read_keyvalue(out / "summary.csv")
         q_max += [float(v) for k, v in summary.items() if k.startswith("q_max_")]
         dt += _step_seconds(out, "truncate")
     vals = np.array(q_max)

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from striplab.cli import _hypothesis_rows, main, run_energy_check
-from striplab.config import ExperimentConfig
-from striplab.csvio import read_keyvalue, read_table
 from striplab.energy import HalfDistSquared
 from striplab.errors import DiagnosticError
+
+from helpers import config_from_text, read_keyvalue, read_table
 
 TINY_STRIP = """
 strip.L = 1.0
@@ -33,6 +33,14 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def child_env(**extra):
+    """The environment of a fresh interpreter that imports striplab from src/."""
+    env = dict(os.environ, **extra)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def test_parser_requires_subcommand_and_config():
@@ -226,6 +234,7 @@ def test_truncate_bad_window_exits_2_naming_both_keys(tmp_path, capsys):
         ("diagnose", "strip.h = 0.05\nstrip.nx = 4\n", "strip.nx"),
         ("converge", "sweep.h = 0.05\nstrip.nx = 4\n", "strip.nx"),
         ("truncate", "truncation.resolutions = 64by8\n", "truncation.resolutions"),
+        ("converge", "sweep.h = 0.2,,0.1\n", "sweep.h"),
     ],
     ids=[
         "zero-cells",
@@ -262,6 +271,7 @@ def test_truncate_bad_window_exits_2_naming_both_keys(tmp_path, capsys):
         "diagnose-slab-without-quadrature",
         "converge-slab-without-quadrature",
         "resolution-not-NxM",
+        "sweep-h-empty-entry",
     ],
 )
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, text, key):
@@ -358,18 +368,39 @@ def test_solve_strip_bytes_do_not_depend_on_blas_threads(tmp_path):
     # the element operators are BLAS products, so the thread count must not
     # change how any entry is summed
     cfg = write_cfg(tmp_path, "strip.L = 1.0\nstrip.h = 0.025\nload.g2 = -1e-3\n")
-    src = str(Path(__file__).resolve().parent.parent / "src")
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads-{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         cmd = [sys.executable, "-m", "striplab.cli", "solve-strip", "--config", cfg]
         run = subprocess.run(cmd + ["--out", str(out)], env=env, capture_output=True)
         assert run.returncode == 0, run.stderr
         outs.append(out)
     for name in ("solution.csv", "report.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+IMPORT_PROBE = """
+import sys
+from striplab.cli import main
+cantilever, trunc, out = sys.argv[1:]
+assert main(["energy-check", "--config", cantilever, "--out", out + "/ec"]) == 0
+assert main(["truncate", "--config", trunc, "--out", out + "/tr"]) == 0
+print("scipy.linalg" in sys.modules)
+assert main(["solve-elastica", "--config", cantilever, "--out", out + "/se"]) == 0
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_only_solving_subcommands_import_scipy_linalg(tmp_path):
+    # scipy.linalg is most of the start-up time, so commands that solve no
+    # linear system must not load it; the test process already has, hence
+    # a fresh interpreter
+    trunc = write_cfg(tmp_path, "truncation.fields = 1\ntruncation.resolutions = 64x8\n")
+    cmd = [sys.executable, "-c", IMPORT_PROBE, str(CONFIGS / "cantilever.cfg"), trunc, str(tmp_path)]
+    run = subprocess.run(cmd, env=child_env(), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "True"]
 
 
 def test_truncate_seed_changes_the_fields(tmp_path, capsys):
@@ -418,7 +449,7 @@ def test_energy_check_negative_control_fails_loudly(tmp_path, monkeypatch):
     assert status["H1"] == "fail"
 
     monkeypatch.setattr("striplab.cli.energy_from", lambda cfg: LeakyDensity())
-    cfg = ExperimentConfig.from_text("")
+    cfg = config_from_text("")
     out = tmp_path / "o"
     with pytest.raises(DiagnosticError, match="H1"):
         run_energy_check(cfg, out)

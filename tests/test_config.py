@@ -20,6 +20,8 @@ from striplab.energy import HalfDistSquared, IsotropicQuadratic
 from striplab.errors import ConfigError
 from striplab.mesh import mesh_rule_nx
 
+from helpers import config_from_text
+
 BASIC = """
 # cantilever reference
 strip.L = 1.0
@@ -62,13 +64,13 @@ def test_parse_rejections_name_the_line(text, fragment):
 
 
 def test_hash_ignores_comments_whitespace_and_order():
-    a = ExperimentConfig.from_text("strip.h = 0.1\nload.g2 = -1e-3\n")
-    b = ExperimentConfig.from_text(
+    a = config_from_text("strip.h = 0.1\nload.g2 = -1e-3\n")
+    b = config_from_text(
         "# reordered with noise\nload.g2=-1e-3\n\n   strip.h   =   0.1\n"
     )
     assert a.hash == b.hash
     assert len(a.hash) == 16
-    c = ExperimentConfig.from_text("strip.h = 0.2\nload.g2 = -1e-3\n")
+    c = config_from_text("strip.h = 0.2\nload.g2 = -1e-3\n")
     assert c.hash != a.hash
     assert config_hash(a.raw) == a.hash
 
@@ -87,7 +89,7 @@ def test_load_reads_file(tmp_path):
 
 
 def test_getters_and_defaults():
-    cfg = ExperimentConfig.from_text(BASIC)
+    cfg = config_from_text(BASIC)
     assert cfg.get_float("strip.h") == 0.1
     assert cfg.get_int("solver.max_iters") == 12
     assert cfg.get_floats("sweep.h") == (0.2, 0.1)
@@ -104,10 +106,12 @@ def test_getters_and_defaults():
         ("a.x = abc", "get_float", "not a number"),
         ("a.x = 1.5", "get_int", "not an integer"),
         ("a.x = 1, two", "get_floats", "not a number list"),
+        ("a.x = 0.2,,0.1", "get_floats", "not a number list"),
+        ("a.x = 0, ,1,", "get_floats", "not a number list"),
     ],
 )
 def test_getter_type_errors_name_the_key(text, getter, fragment):
-    cfg = ExperimentConfig.from_text(text)
+    cfg = config_from_text(text)
     with pytest.raises(ConfigError, match="a.x"):
         getattr(cfg, getter)("a.x")
     with pytest.raises(ConfigError, match=fragment):
@@ -115,14 +119,14 @@ def test_getter_type_errors_name_the_key(text, getter, fragment):
 
 
 def test_require_names_key_and_source():
-    cfg = ExperimentConfig.from_text("a.x = 1")
+    cfg = config_from_text("a.x = 1")
     with pytest.raises(ConfigError, match="'strip.h' in <memory>"):
         cfg.get_float("strip.h", _REQUIRED)
 
 
 def test_energy_from_default_and_isotropic():
-    assert isinstance(energy_from(ExperimentConfig.from_text("")), HalfDistSquared)
-    cfg = ExperimentConfig.from_text(
+    assert isinstance(energy_from(config_from_text("")), HalfDistSquared)
+    cfg = config_from_text(
         "energy.kind = isotropic-quadratic\nenergy.mu = 2.0\nenergy.lambda = 0.5\n"
     )
     W = energy_from(cfg)
@@ -132,7 +136,7 @@ def test_energy_from_default_and_isotropic():
 
 def test_energy_from_spelling_and_errors():
     def density(text):
-        return energy_from(ExperimentConfig.from_text(text))
+        return energy_from(config_from_text(text))
 
     assert isinstance(density("energy.kind = half-dist-squared"), HalfDistSquared)
     assert isinstance(density("energy.kind = half_dist_squared"), HalfDistSquared)
@@ -147,11 +151,11 @@ def test_energy_from_spelling_and_errors():
 
 
 def test_load_from_constant_and_sampled():
-    assert np.all(load_from(ExperimentConfig.from_text("")).vals == 0.0)
-    g = load_from(ExperimentConfig.from_text("load.g2 = -1e-3"))
+    assert np.all(load_from(config_from_text("")).vals == 0.0)
+    g = load_from(config_from_text("load.g2 = -1e-3"))
     assert g(0.3).tolist() == [0.0, -1e-3]
 
-    cfg = ExperimentConfig.from_text(
+    cfg = config_from_text(
         "load.samples_x = 0.0, 0.5, 1.0\n"
         "load.samples_g1 = 0.0, 0.0, 0.0\n"
         "load.samples_g2 = 0.0, -1.0, -2.0\n"
@@ -161,41 +165,41 @@ def test_load_from_constant_and_sampled():
     assert g(2.0).tolist() == [0.0, -2.0]  # constant extension
 
     with pytest.raises(ConfigError, match="samples_g1"):
-        load_from(ExperimentConfig.from_text("load.samples_x = 0.0, 1.0"))
+        load_from(config_from_text("load.samples_x = 0.0, 1.0"))
 
 
 def test_mesh_from_rule_and_overrides():
-    mesh = mesh_from(ExperimentConfig.from_text("strip.h = 0.1"))
+    mesh = mesh_from(config_from_text("strip.h = 0.1"))
     assert mesh.h == 0.1
     assert mesh.nx == mesh_rule_nx(1.0, 0.1)
     assert mesh.ny == 8
 
-    mesh = mesh_from(ExperimentConfig.from_text("strip.h = 0.2\nstrip.nx = 16\nstrip.ny = 4"))
+    mesh = mesh_from(config_from_text("strip.h = 0.2\nstrip.nx = 16\nstrip.ny = 4"))
     assert (mesh.nx, mesh.ny, mesh.h) == (16, 4, 0.2)
 
-    cfg = ExperimentConfig.from_text("strip.h = 0.2\nstrip.ny = 4")
+    cfg = config_from_text("strip.h = 0.2\nstrip.ny = 4")
     mesh = mesh_from(cfg, 0.05)
     assert (mesh.nx, mesh.ny, mesh.h) == (mesh_rule_nx(1.0, 0.05), 4, 0.05)
     assert cfg.unread() == ["strip.h"]
 
     with pytest.raises(ConfigError, match="strip.h"):
-        mesh_from(ExperimentConfig.from_text(""))
+        mesh_from(config_from_text(""))
 
 
 def test_sweep_from_default_and_validation():
-    assert sweep_from(ExperimentConfig.from_text("")) == DEFAULT_SWEEP
-    assert sweep_from(ExperimentConfig.from_text("sweep.h = 0.4, 0.2")) == (0.4, 0.2)
+    assert sweep_from(config_from_text("")) == DEFAULT_SWEEP
+    assert sweep_from(config_from_text("sweep.h = 0.4, 0.2")) == (0.4, 0.2)
     with pytest.raises(ConfigError, match="decreasing"):
-        sweep_from(ExperimentConfig.from_text("sweep.h = 0.1, 0.2"))
+        sweep_from(config_from_text("sweep.h = 0.1, 0.2"))
     with pytest.raises(ConfigError, match="0, 0.5"):
-        sweep_from(ExperimentConfig.from_text("sweep.h = 0.7"))
+        sweep_from(config_from_text("sweep.h = 0.7"))
     with pytest.raises(ConfigError, match="at least one"):
-        sweep_from(ExperimentConfig.from_text("sweep.h ="))
+        sweep_from(config_from_text("sweep.h ="))
 
 
 def test_elastica_from_uses_config_resolution():
     # the rod resolution is the constant ROD_N; an old elastica.n key is not read
-    cfg = ExperimentConfig.from_text("elastica.n = 64\nload.g2 = -1e-3\n")
+    cfg = config_from_text("elastica.n = 64\nload.g2 = -1e-3\n")
     W = energy_from(cfg)
     sol = elastica_from(cfg, W, load_from(cfg))
     assert sol.x.size == ROD_N + 1

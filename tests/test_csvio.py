@@ -9,8 +9,6 @@ from striplab import csvio
 from striplab.csvio import (
     ROW_CHUNK,
     fmt,
-    read_keyvalue,
-    read_table,
     write_elastica,
     write_fields,
     write_keyvalue,
@@ -25,6 +23,8 @@ from striplab.energy import HalfDistSquared
 from striplab.errors import ConfigError
 from striplab.loads import LoadProfile
 from striplab.mesh import build_mesh
+
+from helpers import read_keyvalue, read_table
 
 W = HalfDistSquared()
 G0 = LoadProfile.constant(0.0, 0.0)

@@ -6,7 +6,6 @@ import pytest
 from striplab.algebra import rot2, tmul2, trans2
 from striplab.cli import main
 from striplab.config import ExperimentConfig, elastica_from, load_from, mesh_from
-from striplab.csvio import read_table
 from striplab.diagnostics import (
     _slab_weights,
     column_moments,
@@ -23,6 +22,8 @@ from striplab.errors import ConfigError, DiagnosticError
 from striplab.loads import LoadProfile
 from striplab.mesh import build_mesh, mesh_rule_nx
 from striplab.solver import lift, solve_stationary
+
+from helpers import read_table
 
 W = HalfDistSquared()
 G0 = LoadProfile.constant(0.0, 0.0)

@@ -7,12 +7,13 @@ from striplab.elastica import (
     J2_eval,
     _j2_discrete,
     gtilde,
-    linear_cantilever_theta,
     minimize_J2,
     solve_elastica,
 )
 from striplab.errors import ConfigError, NonConvergence
 from striplab.loads import LoadProfile
+
+from helpers import linear_cantilever_theta
 
 G_SMALL = LoadProfile.constant(0.0, -1e-3)
 
