@@ -1,9 +1,8 @@
-"""Command-line experiment drivers.
+"""Command-line experiment drivers, one per entry of `COMMANDS`.
 
-Subcommands: solve-strip, solve-elastica, diagnose, converge, truncate,
-energy-check.  Each takes --config PATH and --out DIR (--seed N where it
-matters).  Exit codes: 0 success, 1 solver non-convergence, 2 config error,
-3 diagnostic or truncation failure.
+Each takes --config PATH and --out DIR (--seed N where it matters).  Exit
+codes: 0 success, 1 solver non-convergence, 2 config error, 3 diagnostic or
+truncation failure.
 """
 
 from __future__ import annotations
@@ -78,39 +77,6 @@ def _seed(cfg: ExperimentConfig, seed: int | None) -> int:
     return seed
 
 
-def _solver_report_items(mesh, report) -> dict:
-    return {
-        "h": mesh.h,
-        "L": mesh.L,
-        "nx": mesh.nx,
-        "ny": mesh.ny,
-        "converged": report.converged,
-        "iterations": report.iterations,
-        "residual_sup": report.residual_sup,
-        "elastic_energy": report.elastic_energy,
-        "total_energy": report.total_energy,
-        "message": report.message,
-        "load_path": ";".join(f"{mu:.6g}:{it}" for mu, it in report.path),
-    }
-
-
-def run_solve_strip(cfg: ExperimentConfig, out: Path) -> RunManifest:
-    manifest = RunManifest(config=cfg, out_dir=out)
-    W = energy_from(cfg)
-    g = load_from(cfg)
-    mesh = mesh_from(cfg)
-    t0 = time.perf_counter()
-    y, report = solve_stationary(mesh, g, W)
-    dt = time.perf_counter() - t0
-    paths = [
-        csvio.write_solution(out / "solution.csv", mesh, y),
-        csvio.write_keyvalue(out / "report.csv", _solver_report_items(mesh, report)),
-    ]
-    manifest.record("solve-strip", "ok" if report.converged else "non-converged", dt, paths)
-    manifest.write()
-    return manifest
-
-
 def run_solve_elastica(cfg: ExperimentConfig, out: Path) -> RunManifest:
     manifest = RunManifest(config=cfg, out_dir=out)
     W = energy_from(cfg)
@@ -149,7 +115,20 @@ def run_diagnose(cfg: ExperimentConfig, out: Path) -> RunManifest:
     d = diagnose(mesh, y, g, W)
     manifest.record("diagnose", status, time.perf_counter() - t0)
     t0 = time.perf_counter()
-    items = _solver_report_items(mesh, report) | {"z_bc_gap": d.z_bc_gap}
+    items = {
+        "h": mesh.h,
+        "L": mesh.L,
+        "nx": mesh.nx,
+        "ny": mesh.ny,
+        "converged": report.converged,
+        "iterations": report.iterations,
+        "residual_sup": report.residual_sup,
+        "elastic_energy": report.elastic_energy,
+        "total_energy": report.total_energy,
+        "message": report.message,
+        "load_path": ";".join(f"{mu:.6g}:{it}" for mu, it in report.path),
+        "z_bc_gap": d.z_bc_gap,
+    }
     paths = [
         csvio.write_solution(out / "solution.csv", mesh, y),
         csvio.write_rotations(out / "rotations.csv", d),
@@ -350,7 +329,6 @@ def run_energy_check(cfg: ExperimentConfig, out: Path, seed: int | None = None) 
 
 # subcommand -> (runner, help, takes --seed)
 COMMANDS = {
-    "solve-strip": (run_solve_strip, "solve the clamped strip at one thickness", False),
     "solve-elastica": (run_solve_elastica, "solve the limit rod problem", False),
     "diagnose": (run_diagnose, "solve one thickness and emit all diagnostic tables", False),
     "converge": (run_convergence, "run the h-sweep against the rod limit", False),

@@ -54,7 +54,6 @@ _EYE4 = ID2[:, None, :, None] * ID2[None, :, None, :]
 class EnergyDensity:
     """Base class: frame-indifferent stored energy W(F) on 2x2 matrices."""
 
-    kind = "custom"
     # whether W >= c * dist(F, SO(2))^2 is expected to hold for all F,
     # not just on the orientation-preserving branch
     coercive_globally = True
@@ -73,7 +72,6 @@ class EnergyDensity:
 class HalfDistSquared(EnergyDensity):
     """W(F) = dist(F, SO(2))^2 / 2."""
 
-    kind = "half-dist-squared"
     coercive_globally = True
 
     def energy(self, F: np.ndarray) -> np.ndarray:
@@ -117,7 +115,6 @@ class HalfDistSquared(EnergyDensity):
 class IsotropicQuadratic(EnergyDensity):
     """W(F) = mu |Eg|^2 + (lam/2) (tr Eg)^2 with Eg = (F^T F - Id)/2."""
 
-    kind = "isotropic-quadratic"
     coercive_globally = False  # vanishes on reflections
 
     def __init__(self, mu: float, lam: float):

@@ -43,19 +43,23 @@ def child_env(**extra):
     return env
 
 
-def test_parser_requires_subcommand_and_config():
+def test_parser_requires_subcommand_and_config(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
-        main(["solve-strip"])
+        main(["diagnose"])
+    assert exc.value.code == 2
+    # an unknown subcommand exits 2 even with a readable config
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-strip", "--config", write_cfg(tmp_path, TINY_STRIP)])
     assert exc.value.code == 2
 
 
-def test_solve_strip_writes_solution_and_report(tmp_path):
+def test_diagnose_writes_solution_and_report(tmp_path):
     cfg = write_cfg(tmp_path, TINY_STRIP)
     out = tmp_path / "out"
-    assert main(["solve-strip", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["diagnose", "--config", cfg, "--out", str(out)]) == 0
     report = read_keyvalue(out / "report.csv")
     assert report["converged"] == "true"
     assert float(report["h"]) == 0.2
@@ -64,7 +68,7 @@ def test_solve_strip_writes_solution_and_report(tmp_path):
     header, manifest = read_table(out / "manifest.csv")
     assert header == ["step", "status", "seconds", "outputs"]
     assert manifest[0][0] == "config"
-    assert ["solve-strip", "ok"] == manifest[1][:2]
+    assert ["diagnose", "ok"] == manifest[1][:2]
     assert report["load_path"] == f"1:{report['iterations']}"
     assert list(report).index("load_path") == list(report).index("message") + 1
 
@@ -79,7 +83,7 @@ def test_manifest_lists_unread_config_keys(tmp_path):
         + "solver.max_iters = 3\nsolver.det_floor = 0.5\n",
     )
     out = tmp_path / "out"
-    assert main(["solve-strip", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["diagnose", "--config", cfg, "--out", str(out)]) == 0
     _, manifest = read_table(out / "manifest.csv")
     assert manifest[0][0] == "config"
     assert manifest[0][3] == (
@@ -92,11 +96,13 @@ def test_solver_failure_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("striplab.solver.MIN_LOAD_STEP", 0.3)
     cfg = write_cfg(tmp_path, "strip.h = 0.2\nstrip.nx = 16\nstrip.ny = 2\nload.g2 = -0.5\n")
     out = tmp_path / "out"
-    assert main(["solve-strip", "--config", cfg, "--out", str(out)]) == 1
+    assert main(["diagnose", "--config", cfg, "--out", str(out)]) == 1
     report = read_keyvalue(out / "report.csv")
     assert report["converged"] == "false"
     assert "stalled" in report["message"]
     assert report["message"].startswith("cold start at full load failed:")
+    # every table is still written, from the last accepted iterate
+    assert len(list(out.glob("*.csv"))) == 7
 
 
 def test_rod_solver_failure_exits_1_without_output(tmp_path, capsys, monkeypatch):
@@ -122,7 +128,7 @@ def test_converge_tabulates_only_the_thicknesses_that_solve(tmp_path):
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
-    code = main(["solve-strip", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
+    code = main(["diagnose", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
     assert code == 2
     assert "config error" in capsys.readouterr().err
 
@@ -139,7 +145,7 @@ def test_unreadable_config_or_file_out_exits_2(tmp_path, capsys, case):
     else:
         out.write_text("keep")
     target = out / "sub" if case == "out-under-a-file" else out
-    assert main(["solve-strip", "--config", cfg, "--out", str(target)]) == 2
+    assert main(["diagnose", "--config", cfg, "--out", str(target)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
     assert ("--out" in err) == case.startswith("out")
@@ -148,7 +154,7 @@ def test_unreadable_config_or_file_out_exits_2(tmp_path, capsys, case):
 
 def test_malformed_config_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "strip.h 0.2\n")
-    assert main(["solve-strip", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "line 1" in capsys.readouterr().err
 
 
@@ -164,27 +170,27 @@ def test_truncate_bad_window_exits_2_naming_both_keys(tmp_path, capsys):
     [
         ("truncate", "truncation.resolutions = 0x8\n", "truncation.resolutions"),
         ("truncate", "truncation.fields = 0\n", "truncation.fields"),
-        ("solve-strip", "strip.h = abc\n", "strip.h"),
+        ("diagnose", "strip.h = abc\n", "strip.h"),
         (
-            "solve-strip",
+            "diagnose",
             "strip.h = 0.2\nload.samples_x = 0.0, 1.0\n"
             "load.samples_g1 = 0.0, 0.0\nload.samples_g2 = -1e-3\n",
             "load.samples_g2",
         ),
-        ("solve-strip", "strip.h = 0\n", "strip.h"),
-        ("solve-strip", "strip.h = nan\n", "strip.h"),
-        ("solve-strip", "strip.h = 0.2\nstrip.L = nan\n", "strip.L"),
-        ("solve-strip", "strip.h = 0.2\nstrip.L = inf\n", "strip.L"),
+        ("diagnose", "strip.h = 0\n", "strip.h"),
+        ("diagnose", "strip.h = nan\n", "strip.h"),
+        ("diagnose", "strip.h = 0.2\nstrip.L = nan\n", "strip.L"),
+        ("diagnose", "strip.h = 0.2\nstrip.L = inf\n", "strip.L"),
         ("solve-elastica", "strip.L = inf\n", "strip.L"),
-        ("solve-strip", "strip.h = 0.2\nload.g2 = inf\n", "load.g2"),
+        ("diagnose", "strip.h = 0.2\nload.g2 = inf\n", "load.g2"),
         ("solve-elastica", "load.g2 = nan\n", "load.g2"),
         ("truncate", TINY_TRUNC + "truncation.level_max = inf\n", "truncation.level_max"),
         ("truncate", TINY_TRUNC + "truncation.level_min = nan\n", "truncation.level_min"),
         ("truncate", TINY_TRUNC + "truncation.height = 0\n", "truncation.height"),
         ("diagnose", "strip.L = 0.5\nstrip.h = 0.4\n", "strip.h"),
         ("converge", "strip.L = 0.5\nsweep.h = 0.4\n", "sweep.h"),
-        ("solve-strip", "strip.h = 0.2\nstrip.nx = 2\n", "strip.nx"),
-        ("solve-strip", "strip.h = 0.2\nstrip.ny = 1\n", "strip.ny"),
+        ("diagnose", "strip.h = 0.2\nstrip.nx = 2\n", "strip.nx"),
+        ("diagnose", "strip.h = 0.2\nstrip.ny = 1\n", "strip.ny"),
         ("converge", "sweep.h = 0.2\nstrip.nx = 2\n", "strip.nx"),
         ("converge", "sweep.h = 0.2\nstrip.ny = 1\n", "strip.ny"),
         ("truncate", TINY_TRUNC + "run.seed = -3\n", "run.seed"),
@@ -192,7 +198,7 @@ def test_truncate_bad_window_exits_2_naming_both_keys(tmp_path, capsys):
         ("truncate", "truncation.resolutions = 64x8,64x7\n", "truncation.resolutions"),
         ("truncate", TINY_TRUNC + "truncation.height = 0.4\n", "truncation.height"),
         (
-            "solve-strip",
+            "diagnose",
             "strip.h = 0.2\nenergy.kind = isotropic-quadratic\nenergy.mu = inf\n",
             "energy.mu",
         ),
@@ -202,31 +208,31 @@ def test_truncate_bad_window_exits_2_naming_both_keys(tmp_path, capsys):
             "energy.lambda",
         ),
         (
-            "solve-strip",
+            "diagnose",
             "strip.h = 0.2\nload.samples_x = 0, 1\n"
             "load.samples_g1 = 0, 0, 0\nload.samples_g2 = -1, -1, -1\n",
             "load.samples_x",
         ),
         (
-            "solve-strip",
+            "diagnose",
             "strip.h = 0.2\nload.samples_x = 1, 0\n"
             "load.samples_g1 = 0, 0\nload.samples_g2 = -1, -1\n",
             "load.samples_x",
         ),
         (
-            "solve-strip",
+            "diagnose",
             "strip.h = 0.2\nload.samples_x = 0.5\n"
             "load.samples_g1 = 0\nload.samples_g2 = -1\n",
             "load.samples_x",
         ),
         (
-            "solve-strip",
+            "diagnose",
             "strip.h = 0.2\nload.samples_x = 0, 1\n"
             "load.samples_g1 = 0, nan\nload.samples_g2 = -1, -1\n",
             "load.samples_g1",
         ),
         (
-            "solve-strip",
+            "diagnose",
             "strip.h = 0.2\nload.samples_x = 0, 1\n"
             "load.samples_g1 = 0, 0\nload.samples_g2 = -1, inf\n",
             "load.samples_g2",
@@ -364,7 +370,7 @@ def test_solver_outputs_are_deterministic(tmp_path, command, text):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
-def test_solve_strip_bytes_do_not_depend_on_blas_threads(tmp_path):
+def test_diagnose_bytes_do_not_depend_on_blas_threads(tmp_path):
     # the element operators are BLAS products, so the thread count must not
     # change how any entry is summed
     cfg = write_cfg(tmp_path, "strip.L = 1.0\nstrip.h = 0.025\nload.g2 = -1e-3\n")
@@ -372,11 +378,15 @@ def test_solve_strip_bytes_do_not_depend_on_blas_threads(tmp_path):
     for threads in ("1", "2"):
         out = tmp_path / f"threads-{threads}"
         env = child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        cmd = [sys.executable, "-m", "striplab.cli", "solve-strip", "--config", cfg]
+        cmd = [sys.executable, "-m", "striplab.cli", "diagnose", "--config", cfg]
         run = subprocess.run(cmd + ["--out", str(out)], env=env, capture_output=True)
         assert run.returncode == 0, run.stderr
         outs.append(out)
-    for name in ("solution.csv", "report.csv"):
+    # manifests record wall times; every other file must match byte for byte
+    names = sorted(p.name for p in outs[0].glob("*.csv") if p.name != "manifest.csv")
+    assert names == sorted(p.name for p in outs[1].glob("*.csv") if p.name != "manifest.csv")
+    assert len(names) == 6
+    for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 

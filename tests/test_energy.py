@@ -1,5 +1,7 @@
 """Density values, derivatives, and the effective stretching modulus."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,11 @@ from striplab.energy import (
 from striplab.errors import ConfigError, DomainError
 
 DENSITIES = [HalfDistSquared(), IsotropicQuadratic(1.0, 1.0), IsotropicQuadratic(2.0, 0.5)]
+
+
+def density_id(W):
+    """The class name spelled as `energy.kind`: HalfDistSquared -> half-dist-squared."""
+    return re.sub(r"(?<!^)(?=[A-Z])", "-", type(W).__name__).lower()
 
 
 def sample_states(seed, n=32, spread=0.4):
@@ -55,13 +62,13 @@ def test_isotropic_values():
     assert W.energy(np.diag([1.0 + t, 1.0])) == pytest.approx(expect, rel=1e-12)
 
 
-@pytest.mark.parametrize("W", DENSITIES, ids=lambda W: W.kind)
+@pytest.mark.parametrize("W", DENSITIES, ids=density_id)
 def test_stress_matches_fd(W):
     F = sample_states(10, n=16)
     np.testing.assert_allclose(W.stress(F), fd_stress(W, F), rtol=2e-6, atol=2e-7)
 
 
-@pytest.mark.parametrize("W", DENSITIES, ids=lambda W: W.kind)
+@pytest.mark.parametrize("W", DENSITIES, ids=density_id)
 def test_hessian_matches_fd_of_stress(W):
     F = sample_states(11, n=8)
     H = W.hessian(F)
@@ -74,7 +81,7 @@ def test_hessian_matches_fd_of_stress(W):
             np.testing.assert_allclose(H[..., :, :, j, l], fd, rtol=5e-5, atol=5e-6)
 
 
-@pytest.mark.parametrize("W", DENSITIES, ids=lambda W: W.kind)
+@pytest.mark.parametrize("W", DENSITIES, ids=density_id)
 def test_frame_indifference(W):
     F = sample_states(12, n=16)
     for a in (0.3, -1.2, 2.9):
@@ -147,7 +154,7 @@ def test_linearization_annihilates_skew_for_half_dist():
     np.testing.assert_allclose(lin.apply(sym), sym, atol=1e-9)
 
 
-@pytest.mark.parametrize("W", DENSITIES, ids=lambda W: W.kind)
+@pytest.mark.parametrize("W", DENSITIES, ids=density_id)
 def test_taylor_remainder_superlinear(W):
     rng = np.random.default_rng(21)
     A = rng.standard_normal((2, 2))
