@@ -77,32 +77,6 @@ def _seed(cfg: ExperimentConfig, seed: int | None) -> int:
     return seed
 
 
-def run_solve_elastica(cfg: ExperimentConfig, out: Path) -> RunManifest:
-    manifest = RunManifest(config=cfg, out_dir=out)
-    W = energy_from(cfg)
-    g = load_from(cfg)
-    t0 = time.perf_counter()
-    sol = elastica_from(cfg, W, g)
-    dt = time.perf_counter() - t0
-    paths = [
-        csvio.write_elastica(out / "elastica.csv", sol),
-        csvio.write_keyvalue(
-            out / "report.csv",
-            {
-                "modulus": sol.modulus,
-                "L": sol.L,
-                "n": sol.x.size - 1,
-                "iterations": sol.iterations,
-                "tip_angle": sol.theta[-1],
-                "j2": sol.j2,
-            },
-        ),
-    ]
-    manifest.record("solve-elastica", "ok", dt, paths)
-    manifest.write()
-    return manifest
-
-
 def run_diagnose(cfg: ExperimentConfig, out: Path) -> RunManifest:
     manifest = RunManifest(config=cfg, out_dir=out)
     W = energy_from(cfg)
@@ -153,12 +127,20 @@ def run_convergence(cfg: ExperimentConfig, out: Path) -> RunManifest:
 
     t0 = time.perf_counter()
     limit = elastica_from(cfg, W, g)
-    manifest.record(
-        "elastica",
-        "ok",
-        time.perf_counter() - t0,
-        [csvio.write_elastica(out / "elastica.csv", limit)],
-    )
+    dt = time.perf_counter() - t0
+    rod = {
+        "modulus": limit.modulus,
+        "L": limit.L,
+        "n": limit.x.size - 1,
+        "iterations": limit.iterations,
+        "tip_angle": limit.theta[-1],
+        "j2": limit.j2,
+    }
+    paths = [
+        csvio.write_elastica(out / "elastica.csv", limit),
+        csvio.write_keyvalue(out / "report.csv", rod),
+    ]
+    manifest.record("elastica", "ok", dt, paths)
 
     errors, identities = [], []
     diag_s = 0.0
@@ -329,7 +311,6 @@ def run_energy_check(cfg: ExperimentConfig, out: Path, seed: int | None = None) 
 
 # subcommand -> (runner, help, takes --seed)
 COMMANDS = {
-    "solve-elastica": (run_solve_elastica, "solve the limit rod problem", False),
     "diagnose": (run_diagnose, "solve one thickness and emit all diagnostic tables", False),
     "converge": (run_convergence, "run the h-sweep against the rod limit", False),
     "truncate": (run_truncation_demo, "run the truncation property sweep", True),

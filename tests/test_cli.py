@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from striplab.cli import _hypothesis_rows, main, run_energy_check
+from striplab.config import elastica_from, energy_from, load_from
 from striplab.energy import HalfDistSquared
 from striplab.errors import DiagnosticError
 
@@ -54,23 +55,9 @@ def test_parser_requires_subcommand_and_config(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["solve-strip", "--config", write_cfg(tmp_path, TINY_STRIP)])
     assert exc.value.code == 2
-
-
-def test_diagnose_writes_solution_and_report(tmp_path):
-    cfg = write_cfg(tmp_path, TINY_STRIP)
-    out = tmp_path / "out"
-    assert main(["diagnose", "--config", cfg, "--out", str(out)]) == 0
-    report = read_keyvalue(out / "report.csv")
-    assert report["converged"] == "true"
-    assert float(report["h"]) == 0.2
-    _, rows = read_table(out / "solution.csv")
-    assert len(rows) == (64 + 1) * (8 + 1)  # mesh rule at h=0.2
-    header, manifest = read_table(out / "manifest.csv")
-    assert header == ["step", "status", "seconds", "outputs"]
-    assert manifest[0][0] == "config"
-    assert ["diagnose", "ok"] == manifest[1][:2]
-    assert report["load_path"] == f"1:{report['iterations']}"
-    assert list(report).index("load_path") == list(report).index("message") + 1
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-elastica", "--config", write_cfg(tmp_path, TINY_STRIP)])
+    assert exc.value.code == 2
 
 
 def test_manifest_lists_unread_config_keys(tmp_path):
@@ -181,9 +168,9 @@ def test_truncate_bad_window_exits_2_naming_both_keys(tmp_path, capsys):
         ("diagnose", "strip.h = nan\n", "strip.h"),
         ("diagnose", "strip.h = 0.2\nstrip.L = nan\n", "strip.L"),
         ("diagnose", "strip.h = 0.2\nstrip.L = inf\n", "strip.L"),
-        ("solve-elastica", "strip.L = inf\n", "strip.L"),
+        ("converge", "strip.L = inf\n", "strip.L"),
         ("diagnose", "strip.h = 0.2\nload.g2 = inf\n", "load.g2"),
-        ("solve-elastica", "load.g2 = nan\n", "load.g2"),
+        ("converge", "load.g2 = nan\n", "load.g2"),
         ("truncate", TINY_TRUNC + "truncation.level_max = inf\n", "truncation.level_max"),
         ("truncate", TINY_TRUNC + "truncation.level_min = nan\n", "truncation.level_min"),
         ("truncate", TINY_TRUNC + "truncation.height = 0\n", "truncation.height"),
@@ -397,7 +384,7 @@ cantilever, trunc, out = sys.argv[1:]
 assert main(["energy-check", "--config", cantilever, "--out", out + "/ec"]) == 0
 assert main(["truncate", "--config", trunc, "--out", out + "/tr"]) == 0
 print("scipy.linalg" in sys.modules)
-assert main(["solve-elastica", "--config", cantilever, "--out", out + "/se"]) == 0
+assert main(["diagnose", "--config", cantilever, "--out", out + "/dg"]) == 0
 print("scipy.linalg" in sys.modules)
 """
 
@@ -469,17 +456,6 @@ def test_energy_check_negative_control_fails_loudly(tmp_path, monkeypatch):
     assert main(["energy-check", "--config", cfg_path, "--out", str(out)]) == 3
 
 
-def test_solve_elastica_writes_rod_tables(tmp_path):
-    cfg = write_cfg(tmp_path, "load.g2 = -1e-3\n")
-    out = tmp_path / "o"
-    assert main(["solve-elastica", "--config", cfg, "--out", str(out)]) == 0
-    report = read_keyvalue(out / "report.csv")
-    assert float(report["tip_angle"]) < 0.0
-    assert report["n"] == "2048"  # elastica.ROD_N
-    _, rows = read_table(out / "elastica.csv")
-    assert len(rows) == 2049
-
-
 def test_diagnose_emits_every_table(tmp_path):
     cfg = write_cfg(tmp_path, TINY_STRIP)
     out = tmp_path / "o"
@@ -494,8 +470,10 @@ def test_diagnose_emits_every_table(tmp_path):
         "manifest.csv",
     ):
         assert (out / name).exists()
-    _, manifest = read_table(out / "manifest.csv")
+    header, manifest = read_table(out / "manifest.csv")
+    assert header == ["step", "status", "seconds", "outputs"]
     assert [r[0] for r in manifest] == ["config", "diagnose", "write"]
+    assert ["diagnose", "ok"] == manifest[1][:2]
     assert manifest[1][3] == ""
     written = [p.rsplit("/", 1)[-1] for p in manifest[2][3].split(";")]
     assert written == [
@@ -509,6 +487,12 @@ def test_diagnose_emits_every_table(tmp_path):
     # this load but not zero
     report = read_keyvalue(out / "report.csv")
     assert 0.0 <= float(report["z_bc_gap"]) < 1e-2
+    assert report["converged"] == "true"
+    assert float(report["h"]) == 0.2
+    _, rows = read_table(out / "solution.csv")
+    assert len(rows) == (64 + 1) * (8 + 1)  # mesh rule at h=0.2
+    assert report["load_path"] == f"1:{report['iterations']}"
+    assert list(report).index("load_path") == list(report).index("message") + 1
     assert list(report) == [
         "h", "L", "nx", "ny", "converged", "iterations", "residual_sup", "elastic_energy",
         "total_energy", "message", "load_path", "z_bc_gap",
@@ -516,9 +500,20 @@ def test_diagnose_emits_every_table(tmp_path):
 
 
 def test_converge_runs_the_sweep(tmp_path):
-    cfg = write_cfg(tmp_path, "load.g2 = -1e-3\nsweep.h = 0.2, 0.1\n")
+    text = "load.g2 = -1e-3\nsweep.h = 0.2, 0.1\n"
+    cfg = write_cfg(tmp_path, text)
     out = tmp_path / "o"
     assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
+    report = read_keyvalue(out / "report.csv")
+    assert list(report) == ["modulus", "L", "n", "iterations", "tip_angle", "j2"]
+    assert float(report["tip_angle"]) < 0.0
+    assert report["n"] == "2048"  # elastica.ROD_N
+    ref = config_from_text(text)
+    rod = elastica_from(ref, energy_from(ref), load_from(ref))
+    assert report["tip_angle"] == repr(float(rod.theta[-1]))
+    assert report["j2"] == repr(float(rod.j2))
+    _, rows = read_table(out / "elastica.csv")
+    assert len(rows) == 2049
     header, rows = read_table(out / "convergence.csv")
     assert header == ["h", "theta_err_L2", "y_err_W12", "energy_over_h2"]
     assert len(rows) == 2
@@ -529,6 +524,8 @@ def test_converge_runs_the_sweep(tmp_path):
     _, manifest = read_table(out / "manifest.csv")
     steps = [r[0] for r in manifest]
     assert steps == ["config", "elastica", "solve h=0.2", "solve h=0.1", "diagnostics"]
+    written = [p.rsplit("/", 1)[-1] for p in manifest[1][3].split(";")]
+    assert written == ["elastica.csv", "report.csv"]
 
 
 def test_converge_solves_every_thickness_of_the_thin_sweep(tmp_path):
