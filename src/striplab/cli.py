@@ -106,7 +106,6 @@ def run_diagnose(cfg: ExperimentConfig, out: Path) -> RunManifest:
     paths = [
         csvio.write_solution(out / "solution.csv", mesh, y),
         csvio.write_rotations(out / "rotations.csv", d),
-        csvio.write_fields(out / "fields.csv", d),
         csvio.write_moments(out / "moments.csv", d),
         csvio.write_table(out / "identities.csv", IdentityRow._fields, [d.row]),
         csvio.write_keyvalue(out / "report.csv", items),

@@ -2,7 +2,7 @@
 
 Floats are written with repr, which round-trips and is stable across runs,
 so identical inputs produce byte-identical files.  Float-array tables
-(solution, elastica, rotations, fields, moments) format each distinct 64-bit
+(solution, elastica, rotations, moments) format each distinct 64-bit
 pattern of a row chunk once and join the cells' reprs directly, since no
 repr (nan, inf, -0.0 too) needs csv quoting.
 """
@@ -61,9 +61,10 @@ ROW_CHUNK = 512  # rows turned into Python floats at a time, which bounds a tabl
 def _float_lines(*columns):
     """Newline-ended CSV lines of the column-stacked float64 arrays, as write_table writes them.
 
-    repr is most of a table's cost, and a third of a fields table's cells
-    repeat a value in their chunk, so each chunk formats its distinct cells
-    once.  They are keyed by bit pattern: 0.0 == -0.0, yet they print apart.
+    repr is most of a table's cost, and a solution table's x1 and x2
+    columns repeat a value in their chunk, so each chunk formats its
+    distinct cells once.  They are keyed by bit pattern: 0.0 == -0.0, yet
+    they print apart.
     """
     for start in range(0, len(columns[0]), ROW_CHUNK):
         chunk = np.column_stack([c[start : start + ROW_CHUNK] for c in columns])
@@ -90,15 +91,6 @@ def write_elastica(path, sol) -> Path:
 def write_rotations(path, d) -> Path:
     """Mollified angle of a Diagnosis at the mesh's node columns."""
     return _write_lines(path, ["x1", "theta_h"], _float_lines(d.mesh.x1, d.node_theta))
-
-
-def write_fields(path, d) -> Path:
-    """Scaled strain and stress of a Diagnosis, one row per quadrature point."""
-    nqp = d.mesh.nqp
-    header = ["x1", "x2"] + [f"G{i}{j}" for i in (1, 2) for j in (1, 2)]
-    header += [f"E{i}{j}" for i in (1, 2) for j in (1, 2)]
-    lines = _float_lines(d.mesh.qp_x, d.G.reshape(nqp, 4), d.E.reshape(nqp, 4))
-    return _write_lines(path, header, lines)
 
 
 def write_moments(path, d) -> Path:

@@ -120,7 +120,7 @@ class IdentityRow(NamedTuple):
     h: float
     r1: float  # |hatG11 + theta'/12| / |theta'|: 1/12 of the gap relative to theta'/12
     r2: float  # stress moment balance against the tilted load
-    r3: float  # free-end first stress moment
+    r3: float  # free-end first stress moment, extrapolated: O(dx^2), set by nx; h does not enter
     r4: float  # skew part of the scaled stress, L1 over h
     r5: float  # rigidity ratio: |F - R|^2 over dist^2(F, SO(2))
 

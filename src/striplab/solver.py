@@ -71,7 +71,7 @@ class SolverReport:
 def _guard_dets(mesh: StripMesh, F: np.ndarray) -> None:
     d = det2(F)
     j = int(np.argmin(d))
-    if d[j] <= DET_FLOOR:
+    if not d[j] > DET_FLOOR:  # argmin picks a NaN, which fails every comparison
         raise StepRejected(
             f"determinant guard: det = {d[j]:.6g} <= {DET_FLOOR:g} "
             f"at quadrature point ({mesh.qp_x[j, 0]:.6g}, {mesh.qp_x[j, 1]:.6g})"

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from striplab.cli import _hypothesis_rows, main, run_energy_check
-from striplab.config import elastica_from, energy_from, load_from
+from striplab.config import elastica_from, energy_from, load_from, mesh_from
+from striplab.diagnostics import diagnose
 from striplab.energy import HalfDistSquared
 from striplab.errors import DiagnosticError
+from striplab.solver import solve_stationary
 
 from helpers import config_from_text, read_keyvalue, read_table
 
@@ -89,7 +91,19 @@ def test_solver_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert "stalled" in report["message"]
     assert report["message"].startswith("cold start at full load failed:")
     # every table is still written, from the last accepted iterate
-    assert len(list(out.glob("*.csv"))) == 7
+    assert len(list(out.glob("*.csv"))) == 6
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_overflowing_load_exits_1_with_a_report(tmp_path):
+    # the trial's determinants are NaN; the guard rejects the trial, so the
+    # solve fails as a solve rather than as a diagnostic
+    cfg = write_cfg(tmp_path, "strip.L = 1.0\nstrip.h = 0.2\nload.g2 = 1e308\n")
+    out = tmp_path / "out"
+    assert main(["diagnose", "--config", cfg, "--out", str(out)]) == 1
+    report = read_keyvalue(out / "report.csv")
+    assert report["converged"] == "false"
+    assert "line search failed" in report["message"]
 
 
 def test_rod_solver_failure_exits_1_without_output(tmp_path, capsys, monkeypatch):
@@ -372,7 +386,7 @@ def test_diagnose_bytes_do_not_depend_on_blas_threads(tmp_path):
     # manifests record wall times; every other file must match byte for byte
     names = sorted(p.name for p in outs[0].glob("*.csv") if p.name != "manifest.csv")
     assert names == sorted(p.name for p in outs[1].glob("*.csv") if p.name != "manifest.csv")
-    assert len(names) == 6
+    assert len(names) == 5
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
@@ -463,7 +477,6 @@ def test_diagnose_emits_every_table(tmp_path):
     for name in (
         "solution.csv",
         "rotations.csv",
-        "fields.csv",
         "moments.csv",
         "identities.csv",
         "report.csv",
@@ -477,7 +490,7 @@ def test_diagnose_emits_every_table(tmp_path):
     assert manifest[1][3] == ""
     written = [p.rsplit("/", 1)[-1] for p in manifest[2][3].split(";")]
     assert written == [
-        "solution.csv", "rotations.csv", "fields.csv", "moments.csv", "identities.csv", "report.csv"
+        "solution.csv", "rotations.csv", "moments.csv", "identities.csv", "report.csv"
     ]
     header, rows = read_table(out / "identities.csv")
     assert header == ["h", "r1", "r2", "r3", "r4", "r5"]
@@ -497,6 +510,25 @@ def test_diagnose_emits_every_table(tmp_path):
         "h", "L", "nx", "ny", "converged", "iterations", "residual_sup", "elastic_energy",
         "total_energy", "message", "load_path", "z_bc_gap",
     ]  # the z-identity row is gone
+
+
+def test_per_point_fields_come_back_from_solution_csv(tmp_path):
+    # diagnose writes no per-point table: repr round-trips every float of
+    # solution.csv, so diagnose on the y read back gives G and E bit for bit
+    cfg = write_cfg(tmp_path, TINY_STRIP)
+    out = tmp_path / "o"
+    assert main(["diagnose", "--config", cfg, "--out", str(out)]) == 0
+    assert not (out / "fields.csv").exists()
+    ref = config_from_text(TINY_STRIP)
+    W, g, mesh = energy_from(ref), load_from(ref), mesh_from(ref)
+    y, _ = solve_stationary(mesh, g, W)
+    _, rows = read_table(out / "solution.csv")
+    table = np.array([[float(v) for v in r[1:]] for r in rows])
+    assert table[:, :2].tobytes() == mesh.nodes.tobytes()
+    assert table[:, 2:].tobytes() == y.tobytes()
+    d_read, d = diagnose(mesh, table[:, 2:], g, W), diagnose(mesh, y, g, W)
+    assert d_read.G.tobytes() == d.G.tobytes()
+    assert d_read.E.tobytes() == d.E.tobytes()
 
 
 def test_converge_runs_the_sweep(tmp_path):

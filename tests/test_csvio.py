@@ -10,7 +10,6 @@ from striplab.csvio import (
     ROW_CHUNK,
     fmt,
     write_elastica,
-    write_fields,
     write_keyvalue,
     write_moments,
     write_rotations,
@@ -121,16 +120,9 @@ def test_write_rotations_layout(tmp_path):
     assert len(rows) == mesh.nx + 1
 
 
-def test_write_fields_and_moments_layout(tmp_path):
+def test_write_moments_layout(tmp_path):
     mesh = build_mesh(1.0, 0.2, 4, 2)
     d = diagnose(mesh, random_field(mesh, seed=6), G0, W)
-    header, rows = read_table(write_fields(tmp_path / "f.csv", d))
-    assert header[:2] == ["x1", "x2"]
-    assert header[2:6] == ["G11", "G12", "G21", "G22"]
-    assert len(header) == 10
-    assert len(rows) == mesh.nqp
-    assert float(rows[0][2]) == d.G[0, 0, 0]
-
     header, rows = read_table(write_moments(tmp_path / "m.csv", d))
     assert header[0] == "x1"
     assert header[-1] == "hatG11"
@@ -141,9 +133,9 @@ def test_write_fields_and_moments_layout(tmp_path):
 
 def test_array_rows_format_like_per_cell_rows(tmp_path):
     # the reference rows pass every cell as a numpy scalar, row by row; the
-    # mesh has more nodes and quadrature points than one chunk of rows
-    mesh = build_mesh(1.0, 0.2, 128, 4)
-    assert min(mesh.nnode, mesh.nqp) > ROW_CHUNK
+    # mesh has more nodes and quadrature columns than one chunk of rows
+    mesh = build_mesh(1.0, 0.2, 320, 2)
+    assert min(mesh.nnode, mesh.ncol) > ROW_CHUNK
     y = random_field(mesh, seed=9)
     d = diagnose(mesh, y, G0, W)
 
@@ -153,14 +145,6 @@ def test_array_rows_format_like_per_cell_rows(tmp_path):
     header = ["node_id", "x1", "x2", "y1", "y2"]
     expect = write_table(tmp_path / "ref_solution.csv", header, ref).read_bytes()
     assert write_solution(tmp_path / "solution.csv", mesh, y).read_bytes() == expect
-
-    header, _ = read_table(write_fields(tmp_path / "fields.csv", d))
-    ref = (
-        (mesh.qp_x[q, 0], mesh.qp_x[q, 1], *d.G[q].ravel(), *d.E[q].ravel())
-        for q in range(mesh.nqp)
-    )
-    expect = write_table(tmp_path / "ref_fields.csv", header, ref).read_bytes()
-    assert (tmp_path / "fields.csv").read_bytes() == expect
 
     header, _ = read_table(write_moments(tmp_path / "moments.csv", d))
     ref = (
@@ -199,10 +183,10 @@ def test_float_tables_write_edge_values_like_per_cell_rows(tmp_path):
         assert written.read_bytes() == expect
         return written.read_text()
 
-    nx, ny, ncol, nqp = 7, 2, 10, 20
+    nx, ny, ncol = 7, 2, 10
     mesh = SimpleNamespace(
-        nnode=(nx + 1) * (ny + 1), ny=ny, nqp=nqp, ncol=ncol, x1=column(nx + 1),
-        x2=column(ny + 1), qp_x=column(nqp, 2), col_x=column(ncol),
+        nnode=(nx + 1) * (ny + 1), ny=ny, ncol=ncol, x1=column(nx + 1), x2=column(ny + 1),
+        col_x=column(ncol),
     )
     y = column(mesh.nnode, 2)
     ids = np.arange(mesh.nnode)
@@ -212,7 +196,8 @@ def test_float_tables_write_edge_values_like_per_cell_rows(tmp_path):
     text = same_bytes(
         write_solution(tmp_path / "solution.csv", mesh, y), ["node_id", "x1", "x2", "y1", "y2"], ref
     )
-    for cell in ("nan", "inf", "-inf", "0.0", "-0.0", "5e-324", "1e-07", "1e+16", "1e+22"):
+    cells = ("nan", "inf", "-inf", "0.0", "-0.0", "5e-324", "1e-07", "1e+16", "1e+22")
+    for cell in cells:
         assert f",{cell}," in text or f",{cell}\n" in text
 
     sol = SimpleNamespace(
@@ -223,15 +208,11 @@ def test_float_tables_write_edge_values_like_per_cell_rows(tmp_path):
     same_bytes(write_elastica(tmp_path / "rod.csv", sol), header, ref)
 
     d = SimpleNamespace(
-        mesh=mesh, node_theta=column(nx + 1), G=column(nqp, 2, 2), E=column(nqp, 2, 2),
-        Ebar=column(ncol, 2, 2), Ehat=column(ncol, 2, 2), Ghat=column(ncol, 2, 2),
+        mesh=mesh, node_theta=column(nx + 1), Ebar=column(ncol, 2, 2), Ehat=column(ncol, 2, 2),
+        Ghat=column(ncol, 2, 2),
     )
     ref = zip(mesh.x1, d.node_theta)
     same_bytes(write_rotations(tmp_path / "rot.csv", d), ["x1", "theta_h"], ref)
-
-    written = write_fields(tmp_path / "fields.csv", d)
-    ref = ((*mesh.qp_x[q], *d.G[q].ravel(), *d.E[q].ravel()) for q in range(nqp))
-    same_bytes(written, read_table(written)[0], ref)
 
     written = write_moments(tmp_path / "moments.csv", d)
     ref = (
@@ -239,6 +220,9 @@ def test_float_tables_write_edge_values_like_per_cell_rows(tmp_path):
         for c in range(ncol)
     )
     same_bytes(written, read_table(written)[0], ref)
+    # the barE columns alone, reshaped from 2x2 arrays, hold every edge value
+    barE = {cell for row in read_table(written)[1] for cell in row[1:5]}
+    assert barE.issuperset(cells)
 
 
 @pytest.mark.parametrize("rows", [1, 3, 10_000])
@@ -257,9 +241,12 @@ def test_float_tables_match_per_cell_rows_at_any_chunk_size(tmp_path, monkeypatc
     expect = write_table(tmp_path / "ref_solution.csv", header, ref).read_bytes()
     assert write_solution(tmp_path / "solution.csv", mesh, y).read_bytes() == expect
 
-    written = write_fields(tmp_path / "fields.csv", d)
-    ref = ((*mesh.qp_x[q], *d.G[q].ravel(), *d.E[q].ravel()) for q in range(mesh.nqp))
-    expect = write_table(tmp_path / "ref_fields.csv", read_table(written)[0], ref).read_bytes()
+    written = write_moments(tmp_path / "moments.csv", d)
+    ref = (
+        (mesh.col_x[c], *d.Ebar[c].ravel(), *d.Ehat[c].ravel(), d.Ghat[c, 0, 0])
+        for c in range(mesh.ncol)
+    )
+    expect = write_table(tmp_path / "ref_moments.csv", read_table(written)[0], ref).read_bytes()
     assert written.read_bytes() == expect
 
 

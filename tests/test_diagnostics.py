@@ -167,6 +167,20 @@ def test_r2_pinned_on_cantilever():
     assert diagnose(mesh, y, g, W).row.r2 == pytest.approx(5.9569699680385555e-05, rel=1e-13)
 
 
+def test_r3_is_set_by_the_x1_mesh():
+    # r3 extrapolates the first stress moment to the free end over the last
+    # two columns: on the cantilever load it is |g2| dx^2 / 4, whatever h is
+    g = LoadProfile.constant(0.0, -1e-3)
+    r3 = {}
+    for h, nx, ny in ((0.1, 64, 8), (0.1, 128, 8), (0.2, 64, 4)):
+        mesh = build_mesh(1.0, h, nx, ny)
+        y, rep = solve_stationary(mesh, g, W)
+        assert rep.converged
+        r3[h, nx] = diagnose(mesh, y, g, W).row.r3
+        assert 0.98 <= r3[h, nx] * 4 * nx**2 / 1e-3 <= 1.02, (h, nx, r3[h, nx])
+    assert 3.9 <= r3[0.1, 64] / r3[0.1, 128] <= 4.1
+
+
 def test_theta_and_y_error_vanish_on_matching_limit():
     mesh = build_mesh(1.0, 0.1, 64, 8)
     d = diagnose(mesh, mesh.rigid, G0, W)

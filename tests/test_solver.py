@@ -393,6 +393,21 @@ def test_residual_guards_inverted_elements():
     F = mesh.scaled_gradients(y - mesh.rigid)
     with pytest.raises(StepRejected):
         elastic_residual(mesh, W, F) - load_vector(mesh, GAMMA(mesh.qp_x[:, 0]))
+    F[3] = np.nan  # argmin picks the NaN, which compares False with the floor
+    with pytest.raises(StepRejected, match="det = nan"):
+        elastic_residual(mesh, W, F)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_overflowing_load_fails_without_raising():
+    # the first Newton step overflows, so a trial's determinants are NaN; the
+    # guard rejects them like any other trial, and the solve reports why
+    mesh = build_mesh(1.0, 0.2, 64, 8)
+    y, rep = solve_stationary(mesh, LoadProfile.constant(0.0, 1e308), W)
+    assert not rep.converged
+    assert "line search failed" in rep.message
+    assert rep.path == []
+    assert y.tobytes() == mesh.rigid.tobytes()
 
 
 def test_start_on_another_mesh_is_refused():
