@@ -28,6 +28,7 @@ from .config import (
     sweep_from,
 )
 from .diagnostics import ConvergenceRow, IdentityRow, diagnose, slab_bins, theta_error, y_error
+from .elastica import solve_elastica
 from .energy import linearize, taylor_remainder
 from .errors import ConfigError, DiagnosticError, DomainError, NonConvergence
 from .solver import lift, solve_stationary
@@ -126,6 +127,9 @@ def run_convergence(cfg: ExperimentConfig, out: Path) -> RunManifest:
 
     t0 = time.perf_counter()
     limit = elastica_from(cfg, W, g)
+    # the rod's own error estimate: theta at half the grid on the shared nodes
+    coarse = solve_elastica(limit.modulus, g, limit.L, n=(limit.x.size - 1) // 2)
+    gap = np.sqrt(np.trapezoid((limit.theta[::2] - coarse.theta) ** 2, coarse.x))
     dt = time.perf_counter() - t0
     rod = {
         "modulus": limit.modulus,
@@ -134,6 +138,7 @@ def run_convergence(cfg: ExperimentConfig, out: Path) -> RunManifest:
         "iterations": limit.iterations,
         "tip_angle": limit.theta[-1],
         "j2": limit.j2,
+        "theta_gap_half": gap,
     }
     paths = [
         csvio.write_elastica(out / "elastica.csv", limit),

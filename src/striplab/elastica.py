@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigError, NonConvergence
 from .loads import LoadProfile
 
-ROD_N = 2048             # grid intervals of the rod that the CLI solves
+ROD_N = 512              # grid intervals of the rod that the CLI solves
 ROD_TOL = 1e-12          # Newton: sup norm of the finite-difference residual
 ROD_MAX_ITERS = 60       # Newton iterations per load ramp
 DESCENT_GTOL = 1e-10     # descent: sup norm of the discrete gradient

@@ -28,7 +28,13 @@ diagonal is set to 1; with the clamped residual rows zeroed, assembly alone
 keeps every Newton step at exactly 0 on the clamped edge.  Summation
 follows element order, and each element's product does not depend on how
 BLAS splits the rows among threads, so residual and tangent are
-bit-reproducible.  Each Newton step solves the band by LAPACK's banded LU.
+bit-reproducible.  Each Newton step solves the band by LAPACK's banded LU,
+gbsv, called directly rather than through ``scipy.linalg.solve_banded``:
+that wrapper validates its arguments and looks gbsv up on every call, and
+pads the band into a C-order array that gbsv's wrapper copies again into
+Fortran order, which at 64x8 costs more than the factorization itself.
+The routine and the values it factors are the same, so the step is bit
+for bit the one ``solve_banded`` gives.
 """
 
 from __future__ import annotations
@@ -120,6 +126,27 @@ def tangent(mesh: StripMesh, W: EnergyDensity, F: np.ndarray) -> np.ndarray:
     return data.reshape(-1, ndof)
 
 
+def newton_step(K: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The step delta with K delta = -r, for K a band returned by ``tangent``.
+
+    gbsv factors the band in place below bw rows that hold the LU's fill,
+    in Fortran order so that its wrapper copies nothing.  Raises
+    np.linalg.LinAlgError if K is singular.
+    """
+    # deferred: scipy.linalg takes most of the CLI's start-up; only solves need it
+    from scipy.linalg.lapack import dgbsv
+
+    bw = K.shape[0] // 2
+    ab = np.zeros((3 * bw + 1, K.shape[1]), order="F")
+    ab[bw:] = K
+    _, _, delta, info = dgbsv(bw, bw, ab, -r, overwrite_ab=True, overwrite_b=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gbsv")
+    return delta
+
+
 def scaled_energy(
     mesh: StripMesh,
     y: np.ndarray,
@@ -169,9 +196,6 @@ def _newton(
     start state, before any step) or NonConvergence, whose ``iterations``
     counts the steps taken.
     """
-    # deferred: scipy.linalg takes most of the CLI's start-up; only solves need it
-    from scipy.linalg import solve_banded
-
     tol = NEWTON_TOL * load_factor * float(np.max(np.abs(f)))
     floor = 0.0
 
@@ -191,7 +215,7 @@ def _newton(
         K = tangent(mesh, W, F)  # F of the iterate, guarded with its residual
         floor = FLOOR_C * EPS * float(np.max(np.abs(K))) * float(np.max(np.abs(y)))
         try:
-            delta = solve_banded((mesh.k_bw, mesh.k_bw), K, -r, check_finite=False)
+            delta = newton_step(K, r)
         except np.linalg.LinAlgError:
             raise NonConvergence("singular tangent", rsup, it) from None
         slope = float(r @ delta)

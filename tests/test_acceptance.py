@@ -5,7 +5,8 @@ Criteria 1-5, 8 and 9 run the command line (`diagnose`, `converge`,
 `truncate`, `energy-check`) on the shipped configs, or on small configs
 written next to their outputs, and take every number from the CSVs it
 writes. Criteria 2-5 share one module-scoped `converge` of the cantilever
-sweep plus, as the r2 control, one `converge` per h at doubled nx.
+sweep plus, as the r2 control, one `converge` per h at doubled nx; so does
+the check that the rod reference resolves far below the strip's error.
 Criteria 6 and 7 and the reflection xfail check library values that no
 artifact holds.
 """
@@ -77,6 +78,7 @@ def sweep(tmp_path_factory):
         fine_r2.append(_table(fine / "identities.csv")["r2"][0])
     return {
         "errors": errors,
+        "rod": read_keyvalue(out / "report.csv"),
         "identities": _table(out / "identities.csv"),
         "fine_r2": np.asarray(fine_r2),
         "wall": time.perf_counter() - t_wall,
@@ -151,6 +153,17 @@ def test_criterion_05_rigidity_ratio(sweep):
     ok = bool(np.all(np.isfinite(r5))) and spread <= 2.0
     detail = f"r5 in [{r5.min():.3f}, {r5.max():.3f}], spread {spread:.3f}"
     _report(5, "rigidity ratio stays bounded", ok, detail)
+
+
+def test_rod_reference_resolves_below_the_strip_error(sweep):
+    # not a tenth criterion: a check that criteria 3-5 measure the strip's
+    # error and not the rod's, from the rod's own half-grid estimate
+    gap = float(sweep["rod"]["theta_gap_half"])
+    finest = float(sweep["errors"]["theta_err_L2"][-1])
+    ok = 0.0 < gap < 0.01 * finest
+    print(f"rod reference: {'pass' if ok else 'FAIL'} | theta gap to n/2 {gap:.2e}, "
+          f"finest theta err {finest:.2e} (x{gap / finest:.1e})")
+    assert ok, f"rod theta gap {gap!r} is not below 1% of the finest theta error {finest!r}"
 
 
 def test_criterion_06_elastica_oracle():

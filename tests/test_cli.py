@@ -12,6 +12,7 @@ import pytest
 from striplab.cli import _hypothesis_rows, main, run_energy_check
 from striplab.config import elastica_from, energy_from, load_from, mesh_from
 from striplab.diagnostics import diagnose
+from striplab.elastica import ROD_N, solve_elastica
 from striplab.energy import HalfDistSquared
 from striplab.errors import DiagnosticError
 from striplab.solver import solve_stationary
@@ -537,15 +538,20 @@ def test_converge_runs_the_sweep(tmp_path):
     out = tmp_path / "o"
     assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
     report = read_keyvalue(out / "report.csv")
-    assert list(report) == ["modulus", "L", "n", "iterations", "tip_angle", "j2"]
+    assert list(report) == [
+        "modulus", "L", "n", "iterations", "tip_angle", "j2", "theta_gap_half",
+    ]
     assert float(report["tip_angle"]) < 0.0
-    assert report["n"] == "2048"  # elastica.ROD_N
+    assert report["n"] == str(ROD_N)
     ref = config_from_text(text)
     rod = elastica_from(ref, energy_from(ref), load_from(ref))
     assert report["tip_angle"] == repr(float(rod.theta[-1]))
     assert report["j2"] == repr(float(rod.j2))
+    coarse = solve_elastica(rod.modulus, load_from(ref), rod.L, n=ROD_N // 2)
+    gap = np.sqrt(np.trapezoid((rod.theta[::2] - coarse.theta) ** 2, coarse.x))
+    assert report["theta_gap_half"] == repr(float(gap))
     _, rows = read_table(out / "elastica.csv")
-    assert len(rows) == 2049
+    assert len(rows) == ROD_N + 1
     header, rows = read_table(out / "convergence.csv")
     assert header == ["h", "theta_err_L2", "y_err_W12", "energy_over_h2"]
     assert len(rows) == 2
@@ -570,6 +576,24 @@ def test_converge_solves_every_thickness_of_the_thin_sweep(tmp_path):
     }
     _, rows = read_table(out / "convergence.csv")
     assert [float(r[0]) for r in rows] == [0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625]
+    # the rod reference resolves far below the finest strip error
+    gap = float(read_keyvalue(out / "report.csv")["theta_gap_half"])
+    assert 0.0 < gap < 0.01 * float(rows[-1][1])
+
+
+def test_converge_errors_stay_within_1e_3_of_the_2048_interval_rod(tmp_path, monkeypatch):
+    # ROD_N is sized by its error: against the rod at four times the grid,
+    # every convergence.csv value moves by less than 1e-3 relative
+    cfg = str(CONFIGS / "cantilever.cfg")
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "n")]) == 0
+    monkeypatch.setattr("striplab.config.ROD_N", 2048)
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "ref")]) == 0
+    assert read_keyvalue(tmp_path / "ref" / "report.csv")["n"] == "2048"
+    header, rows = read_table(tmp_path / "n" / "convergence.csv")
+    ref_header, ref_rows = read_table(tmp_path / "ref" / "convergence.csv")
+    assert header == ref_header and len(rows) == len(ref_rows) == 4
+    got, ref = np.array(rows, dtype=float), np.array(ref_rows, dtype=float)
+    assert np.all(np.abs(got - ref) <= 1e-3 * np.abs(ref))
 
 
 @pytest.mark.parametrize(

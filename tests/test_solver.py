@@ -17,6 +17,7 @@ from striplab.solver import (
     elastic_residual,
     lift,
     load_vector,
+    newton_step,
     scaled_energy,
     solve_stationary,
     tangent,
@@ -238,6 +239,20 @@ def test_singular_tangent_fails_fast_with_reason(monkeypatch):
     _, rep = solve_stationary(mesh, GAMMA, Flat())
     assert not rep.converged
     assert "singular tangent" in rep.message
+
+
+@pytest.mark.parametrize("h, nx", [(0.2, 64), (0.025, 160)])
+def test_newton_step_matches_solve_banded_bit_for_bit(h, nx):
+    # gbsv called directly factors the same values as scipy's wrapper does
+    mesh = build_mesh(1.0, h, nx, 8)
+    y = lift(solve_elastica(1.0, GAMMA, 1.0, n=256), mesh)
+    F = mesh.scaled_gradients(y - mesh.rigid)
+    r = elastic_residual(mesh, W, F) - load_vector(mesh, GAMMA(mesh.qp_x[:, 0]))
+    K = tangent(mesh, W, F)
+    K_before, r_before = K.copy(), r.copy()
+    delta = newton_step(K, r)
+    assert delta.tobytes() == solve_banded((mesh.k_bw, mesh.k_bw), K, -r).tobytes()
+    assert K.tobytes() == K_before.tobytes() and r.tobytes() == r_before.tobytes()
 
 
 def test_cold_continuation_ends_exactly_at_full_load(monkeypatch):
