@@ -1,8 +1,17 @@
-"""2x2 matrix helpers: rotations, polar factors, and distance to SO(2).
+"""2x2 matrix helpers (rotations, polar factors, distance to SO(2)) and the banded solve.
 
-All operations broadcast over leading axes; matrices live in arrays of shape
-(..., 2, 2).  Singular values come from the hypotenuses of the conformal and
-anticonformal parts of F, so they are branch-free and free of cancellation.
+The 2x2 operations broadcast over leading axes; matrices live in arrays of
+shape (..., 2, 2).  Singular values come from the hypotenuses of the
+conformal and anticonformal parts of F, so they are branch-free and free of
+cancellation.
+
+``newton_step`` solves every banded system, the strip's tangent and both rod
+routes, by LAPACK's gbsv called directly: scipy's banded-solve wrapper
+validates its arguments, looks gbsv up and pads the band into a C-order copy
+on every call, which on the strip's 64x8 band costs more than the
+factorization.  On the strip's band the step is bit for bit the wrapper's;
+on a tridiagonal one, which the wrapper hands to gtsv, it agrees to
+roundoff.
 """
 
 from __future__ import annotations
@@ -110,3 +119,25 @@ def dist_so2(F: np.ndarray) -> np.ndarray:
         np.hypot(s1 - 1.0, s2 - 1.0),
         np.hypot(s1 - 1.0, s2 + 1.0),
     )
+
+
+def newton_step(K: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The step delta with K delta = -r.
+
+    K is a (2 bw + 1, n) band in LAPACK ``ab`` layout, offsets bw..-bw.  gbsv
+    factors it in place below bw rows that hold the LU's fill, in Fortran
+    order so that its wrapper copies nothing.  Raises np.linalg.LinAlgError
+    if K is singular.
+    """
+    # deferred: scipy.linalg takes most of the CLI's start-up; only solves need it
+    from scipy.linalg.lapack import dgbsv
+
+    bw = K.shape[0] // 2
+    ab = np.zeros((3 * bw + 1, K.shape[1]), order="F")
+    ab[bw:] = K
+    _, _, delta, info = dgbsv(bw, bw, ab, -r, overwrite_ab=True, overwrite_b=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gbsv")
+    return delta

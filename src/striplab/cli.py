@@ -21,14 +21,13 @@ from .config import (
     ExperimentConfig,
     _at_least,
     _positive,
-    elastica_from,
     energy_from,
     load_from,
     mesh_from,
     sweep_from,
 )
 from .diagnostics import ConvergenceRow, IdentityRow, diagnose, slab_bins, theta_error, y_error
-from .elastica import solve_elastica
+from .elastica import ROD_N, solve_elastica
 from .energy import linearize, taylor_remainder
 from .errors import ConfigError, DiagnosticError, DomainError, NonConvergence
 from .solver import lift, solve_stationary
@@ -126,9 +125,10 @@ def run_convergence(cfg: ExperimentConfig, out: Path) -> RunManifest:
         slab_bins(mesh)
 
     t0 = time.perf_counter()
-    limit = elastica_from(cfg, W, g)
+    modulus, L = linearize(W).modulus, meshes[0].L
+    limit = solve_elastica(modulus, g, L, n=ROD_N)
     # the rod's own error estimate: theta at half the grid on the shared nodes
-    coarse = solve_elastica(limit.modulus, g, limit.L, n=(limit.x.size - 1) // 2)
+    coarse = solve_elastica(modulus, g, L, n=ROD_N // 2)
     gap = np.sqrt(np.trapezoid((limit.theta[::2] - coarse.theta) ** 2, coarse.x))
     dt = time.perf_counter() - t0
     rod = {

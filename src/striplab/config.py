@@ -14,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .elastica import ROD_N, solve_elastica
-from .energy import EnergyDensity, HalfDistSquared, IsotropicQuadratic, linearize
+from .energy import EnergyDensity, HalfDistSquared, IsotropicQuadratic
 from .errors import ConfigError
 from .loads import LoadProfile
 from .mesh import build_mesh, mesh_rule_nx
@@ -176,7 +175,3 @@ def sweep_from(cfg: ExperimentConfig) -> tuple[float, ...]:
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ConfigError(f"sweep.h must be strictly decreasing, got {hs!r}")
     return tuple(hs)
-
-
-def elastica_from(cfg: ExperimentConfig, W: EnergyDensity, g: LoadProfile):
-    return solve_elastica(linearize(W).modulus, g, _positive(cfg, "strip.L", 1.0), n=ROD_N)

@@ -159,7 +159,7 @@ def diagnose(mesh: StripMesh, y: np.ndarray, g: LoadProfile, W: EnergyDensity) -
     h = mesh.h
     cols = mesh.col_x
     cw = mesh.col_w
-    F = mesh.scaled_gradients(y - mesh.rigid)
+    F = mesh.scaled_gradients(y)
     slab_angle = slab_rotations(mesh, F)
     node_theta = mollified_angle(mesh, slab_angle, mesh.x1)
     col_theta = mollified_angle(mesh, slab_angle, cols)

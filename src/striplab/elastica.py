@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import newton_step
 from .errors import ConfigError, NonConvergence
 from .loads import LoadProfile
 
@@ -91,7 +92,7 @@ def _ode_residual(theta: np.ndarray, gt: np.ndarray, c: float, dx: float) -> np.
 
 
 def _ode_jacobian(theta: np.ndarray, gt: np.ndarray, c: float, dx: float) -> np.ndarray:
-    """Tridiagonal Jacobian in solve_banded layout (3, n)."""
+    """Tridiagonal Jacobian as the (3, n) band, offsets 1..-1, that ``newton_step`` takes."""
     n = theta.size - 1
     ab = np.zeros((3, n))
     diag_load = -gt[1:, 0] * np.cos(theta[1:]) - gt[1:, 1] * np.sin(theta[1:])
@@ -142,9 +143,6 @@ def solve_elastica(modulus: float, g: LoadProfile, L: float, n: int) -> Elastica
     Load ramping engages when the dimensionless stiffness 12 |gtilde| L^2 / E
     exceeds 5.  Raises NonConvergence if Newton stalls.
     """
-    # deferred: scipy.linalg takes most of the CLI's start-up; only solves need it
-    from scipy.linalg import solve_banded
-
     x, dx, c, gtv = _rod_setup(modulus, g, L, n)
     strength = 12.0 * float(np.max(np.abs(gtv))) * L**2 / modulus
     ramps = 1 if strength <= 5.0 else int(np.ceil(strength / 5.0))
@@ -165,8 +163,7 @@ def solve_elastica(modulus: float, g: LoadProfile, L: float, n: int) -> Elastica
                 break
             if it >= ROD_MAX_ITERS:
                 raise NonConvergence("rod Newton iteration cap reached", rn)
-            ab = _ode_jacobian(theta, gt, c, dx)
-            delta = solve_banded((1, 1), ab, -r)
+            delta = newton_step(_ode_jacobian(theta, gt, c, dx), r)
             alpha = 1.0
             for _ in range(41):  # alpha = 1, 1/2, ..., 2**-40 < 1e-12
                 trial = theta.copy()
@@ -209,25 +206,22 @@ def minimize_J2(modulus: float, g: LoadProfile, L: float, n: int) -> ElasticaSol
     positive definite) bending block, with Armijo backtracking on the
     functional value; independent of the Newton route in ``solve_elastica``.
     """
-    # deferred: scipy.linalg takes most of the CLI's start-up; only solves need it
-    from scipy.linalg import solveh_banded
-
     x, dx, c, gtv = _rod_setup(modulus, g, L, n)
     wq = np.full(n + 1, dx)
     wq[0] = wq[-1] = 0.5 * dx
 
-    # bending Hessian on the free nodes 1..n (SPD tridiagonal)
-    ab = np.zeros((2, n))
+    # bending Hessian on the free nodes 1..n (SPD tridiagonal), (3, n) band
+    ab = np.zeros((3, n))
     ab[1, :] = 2.0 * c / dx
     ab[1, n - 1] = c / dx
-    ab[0, 1:] = -c / dx
+    ab[0, 1:] = ab[2, :-1] = -c / dx
     theta = np.zeros(n + 1)
     val, grad = _j2_discrete(theta, gtv, c, dx, wq)
     for it in range(DESCENT_MAX_ITERS):
         gsup = float(np.max(np.abs(grad))) if grad.size else 0.0
         if gsup <= DESCENT_GTOL:
             return _finish(x, theta, modulus, g, it)
-        d = -solveh_banded(ab, grad)
+        d = newton_step(ab, grad)
         slope = float(grad @ d)
         alpha = 1.0
         while True:

@@ -3,9 +3,10 @@
 The strip is meshed with a uniform nx-by-ny grid of rectangles, 2x2 Gauss
 quadrature per element.  Node n = ix*(ny+1) + iy, so each x1-column is
 contiguous, and node n carries the displacement dofs 2n and 2n+1.
-A deformation is its (nnode, 2) array y of nodal positions, but all gradient
-evaluations go through the displacement u = y - rigid, which makes the rigid
-state an exact fixed point in floating point.
+A deformation is its (nnode, 2) array y of nodal positions.
+``scaled_gradients`` takes y and differentiates the displacement
+u = y - rigid, which makes the rigid state an exact fixed point in floating
+point.
 
 A mesh is built for one thickness h, and everything that depends only on
 the grid and h is built once in ``build_mesh``: the element dof map, the
@@ -101,13 +102,13 @@ class StripMesh:
         out = np.moveaxis(np.tensordot(elem, self.shape_n, axes=(1, 1)), -1, 1)
         return out.reshape((self.nqp,) + elem.shape[2:])
 
-    def scaled_gradients(self, u: np.ndarray) -> np.ndarray:
+    def scaled_gradients(self, y: np.ndarray) -> np.ndarray:
         """F = Id + (d1 u, d2 u / h) at quadrature points, shape (nqp, 2, 2).
 
-        u is the displacement from the rigid state, so u = 0 returns the
-        identity exactly.
+        y holds nodal positions and u = y - rigid is the displacement, so
+        the rigid state returns the identity exactly.
         """
-        ue = np.asarray(u, dtype=float).reshape(-1)[self.edofs]
+        ue = (np.asarray(y, dtype=float) - self.rigid).reshape(-1)[self.edofs]
         D = (ue @ self.B.reshape(16, 8).T).reshape(self.nqp, 2, 2)
         D[:, 0, 0] += 1.0
         D[:, 1, 1] += 1.0

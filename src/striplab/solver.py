@@ -28,13 +28,8 @@ diagonal is set to 1; with the clamped residual rows zeroed, assembly alone
 keeps every Newton step at exactly 0 on the clamped edge.  Summation
 follows element order, and each element's product does not depend on how
 BLAS splits the rows among threads, so residual and tangent are
-bit-reproducible.  Each Newton step solves the band by LAPACK's banded LU,
-gbsv, called directly rather than through ``scipy.linalg.solve_banded``:
-that wrapper validates its arguments and looks gbsv up on every call, and
-pads the band into a C-order array that gbsv's wrapper copies again into
-Fortran order, which at 64x8 costs more than the factorization itself.
-The routine and the values it factors are the same, so the step is bit
-for bit the one ``solve_banded`` gives.
+bit-reproducible.  Each Newton step solves the band with
+``algebra.newton_step``, LAPACK's banded LU.
 """
 
 from __future__ import annotations
@@ -43,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import det2
+from .algebra import det2, newton_step
 from .elastica import ElasticaSolution
 from .energy import EnergyDensity
 from .errors import ConfigError, NonConvergence, StepRejected
@@ -126,27 +121,6 @@ def tangent(mesh: StripMesh, W: EnergyDensity, F: np.ndarray) -> np.ndarray:
     return data.reshape(-1, ndof)
 
 
-def newton_step(K: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The step delta with K delta = -r, for K a band returned by ``tangent``.
-
-    gbsv factors the band in place below bw rows that hold the LU's fill,
-    in Fortran order so that its wrapper copies nothing.  Raises
-    np.linalg.LinAlgError if K is singular.
-    """
-    # deferred: scipy.linalg takes most of the CLI's start-up; only solves need it
-    from scipy.linalg.lapack import dgbsv
-
-    bw = K.shape[0] // 2
-    ab = np.zeros((3 * bw + 1, K.shape[1]), order="F")
-    ab[bw:] = K
-    _, _, delta, info = dgbsv(bw, bw, ab, -r, overwrite_ab=True, overwrite_b=True)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of gbsv")
-    return delta
-
-
 def scaled_energy(
     mesh: StripMesh,
     y: np.ndarray,
@@ -201,7 +175,7 @@ def _newton(
 
     def evaluate(y):
         """(F, residual, its sup norm, (elastic, total) energy) at positions y."""
-        F = mesh.scaled_gradients(y - mesh.rigid)
+        F = mesh.scaled_gradients(y)
         r = elastic_residual(mesh, W, F) - load_factor * f
         return F, r, float(np.max(np.abs(r))), scaled_energy(mesh, y, gq, W, load_factor, F)
 
@@ -300,7 +274,7 @@ def solve_stationary(
         path.append((mu, it))
         step = 2.0 * s
     if not path:
-        el, tot = scaled_energy(mesh, y, gq, W, mu, mesh.scaled_gradients(y - mesh.rigid))
+        el, tot = scaled_energy(mesh, y, gq, W, mu, mesh.scaled_gradients(y))
     return y.copy(), SolverReport(
         converged=mu == 1.0, iterations=iterations, residual_sup=rsup,
         elastic_energy=el, total_energy=tot, path=path, message=message,

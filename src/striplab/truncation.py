@@ -215,12 +215,12 @@ def _good_set_kappa(u: np.ndarray, good: np.ndarray, t: float, spacing) -> float
 
 
 def _mcshane(
-    u: np.ndarray, good: np.ndarray, kappa: float, spacing, fill: np.ndarray | None = None
+    u: np.ndarray, good: np.ndarray, kappa: float, spacing, fill: np.ndarray
 ) -> np.ndarray:
     """Upper McShane extension of each component from the good set.
 
     fill restricts which non-good nodes get overwritten (the minimum still
-    ranges over every good node); None means fill all of them.
+    ranges over every good node).
 
     Filled nodes are taken tile by tile.  A good node g enters a tile's
     minimum only if u(g) + kappa * (distance from g to the tile's box) is at
@@ -260,7 +260,7 @@ def _mcshane(
         upper = np.min(wvals + kappa * far, axis=-1)
         return upper, 1e-9 * (1.0 + np.abs(upper))
 
-    bad = ~good if fill is None else fill & ~good
+    bad = fill & ~good
     bi, bj = np.nonzero(bad)
     v = planes.copy()
     tile = (bi // MCSHANE_TILE) * (n2 // MCSHANE_TILE + 1) + bj // MCSHANE_TILE

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from striplab.cli import _hypothesis_rows, main, run_energy_check
-from striplab.config import elastica_from, energy_from, load_from, mesh_from
+from striplab.config import energy_from, load_from, mesh_from
 from striplab.diagnostics import diagnose
 from striplab.elastica import ROD_N, solve_elastica
-from striplab.energy import HalfDistSquared
+from striplab.energy import HalfDistSquared, linearize
 from striplab.errors import DiagnosticError
 from striplab.solver import solve_stationary
 
@@ -533,7 +533,8 @@ def test_per_point_fields_come_back_from_solution_csv(tmp_path):
 
 
 def test_converge_runs_the_sweep(tmp_path):
-    text = "load.g2 = -1e-3\nsweep.h = 0.2, 0.1\n"
+    # the rod grid is the constant ROD_N; an old elastica.n key is not read
+    text = "load.g2 = -1e-3\nsweep.h = 0.2, 0.1\nelastica.n = 64\n"
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "o"
     assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
@@ -544,10 +545,11 @@ def test_converge_runs_the_sweep(tmp_path):
     assert float(report["tip_angle"]) < 0.0
     assert report["n"] == str(ROD_N)
     ref = config_from_text(text)
-    rod = elastica_from(ref, energy_from(ref), load_from(ref))
+    modulus, g = linearize(energy_from(ref)).modulus, load_from(ref)
+    rod = solve_elastica(modulus, g, 1.0, n=ROD_N)
     assert report["tip_angle"] == repr(float(rod.theta[-1]))
     assert report["j2"] == repr(float(rod.j2))
-    coarse = solve_elastica(rod.modulus, load_from(ref), rod.L, n=ROD_N // 2)
+    coarse = solve_elastica(modulus, g, 1.0, n=ROD_N // 2)
     gap = np.sqrt(np.trapezoid((rod.theta[::2] - coarse.theta) ** 2, coarse.x))
     assert report["theta_gap_half"] == repr(float(gap))
     _, rows = read_table(out / "elastica.csv")
@@ -562,6 +564,7 @@ def test_converge_runs_the_sweep(tmp_path):
     _, manifest = read_table(out / "manifest.csv")
     steps = [r[0] for r in manifest]
     assert steps == ["config", "elastica", "solve h=0.2", "solve h=0.1", "diagnostics"]
+    assert manifest[0][3] == "elastica.n"
     written = [p.rsplit("/", 1)[-1] for p in manifest[1][3].split(";")]
     assert written == ["elastica.csv", "report.csv"]
 
@@ -586,7 +589,7 @@ def test_converge_errors_stay_within_1e_3_of_the_2048_interval_rod(tmp_path, mon
     # every convergence.csv value moves by less than 1e-3 relative
     cfg = str(CONFIGS / "cantilever.cfg")
     assert main(["converge", "--config", cfg, "--out", str(tmp_path / "n")]) == 0
-    monkeypatch.setattr("striplab.config.ROD_N", 2048)
+    monkeypatch.setattr("striplab.cli.ROD_N", 2048)
     assert main(["converge", "--config", cfg, "--out", str(tmp_path / "ref")]) == 0
     assert read_keyvalue(tmp_path / "ref" / "report.csv")["n"] == "2048"
     header, rows = read_table(tmp_path / "n" / "convergence.csv")

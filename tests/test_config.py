@@ -8,14 +8,12 @@ from striplab.config import (
     DEFAULT_SWEEP,
     ExperimentConfig,
     config_hash,
-    elastica_from,
     energy_from,
     load_from,
     mesh_from,
     parse_config_text,
     sweep_from,
 )
-from striplab.elastica import ROD_N
 from striplab.energy import HalfDistSquared, IsotropicQuadratic
 from striplab.errors import ConfigError
 from striplab.mesh import mesh_rule_nx
@@ -195,13 +193,3 @@ def test_sweep_from_default_and_validation():
         sweep_from(config_from_text("sweep.h = 0.7"))
     with pytest.raises(ConfigError, match="at least one"):
         sweep_from(config_from_text("sweep.h ="))
-
-
-def test_elastica_from_uses_config_resolution():
-    # the rod resolution is the constant ROD_N; an old elastica.n key is not read
-    cfg = config_from_text("elastica.n = 64\nload.g2 = -1e-3\n")
-    W = energy_from(cfg)
-    sol = elastica_from(cfg, W, load_from(cfg))
-    assert sol.x.size == ROD_N + 1
-    assert cfg.unread() == ["elastica.n"]
-    assert sol.theta[1] < 0.0  # downward load tilts the rod clockwise

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded, solveh_banded
+from scipy.sparse import dia_matrix
 
+from striplab.algebra import newton_step
 from striplab.elastica import (
     J2_eval,
     _j2_discrete,
+    _ode_jacobian,
+    _ode_residual,
     gtilde,
     minimize_J2,
     solve_elastica,
@@ -83,6 +88,46 @@ def test_two_routes_agree():
     b = minimize_J2(1.0, G_SMALL, 1.0, n=256)
     assert np.max(np.abs(a.theta - b.theta)) < 1e-6
     assert a.j2 == pytest.approx(b.j2, rel=1e-6, abs=1e-15)
+
+
+def assert_steps_agree(K, got, expect):
+    """Two backward-stable solves with the (3, n) band K differ by at most eps cond(K), relative.
+
+    The rod's bands have cond(K) ~ n^2 (1.1e5 at n = 256), so two LAPACK
+    routes differ by far more than eps even though each is exact to roundoff.
+    """
+    n = K.shape[1]
+    cond = np.linalg.cond(dia_matrix((K, [1, 0, -1]), shape=(n, n)).toarray())
+    assert np.max(np.abs(got - expect)) <= np.finfo(float).eps * cond * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_rod_newton_step_matches_solve_banded(n):
+    # gbsv on the rod's tridiagonal Jacobian against scipy's gtsv route, at a
+    # bent state halfway to the solution, where the residual is not roundoff
+    g = LoadProfile.constant(0.0, -0.3)
+    x = np.linspace(0.0, 1.0, n + 1)
+    theta = 0.5 * solve_elastica(1.0, g, 1.0, n=n).theta
+    gt, c, dx = gtilde(g, 1.0, x), 1.0 / 12.0, 1.0 / n
+    ab, r = _ode_jacobian(theta, gt, c, dx), _ode_residual(theta, gt, c, dx)
+    assert_steps_agree(ab, newton_step(ab, r), solve_banded((1, 1), ab, -r))
+
+
+def test_descent_step_matches_solveh_banded(monkeypatch):
+    # minimize_J2's bending block, stored as a full symmetric band, gives
+    # gbsv the step of scipy's SPD route on its upper rows
+    calls = []
+
+    def recording(K, r):
+        calls.append((K.copy(), r.copy()))
+        return newton_step(K, r)
+
+    monkeypatch.setattr("striplab.elastica.newton_step", recording)
+    minimize_J2(1.0, LoadProfile.constant(0.0, -0.3), 1.0, n=256)
+    assert len(calls) > 1
+    for K, r in calls:
+        assert np.array_equal(K[2, :-1], K[0, 1:])
+        assert_steps_agree(K, newton_step(K, r), -solveh_banded(K[:2], r))
 
 
 def test_j2_gradient_matches_fd():

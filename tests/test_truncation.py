@@ -345,9 +345,8 @@ def test_lipschitz_truncate_matches_loop_oracle():
     expect, _ = dense_mcshane(u.components(), good, t, u.spacing)
     comps = u.components()
     kappa = _good_set_kappa(comps, good, t, u.spacing)
-    v = GridFunction(
-        values=_mcshane(comps, good, kappa, u.spacing).reshape(u.values.shape), spacing=u.spacing
-    )
+    v = _mcshane(comps, good, kappa, u.spacing, np.ones_like(good))
+    v = GridFunction(values=v.reshape(u.values.shape), spacing=u.spacing)
     np.testing.assert_allclose(v.values, expect[:, :, 0], rtol=1e-13, atol=1e-13)
     assert np.array_equal(v.values[good], u.values[good])
 
@@ -369,9 +368,8 @@ def test_lipschitz_truncate_vector_components_fill_independently():
     expect, _ = dense_mcshane(u.components(), good, t, u.spacing)
     comps = u.components()
     kappa = _good_set_kappa(comps, good, t, u.spacing)
-    v = GridFunction(
-        values=_mcshane(comps, good, kappa, u.spacing).reshape(u.values.shape), spacing=u.spacing
-    )
+    v = _mcshane(comps, good, kappa, u.spacing, np.ones_like(good))
+    v = GridFunction(values=v.reshape(u.values.shape), spacing=u.spacing)
     np.testing.assert_allclose(v.values, expect, rtol=1e-13, atol=1e-13)
 
 
@@ -387,8 +385,8 @@ def test_mcshane_tiles_match_unpruned_minimum_bitwise():
     xs = np.arange(u.n1) * d1
     ys = np.arange(u.n2) * d2
     gi, gj = np.nonzero(good)
-    for restrict in (None, fill):
-        bad = ~good if restrict is None else restrict & ~good
+    for restrict in (np.ones_like(good), fill):
+        bad = restrict & ~good
         expect = comps.copy()
         for i, j in zip(*np.nonzero(bad)):
             dist = np.hypot(xs[i] - xs[gi], ys[j] - ys[gj])
@@ -420,12 +418,12 @@ def test_mcshane_window_covers_grid_when_kappa_is_small():
     mf = maximal_function(gradient_magnitude(u))
     good = ~(mf.values > float(np.quantile(mf.values, 0.5)))
     for kappa in (1e-6, 1e-3):
-        v = _mcshane(comps, good, kappa, u.spacing)
+        v = _mcshane(comps, good, kappa, u.spacing, np.ones_like(good))
         assert np.array_equal(v, unpruned_mcshane(comps, good, kappa, u.spacing))
     # constant good values with kappa * distance below their roundoff: only
     # the slack keeps the window from shrinking to one cell around the tile
     flat = np.where(good[:, :, None], 1.0, comps)
-    v = _mcshane(flat, good, 1e-20, u.spacing)
+    v = _mcshane(flat, good, 1e-20, u.spacing, np.ones_like(good))
     assert np.array_equal(v, unpruned_mcshane(flat, good, 1e-20, u.spacing))
 
 
@@ -436,7 +434,7 @@ def test_mcshane_window_grows_across_a_wide_bad_block():
     good[10:36, 6:40] = False  # tiles in the middle see no good node nearby
     good[20, 22] = True  # and one lone good node inside
     for kappa in (0.5, 5.0, 50.0):
-        v = _mcshane(comps, good, kappa, u.spacing)
+        v = _mcshane(comps, good, kappa, u.spacing, np.ones_like(good))
         assert np.array_equal(v, unpruned_mcshane(comps, good, kappa, u.spacing))
 
 
@@ -448,7 +446,7 @@ def test_mcshane_single_good_node():
         good = np.zeros((n1, n2), dtype=bool)
         good[node] = True
         for kappa in (0.7, 30.0):
-            v = _mcshane(comps, good, kappa, spacing)
+            v = _mcshane(comps, good, kappa, spacing, np.ones_like(good))
             assert np.array_equal(v, unpruned_mcshane(comps, good, kappa, spacing))
 
 
@@ -466,7 +464,7 @@ def test_mcshane_and_kappa_bytes_do_not_depend_on_layout(ncomp):
     assert np.float64(kappas[0]).tobytes() == np.float64(kappas[1]).tobytes()
     fill = np.zeros_like(good)
     fill[:, 12:20] = True
-    for restrict in (None, fill):
+    for restrict in (np.ones_like(good), fill):
         v_int, v_pl = (_mcshane(x, good, kappas[0], u.spacing, fill=restrict)
                        for x in (interleaved, planed))
         assert v_int.shape == v_pl.shape == interleaved.shape
