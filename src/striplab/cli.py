@@ -26,7 +26,7 @@ from .config import (
     mesh_from,
     sweep_from,
 )
-from .diagnostics import ConvergenceRow, IdentityRow, diagnose, slab_bins, theta_error, y_error
+from .diagnostics import ConvergenceRow, IdentityRow, diagnose, theta_error, y_error
 from .elastica import ROD_N, solve_elastica
 from .energy import linearize, taylor_remainder
 from .errors import ConfigError, DiagnosticError, DomainError, NonConvergence
@@ -82,10 +82,9 @@ def run_diagnose(cfg: ExperimentConfig, out: Path) -> RunManifest:
     W = energy_from(cfg)
     g = load_from(cfg)
     mesh = mesh_from(cfg)
-    slab_bins(mesh)
     t0 = time.perf_counter()
     y, report = solve_stationary(mesh, g, W)
-    status = "ok" if report.converged else "non-converged"
+    status = "ok" if report.converged else f"non-converged: {report.message}"
     d = diagnose(mesh, y, g, W)
     manifest.record("diagnose", status, time.perf_counter() - t0)
     t0 = time.perf_counter()
@@ -116,13 +115,12 @@ def run_diagnose(cfg: ExperimentConfig, out: Path) -> RunManifest:
 
 
 def run_convergence(cfg: ExperimentConfig, out: Path) -> RunManifest:
-    """Elastica once, then each h of the sweep solved from its lift and tabulated."""
+    """The rod at ROD_N and ROD_N // 2, then each sweep h solved from its lift, tabulated."""
     manifest = RunManifest(config=cfg, out_dir=out)
     W = energy_from(cfg)
     g = load_from(cfg)
+    # every mesh is built, and so checked, before any output
     meshes = [mesh_from(cfg, h) for h in sweep_from(cfg)]
-    for mesh in meshes:  # every bad value fails before output
-        slab_bins(mesh)
 
     t0 = time.perf_counter()
     modulus, L = linearize(W).modulus, meshes[0].L

@@ -154,24 +154,32 @@ def _at_least(cfg: ExperimentConfig, key: str, default: int, least: int) -> int:
 
 
 def mesh_from(cfg: ExperimentConfig, h: float | None = None):
-    """The mesh at thickness h, default `strip.h`; `strip.nx` overrides the nx rule."""
+    """The mesh at thickness h, default `strip.h`; `strip.nx` overrides the nx rule.
+
+    The one check of a strip mesh's bounds: h in (0, min(0.5, L/2)], so
+    that two slabs fit, named `sweep.h` when h is given; the nx and ny
+    minimums; and a quadrature point in every slab.
+    """
     L = _positive(cfg, "strip.L", 1.0)
+    key = "strip.h" if h is None else "sweep.h"
     if h is None:
         h = cfg.get_float("strip.h", _REQUIRED)
-        if not 0 < h <= 0.5:
-            raise ConfigError(f"strip.h must lie in (0, 0.5], got {h!r}")
+    h_max = min(0.5, L / 2)
+    if not 0 < h <= h_max:
+        raise ConfigError(f"{key} must lie in (0, {h_max!r}], h <= strip.L / 2, got {h!r}")
     ny = _at_least(cfg, "strip.ny", 8, 2)
     nx = _at_least(cfg, "strip.nx", mesh_rule_nx(L, h), 4)
-    return build_mesh(L, h, nx, ny)
+    mesh = build_mesh(L, h, nx, ny)
+    if np.any(np.bincount(mesh.qp_slab, minlength=mesh.nslab) == 0):
+        raise ConfigError(f"strip.nx = {nx} is too coarse for {mesh.nslab} slabs at h = {h!r}")
+    return mesh
 
 
 def sweep_from(cfg: ExperimentConfig) -> tuple[float, ...]:
+    """The `sweep.h` list; `mesh_from` checks each thickness in it."""
     hs = cfg.get_floats("sweep.h", DEFAULT_SWEEP)
     if len(hs) < 1:
         raise ConfigError("sweep.h must list at least one thickness")
-    h_max = min(0.5, _positive(cfg, "strip.L", 1.0) / 2)  # two slabs for slab rotations
-    if any(not 0 < h <= h_max for h in hs):
-        raise ConfigError(f"sweep.h must lie in (0, {h_max!r}], h <= strip.L / 2, got {hs!r}")
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ConfigError(f"sweep.h must be strictly decreasing, got {hs!r}")
     return tuple(hs)

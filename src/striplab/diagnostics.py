@@ -4,7 +4,7 @@ A solution is the (nnode, 2) position array y on its mesh.  ``diagnose``
 computes, once per solution, one ``Diagnosis`` record:
 
 * per-slab rotations: polar factors of slab averages of the scaled gradient,
-  on a partition of (0, L) into slabs of width in [h, 2h);
+  on the mesh's partition of (0, L) into slabs of width in [h, 2h);
 * a mollified rotation profile R(x1): the slab rotations convolved with a
   quintic bump of width h (entrywise), projected back onto SO(2), with the
   angle unwrapped along x1, sampled at the nodes and at the quadrature
@@ -32,7 +32,7 @@ import numpy as np
 from .algebra import dist_so2, polar_angle, rot2, tmul2
 from .elastica import ElasticaSolution, gtilde
 from .energy import EnergyDensity
-from .errors import ConfigError, DiagnosticError, DomainError
+from .errors import DiagnosticError, DomainError
 from .loads import LoadProfile
 from .mesh import StripMesh
 
@@ -65,25 +65,9 @@ def _slab_weights(mesh: StripMesh, k: int, xs: np.ndarray) -> np.ndarray:
     return a - b
 
 
-def slab_bins(mesh: StripMesh) -> tuple[int, np.ndarray]:
-    """The slab count k = floor(L/h) and each quadrature point's slab, (nqp,).
-
-    The k slabs of (0, L) have equal width, which lies in [h, 2h) whenever
-    h <= L/2.  Raises ConfigError if k < 2 or a slab holds no quadrature point.
-    """
-    L, h = mesh.L, mesh.h
-    k = int(np.floor(L / h))
-    if k < 2:
-        raise ConfigError(f"strip.h must be at most strip.L / 2 for slab rotations, got {h!r}")
-    idx = np.clip((mesh.qp_x[:, 0] * (k / L)).astype(int), 0, k - 1)
-    if np.any(np.bincount(idx, minlength=k) == 0):
-        raise ConfigError(f"strip.nx = {mesh.nx} is too coarse for {k} slabs at h = {h!r}")
-    return k, idx
-
-
 def slab_rotations(mesh: StripMesh, F: np.ndarray) -> np.ndarray:
-    """Unwrapped polar angles of slab averages of the scaled gradient F, (k,)."""
-    k, idx = slab_bins(mesh)
+    """Unwrapped polar angles of slab averages of the scaled gradient F, (nslab,)."""
+    k, idx = mesh.nslab, mesh.qp_slab
     sums = _bin_sum(idx, F, k)
     means = sums / np.bincount(idx, minlength=k)[:, None, None]
     try:

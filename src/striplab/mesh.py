@@ -12,7 +12,9 @@ A mesh is built for one thickness h, and everything that depends only on
 the grid and h is built once in ``build_mesh``: the element dof map, the
 band slots of the stiffness matrix, the strain operator B (the only place h
 and the element enter), the (64, 64) element-stiffness operator k_op made
-from B and the quadrature weight, and the rigid state (x1, h*x2).  With
+from B and the quadrature weight, the rigid state (x1, h*x2), and the slab
+partition of (0, L) into floor(L/h) equal slabs with each quadrature
+point's slab.  ``config.mesh_from`` checks the bounds these need.  With
 these, gradients, residual and tangent of all elements are each one matrix
 product.  The node numbering keeps every coupling within 2*ny + 5 dofs of
 the diagonal, so the stiffness is stored as a band.
@@ -23,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .errors import ConfigError
 
 _GP = 1.0 / np.sqrt(3.0)
 # reference corner coordinates, counterclockwise from (-1, -1)
@@ -50,6 +50,8 @@ class StripMesh:
     qp_x: np.ndarray = field(repr=False)         # (nqp, 2)
     qp_col: np.ndarray = field(repr=False)       # (nqp,) quadrature column id
     col_x: np.ndarray = field(repr=False)        # (2 nx,) column positions
+    nslab: int                                   # slab count floor(L/h)
+    qp_slab: np.ndarray = field(repr=False)      # (nqp,) quadrature point's slab
     # stiffness band: half-bandwidth, the flat slot in the (2 k_bw + 1, ndof)
     # band array of each entry of each element matrix (its size for
     # couplings to clamped dofs, which are discarded), and the slots of the
@@ -116,12 +118,7 @@ class StripMesh:
 
 
 def build_mesh(L: float, h: float, nx: int, ny: int) -> StripMesh:
-    if not (L > 0.0):
-        raise ConfigError(f"strip.L must be positive, got {L!r}")
-    if not (0.0 < h <= 0.5):
-        raise ConfigError(f"thickness h must lie in (0, 0.5], got {h!r}")
-    if nx < 4 or ny < 2:
-        raise ConfigError(f"mesh needs nx >= 4 and ny >= 2, got nx={nx}, ny={ny}")
+    """The mesh at thickness h; L > 0, 0 < h <= min(0.5, L/2), nx >= 4, ny >= 2."""
     nx, ny = int(nx), int(ny)
     x1 = np.linspace(0.0, L, nx + 1)
     x2 = np.linspace(-0.5, 0.5, ny + 1)
@@ -166,15 +163,19 @@ def build_mesh(L: float, h: float, nx: int, ny: int) -> StripMesh:
     col_x = np.empty(2 * nx)
     col_x[0::2] = x1[:-1] + 0.5 * dx * (1.0 - _GP)
     col_x[1::2] = x1[:-1] + 0.5 * dx * (1.0 + _GP)
+    # the floor(L/h) equal slabs have width in [h, 2h) whenever h <= L/2
+    nslab = int(np.floor(L / h))
+    qp_slab = np.clip((qp_x[:, 0] * (nslab / L)).astype(int), 0, nslab - 1)
 
     k_bw = 2 * ny + 5
     k_slot, k_clamped = _stiffness_pattern(nx, ny, k_bw, edofs)
-    for a in (B, k_op, rigid):
+    for a in (B, k_op, rigid, qp_slab):
         a.flags.writeable = False  # shared by every field on the mesh
     return StripMesh(
         L=float(L), h=float(h), nx=nx, ny=ny, x1=x1, x2=x2, nodes=nodes, conn=conn,
         edofs=edofs, shape_n=shape_n, B=B, k_op=k_op, rigid=rigid, qp_x=qp_x,
-        qp_col=qp_col, col_x=col_x, k_bw=k_bw, k_slot=k_slot, k_clamped=k_clamped,
+        qp_col=qp_col, col_x=col_x, nslab=nslab, qp_slab=qp_slab, k_bw=k_bw,
+        k_slot=k_slot, k_clamped=k_clamped,
     )
 
 

@@ -169,10 +169,8 @@ def select_lambda(f: GridFunction, a: float, A: float) -> tuple[float, np.ndarra
     """Minimize g(t) = t^2 * area{f > t} over a geometric grid of levels.
 
     Returns the minimizing level (first hit on ties, i.e. the smallest) and
-    the boolean superlevel mask at that level.
+    the boolean superlevel mask at that level.  The caller checks 0 < a < A.
     """
-    if not (0 < a < A):
-        raise ConfigError(f"need 0 < a < A, got a={a!r}, A={A!r}")
     if f.values.ndim != 2:
         raise ConfigError("level selection expects a scalar field")
     cand = np.geomspace(a, A, N_CANDIDATES)
@@ -300,7 +298,6 @@ class TruncationResult:
     strip_index: int
     kappa: float
     mismatch_area: float
-    energy: float
 
 
 def square_cells(m: int, d2: float) -> int:
@@ -407,7 +404,6 @@ def thin_truncate(u: GridFunction, a: float, A: float) -> TruncationResult:
         strip_index=i0,
         kappa=kappa,
         mismatch_area=area,
-        energy=energy,
     )
 
 

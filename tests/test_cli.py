@@ -105,6 +105,8 @@ def test_overflowing_load_exits_1_with_a_report(tmp_path):
     report = read_keyvalue(out / "report.csv")
     assert report["converged"] == "false"
     assert "line search failed" in report["message"]
+    _, manifest = read_table(out / "manifest.csv")
+    assert {r[0]: r[1] for r in manifest}["diagnose"] == f"non-converged: {report['message']}"
 
 
 def test_rod_solver_failure_exits_1_without_output(tmp_path, capsys, monkeypatch):
@@ -288,6 +290,21 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, text
     err = capsys.readouterr().err
     assert "config error" in err and key in err
     assert not (tmp_path / "o").exists()
+
+
+def test_converge_checks_every_thickness_before_the_rod(tmp_path, capsys, monkeypatch):
+    # 16 elements give 32 quadrature columns: enough for the 5 slabs at h = 0.2,
+    # too few for the 50 at h = 0.02
+    def no_rod(*args, **kwargs):
+        raise AssertionError("the rod was solved")
+
+    monkeypatch.setattr("striplab.cli.solve_elastica", no_rod)
+    cfg = write_cfg(tmp_path, "strip.nx = 16\nsweep.h = 0.2, 0.02\n")
+    out = tmp_path / "o"
+    assert main(["converge", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "strip.nx" in err
+    assert not out.exists()
 
 
 def test_converge_builds_meshes_through_strip_nx_and_ny(tmp_path):

@@ -182,6 +182,9 @@ def test_mesh_from_rule_and_overrides():
 
     with pytest.raises(ConfigError, match="strip.h"):
         mesh_from(config_from_text(""))
+    # a thickness passed in comes from the sweep, and the message says so
+    with pytest.raises(ConfigError, match=r"sweep\.h must lie in \(0, 0\.5\]"):
+        mesh_from(config_from_text(""), 0.7)
 
 
 def test_sweep_from_default_and_validation():
@@ -189,7 +192,5 @@ def test_sweep_from_default_and_validation():
     assert sweep_from(config_from_text("sweep.h = 0.4, 0.2")) == (0.4, 0.2)
     with pytest.raises(ConfigError, match="decreasing"):
         sweep_from(config_from_text("sweep.h = 0.1, 0.2"))
-    with pytest.raises(ConfigError, match="0, 0.5"):
-        sweep_from(config_from_text("sweep.h = 0.7"))
     with pytest.raises(ConfigError, match="at least one"):
         sweep_from(config_from_text("sweep.h ="))

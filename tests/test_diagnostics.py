@@ -11,7 +11,6 @@ from striplab.diagnostics import (
     column_moments,
     diagnose,
     mollified_angle,
-    slab_bins,
     slab_rotations,
     theta_error,
     y_error,
@@ -23,7 +22,7 @@ from striplab.loads import LoadProfile
 from striplab.mesh import build_mesh, mesh_rule_nx
 from striplab.solver import lift, solve_stationary
 
-from helpers import read_table
+from helpers import config_from_text, read_table
 
 W = HalfDistSquared()
 G0 = LoadProfile.constant(0.0, 0.0)
@@ -58,11 +57,10 @@ def test_slab_rotations_recover_constant_rotation():
 
 
 def test_slab_count_validation():
-    mesh = build_mesh(0.5, 0.3, 16, 2)
-    with pytest.raises(ConfigError):
-        slab_angle_of(mesh, mesh.rigid)  # only one slab fits
-    with pytest.raises(ConfigError, match="strip.nx"):
-        slab_bins(build_mesh(1.0, 0.05, 4, 8))  # 20 slabs share 8 quadrature columns
+    with pytest.raises(ConfigError, match="strip.h"):  # only one slab fits
+        mesh_from(config_from_text("strip.L = 0.5\nstrip.h = 0.3\nstrip.nx = 16\nstrip.ny = 2\n"))
+    with pytest.raises(ConfigError, match="strip.nx"):  # 20 slabs share 8 quadrature columns
+        mesh_from(config_from_text("strip.h = 0.05\nstrip.nx = 4\nstrip.ny = 8\n"))
 
 
 def test_smoothed_profile_extends_constantly():

@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 import striplab
+from striplab.config import mesh_from
 from striplab.errors import ConfigError
 from striplab.mesh import build_mesh, mesh_rule_nx
+
+from helpers import config_from_text
 
 
 def test_build_mesh_shapes():
@@ -25,16 +28,18 @@ def test_build_mesh_shapes():
 
 
 def test_build_mesh_validation():
-    for L, h, nx, ny in [
-        (0.0, 0.1, 4, 4),
-        (1.0, 0.1, 0, 4),
-        (1.0, 0.1, 4, -1),
-        (1.0, 0.0, 8, 2),
-        (1.0, 0.7, 8, 2),
-        (1.0, float("nan"), 8, 2),
+    # build_mesh trusts its caller; mesh_from checks each bound and names its key
+    for L, h, nx, ny, key in [
+        (0.0, 0.1, 4, 4, "strip.L"),
+        (1.0, 0.1, 0, 4, "strip.nx"),
+        (1.0, 0.1, 4, -1, "strip.ny"),
+        (1.0, 0.0, 8, 2, "strip.h"),
+        (1.0, 0.7, 8, 2, "strip.h"),
+        (1.0, float("nan"), 8, 2, "strip.h"),
     ]:
-        with pytest.raises(ConfigError):
-            build_mesh(L, h, nx, ny)
+        text = f"strip.L = {L}\nstrip.h = {h}\nstrip.nx = {nx}\nstrip.ny = {ny}\n"
+        with pytest.raises(ConfigError, match=key):
+            mesh_from(config_from_text(text))
 
 
 def test_mesh_owns_its_thickness_read_only():
@@ -49,6 +54,11 @@ def test_mesh_owns_its_thickness_read_only():
     assert mesh.k_op.shape == (64, 64)
     with pytest.raises(ValueError):
         mesh.k_op[0, 0] = 1.0
+    # five slabs of width 0.2, each holding the quadrature points inside it
+    assert mesh.nslab == 5
+    assert np.array_equal(mesh.qp_slab, np.floor(mesh.qp_x[:, 0] / 0.2))
+    with pytest.raises(ValueError):
+        mesh.qp_slab[0] = 1
 
 
 def test_no_public_callable_takes_both_mesh_and_h():

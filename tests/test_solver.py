@@ -9,6 +9,7 @@ from scipy.sparse import coo_matrix, dia_matrix, diags
 
 from striplab import solver
 from striplab.algebra import newton_step
+from striplab.config import mesh_from
 from striplab.elastica import minimize_J2, solve_elastica
 from striplab.energy import HalfDistSquared
 from striplab.errors import ConfigError, StepRejected
@@ -22,6 +23,8 @@ from striplab.solver import (
     solve_stationary,
     tangent,
 )
+
+from helpers import config_from_text
 
 W = HalfDistSquared()
 GAMMA = LoadProfile.constant(0.0, -1e-3)
@@ -445,10 +448,10 @@ def test_start_off_the_clamp_is_refused():
 
 
 def test_thickness_validation():
-    # a stationary solve reads h from its mesh, so the (0, 0.5] check sits there
+    # a stationary solve reads h from its mesh; mesh_from checks (0, 0.5]
     for h in (0.0, 0.7):
-        with pytest.raises(ConfigError):
-            build_mesh(1.0, h, 8, 2)
+        with pytest.raises(ConfigError, match="strip.h"):
+            mesh_from(config_from_text(f"strip.h = {h}\nstrip.nx = 8\nstrip.ny = 2\n"))
     mesh = build_mesh(1.0, 0.5, 8, 2)
     y, rep = solve_stationary(mesh, LoadProfile.constant(0.0, 0.0), W)
     assert rep.converged and np.array_equal(y, mesh.rigid)
