@@ -1,9 +1,11 @@
 """2x2 matrix helpers (rotations, polar factors, distance to SO(2)) and the banded solve.
 
 The 2x2 operations broadcast over leading axes; matrices live in arrays of
-shape (..., 2, 2).  Singular values come from the hypotenuses of the
-conformal and anticonformal parts of F, so they are branch-free and free of
-cancellation.
+shape (..., 2, 2).  The rotation nearest to F is read off its conformal
+part, the pair (u, v) = (F11 + F22, F21 - F12), with r = hypot(u, v); the
+distance to SO(2) is the hypotenuse of r - 2 and q = hypot(F11 - F22,
+F12 + F21), read off the anticonformal part, so it is branch-free and free
+of cancellation.
 
 ``newton_step`` solves every banded system, the strip's tangent and both rod
 routes, by LAPACK's gbsv called directly: scipy's banded-solve wrapper
@@ -69,12 +71,13 @@ def rot2(angle) -> np.ndarray:
     return out
 
 
-def polar_angle(F: np.ndarray) -> np.ndarray:
-    """Angle of the rotation nearest to F.  Requires det F > 0 everywhere.
+def polar_uv(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (u, v) = (F11 + F22, F21 - F12) that points at the rotation nearest to F.
 
-    The nearest rotation maximizes tr(R^T F); for 2x2 matrices the maximizer
-    has angle atan2(F21 - F12, F11 + F22), well defined whenever det F > 0
-    because (F11 + F22)^2 + (F21 - F12)^2 = |F|^2 + 2 det F.
+    The nearest rotation maximizes tr(R^T F) = u cos a + v sin a, so its angle
+    is atan2(v, u) and its cosine and sine are u/r and v/r, r = hypot(u, v).
+    Raises DomainError unless det F > 0 everywhere, where r > 0 because
+    u^2 + v^2 = |F|^2 + 2 det F.
     """
     F = np.asarray(F, dtype=float)
     d = det2(F)
@@ -82,43 +85,31 @@ def polar_angle(F: np.ndarray) -> np.ndarray:
         raise DomainError(
             f"nearest rotation undefined: min det F = {float(np.min(d)):.6g} <= 0"
         )
-    u = F[..., 0, 0] + F[..., 1, 1]
-    v = F[..., 1, 0] - F[..., 0, 1]
+    return F[..., 0, 0] + F[..., 1, 1], F[..., 1, 0] - F[..., 0, 1]
+
+
+def polar_angle(F: np.ndarray) -> np.ndarray:
+    """Angle of the rotation nearest to F, in (-pi, pi].  Requires det F > 0 everywhere."""
+    u, v = polar_uv(F)
     ang = np.arctan2(v, u)
     # arctan2 may return exactly -pi; fold onto the canonical branch
     return np.where(ang <= -np.pi, ang + 2.0 * np.pi, ang)
 
 
-def svd2_vals(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values (s1 >= s2 >= 0), closed form.
+def dist_so2(F: np.ndarray) -> np.ndarray:
+    """Frobenius distance from F to the rotation group, for every F.
 
-    F splits into a conformal part of norm p/sqrt(2) and an anticonformal part
-    of norm q/sqrt(2), with s1 = (p + q)/2 and s2 = |p - q|/2.  Taking p, q as
-    hypotenuses of the entries avoids sqrt(|F|^2 - 2|det F|), which cancels to
-    half precision when s1 is close to s2.
+    tr(R^T F) peaks at r over SO(2), so dist^2 = |F|^2 + 2 - 2r, and
+    |F|^2 = (r^2 + q^2)/2 with q = hypot(F11 - F22, F12 + F21), so
+    dist = hypot(r - 2, q)/sqrt(2).  The sum |F|^2 + 2 - 2r would cancel to
+    half precision near SO(2); this form does not.
     """
     F = np.asarray(F, dtype=float)
     a, b = F[..., 0, 0], F[..., 0, 1]
     c, d = F[..., 1, 0], F[..., 1, 1]
-    p = np.hypot(a + d, c - b)
+    r = np.hypot(a + d, c - b)
     q = np.hypot(a - d, b + c)
-    return 0.5 * (p + q), 0.5 * np.abs(p - q)
-
-
-def dist_so2(F: np.ndarray) -> np.ndarray:
-    """Frobenius distance from F to the rotation group.
-
-    With singular values s1, s2: sqrt((s1-1)^2 + (s2-1)^2) when det F >= 0,
-    sqrt((s1-1)^2 + (s2+1)^2) when det F < 0.  Continuous across det F = 0.
-    """
-    F = np.asarray(F, dtype=float)
-    s1, s2 = svd2_vals(F)
-    d = det2(F)
-    return np.where(
-        d >= 0.0,
-        np.hypot(s1 - 1.0, s2 - 1.0),
-        np.hypot(s1 - 1.0, s2 + 1.0),
-    )
+    return np.hypot(r - 2.0, q) / np.sqrt(2.0)
 
 
 def newton_step(K: np.ndarray, r: np.ndarray) -> np.ndarray:

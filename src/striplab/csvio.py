@@ -3,8 +3,8 @@
 Floats are written with repr, which round-trips and is stable across runs,
 so identical inputs produce byte-identical files.  Float-array tables
 (solution, elastica, rotations, moments) format each distinct 64-bit
-pattern of a row chunk once and join the cells' reprs directly, since no
-repr (nan, inf, -0.0 too) needs csv quoting.
+pattern of a table once and join the cells' reprs directly, since no repr
+(nan, inf, -0.0 too) needs csv quoting.
 """
 
 from __future__ import annotations
@@ -55,25 +55,20 @@ def write_keyvalue(path, items: dict) -> Path:
     return write_table(path, ["key", "value"], [(k, v) for k, v in items.items()])
 
 
-ROW_CHUNK = 512  # rows turned into Python floats at a time, which bounds a table's memory
-
-
 def _float_lines(*columns):
     """Newline-ended CSV lines of the column-stacked float64 arrays, as write_table writes them.
 
     repr is most of a table's cost, and a solution table's x1 and x2
-    columns repeat a value in their chunk, so each chunk formats its
-    distinct cells once.  They are keyed by bit pattern: 0.0 == -0.0, yet
-    they print apart.
+    columns repeat a value, so each table formats its distinct cells once.
+    They are keyed by bit pattern: 0.0 == -0.0, yet they print apart.
     """
-    for start in range(0, len(columns[0]), ROW_CHUNK):
-        chunk = np.column_stack([c[start : start + ROW_CHUNK] for c in columns])
-        if chunk.dtype != np.float64:
-            raise TypeError(f"float table columns must be float64, not {chunk.dtype}")
-        bits, inverse = np.unique(chunk.view(np.int64), return_inverse=True)
-        text = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
-        cells = text[inverse.ravel()].reshape(chunk.shape)  # inverse's shape varies in numpy 2.x
-        yield from (",".join(row) + "\n" for row in cells.tolist())
+    table = np.column_stack(columns)
+    if table.dtype != np.float64:
+        raise TypeError(f"float table columns must be float64, not {table.dtype}")
+    bits, inverse = np.unique(table.view(np.int64), return_inverse=True)
+    text = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    cells = text[inverse.ravel()].reshape(table.shape)  # inverse's shape varies in numpy 2.x
+    return (",".join(row) + "\n" for row in cells.tolist())
 
 
 def write_solution(path, mesh, y) -> Path:

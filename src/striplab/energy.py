@@ -12,8 +12,11 @@ Two built-in models:
   this is documented by ``coercive_globally = False``.
 
 Densities expose value, first derivative (``stress``) and second derivative
-(``hessian``) at arbitrary F, vectorized over leading axes, each in closed
-form; a subclass of ``EnergyDensity`` must implement all three.
+(``hessian``), vectorized over leading axes, each in closed form; a subclass
+of ``EnergyDensity`` must implement all three.  ``IsotropicQuadratic``
+defines all three at every F.  ``HalfDistSquared`` defines its value at
+every F, but its derivatives go through the nearest rotation, so they need
+det F > 0 and raise DomainError elsewhere.
 """
 
 from __future__ import annotations
@@ -22,16 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    ID2,
-    det2,
-    dist_so2,
-    frob,
-    polar_angle,
-    trace2,
-    trans2,
-)
-from .errors import ConfigError, DomainError
+from .algebra import ID2, dist_so2, frob, polar_uv, trace2, trans2
+from .errors import ConfigError
 
 # orthonormal basis of 2x2 matrices: two diagonal directions, the normalized
 # symmetric off-diagonal direction, the normalized skew direction
@@ -77,13 +72,17 @@ class HalfDistSquared(EnergyDensity):
     def energy(self, F: np.ndarray) -> np.ndarray:
         return 0.5 * dist_so2(F) ** 2
 
+    @staticmethod
+    def _nearest(F):
+        """Cosine and sine of the rotation nearest to F, and r = hypot(u, v)."""
+        u, v = polar_uv(F)
+        r = np.hypot(u, v)
+        return u / r, v / r, r
+
     def stress(self, F: np.ndarray) -> np.ndarray:
-        # gradient of the half squared distance: F minus the nearest rotation;
-        # polar_angle raises DomainError when det F <= 0
-        F = np.asarray(F, dtype=float)
-        a = polar_angle(F)
-        c, s = np.cos(a), np.sin(a)
-        out = np.array(F, copy=True)
+        # gradient of the half squared distance: F minus the nearest rotation
+        c, s, _ = self._nearest(F)
+        out = np.array(F, dtype=float, copy=True)
         out[..., 0, 0] -= c
         out[..., 0, 1] += s
         out[..., 1, 0] -= s
@@ -92,24 +91,14 @@ class HalfDistSquared(EnergyDensity):
 
     def hessian(self, F: np.ndarray) -> np.ndarray:
         # DW(F) = F - R(F) and the rotation factor varies only through its
-        # angle, giving the rank-one correction I - (RJ x RJ)/r with
-        # r = sqrt((F11+F22)^2 + (F21-F12)^2)
-        F = np.asarray(F, dtype=float)
-        d = det2(F)
-        if np.any(d <= 0.0):
-            raise DomainError(
-                f"second derivative undefined: min det F = {float(np.min(d)):.6g} <= 0"
-            )
-        u = F[..., 0, 0] + F[..., 1, 1]
-        v = F[..., 1, 0] - F[..., 0, 1]
-        r = np.hypot(u, v)
-        c, s = u / r, v / r
+        # angle, giving the rank-one correction I - (RJ x RJ)/r
+        c, s, r = self._nearest(F)
         # R(F) J, with J = [[0, -1], [1, 0]] the rotation generator, is the
         # tangent direction to SO(2); flattened row-major with the points
         # last, so that the outer product runs along them
         T = np.stack([-s, -c, c, -s]).reshape(4, -1)
         out = _EYE4.reshape(4, 4, 1) - T[:, None] * T[None, :] / r.reshape(-1)
-        return out.transpose(2, 0, 1).reshape(F.shape[:-2] + (2, 2, 2, 2))
+        return out.transpose(2, 0, 1).reshape(c.shape + (2, 2, 2, 2))
 
 
 class IsotropicQuadratic(EnergyDensity):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import polar as scipy_polar
 
-from striplab.algebra import det2, dist_so2, frob, polar_angle, rot2, svd2_vals, trace2, trans2
+from striplab.algebra import det2, dist_so2, frob, polar_angle, rot2, trace2, trans2
 from striplab.errors import DomainError
 
 # entries bounded away from the degenerate cone so det F > 0 is decidable
@@ -42,21 +42,6 @@ def test_polar_angle_rejects_nonpositive_det():
         polar_angle(np.diag([1.0, 0.0]))
 
 
-def test_svd2_vals_against_numpy():
-    F = random_posdet(0)
-    s1, s2 = svd2_vals(F)
-    ref = np.linalg.svd(F, compute_uv=False)
-    np.testing.assert_allclose(s1, ref[:, 0], rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(s2, ref[:, 1], rtol=1e-12, atol=1e-14)
-    assert np.all(s1 >= s2) and np.all(s2 >= 0.0)
-
-
-def test_svd2_vals_handles_negative_det():
-    F = np.diag([2.0, -0.5])
-    s1, s2 = svd2_vals(F)
-    assert (s1, s2) == (2.0, 0.5)
-
-
 def test_polar_rotation_against_scipy():
     for F in random_posdet(1, n=32):
         R, _ = scipy_polar(F)
@@ -89,6 +74,18 @@ def test_dist_so2_against_svd_formula():
 def test_dist_so2_vanishes_exactly_on_rotations():
     assert dist_so2(np.eye(2)) == 0.0
     assert np.all(dist_so2(rot2(np.linspace(-3, 3, 9))) < 1e-7)
+
+
+def test_dist_so2_keeps_full_precision_near_the_identity():
+    # the distance is O(1e-5) while F is O(1); sqrt(|F|^2 + 2 - 2r) would
+    # miss by about 2e-4 relative, the closed form must not
+    rng = np.random.default_rng(5)
+    F = np.eye(2) + 1e-5 * rng.standard_normal((4096, 2, 2))
+    G = F.astype(np.longdouble)
+    r = np.hypot(G[:, 0, 0] + G[:, 1, 1], G[:, 1, 0] - G[:, 0, 1])
+    q = np.hypot(G[:, 0, 0] - G[:, 1, 1], G[:, 0, 1] + G[:, 1, 0])
+    ref = np.hypot(r - 2, q) / np.sqrt(np.longdouble(2))
+    np.testing.assert_allclose(dist_so2(F), ref.astype(float), rtol=1e-9, atol=0.0)
 
 
 def test_dist_so2_continuous_across_singular_set():

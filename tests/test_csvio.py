@@ -5,9 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from striplab import csvio
 from striplab.csvio import (
-    ROW_CHUNK,
     fmt,
     write_elastica,
     write_keyvalue,
@@ -132,10 +130,8 @@ def test_write_moments_layout(tmp_path):
 
 
 def test_array_rows_format_like_per_cell_rows(tmp_path):
-    # the reference rows pass every cell as a numpy scalar, row by row; the
-    # mesh has more nodes and quadrature columns than one chunk of rows
+    # the reference rows pass every cell as a numpy scalar, row by row
     mesh = build_mesh(1.0, 0.2, 320, 2)
-    assert min(mesh.nnode, mesh.ncol) > ROW_CHUNK
     y = random_field(mesh, seed=9)
     d = diagnose(mesh, y, G0, W)
 
@@ -223,31 +219,6 @@ def test_float_tables_write_edge_values_like_per_cell_rows(tmp_path):
     # the barE columns alone, reshaped from 2x2 arrays, hold every edge value
     barE = {cell for row in read_table(written)[1] for cell in row[1:5]}
     assert barE.issuperset(cells)
-
-
-@pytest.mark.parametrize("rows", [1, 3, 10_000])
-def test_float_tables_match_per_cell_rows_at_any_chunk_size(tmp_path, monkeypatch, rows):
-    # each chunk formats its own distinct values: chunks of one row, of a
-    # size that divides no table evenly, and one chunk for the whole table
-    monkeypatch.setattr(csvio, "ROW_CHUNK", rows)
-    mesh = build_mesh(1.0, 0.2, 8, 2)
-    y = random_field(mesh, seed=4)
-    d = diagnose(mesh, y, G0, W)
-
-    ids = np.arange(mesh.nnode)
-    ix, iy = np.divmod(ids, mesh.ny + 1)
-    ref = zip(ids, mesh.x1[ix], mesh.x2[iy], y[:, 0], y[:, 1])
-    header = ["node_id", "x1", "x2", "y1", "y2"]
-    expect = write_table(tmp_path / "ref_solution.csv", header, ref).read_bytes()
-    assert write_solution(tmp_path / "solution.csv", mesh, y).read_bytes() == expect
-
-    written = write_moments(tmp_path / "moments.csv", d)
-    ref = (
-        (mesh.col_x[c], *d.Ebar[c].ravel(), *d.Ehat[c].ravel(), d.Ghat[c, 0, 0])
-        for c in range(mesh.ncol)
-    )
-    expect = write_table(tmp_path / "ref_moments.csv", read_table(written)[0], ref).read_bytes()
-    assert written.read_bytes() == expect
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.float32])

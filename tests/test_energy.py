@@ -116,6 +116,18 @@ def test_half_dist_hessian_is_bitwise_the_einsum_form():
     assert W.hessian(np.eye(2)).shape == (2, 2, 2, 2)
 
 
+def test_half_dist_stress_is_bitwise_f_minus_the_nearest_rotation():
+    W = HalfDistSquared()
+    F = sample_states(15, n=24).reshape(3, 8, 2, 2)
+    u = F[..., 0, 0] + F[..., 1, 1]
+    v = F[..., 1, 0] - F[..., 0, 1]
+    r = np.hypot(u, v)
+    c, s = u / r, v / r
+    R = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    assert np.array_equal(W.stress(F), F - R)
+    assert np.array_equal(W.stress(np.eye(2)), np.zeros((2, 2)))
+
+
 def test_half_dist_rejects_nonpositive_det():
     W = HalfDistSquared()
     with pytest.raises(DomainError):
