@@ -14,9 +14,23 @@ on every call, which on the strip's 64x8 band costs more than the
 factorization.  On the strip's band the step is bit for bit the wrapper's;
 on a tridiagonal one, which the wrapper hands to gtsv, it agrees to
 roundoff.
+
+gbsv comes from scipy's Fortran LAPACK extension, ``scipy.linalg._flapack``,
+which ``_flapack`` loads on its own: importing the ``scipy.linalg`` package
+would run its array-API layer, which imports numpy's f2py, testing, ma,
+random and ctypeslib submodules, and take 0.24-0.31 s on a 2-core host,
+against 8-11 ms for the extension.  This is the only place striplab touches
+scipy.
 """
 
 from __future__ import annotations
+
+import functools
+import importlib.machinery
+import importlib.util
+import sys
+from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 
@@ -112,6 +126,29 @@ def dist_so2(F: np.ndarray) -> np.ndarray:
     return np.hypot(r - 2.0, q) / np.sqrt(2.0)
 
 
+@functools.cache
+def _flapack() -> ModuleType:
+    """scipy's LAPACK extension module, loaded without the scipy.linalg package.
+
+    It is registered in sys.modules, so a later ``import scipy.linalg``
+    reuses this very module (``from scipy.linalg import _flapack`` finds it,
+    though the package gets no attribute of that name), and one already
+    loaded is returned as is.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")  # locates scipy without importing it
+    dirs = [str(Path(d, "linalg")) for d in scipy.submodule_search_locations] if scipy else []
+    spec = importlib.machinery.PathFinder.find_spec(name, dirs)
+    if spec is None:
+        raise ImportError(f"{name} not found: striplab needs scipy>=1.13 for LAPACK's gbsv")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
 def newton_step(K: np.ndarray, r: np.ndarray) -> np.ndarray:
     """The step delta with K delta = -r.
 
@@ -120,8 +157,8 @@ def newton_step(K: np.ndarray, r: np.ndarray) -> np.ndarray:
     order so that its wrapper copies nothing.  Raises np.linalg.LinAlgError
     if K is singular.
     """
-    # deferred: scipy.linalg takes most of the CLI's start-up; only solves need it
-    from scipy.linalg.lapack import dgbsv
+    # loaded on the first solve, so truncate and energy-check never load it
+    dgbsv = _flapack().dgbsv
 
     bw = K.shape[0] // 2
     ab = np.zeros((3 * bw + 1, K.shape[1]), order="F")

@@ -1,11 +1,15 @@
 """2x2 helper verification against numpy/scipy factorizations."""
 
+import importlib.util
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import polar as scipy_polar
 
+from striplab import algebra
 from striplab.algebra import det2, dist_so2, frob, polar_angle, rot2, trace2, trans2
 from striplab.errors import DomainError
 
@@ -113,3 +117,13 @@ def test_sym_skew_split(entries):
     F = np.array(entries).reshape(2, 2)
     assert trace2(F) == pytest.approx(F[0, 0] + F[1, 1])
     assert det2(F) == pytest.approx(np.linalg.det(F), rel=1e-10, abs=1e-12)
+
+
+def test_missing_lapack_extension_raises_naming_it_and_the_scipy_floor(monkeypatch):
+    # scipy.linalg, imported above, holds the extension; without it and
+    # without scipy, the loader must say what is missing
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    algebra._flapack.cache_clear()
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack.*scipy>=1\.13"):
+        algebra._flapack()

@@ -412,24 +412,68 @@ def test_diagnose_bytes_do_not_depend_on_blas_threads(tmp_path):
 IMPORT_PROBE = """
 import sys
 from striplab.cli import main
-cantilever, trunc, out = sys.argv[1:]
-assert main(["energy-check", "--config", cantilever, "--out", out + "/ec"]) == 0
-assert main(["truncate", "--config", trunc, "--out", out + "/tr"]) == 0
-print("scipy.linalg" in sys.modules)
-assert main(["diagnose", "--config", cantilever, "--out", out + "/dg"]) == 0
-print("scipy.linalg" in sys.modules)
+cantilever, trunc, sweep, out = sys.argv[1:]
+runs = [("energy-check", cantilever), ("truncate", trunc), ("diagnose", cantilever), ("converge", sweep)]
+for command, cfg in runs:
+    assert main([command, "--config", cfg, "--out", out + "/" + command]) == 0
+    assert "scipy.linalg" not in sys.modules, command
+    print(command, "scipy.linalg._flapack" in sys.modules)
 """
 
 
-def test_only_solving_subcommands_import_scipy_linalg(tmp_path):
-    # scipy.linalg is most of the start-up time, so commands that solve no
-    # linear system must not load it; the test process already has, hence
-    # a fresh interpreter
-    trunc = write_cfg(tmp_path, "truncation.fields = 1\ntruncation.resolutions = 64x8\n")
-    cmd = [sys.executable, "-c", IMPORT_PROBE, str(CONFIGS / "cantilever.cfg"), trunc, str(tmp_path)]
+def test_no_subcommand_imports_scipy_linalg(tmp_path):
+    # the scipy.linalg package is most of the start-up time, so no command
+    # imports it: the solving ones load its LAPACK extension alone, on their
+    # first solve; the test process already has both, hence a fresh interpreter
+    trunc = write_cfg(tmp_path, "truncation.fields = 1\ntruncation.resolutions = 64x8\n", "trunc.cfg")
+    sweep = write_cfg(tmp_path, TINY_STRIP + "sweep.h = 0.2, 0.1\n", "sweep.cfg")
+    cmd = [sys.executable, "-c", IMPORT_PROBE, str(CONFIGS / "cantilever.cfg"), trunc, sweep, str(tmp_path)]
     run = subprocess.run(cmd, env=child_env(), capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["False", "True"]
+    assert run.stdout.splitlines() == [
+        "energy-check False", "truncate False", "diagnose True", "converge True",
+    ]
+
+
+COEXIST_PROBE = """
+import sys
+import numpy as np
+
+def strip_step():
+    from striplab.algebra import newton_step
+    from striplab.energy import HalfDistSquared
+    from striplab.loads import LoadProfile
+    from striplab.mesh import build_mesh
+    from striplab.solver import elastic_residual, load_vector, tangent
+
+    mesh, W = build_mesh(1.0, 0.2, 16, 4), HalfDistSquared()
+    y = mesh.rigid + 1e-3 * np.random.default_rng(17).standard_normal(mesh.rigid.shape)
+    y[mesh.clamped_nodes()] = mesh.rigid[mesh.clamped_nodes()]
+    F = mesh.scaled_gradients(y)
+    r = elastic_residual(mesh, W, F) - load_vector(mesh, LoadProfile.constant(0.0, -1e-3)(mesh.qp_x[:, 0]))
+    K = tangent(mesh, W, F)
+    return mesh.k_bw, K, r, newton_step(K, r)
+
+if sys.argv[1] == "striplab-first":
+    bw, K, r, delta = strip_step()
+    assert "scipy.linalg" not in sys.modules
+    import scipy.linalg
+else:
+    import scipy.linalg
+    bw, K, r, delta = strip_step()
+from striplab.algebra import _flapack
+assert scipy.linalg.lapack.dgbsv is _flapack().dgbsv
+assert delta.tobytes() == scipy.linalg.solve_banded((bw, bw), K, -r).tobytes()
+"""
+
+
+@pytest.mark.parametrize("order", ["striplab-first", "scipy-first"])
+def test_lapack_extension_coexists_with_scipy_linalg(order):
+    # striplab loads scipy's LAPACK extension without the scipy.linalg
+    # package; whichever of the two comes first, both must call one gbsv
+    cmd = [sys.executable, "-c", COEXIST_PROBE, order]
+    run = subprocess.run(cmd, env=child_env(), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_truncate_seed_changes_the_fields(tmp_path, capsys):
