@@ -1,7 +1,7 @@
 """Constructive Lipschitz truncation on rectangular grids.
 
-Given a grid-sampled field u, the kit replaces it by a Lipschitz function v
-that agrees with u outside a small bad set:
+Given a grid-sampled vector field u, the kit replaces it by a Lipschitz
+function v that agrees with u outside a small bad set:
 
 * the bad set is a superlevel set of the box maximal function of |grad u|
   from a summed-area table, with the level chosen by minimizing
@@ -15,6 +15,10 @@ that agrees with u outside a small bad set:
 * the thin-rectangle variant extends u from a strip of height h to the unit
   square by successive reflection, truncates there, and maps the cleanest
   strip back.
+
+A field enters and leaves as a `GridFunction`, checked once when built.
+Inside `thin_truncate` the stages pass plain arrays, with the spacing
+alongside: a vector field as (ncomp, n1, n2) planes, a scalar as (n1, n2).
 
 The certified gradient bound is measured on the discrete gradient of the
 output, so `sup |grad v| <= lam` holds exactly by construction.  The chosen
@@ -38,9 +42,10 @@ MCSHANE_TILE = 8  # nodes per side of a fill tile
 
 @dataclass(eq=False)
 class GridFunction:
-    """Node samples of a scalar or 2-vector field on a uniform rectangle.
+    """Node samples of a vector field on a uniform rectangle: the kit's boundary type.
 
-    values has shape (n1, n2) or (n1, n2, ncomp); spacing is (d1, d2).
+    values has shape (n1, n2, ncomp) and spacing is (d1, d2), both checked
+    here, once; planes() is the (ncomp, n1, n2) view the stages take.
     """
 
     values: np.ndarray
@@ -48,8 +53,8 @@ class GridFunction:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim not in (2, 3):
-            raise ConfigError(f"grid values must be 2- or 3-d, got shape {self.values.shape}")
+        if self.values.ndim != 3:
+            raise ConfigError(f"grid values must be (n1, n2, ncomp), got shape {self.values.shape}")
         if self.values.shape[0] < 2 or self.values.shape[1] < 2:
             raise ConfigError("grid needs at least 2 nodes per direction")
         d1, d2 = (float(s) for s in self.spacing)
@@ -71,50 +76,41 @@ class GridFunction:
     def cell_area(self) -> float:
         return self.spacing[0] * self.spacing[1]
 
-    @property
-    def extent(self) -> tuple[float, float]:
-        return ((self.n1 - 1) * self.spacing[0], (self.n2 - 1) * self.spacing[1])
-
-    def components(self) -> np.ndarray:
-        """Values as (n1, n2, ncomp) regardless of rank."""
-        if self.values.ndim == 2:
-            return self.values[:, :, None]
-        return self.values
+    def planes(self) -> np.ndarray:
+        """Values as (ncomp, n1, n2) component planes, a view."""
+        return np.moveaxis(self.values, -1, 0)
 
 
-def gradient_magnitude(gf: GridFunction) -> GridFunction:
-    """Pointwise |grad u| from forward differences, anchored at cell corners.
+def gradient_magnitude(planes: np.ndarray, spacing) -> np.ndarray:
+    """Pointwise |grad u| of (ncomp, n1, n2) planes, anchored at cell corners.
 
-    The squared differences are summed component by component on 2-d
-    slices, in component order, which for one or two components is bitwise
-    the sum over the component axis.  The (n1-1, n2-1) anchored values are
-    edge-padded back to node shape so downstream averaging sees a field on
+    Forward differences; the squared differences are summed plane by plane,
+    in component order, which for one or two components is bitwise the sum
+    over the component axis.  The (n1-1, n2-1) anchored values are
+    edge-padded back to (n1, n2) so downstream averaging sees a field on
     the same grid.
     """
-    u = gf.components()
-    d1, d2 = gf.spacing
+    d1, d2 = spacing
     sq = 0.0
-    for c in range(u.shape[-1]):
-        uc = u[:, :, c]
+    for uc in planes:
         gx = (uc[1:, :-1] - uc[:-1, :-1]) / d1
         gy = (uc[:-1, 1:] - uc[:-1, :-1]) / d2
         sq = sq + (gx**2 + gy**2)
-    mag = np.pad(np.sqrt(sq), ((0, 1), (0, 1)), mode="edge")
-    return GridFunction(values=mag, spacing=gf.spacing)
+    return np.pad(np.sqrt(sq), ((0, 1), (0, 1)), mode="edge")
 
 
 def dirichlet_energy(gf: GridFunction) -> float:
     """Integral of |grad u|^2 by the cell-anchored forward-difference rule."""
-    mag = gradient_magnitude(gf).values[:-1, :-1]
+    mag = gradient_magnitude(gf.planes(), gf.spacing)[:-1, :-1]
     return float(gf.cell_area * np.sum(mag**2))
 
 
 def grad_sup(gf: GridFunction) -> float:
-    return float(np.max(gradient_magnitude(gf).values[:-1, :-1]))
+    return float(np.max(gradient_magnitude(gf.planes(), gf.spacing)[:-1, :-1]))
 
 
-def maximal_function(grad_mag: GridFunction) -> GridFunction:
-    """Box maximal function from one summed-area table, over a radius ladder.
+def maximal_function(f: np.ndarray, spacing) -> np.ndarray:
+    """Box maximal function of a nonnegative (n1, n2) field, over a radius ladder.
 
     Radii run from half a cell by factors of sqrt(2) up to the domain
     diameter.  Radius r averages f over the in-domain nodes of the box of
@@ -139,15 +135,10 @@ def maximal_function(grad_mag: GridFunction) -> GridFunction:
     tend to pi / 4 and pi / 2.  The certified bound sup |grad v| <= lam is
     measured on the output, so it holds either way.
     """
-    if grad_mag.values.ndim != 2:
-        raise ConfigError("maximal function expects a scalar field")
-    if np.any(grad_mag.values < 0):
-        raise ConfigError("maximal function expects a nonnegative field")
-    f = grad_mag.values
     n1, n2 = f.shape
-    d1, d2 = grad_mag.spacing
+    d1, d2 = spacing
     radii = [0.5 * min(d1, d2)]
-    while radii[-1] < np.hypot(*grad_mag.extent):
+    while radii[-1] < np.hypot((n1 - 1) * d1, (n2 - 1) * d2):
         radii.append(radii[-1] * LADDER_FACTOR)
     table = np.zeros((n1 + 1, n2 + 1))
     np.cumsum(np.cumsum(f, axis=0), axis=1, out=table[1:, 1:])
@@ -162,41 +153,40 @@ def maximal_function(grad_mag: GridFunction) -> GridFunction:
         rows = np.take(table, hi1, axis=0) - np.take(table, lo1, axis=0)
         box = np.take(rows, hi2, axis=1) - np.take(rows, lo2, axis=1)
         np.maximum(out, box / np.outer(hi1 - lo1, hi2 - lo2), out=out)
-    return GridFunction(values=out, spacing=grad_mag.spacing)
+    return out
 
 
-def select_lambda(f: GridFunction, a: float, A: float) -> tuple[float, np.ndarray]:
-    """Minimize g(t) = t^2 * area{f > t} over a geometric grid of levels.
+def select_lambda(mf: np.ndarray, cell_area: float, a: float, A: float) -> tuple[float, np.ndarray]:
+    """Minimize g(t) = t^2 * area{mf > t} over a geometric grid of levels.
 
     Returns the minimizing level (first hit on ties, i.e. the smallest) and
     the boolean superlevel mask at that level.  The caller checks 0 < a < A.
     """
-    if f.values.ndim != 2:
-        raise ConfigError("level selection expects a scalar field")
     cand = np.geomspace(a, A, N_CANDIDATES)
-    flat = np.sort(f.values, axis=None)
+    flat = np.sort(mf, axis=None)
     counts = flat.size - np.searchsorted(flat, cand, side="right")
-    g = cand**2 * counts * f.cell_area
+    g = cand**2 * counts * cell_area
     lam = float(cand[int(np.argmin(g))])
-    return lam, f.values > lam
+    return lam, mf > lam
 
 
-def _good_set_kappa(u: np.ndarray, good: np.ndarray, t: float, spacing) -> float:
+def _good_set_kappa(planes: np.ndarray, good: np.ndarray, t: float, spacing) -> float:
     """Extension constant: level t or the windowed good-set steepness of u.
 
-    u is (n1, n2, ncomp).  Checks all good node pairs within a KAPPA_WINDOW-
-    cell box, over every component at once; the certified bound is measured
-    on the final output, so locality here costs quality at worst.
+    planes are u's (ncomp, n1, n2) components.  Checks all good node pairs
+    within a KAPPA_WINDOW-cell box, over every component at once; the
+    certified bound is measured on the final output, so locality here costs
+    quality at worst.
 
-    Bad nodes are NaN in a (ncomp, n1, n2) copy of u, so a pair with a bad
-    end differs by NaN, which fmax and fmin skip: per window offset,
+    Bad nodes are NaN in a copy of the planes, so a pair with a bad end
+    differs by NaN, which fmax and fmin skip: per window offset,
     max |a - b| over the good pairs is max(fmax(a - b), -fmin(a - b)), and
     NaN exactly when the offset has no good pair.  Offsets no pair fits in
     (di >= n1 or |dj| >= n2) are skipped.
     """
     d1, d2 = spacing
     n1, n2 = good.shape
-    g = np.where(good, np.moveaxis(u, -1, 0), np.nan)
+    g = np.where(good, planes, np.nan)
     best = 0.0
     for di in range(0, KAPPA_WINDOW + 1):
         for dj in range(-KAPPA_WINDOW, KAPPA_WINDOW + 1):
@@ -215,10 +205,10 @@ def _good_set_kappa(u: np.ndarray, good: np.ndarray, t: float, spacing) -> float
 def _mcshane(
     u: np.ndarray, good: np.ndarray, kappa: float, spacing, fill: np.ndarray
 ) -> np.ndarray:
-    """Upper McShane extension of each component from the good set.
+    """Upper McShane extension of u's (ncomp, n1, n2) planes from the good set.
 
-    fill restricts which non-good nodes get overwritten (the minimum still
-    ranges over every good node).
+    Returns the extended planes.  fill restricts which non-good nodes get
+    overwritten (the minimum still ranges over every good node).
 
     Filled nodes are taken tile by tile.  A good node g enters a tile's
     minimum only if u(g) + kappa * (distance from g to the tile's box) is at
@@ -235,22 +225,21 @@ def _mcshane(
     lies within R = max_c (U'_c + slack_c - min_g u_c(g)) / kappa of the
     box; the window is the tile's index box grown by ceil(R / d) + 1 cells
     per axis and clipped to the grid, and its candidates are that block's
-    good nodes, with values from u's (ncomp, n1, n2) component planes.  The
-    minimum over them runs along the middle axis of (ncomp, candidates,
-    tile nodes): an elementwise minimum of contiguous rows.
+    good nodes.  The minimum over them runs along the middle axis of
+    (ncomp, candidates, tile nodes): an elementwise minimum of contiguous
+    rows.
     """
     d1, d2 = spacing
     n1, n2 = good.shape
     xs = np.arange(n1) * d1
     ys = np.arange(n2) * d2
-    planes = np.moveaxis(u, -1, 0)
-    gmin = np.min(planes, axis=(1, 2), where=good, initial=np.inf)
+    gmin = np.min(u, axis=(1, 2), where=good, initial=np.inf)
 
     def window(i0, i1, j0, j1, w1, w2):
         """Positions and values of the good nodes in rows i0-w1..i1+w1, columns j0-w2..j1+w2."""
         r0, c0 = max(i0 - w1, 0), max(j0 - w2, 0)
         wi, wj = np.nonzero(good[r0:i1 + w1 + 1, c0:j1 + w2 + 1])
-        return xs[r0:][wi], ys[c0:][wj], planes[:, r0:, c0:][:, wi, wj]
+        return xs[r0:][wi], ys[c0:][wj], u[:, r0:, c0:][:, wi, wj]
 
     def tile_bound(wx, wy, wvals, x0, x1, y0, y1):
         """Tile upper bound over the good nodes of a window, and its slack."""
@@ -260,7 +249,7 @@ def _mcshane(
 
     bad = fill & ~good
     bi, bj = np.nonzero(bad)
-    v = planes.copy()
+    v = u.copy()
     tile = (bi // MCSHANE_TILE) * (n2 // MCSHANE_TILE + 1) + bj // MCSHANE_TILE
     order = np.argsort(tile, kind="stable")
     for sel in np.split(order, np.flatnonzero(np.diff(tile[order])) + 1):
@@ -282,7 +271,7 @@ def _mcshane(
         keep = np.any(wvals + kappa * near <= (upper + slack)[:, None], axis=0)
         dist = np.hypot(xs[ti] - wx[keep, None], ys[tj] - wy[keep, None])
         v[:, ti, tj] = np.min(wvals[:, keep, None] + kappa * dist, axis=1)
-    return np.moveaxis(v, 0, -1)
+    return v
 
 
 @dataclass(eq=False)
@@ -317,24 +306,21 @@ def square_cells(m: int, d2: float) -> int:
     return K
 
 
-def reflect_to_square(u: GridFunction) -> GridFunction:
+def reflect_to_square(u: GridFunction) -> np.ndarray:
     """Extend a strip field to the unit square by successive reflection.
 
-    The spacing must pass ``square_cells``.  Extended row J of K lies in
-    strip floor((J - K/2 + m/2) / m), the center strip being 0; even strips
-    copy the m + 1 source rows in order, odd strips mirror them.  A vector
-    field's values are a view of contiguous (ncomp, n1, K + 1) planes.
+    Returns contiguous (ncomp, n1, K + 1) planes on u's spacing, which must
+    pass ``square_cells``.  Extended row J of K lies in strip
+    floor((J - K/2 + m/2) / m), the center strip being 0; even strips copy
+    the m + 1 source rows in order, odd strips mirror them.
     """
-    d1, d2 = u.spacing
     m = u.n2 - 1
-    K = square_cells(m, d2)
+    K = square_cells(m, u.spacing[1])
     t = np.arange(K + 1) - K // 2
     strip = np.floor_divide(t + m // 2, m)
     inner = t - strip * m
     j_src = np.where(strip % 2 == 0, inner + m // 2, m // 2 - inner)
-    planes = np.take(np.ascontiguousarray(np.moveaxis(u.components(), -1, 0)), j_src, axis=2)
-    values = np.moveaxis(planes, 0, -1) if u.values.ndim == 3 else planes[0]
-    return GridFunction(values=values, spacing=(d1, d2))
+    return np.take(u.planes(), j_src, axis=2)
 
 
 def _strip_slice(i0: int, K: int, m: int) -> np.ndarray:
@@ -361,49 +347,40 @@ def thin_truncate(u: GridFunction, a: float, A: float) -> TruncationResult:
         raise ConfigError(f"need 0 < a < A, got a={a!r}, A={A!r}")
     ext = reflect_to_square(u)
     m = u.n2 - 1
-    K = ext.n2 - 1
-    mf = maximal_function(gradient_magnitude(ext))
-    level, bad = select_lambda(mf, a, A)
+    K = ext.shape[2] - 1
+    mf = maximal_function(gradient_magnitude(ext, u.spacing), u.spacing)
+    level, bad = select_lambda(mf, u.cell_area, a, A)
     if bad.all():
         raise DiagnosticError(f"good set is empty at level {level!r}; raise the upper bound A")
 
     n_side = (K - m) // (2 * m)
-    bad_counts = {}
-    for i0 in range(-n_side, n_side + 1):
-        rows = _strip_slice(i0, K, m)
-        bad_counts[i0] = int(np.sum(bad[:, rows]))
+    bad_counts = {i: int(np.sum(bad[:, _strip_slice(i, K, m)]))
+                  for i in range(-n_side, n_side + 1)}
     i0 = min(bad_counts, key=lambda i: (bad_counts[i], abs(i), i))
     rows = _strip_slice(i0, K, m)
 
-    ext_u, kappa = ext.components(), level
+    kappa = level
     if bad.any():
         fill = np.zeros_like(bad)  # only the selected strip is read back
         fill[:, rows] = True
-        kappa = _good_set_kappa(ext_u, ~bad, level, ext.spacing)
-        ext_u = _mcshane(ext_u, ~bad, kappa, ext.spacing, fill=fill)
+        kappa = _good_set_kappa(ext, ~bad, level, u.spacing)
+        ext = _mcshane(ext, ~bad, kappa, u.spacing, fill=fill)
 
-    v_strip = GridFunction(values=ext_u[:, rows].reshape(u.values.shape), spacing=u.spacing)
-    mask = np.any(v_strip.components() != u.components(), axis=-1)
+    v = GridFunction(values=np.moveaxis(ext[:, :, rows], 0, -1), spacing=u.spacing)
+    mask = np.any(v.values != u.values, axis=-1)
     area = float(np.sum(mask) * u.cell_area)
     energy = dirichlet_energy(u)
-    sup = grad_sup(v_strip)
+    sup = grad_sup(v)
     lam = max(level, sup)
     if area == 0.0:
         q = 0.0
-    elif energy == 0.0:
+    elif energy == 0.0:  # u moves only at its far corner node, which the energy skips
         q = float("inf")
     else:
         q = lam * lam * area / (energy / float(np.log(A / a)))
     return TruncationResult(
-        v=v_strip,
-        level=level,
-        lam=lam,
-        grad_sup=sup,
-        bad_mask=mask,
-        q=q,
-        strip_index=i0,
-        kappa=kappa,
-        mismatch_area=area,
+        v=v, level=level, lam=lam, grad_sup=sup, bad_mask=mask, q=q, strip_index=i0,
+        kappa=kappa, mismatch_area=area,
     )
 
 

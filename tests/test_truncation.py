@@ -32,14 +32,17 @@ def linear_field(n1, n2, spacing, coef):
     y = np.arange(n2) * d2
     coef = np.atleast_2d(coef)
     vals = coef[:, 0] * x[:, None, None] + coef[:, 1] * y[None, :, None]
-    if coef.shape[0] == 1:
-        vals = vals[:, :, 0]
     return GridFunction(values=vals, spacing=spacing)
 
 
-def random_scalar(n1, n2, spacing, seed, scale=1.0):
-    rng = np.random.default_rng(seed)
-    return GridFunction(values=scale * rng.standard_normal((n1, n2)), spacing=spacing)
+def random_scalar(n1, n2, seed, scale=1.0):
+    """An (n1, n2) array of scaled standard normal samples."""
+    return scale * np.random.default_rng(seed).standard_normal((n1, n2))
+
+
+def one_component(values, spacing):
+    """A one-component field from (n1, n2) values."""
+    return GridFunction(values=values[:, :, None], spacing=spacing)
 
 
 # ---------------------------------------------------------------- grids
@@ -48,48 +51,49 @@ def random_scalar(n1, n2, spacing, seed, scale=1.0):
 def test_grid_function_validation():
     with pytest.raises(ConfigError):
         GridFunction(values=np.zeros(5), spacing=(0.1, 0.1))
+    with pytest.raises(ConfigError, match="n1, n2, ncomp"):
+        GridFunction(values=np.zeros((4, 4)), spacing=(0.1, 0.1))
     with pytest.raises(ConfigError):
         GridFunction(values=np.zeros((3, 3, 2, 2)), spacing=(0.1, 0.1))
     with pytest.raises(ConfigError):
-        GridFunction(values=np.zeros((1, 4)), spacing=(0.1, 0.1))
+        GridFunction(values=np.zeros((1, 4, 1)), spacing=(0.1, 0.1))
     with pytest.raises(ConfigError):
-        GridFunction(values=np.zeros((4, 4)), spacing=(0.1, 0.0))
+        GridFunction(values=np.zeros((4, 4, 1)), spacing=(0.1, 0.0))
     with pytest.raises(ConfigError):
-        GridFunction(values=np.full((4, 4), np.nan), spacing=(0.1, 0.1))
+        GridFunction(values=np.full((4, 4, 1), np.nan), spacing=(0.1, 0.1))
 
 
 def test_grid_function_properties():
-    gf = GridFunction(values=np.zeros((5, 3, 2)), spacing=(0.25, 0.5))
+    gf = GridFunction(values=np.arange(30.0).reshape(5, 3, 2), spacing=(0.25, 0.5))
     assert (gf.n1, gf.n2) == (5, 3)
     assert gf.cell_area == pytest.approx(0.125)
-    assert gf.extent == pytest.approx((1.0, 1.0))
-    assert gf.components().shape == (5, 3, 2)
-    sc = GridFunction(values=np.zeros((5, 3)), spacing=(0.25, 0.5))
-    assert sc.components().shape == (5, 3, 1)
+    planes = gf.planes()
+    assert planes.shape == (2, 5, 3)
+    assert np.shares_memory(planes, gf.values)
+    assert np.array_equal(planes[1], gf.values[:, :, 1])
 
 
 def test_gradient_magnitude_exact_on_linear_fields():
     gf = linear_field(9, 7, (0.125, 0.2), [(0.75, -0.5)])
-    mag = gradient_magnitude(gf)
-    assert mag.values.shape == (9, 7)
-    assert mag.values == pytest.approx(np.hypot(0.75, 0.5), rel=1e-13)
+    mag = gradient_magnitude(gf.planes(), gf.spacing)
+    assert mag.shape == (9, 7)
+    assert mag == pytest.approx(np.hypot(0.75, 0.5), rel=1e-13)
 
     vec = linear_field(9, 7, (0.125, 0.2), [(1.0, 2.0), (-3.0, 0.25)])
     frob = np.sqrt(1.0 + 4.0 + 9.0 + 0.0625)
-    assert gradient_magnitude(vec).values == pytest.approx(frob, rel=1e-13)
+    assert gradient_magnitude(vec.planes(), vec.spacing) == pytest.approx(frob, rel=1e-13)
 
 
 @pytest.mark.parametrize("ncomp", [1, 2])
 def test_gradient_magnitude_matches_component_axis_sum_bitwise(ncomp):
     u = sample_on_strip(rough_field(5), 64, 64, 1.0)
-    values = u.values[:, :, :ncomp] if ncomp > 1 else u.values[:, :, 0]
-    gf = GridFunction(values=values, spacing=u.spacing)
-    comps = gf.components()
-    d1, d2 = gf.spacing
+    comps = u.values[:, :, :ncomp]
+    d1, d2 = u.spacing
     gx = (comps[1:, :-1] - comps[:-1, :-1]) / d1
     gy = (comps[:-1, 1:] - comps[:-1, :-1]) / d2
     expect = np.pad(np.sqrt(np.sum(gx**2 + gy**2, axis=-1)), ((0, 1), (0, 1)), mode="edge")
-    assert gradient_magnitude(gf).values.tobytes() == expect.tobytes()
+    got = gradient_magnitude(np.moveaxis(comps, -1, 0), u.spacing)
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_dirichlet_energy_and_sup_on_linear_field():
@@ -102,12 +106,12 @@ def test_dirichlet_energy_and_sup_on_linear_field():
 @settings(max_examples=25, deadline=None)
 @given(shift=st.floats(-5.0, 5.0), scale=st.floats(0.1, 4.0))
 def test_gradient_shift_and_scale_invariance(shift, scale):
-    base = random_scalar(8, 6, (0.2, 0.3), seed=5)
-    ref = gradient_magnitude(base).values
-    shifted = GridFunction(values=base.values + shift, spacing=base.spacing)
-    assert gradient_magnitude(shifted).values == pytest.approx(ref, rel=1e-9, abs=1e-9)
-    scaled = GridFunction(values=scale * base.values, spacing=base.spacing)
-    assert gradient_magnitude(scaled).values == pytest.approx(scale * ref, rel=1e-12)
+    base = random_scalar(8, 6, seed=5)[None]
+    spacing = (0.2, 0.3)
+    ref = gradient_magnitude(base, spacing)
+    shifted = gradient_magnitude(base + shift, spacing)
+    assert shifted == pytest.approx(ref, rel=1e-9, abs=1e-9)
+    assert gradient_magnitude(scale * base, spacing) == pytest.approx(scale * ref, rel=1e-12)
 
 
 # ---------------------------------------------------- maximal function
@@ -161,12 +165,10 @@ def dense_box_maximal(f, spacing):
 
 
 def test_maximal_function_matches_dense_oracle():
-    gf = random_scalar(9, 7, (0.1, 0.15), seed=3)
-    gf.values = np.abs(gf.values)
-    mf = maximal_function(gf)
-    assert np.all(mf.values >= gf.values)  # smallest box is the node itself
-    expect = dense_box_maximal(gf.values, gf.spacing)
-    assert mf.values == pytest.approx(expect, rel=1e-10, abs=1e-12)
+    f, spacing = np.abs(random_scalar(9, 7, seed=3)), (0.1, 0.15)
+    mf = maximal_function(f, spacing)
+    assert np.all(mf >= f)  # smallest box is the node itself
+    assert mf == pytest.approx(dense_box_maximal(f, spacing), rel=1e-10, abs=1e-12)
 
 
 def test_maximal_function_matches_dense_oracle_at_padding_edge():
@@ -174,19 +176,16 @@ def test_maximal_function_matches_dense_oracle_at_padding_edge():
     # that starts at the first node, and the largest boxes clip to m = n - 1
     # on both axes, so their windows run from the padding to the far edge
     n1, n2, spacing = 14, 13, (0.07, 0.11)
-    gf = random_scalar(n1, n2, spacing, seed=17)
-    gf.values = np.abs(gf.values)
-    gf.values[0, 0] += 6.0  # a corner spike weighs most on the far side
-    r_max = ladder(gf.values, spacing)[-1]
+    f = np.abs(random_scalar(n1, n2, seed=17))
+    f[0, 0] += 6.0  # a corner spike weighs most on the far side
+    r_max = ladder(f, spacing)[-1]
     assert r_max / spacing[0] > n1 and r_max / spacing[1] > n2
-    mf = maximal_function(gf)
-    expect = dense_box_maximal(gf.values, gf.spacing)
-    assert mf.values == pytest.approx(expect, rel=1e-10, abs=1e-12)
+    mf = maximal_function(f, spacing)
+    assert mf == pytest.approx(dense_box_maximal(f, spacing), rel=1e-10, abs=1e-12)
 
 
 def test_maximal_function_constant_is_fixed_point():
-    gf = GridFunction(values=np.full((12, 6), 0.7), spacing=(0.05, 0.05))
-    assert maximal_function(gf).values == pytest.approx(0.7, rel=1e-12)
+    assert maximal_function(np.full((12, 6), 0.7), (0.05, 0.05)) == pytest.approx(0.7, rel=1e-12)
 
 
 def test_box_maximal_function_is_comparable_to_the_disc_one():
@@ -214,7 +213,7 @@ def test_box_maximal_function_is_comparable_to_the_disc_one():
                 assert not np.any(inner & ~box) and not np.any(box & ~outer)
                 c = min(c, inner.sum() / box.sum())
                 C = max(C, outer.sum() / box.sum())
-        mf_box = maximal_function(GridFunction(values=f, spacing=spacing)).values
+        mf_box = maximal_function(f, spacing)
         mf_disc = dense_maximal(f, spacing)
         ratio = mf_box / mf_disc
         assert np.all(ratio >= c * (1 - 1e-12)), seed
@@ -224,40 +223,28 @@ def test_box_maximal_function_is_comparable_to_the_disc_one():
     assert lo < 1.0 < hi  # the two functions do differ
 
 
-def test_maximal_function_validation():
-    with pytest.raises(ConfigError):
-        maximal_function(GridFunction(values=np.zeros((4, 4, 2)), spacing=(0.1, 0.1)))
-    with pytest.raises(ConfigError):
-        maximal_function(GridFunction(values=np.full((4, 4), -1.0), spacing=(0.1, 0.1)))
-
-
 # ------------------------------------------------------ level selection
 
 
 def test_select_lambda_matches_argmin_oracle():
-    gf = random_scalar(20, 14, (0.05, 0.07), seed=9, scale=3.0)
-    gf.values = np.abs(gf.values) + 0.1
+    f = np.abs(random_scalar(20, 14, seed=9, scale=3.0)) + 0.1
+    cell_area = 0.05 * 0.07
     a, A = 0.2, 8.0
     cand = np.geomspace(a, A, 64)
-    g = np.array([t**2 * np.sum(gf.values > t) * gf.cell_area for t in cand])
+    g = np.array([t**2 * np.sum(f > t) * cell_area for t in cand])
     expect = cand[np.argmin(g)]
-    lam, mask = select_lambda(gf, a, A)
+    lam, mask = select_lambda(f, cell_area, a, A)
     assert lam == expect
-    assert np.array_equal(mask, gf.values > lam)
-
-
-def test_select_lambda_validation():
-    with pytest.raises(ConfigError):
-        select_lambda(GridFunction(values=np.zeros((4, 4, 2)), spacing=(0.1, 0.1)), 1.0, 2.0)
+    assert np.array_equal(mask, f > lam)
 
 
 # ------------------------------------------------------- McShane fill
 
 
 def dense_mcshane(u, good, t, spacing):
-    """Windowed steepness constant and per-node upper extension, by loops."""
+    """Windowed steepness constant and per-node upper extension of (ncomp, n1, n2) planes, by loops."""
     d1, d2 = spacing
-    n1, n2, ncomp = u.shape
+    ncomp, n1, n2 = u.shape
     kappa = t
     for i in range(n1):
         for j in range(n2):
@@ -272,7 +259,7 @@ def dense_mcshane(u, good, t, spacing):
                         continue
                     dist = np.hypot(di * d1, dj * d2)
                     for c in range(ncomp):
-                        kappa = max(kappa, abs(u[i, j, c] - u[i2, j2, c]) / dist)
+                        kappa = max(kappa, abs(u[c, i, j] - u[c, i2, j2]) / dist)
     v = u.copy()
     gi, gj = np.nonzero(good)
     for i in range(n1):
@@ -281,8 +268,13 @@ def dense_mcshane(u, good, t, spacing):
                 continue
             dist = np.hypot((i - gi) * d1, (j - gj) * d2)
             for c in range(ncomp):
-                v[i, j, c] = np.min(u[gi, gj, c] + kappa * dist)
+                v[c, i, j] = np.min(u[c, gi, gj] + kappa * dist)
     return v, kappa
+
+
+def box_mf(gf):
+    """Box maximal function of |grad u| for a GridFunction u."""
+    return maximal_function(gradient_magnitude(gf.planes(), gf.spacing), gf.spacing)
 
 
 def _kappa_bits(u, good, t, spacing):
@@ -295,13 +287,13 @@ def _kappa_bits(u, good, t, spacing):
 def test_good_set_kappa_matches_loop_oracle_bitwise():
     rng = np.random.default_rng(12)
     spacing = (0.07, 0.045)
-    vec = rng.standard_normal((14, 11, 2))
+    vec = np.moveaxis(rng.standard_normal((14, 11, 2)), -1, 0)
     good = rng.random((14, 11)) > 0.3
     t = 0.5
     got, expect = _kappa_bits(vec, good, t, spacing)
     assert got == expect
     assert np.frombuffer(got)[0] > t
-    scalar = vec[:, :, :1]
+    scalar = vec[:1]
     got, expect = _kappa_bits(scalar, good, t, spacing)
     assert got == expect
     assert np.frombuffer(got)[0] > t
@@ -309,7 +301,7 @@ def test_good_set_kappa_matches_loop_oracle_bitwise():
 
 def test_good_set_kappa_without_pairs_is_the_level():
     # good nodes further apart than the window on both axes: no pair to test
-    u = np.random.default_rng(3).standard_normal((12, 12, 2))
+    u = np.random.default_rng(3).standard_normal((2, 12, 12))
     good = np.zeros((12, 12), dtype=bool)
     good[::KAPPA_WINDOW + 1, ::KAPPA_WINDOW + 1] = True
     t = 0.25
@@ -320,7 +312,7 @@ def test_good_set_kappa_without_pairs_is_the_level():
 @pytest.mark.parametrize("shape", [(3, 3), (2, 5), (5, 3)], ids=lambda s: f"{s[0]}x{s[1]}")
 def test_good_set_kappa_on_grids_smaller_than_the_window(shape):
     rng = np.random.default_rng(sum(shape))
-    u = 10.0 * rng.standard_normal(shape + (2,))
+    u = 10.0 * rng.standard_normal((2,) + shape)
     good = np.ones(shape, dtype=bool)
     good[0, 0] = False
     got, expect = _kappa_bits(u, good, 0.1, (0.2, 0.3))
@@ -329,140 +321,123 @@ def test_good_set_kappa_on_grids_smaller_than_the_window(shape):
 
 
 def test_lipschitz_truncate_matches_loop_oracle():
-    u = random_scalar(12, 10, (0.09, 0.11), seed=4, scale=0.4)
-    u.values[5, 4] += 3.0  # one spike forces a small bad set
-    u.values[8, 7] -= 2.0
-    mf = maximal_function(gradient_magnitude(u))
-    t = float(np.quantile(mf.values, 0.8))
-    good = ~(mf.values > t)
+    f = random_scalar(12, 10, seed=4, scale=0.4)
+    f[5, 4] += 3.0  # one spike forces a small bad set
+    f[8, 7] -= 2.0
+    u = one_component(f, (0.09, 0.11))
+    mf = box_mf(u)
+    t = float(np.quantile(mf, 0.8))
+    good = ~(mf > t)
     assert good.any() and not good.all()
-    expect, _ = dense_mcshane(u.components(), good, t, u.spacing)
-    comps = u.components()
-    kappa = _good_set_kappa(comps, good, t, u.spacing)
-    v = _mcshane(comps, good, kappa, u.spacing, np.ones_like(good))
-    v = GridFunction(values=v.reshape(u.values.shape), spacing=u.spacing)
-    np.testing.assert_allclose(v.values, expect[:, :, 0], rtol=1e-13, atol=1e-13)
-    assert np.array_equal(v.values[good], u.values[good])
+    planes = u.planes()
+    expect, _ = dense_mcshane(planes, good, t, u.spacing)
+    kappa = _good_set_kappa(planes, good, t, u.spacing)
+    v = _mcshane(planes, good, kappa, u.spacing, np.ones_like(good))
+    np.testing.assert_allclose(v, expect, rtol=1e-13, atol=1e-13)
+    assert np.array_equal(v[0][good], f[good])
 
 
 def test_lipschitz_truncate_vector_components_fill_independently():
-    u = GridFunction(
-        values=np.stack(
-            [random_scalar(10, 8, (0.1, 0.1), seed=6, scale=0.3).values,
-             random_scalar(10, 8, (0.1, 0.1), seed=7, scale=0.3).values],
-            axis=-1,
-        ),
-        spacing=(0.1, 0.1),
-    )
-    u.values[4, 4, 0] += 2.5
-    mf = maximal_function(gradient_magnitude(u))
-    t = float(np.quantile(mf.values, 0.85))
-    good = ~(mf.values > t)
+    values = np.stack([random_scalar(10, 8, seed=6, scale=0.3),
+                       random_scalar(10, 8, seed=7, scale=0.3)], axis=-1)
+    values[4, 4, 0] += 2.5
+    u = GridFunction(values=values, spacing=(0.1, 0.1))
+    mf = box_mf(u)
+    t = float(np.quantile(mf, 0.85))
+    good = ~(mf > t)
     assert good.any() and not good.all()
-    expect, _ = dense_mcshane(u.components(), good, t, u.spacing)
-    comps = u.components()
-    kappa = _good_set_kappa(comps, good, t, u.spacing)
-    v = _mcshane(comps, good, kappa, u.spacing, np.ones_like(good))
-    v = GridFunction(values=v.reshape(u.values.shape), spacing=u.spacing)
-    np.testing.assert_allclose(v.values, expect, rtol=1e-13, atol=1e-13)
+    planes = u.planes()
+    expect, _ = dense_mcshane(planes, good, t, u.spacing)
+    kappa = _good_set_kappa(planes, good, t, u.spacing)
+    v = _mcshane(planes, good, kappa, u.spacing, np.ones_like(good))
+    np.testing.assert_allclose(v, expect, rtol=1e-13, atol=1e-13)
 
 
-def test_mcshane_tiles_match_unpruned_minimum_bitwise():
-    u = sample_on_strip(rough_field(3), 96, 96, 1.0)
-    comps = u.components()
-    mf = maximal_function(gradient_magnitude(u))
-    good = ~(mf.values > float(np.quantile(mf.values, 0.7)))
-    kappa = 5.0
-    fill = np.zeros_like(good)
-    fill[:, 30:50] = True
-    d1, d2 = u.spacing
-    xs = np.arange(u.n1) * d1
-    ys = np.arange(u.n2) * d2
-    gi, gj = np.nonzero(good)
-    for restrict in (np.ones_like(good), fill):
-        bad = restrict & ~good
-        expect = comps.copy()
-        for i, j in zip(*np.nonzero(bad)):
-            dist = np.hypot(xs[i] - xs[gi], ys[j] - ys[gj])
-            expect[i, j] = np.min(comps[gi, gj] + kappa * dist[:, None], axis=0)
-        v = _mcshane(comps, good, kappa, u.spacing, fill=restrict)
-        assert np.array_equal(v, expect)
-
-
-def unpruned_mcshane(comps, good, kappa, spacing, fill=None):
-    """Upper McShane extension with every good node in every minimum."""
+def unpruned_mcshane(planes, good, kappa, spacing, fill=None):
+    """Upper McShane extension of (ncomp, n1, n2) planes with every good node in every minimum."""
     d1, d2 = spacing
     n1, n2 = good.shape
     xs = np.arange(n1) * d1
     ys = np.arange(n2) * d2
     gi, gj = np.nonzero(good)
     bad = ~good if fill is None else fill & ~good
-    expect = comps.copy()
+    expect = planes.copy()
     for i, j in zip(*np.nonzero(bad)):
         dist = np.hypot(xs[i] - xs[gi], ys[j] - ys[gj])
-        expect[i, j] = np.min(comps[gi, gj] + kappa * dist[:, None], axis=0)
+        expect[:, i, j] = np.min(planes[:, gi, gj] + kappa * dist, axis=1)
     return expect
+
+
+def test_mcshane_tiles_match_unpruned_minimum_bitwise():
+    u = sample_on_strip(rough_field(3), 96, 96, 1.0)
+    mf = box_mf(u)
+    good = ~(mf > float(np.quantile(mf, 0.7)))
+    kappa = 5.0
+    fill = np.zeros_like(good)
+    fill[:, 30:50] = True
+    for restrict in (np.ones_like(good), fill):
+        v = _mcshane(u.planes(), good, kappa, u.spacing, fill=restrict)
+        assert np.array_equal(v, unpruned_mcshane(u.planes(), good, kappa, u.spacing, restrict))
 
 
 def test_mcshane_window_covers_grid_when_kappa_is_small():
     # kappa * diameter is far below the spread of u: every filled node takes
     # the smallest good value, wherever it sits
     u = sample_on_strip(rough_field(5), 40, 40, 1.0)
-    comps = u.components()
-    mf = maximal_function(gradient_magnitude(u))
-    good = ~(mf.values > float(np.quantile(mf.values, 0.5)))
+    planes = u.planes()
+    mf = box_mf(u)
+    good = ~(mf > float(np.quantile(mf, 0.5)))
     for kappa in (1e-6, 1e-3):
-        v = _mcshane(comps, good, kappa, u.spacing, np.ones_like(good))
-        assert np.array_equal(v, unpruned_mcshane(comps, good, kappa, u.spacing))
+        v = _mcshane(planes, good, kappa, u.spacing, np.ones_like(good))
+        assert np.array_equal(v, unpruned_mcshane(planes, good, kappa, u.spacing))
     # constant good values with kappa * distance below their roundoff: only
     # the slack keeps the window from shrinking to one cell around the tile
-    flat = np.where(good[:, :, None], 1.0, comps)
+    flat = np.where(good, 1.0, planes)
     v = _mcshane(flat, good, 1e-20, u.spacing, np.ones_like(good))
     assert np.array_equal(v, unpruned_mcshane(flat, good, 1e-20, u.spacing))
 
 
 def test_mcshane_window_grows_across_a_wide_bad_block():
     u = sample_on_strip(rough_field(8), 48, 48, 1.0)
-    comps = u.components()
-    good = np.ones(comps.shape[:2], dtype=bool)
+    good = np.ones((u.n1, u.n2), dtype=bool)
     good[10:36, 6:40] = False  # tiles in the middle see no good node nearby
     good[20, 22] = True  # and one lone good node inside
     for kappa in (0.5, 5.0, 50.0):
-        v = _mcshane(comps, good, kappa, u.spacing, np.ones_like(good))
-        assert np.array_equal(v, unpruned_mcshane(comps, good, kappa, u.spacing))
+        v = _mcshane(u.planes(), good, kappa, u.spacing, np.ones_like(good))
+        assert np.array_equal(v, unpruned_mcshane(u.planes(), good, kappa, u.spacing))
 
 
 def test_mcshane_single_good_node():
     n1, n2 = 30, 21
     spacing = (0.1, 0.3)
-    comps = random_scalar(n1, n2, spacing, seed=23).components()
+    planes = random_scalar(n1, n2, seed=23)[None]
     for node in ((0, 0), (17, 9), (29, 20)):
         good = np.zeros((n1, n2), dtype=bool)
         good[node] = True
         for kappa in (0.7, 30.0):
-            v = _mcshane(comps, good, kappa, spacing, np.ones_like(good))
-            assert np.array_equal(v, unpruned_mcshane(comps, good, kappa, spacing))
+            v = _mcshane(planes, good, kappa, spacing, np.ones_like(good))
+            assert np.array_equal(v, unpruned_mcshane(planes, good, kappa, spacing))
 
 
 @pytest.mark.parametrize("ncomp", [1, 2])
 def test_mcshane_and_kappa_bytes_do_not_depend_on_layout(ncomp):
-    # an interleaved (n1, n2, ncomp) array and a view of (ncomp, n1, n2)
-    # planes holding the same values give the same bytes
+    # planes viewed from interleaved (n1, n2, ncomp) storage and contiguous
+    # (ncomp, n1, n2) planes holding the same values give the same bytes
     u = sample_on_strip(rough_field(9), 40, 40, 1.0)
-    mf = maximal_function(gradient_magnitude(u))
-    good = ~(mf.values > float(np.quantile(mf.values, 0.7)))
-    interleaved = np.ascontiguousarray(u.components()[:, :, :ncomp])
-    planed = np.moveaxis(np.ascontiguousarray(np.moveaxis(interleaved, -1, 0)), 0, -1)
-    assert np.moveaxis(planed, -1, 0).flags.c_contiguous
-    kappas = [_good_set_kappa(x, good, 0.5, u.spacing) for x in (interleaved, planed)]
+    mf = box_mf(u)
+    good = ~(mf > float(np.quantile(mf, 0.7)))
+    strided = np.moveaxis(np.ascontiguousarray(u.values[:, :, :ncomp]), -1, 0)
+    planed = np.ascontiguousarray(strided)
+    assert planed.flags.c_contiguous and strided.flags.c_contiguous == (ncomp == 1)
+    kappas = [_good_set_kappa(x, good, 0.5, u.spacing) for x in (strided, planed)]
     assert np.float64(kappas[0]).tobytes() == np.float64(kappas[1]).tobytes()
     fill = np.zeros_like(good)
     fill[:, 12:20] = True
     for restrict in (np.ones_like(good), fill):
-        v_int, v_pl = (_mcshane(x, good, kappas[0], u.spacing, fill=restrict)
-                       for x in (interleaved, planed))
-        assert v_int.shape == v_pl.shape == interleaved.shape
-        assert v_int.tobytes() == v_pl.tobytes()
+        v_str, v_pl = (_mcshane(x, good, kappas[0], u.spacing, fill=restrict)
+                       for x in (strided, planed))
+        assert v_str.shape == v_pl.shape == planed.shape
+        assert v_str.tobytes() == v_pl.tobytes()
 
 
 # ----------------------------------------------------------- reflection
@@ -474,40 +449,41 @@ def tent_row(J, K, m):
 
 
 def test_reflect_to_square_row_map_matches_tent_oracle():
-    scalar = random_scalar(7, 5, (0.2, 1.0 / 16.0), seed=12)
+    spacing = (0.2, 1.0 / 16.0)
+    scalar = one_component(random_scalar(7, 5, seed=12), spacing)
     vector = GridFunction(values=np.random.default_rng(12).standard_normal((7, 5, 2)),
-                          spacing=scalar.spacing)
-    K = round(1.0 / scalar.spacing[1])
+                          spacing=spacing)
+    K = round(1.0 / spacing[1])
     m = scalar.n2 - 1
     for u in (scalar, vector):
         ext = reflect_to_square(u)
-        assert ext.values.shape == (7, K + 1) + u.values.shape[2:]
+        # the square is contiguous (ncomp, n1, K + 1) component planes
+        assert ext.shape == (u.values.shape[2], 7, K + 1)
+        assert ext.flags.c_contiguous
         for J in range(K + 1):
-            assert np.array_equal(ext.values[:, J], u.values[:, tent_row(J, K, m)])
-    # a vector field's square is a view of contiguous component planes
-    assert np.moveaxis(ext.values, -1, 0).flags.c_contiguous
+            assert np.array_equal(ext[:, :, J], u.planes()[:, :, tent_row(J, K, m)])
 
 
 def test_reflect_to_square_every_strip_recovers_the_field():
-    u = random_scalar(6, 5, (0.25, 1.0 / 32.0), seed=13)
+    u = one_component(random_scalar(6, 5, seed=13), (0.25, 1.0 / 32.0))
     ext = reflect_to_square(u)
-    K, m = ext.n2 - 1, u.n2 - 1
+    K, m = ext.shape[2] - 1, u.n2 - 1
     n_side = (K - m) // (2 * m)
     assert n_side >= 1
     for i0 in range(-n_side, n_side + 1):
         rows = _strip_slice(i0, K, m)
-        assert np.array_equal(ext.values[:, rows], u.values)
+        assert np.array_equal(ext[:, :, rows], u.planes())
 
 
 def test_reflect_to_square_validation():
     with pytest.raises(ConfigError, match="even count"):
-        reflect_to_square(GridFunction(values=np.zeros((4, 3)), spacing=(0.1, 0.2)))
+        reflect_to_square(GridFunction(values=np.zeros((4, 3, 1)), spacing=(0.1, 0.2)))
     with pytest.raises(ConfigError, match="even count"):
-        reflect_to_square(GridFunction(values=np.zeros((4, 3)), spacing=(0.1, 0.15)))
+        reflect_to_square(GridFunction(values=np.zeros((4, 3, 1)), spacing=(0.1, 0.15)))
     with pytest.raises(ConfigError, match="even number of cells"):
-        reflect_to_square(GridFunction(values=np.zeros((4, 4)), spacing=(0.1, 0.125)))
+        reflect_to_square(GridFunction(values=np.zeros((4, 4, 1)), spacing=(0.1, 0.125)))
     with pytest.raises(ConfigError, match="too thick"):
-        reflect_to_square(GridFunction(values=np.zeros((4, 3)), spacing=(0.1, 0.25)))
+        reflect_to_square(GridFunction(values=np.zeros((4, 3, 1)), spacing=(0.1, 0.25)))
 
 
 # ------------------------------------------------------- thin truncation
@@ -549,9 +525,9 @@ def test_thin_truncate_changes_only_bad_nodes_of_the_selected_strip(n1, n2):
     u = sample_on_strip(rough_field(0), n1, n2, 0.125)
     res = thin_truncate(u, a, A)
     ext = reflect_to_square(u)
-    mf = maximal_function(gradient_magnitude(ext))
-    rows = _strip_slice(res.strip_index, ext.n2 - 1, u.n2 - 1)
-    strip_bad = mf.values[:, rows] > res.level
+    mf = maximal_function(gradient_magnitude(ext, u.spacing), u.spacing)
+    rows = _strip_slice(res.strip_index, ext.shape[2] - 1, u.n2 - 1)
+    strip_bad = mf[:, rows] > res.level
     assert res.bad_mask.any()
     assert not np.any(res.bad_mask & ~strip_bad)
 
@@ -590,13 +566,38 @@ def test_thin_truncate_fill_matches_unpruned_oracle_on_the_square(seed, n1, n2):
     u = sample_on_strip(rough_field(seed), n1, n2, 0.125)
     res = thin_truncate(u, 14.0, 28.0)
     ext = reflect_to_square(u)
-    bad = maximal_function(gradient_magnitude(ext)).values > res.level
-    rows = _strip_slice(res.strip_index, ext.n2 - 1, u.n2 - 1)
+    bad = maximal_function(gradient_magnitude(ext, u.spacing), u.spacing) > res.level
+    rows = _strip_slice(res.strip_index, ext.shape[2] - 1, u.n2 - 1)
     fill = np.zeros_like(bad)
     fill[:, rows] = True
     assert (fill & bad).any()
-    expect = unpruned_mcshane(ext.components(), ~bad, res.kappa, ext.spacing, fill=fill)
-    assert res.v.values.tobytes() == expect[:, rows].reshape(u.values.shape).tobytes()
+    expect = unpruned_mcshane(ext, ~bad, res.kappa, u.spacing, fill=fill)
+    assert res.v.planes().tobytes() == expect[:, :, rows].tobytes()
+
+
+@pytest.mark.parametrize("ncomp", [1, 2])
+def test_thin_truncate_leaves_the_input_unchanged(ncomp):
+    # with one component u's planes view is already contiguous, so a stage
+    # that wrote in place would write into the caller's field
+    u = sample_on_strip(rough_field(0), 64, 8, 0.125)
+    u = GridFunction(values=np.ascontiguousarray(u.values[:, :, :ncomp]), spacing=u.spacing)
+    before = u.values.copy()
+    res = thin_truncate(u, 14.0, 28.0)
+    assert res.bad_mask.any()
+    assert u.values.tobytes() == before.tobytes()
+    assert not np.shares_memory(res.v.values, u.values)
+
+
+def test_thin_truncate_q_is_infinite_when_u_has_no_energy():
+    # the cell-anchored energy never reads the far corner node, so a field
+    # that moves only there has zero energy and a nonempty mismatch set
+    values = np.zeros((33, 5, 2))
+    values[-1, -1] = 50.0
+    u = GridFunction(values=values, spacing=(1.0 / 32.0, 1.0 / 32.0))
+    assert dirichlet_energy(u) == 0.0
+    res = thin_truncate(u, 14.0, 28.0)
+    assert res.mismatch_area > 0.0
+    assert res.q == float("inf")
 
 
 def test_thin_truncate_low_window_exhausts_good_set():
@@ -629,7 +630,7 @@ def test_rough_field_is_deterministic_and_resolution_independent():
 
 
 def test_sample_on_strip_grid_layout():
-    u = sample_on_strip(lambda x, y, h=1.0: x + y, 8, 4, 0.25)
-    assert u.values.shape == (9, 5)
+    u = sample_on_strip(lambda x, y, h=1.0: np.stack([x + y, x - y], axis=-1), 8, 4, 0.25)
+    assert u.values.shape == (9, 5, 2)
     assert u.spacing == pytest.approx((0.125, 0.0625))
-    assert u.values[3, 2] == pytest.approx(3 * 0.125 + 2 * 0.0625)
+    assert u.values[3, 2] == pytest.approx([3 * 0.125 + 2 * 0.0625, 3 * 0.125 - 2 * 0.0625])
