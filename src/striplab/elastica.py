@@ -10,11 +10,14 @@ whose stationarity condition is the rod equation
     -(E/12) theta'' + gtilde . (-sin theta, cos theta) = 0,
     theta(0) = 0,  theta'(L) = 0,      gtilde(x1) = integral from L to x1 of g.
 
-Two independent routes to a stationary point are provided: a damped Newton
-solve of the finite-difference system (``solve_elastica``) and direct descent
-on the discretized functional (``minimize_J2``).  The descent gradient is, by
-construction, the quadrature-weighted finite-difference residual, so the two
-routes agree at their common fixed points.
+One discrete functional, ``_j2_discrete``, stands for J2 on a uniform grid,
+and two algorithms find its stationary points: damped Newton on its gradient
+with its Hessian (``solve_elastica``) and descent on its value
+(``minimize_J2``).  Newton follows the load ramp from the straight rod and may
+stop at a saddle, such as the straight column past Greenhill's load; descent
+ends at a local minimizer.  Divided by the trapezoid weights, the gradient is
+the finite-difference rod equation: the centered second difference at
+interior nodes and a one-sided one at the free end.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .errors import ConfigError, NonConvergence
 from .loads import LoadProfile
 
 ROD_N = 512              # grid intervals of the rod that the CLI solves
-ROD_TOL = 1e-12          # Newton: sup norm of the finite-difference residual
+ROD_TOL = 1e-12          # Newton: sup norm of the gradient over the trapezoid weights
 ROD_MAX_ITERS = 60       # Newton iterations per load ramp
 DESCENT_GTOL = 1e-10     # descent: sup norm of the discrete gradient
 DESCENT_MAX_ITERS = 500  # descent iterations
@@ -76,33 +79,6 @@ def gtilde(g: LoadProfile, L: float, xs: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _ode_residual(theta: np.ndarray, gt: np.ndarray, c: float, dx: float) -> np.ndarray:
-    """Finite-difference rod equation at nodes 1..n (node 0 clamped).
-
-    Interior rows use the centered second difference; the last row uses the
-    ghost-node elimination of theta'(L) = 0.
-    """
-    n = theta.size - 1
-    r = np.empty(n)
-    lap = (theta[:-2] - 2.0 * theta[1:-1] + theta[2:]) / dx**2
-    dirs = np.stack([-np.sin(theta[1:]), np.cos(theta[1:])], axis=-1)
-    r[: n - 1] = -c * lap + np.sum(gt[1:-1] * dirs[:-1], axis=-1)
-    r[n - 1] = -c * 2.0 * (theta[n - 1] - theta[n]) / dx**2 + np.sum(gt[n] * dirs[-1])
-    return r
-
-
-def _ode_jacobian(theta: np.ndarray, gt: np.ndarray, c: float, dx: float) -> np.ndarray:
-    """Tridiagonal Jacobian as the (3, n) band, offsets 1..-1, that ``newton_step`` takes."""
-    n = theta.size - 1
-    ab = np.zeros((3, n))
-    diag_load = -gt[1:, 0] * np.cos(theta[1:]) - gt[1:, 1] * np.sin(theta[1:])
-    ab[1, :] = 2.0 * c / dx**2 + diag_load
-    ab[0, 1:] = -c / dx**2          # superdiagonal (columns 2..n)
-    ab[2, :-1] = -c / dx**2         # subdiagonal
-    ab[2, n - 2] = -2.0 * c / dx**2  # ghost elimination doubles the last coupling
-    return ab
-
-
 def J2_eval(sol: ElasticaSolution, g: LoadProfile) -> float:
     """Composite trapezoid value of the limit functional from sol.kappa."""
     integrand = (sol.modulus / 24.0) * sol.kappa**2 - np.sum(g(sol.x) * sol.ybar, axis=-1)
@@ -128,32 +104,41 @@ def _finish(x, theta, modulus, g, iterations) -> ElasticaSolution:
 
 
 def _rod_setup(modulus: float, g: LoadProfile, L: float, n: int):
-    """Checked inputs of both rod routes: nodes x, spacing dx, c = E/12, gtilde at x."""
+    """Checked inputs of both rod routes: nodes x, spacing dx, c = E/12,
+    gtilde at x and the trapezoid weights wq."""
     if not (modulus > 0.0 and L > 0.0):
         raise ConfigError(f"need modulus > 0 and L > 0, got {modulus!r}, {L!r}")
     if n < 8:
         raise ConfigError(f"elastica grid needs n >= 8, got {n}")
     x = np.linspace(0.0, L, n + 1)
-    return x, L / n, modulus / 12.0, gtilde(g, L, x)
+    dx = L / n
+    wq = np.full(n + 1, dx)
+    wq[0] = wq[-1] = 0.5 * dx
+    return x, dx, modulus / 12.0, gtilde(g, L, x), wq
 
 
 def solve_elastica(modulus: float, g: LoadProfile, L: float, n: int) -> ElasticaSolution:
-    """Damped Newton on the finite-difference rod equation.
+    """Damped Newton on the gradient of ``_j2_discrete``.
 
-    Load ramping engages when the dimensionless stiffness 12 |gtilde| L^2 / E
-    exceeds 5.  Raises NonConvergence if Newton stalls.
+    Each step solves H delta = -grad with H = ``_j2_hessian``; the iteration
+    stops on grad / wq, the rod equation's residual.  Load ramping engages
+    when the dimensionless stiffness 12 |gtilde| L^2 / E exceeds 5.  Raises
+    NonConvergence if Newton stalls.
     """
-    x, dx, c, gtv = _rod_setup(modulus, g, L, n)
+    x, dx, c, gtv, wq = _rod_setup(modulus, g, L, n)
     strength = 12.0 * float(np.max(np.abs(gtv))) * L**2 / modulus
     ramps = 1 if strength <= 5.0 else int(np.ceil(strength / 5.0))
+
+    def gradient(theta, gt):  # and the sup norm of the residual grad / wq
+        grad = _j2_discrete(theta, gt, c, dx, wq)[1]
+        return grad, float(np.max(np.abs(grad / wq[1:])))
 
     theta = np.zeros(n + 1)
     total_it = 0
     eps = np.finfo(float).eps
     for k in range(1, ramps + 1):
         gt = (k / ramps) * gtv
-        r = _ode_residual(theta, gt, c, dx)
-        rn = float(np.max(np.abs(r)))
+        grad, rn = gradient(theta, gt)
         it = 0
         while rn > ROD_TOL:
             # the second difference amplifies roundoff by c/dx^2; stop once
@@ -163,20 +148,18 @@ def solve_elastica(modulus: float, g: LoadProfile, L: float, n: int) -> Elastica
                 break
             if it >= ROD_MAX_ITERS:
                 raise NonConvergence("rod Newton iteration cap reached", rn)
-            delta = newton_step(_ode_jacobian(theta, gt, c, dx), r)
+            delta = newton_step(_j2_hessian(theta, gt, c, dx, wq), grad)
             alpha = 1.0
             for _ in range(41):  # alpha = 1, 1/2, ..., 2**-40 < 1e-12
                 trial = theta.copy()
                 trial[1:] += alpha * delta
-                rt = _ode_residual(trial, gt, c, dx)
-                if float(np.max(np.abs(rt))) <= (1.0 - 1e-4 * alpha) * rn:
+                tgrad, trn = gradient(trial, gt)
+                if trn <= (1.0 - 1e-4 * alpha) * rn:
                     break
                 alpha *= 0.5
             else:
                 raise NonConvergence("rod line search stalled", rn)
-            theta = trial
-            r = rt
-            rn = float(np.max(np.abs(r)))
+            theta, grad, rn = trial, tgrad, trn
             it += 1
         total_it += it
     return _finish(x, theta, modulus, g, total_it)
@@ -199,26 +182,36 @@ def _j2_discrete(theta, gtv, c, dx, wq):
     return val, grad[1:]  # theta(0) is constrained
 
 
+def _j2_hessian(theta, gtv, c, dx, wq):
+    """Hessian of ``_j2_discrete`` on the free nodes 1..n.
+
+    The constant bending band plus the load diagonal, as the (3, n) band,
+    offsets 1..-1, that ``newton_step`` takes; at zero load it is positive
+    definite.
+    """
+    n = theta.size - 1
+    ab = np.zeros((3, n))
+    ab[0, 1:] = ab[2, :-1] = -c / dx
+    ab[1, :] = 2.0 * c / dx
+    ab[1, n - 1] = c / dx
+    ab[1] -= wq[1:] * (gtv[1:, 0] * np.cos(theta[1:]) + gtv[1:, 1] * np.sin(theta[1:]))
+    return ab
+
+
 def minimize_J2(modulus: float, g: LoadProfile, L: float, n: int) -> ElasticaSolution:
     """Direct descent on the discretized limit functional.
 
-    Descent direction is the gradient preconditioned by the (constant,
-    positive definite) bending block, with Armijo backtracking on the
-    functional value; independent of the Newton route in ``solve_elastica``.
+    Descent direction is the gradient of ``_j2_discrete`` preconditioned by
+    its Hessian at zero load, the bending band, with Armijo backtracking on
+    the functional value; it ends at a local minimizer of the functional
+    whose stationary points ``solve_elastica`` finds by Newton.
     """
-    x, dx, c, gtv = _rod_setup(modulus, g, L, n)
-    wq = np.full(n + 1, dx)
-    wq[0] = wq[-1] = 0.5 * dx
-
-    # bending Hessian on the free nodes 1..n (SPD tridiagonal), (3, n) band
-    ab = np.zeros((3, n))
-    ab[1, :] = 2.0 * c / dx
-    ab[1, n - 1] = c / dx
-    ab[0, 1:] = ab[2, :-1] = -c / dx
+    x, dx, c, gtv, wq = _rod_setup(modulus, g, L, n)
     theta = np.zeros(n + 1)
+    ab = _j2_hessian(theta, np.zeros_like(gtv), c, dx, wq)
     val, grad = _j2_discrete(theta, gtv, c, dx, wq)
     for it in range(DESCENT_MAX_ITERS):
-        gsup = float(np.max(np.abs(grad))) if grad.size else 0.0
+        gsup = float(np.max(np.abs(grad)))
         if gsup <= DESCENT_GTOL:
             return _finish(x, theta, modulus, g, it)
         d = newton_step(ab, grad)

@@ -1,4 +1,4 @@
-"""Rod boundary-value problem: two independent routes and their oracles."""
+"""Rod boundary-value problem: one discrete functional, Newton and descent on it, and their oracles."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,12 @@ from scipy.sparse import dia_matrix
 
 from striplab.algebra import newton_step
 from striplab.elastica import (
+    DESCENT_GTOL,
+    ROD_TOL,
     J2_eval,
     _j2_discrete,
-    _ode_jacobian,
-    _ode_residual,
+    _j2_hessian,
+    _rod_setup,
     gtilde,
     minimize_J2,
     solve_elastica,
@@ -78,7 +80,7 @@ def test_tip_angle_matches_linearized_solution():
 
 
 def test_discrete_natural_boundary_condition_is_exact():
-    # ghost-node elimination with gtilde(L) = 0 forces theta[n] == theta[n-1]
+    # with gtilde(L) = 0 the last row of grad J2_h is (c/dx)(theta[n] - theta[n-1])
     sol = solve_elastica(1.0, G_SMALL, 1.0, n=256)
     assert sol.theta[-1] == sol.theta[-2]
 
@@ -103,14 +105,13 @@ def assert_steps_agree(K, got, expect):
 
 @pytest.mark.parametrize("n", [256, 512])
 def test_rod_newton_step_matches_solve_banded(n):
-    # gbsv on the rod's tridiagonal Jacobian against scipy's gtsv route, at a
-    # bent state halfway to the solution, where the residual is not roundoff
+    # gbsv on the rod's tridiagonal Hessian against scipy's gtsv route, at a
+    # bent state halfway to the solution, where the gradient is not roundoff
     g = LoadProfile.constant(0.0, -0.3)
-    x = np.linspace(0.0, 1.0, n + 1)
+    _, dx, c, gtv, wq = _rod_setup(1.0, g, 1.0, n)
     theta = 0.5 * solve_elastica(1.0, g, 1.0, n=n).theta
-    gt, c, dx = gtilde(g, 1.0, x), 1.0 / 12.0, 1.0 / n
-    ab, r = _ode_jacobian(theta, gt, c, dx), _ode_residual(theta, gt, c, dx)
-    assert_steps_agree(ab, newton_step(ab, r), solve_banded((1, 1), ab, -r))
+    H, grad = _j2_hessian(theta, gtv, c, dx, wq), _j2_discrete(theta, gtv, c, dx, wq)[1]
+    assert_steps_agree(H, newton_step(H, grad), solve_banded((1, 1), H, -grad))
 
 
 def test_descent_step_matches_solveh_banded(monkeypatch):
@@ -132,12 +133,7 @@ def test_descent_step_matches_solveh_banded(monkeypatch):
 
 def test_j2_gradient_matches_fd():
     n = 128
-    x = np.linspace(0.0, 1.0, n + 1)
-    dx = 1.0 / n
-    c = 1.0 / 12.0
-    wq = np.full(n + 1, dx)
-    wq[0] = wq[-1] = 0.5 * dx
-    gtv = gtilde(G_SMALL, 1.0, xs=x)
+    _, dx, c, gtv, wq = _rod_setup(1.0, G_SMALL, 1.0, n)
     rng = np.random.default_rng(7)
     theta = 0.1 * rng.standard_normal(n + 1)
     theta[0] = 0.0
@@ -149,6 +145,35 @@ def test_j2_gradient_matches_fd():
         tm[i] -= eps
         fd = (_j2_discrete(tp, gtv, c, dx, wq)[0] - _j2_discrete(tm, gtv, c, dx, wq)[0]) / (2 * eps)
         assert grad[i - 1] == pytest.approx(fd, rel=1e-6, abs=1e-12)
+
+
+def test_heavy_column_newton_saddle_and_descent_minimizer():
+    # past Greenhill's load Newton from the straight rod stays on the straight
+    # branch, a saddle of J2_h with one unstable direction; descent on the
+    # same functional reaches the buckled minimizer, lower in J2
+    g = LoadProfile.constant(-1.0, -1e-3)
+    n = 256
+    _, dx, c, gtv, wq = _rod_setup(1.0, g, 1.0, n)
+
+    def stationarity(sol):  # grad J2_h and the eigenvalues of its Hessian
+        grad = _j2_discrete(sol.theta, gtv, c, dx, wq)[1]
+        H = _j2_hessian(sol.theta, gtv, c, dx, wq)
+        return grad, np.linalg.eigvalsh(dia_matrix((H, [1, 0, -1]), shape=(n, n)).toarray())
+
+    straight = solve_elastica(1.0, g, 1.0, n=n)
+    grad, ev = stationarity(straight)
+    assert straight.theta[-1] == pytest.approx(4.1067e-3, rel=1e-4)
+    assert straight.j2 == pytest.approx(0.50000054, rel=1e-8)
+    assert np.max(np.abs(grad / wq[1:])) <= ROD_TOL
+    assert np.sum(ev < 0.0) == 1
+    assert ev[0] == pytest.approx(-4.647e-4, rel=1e-3)
+
+    buckled = minimize_J2(1.0, g, 1.0, n=n)
+    grad, ev = stationarity(buckled)
+    assert buckled.j2 == pytest.approx(0.439871, rel=1e-6)
+    np.testing.assert_allclose(buckled.ybar[-1], [0.1619, -0.8496], atol=1e-4)
+    assert np.max(np.abs(grad)) <= DESCENT_GTOL
+    assert ev[0] == pytest.approx(7.789e-4, rel=1e-3)
 
 
 def test_nonlinear_correction_is_superquadratic_in_load():
