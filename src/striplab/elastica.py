@@ -17,7 +17,8 @@ with its Hessian (``solve_elastica``) and descent on its value
 stop at a saddle, such as the straight column past Greenhill's load; descent
 ends at a local minimizer.  Divided by the trapezoid weights, the gradient is
 the finite-difference rod equation: the centered second difference at
-interior nodes and a one-sided one at the free end.
+interior nodes and a one-sided one at the free end.  Both routes report as
+``j2`` the value of ``_j2_discrete`` at the angle they return.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class ElasticaSolution:
     theta: np.ndarray    # (n+1,), theta[0] = 0
     kappa: np.ndarray    # (n+1,) bending curvature theta'
     ybar: np.ndarray     # (n+1, 2) reconstructed midline
-    j2: float
+    j2: float            # _j2_discrete at theta
     modulus: float
     iterations: int = 0
 
@@ -79,12 +80,6 @@ def gtilde(g: LoadProfile, L: float, xs: np.ndarray) -> np.ndarray:
     return vals
 
 
-def J2_eval(sol: ElasticaSolution, g: LoadProfile) -> float:
-    """Composite trapezoid value of the limit functional from sol.kappa."""
-    integrand = (sol.modulus / 24.0) * sol.kappa**2 - np.sum(g(sol.x) * sol.ybar, axis=-1)
-    return float(np.trapezoid(integrand, sol.x))
-
-
 def midline(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Trapezoid integral from 0 of the unit tangent (cos theta, sin theta), (n+1, 2)."""
     tang = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
@@ -92,15 +87,13 @@ def midline(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return np.vstack([np.zeros((1, 2)), np.cumsum(seg, axis=0)])
 
 
-def _finish(x, theta, modulus, g, iterations) -> ElasticaSolution:
+def _finish(x, theta, modulus, j2, iterations) -> ElasticaSolution:
     # curvature from centered differences (second-order one-sided at the ends)
     kappa = np.gradient(theta, x, edge_order=2)
-    sol = ElasticaSolution(
-        x=x, theta=theta, kappa=kappa, ybar=midline(x, theta), j2=0.0, modulus=modulus,
+    return ElasticaSolution(
+        x=x, theta=theta, kappa=kappa, ybar=midline(x, theta), j2=float(j2), modulus=modulus,
         iterations=iterations,
     )
-    sol.j2 = J2_eval(sol, g)
-    return sol
 
 
 def _rod_setup(modulus: float, g: LoadProfile, L: float, n: int):
@@ -162,7 +155,7 @@ def solve_elastica(modulus: float, g: LoadProfile, L: float, n: int) -> Elastica
             theta, grad, rn = trial, tgrad, trn
             it += 1
         total_it += it
-    return _finish(x, theta, modulus, g, total_it)
+    return _finish(x, theta, modulus, _j2_discrete(theta, gtv, c, dx, wq)[0], total_it)
 
 
 def _j2_discrete(theta, gtv, c, dx, wq):
@@ -213,7 +206,7 @@ def minimize_J2(modulus: float, g: LoadProfile, L: float, n: int) -> ElasticaSol
     for it in range(DESCENT_MAX_ITERS):
         gsup = float(np.max(np.abs(grad)))
         if gsup <= DESCENT_GTOL:
-            return _finish(x, theta, modulus, g, it)
+            return _finish(x, theta, modulus, val, it)
         d = newton_step(ab, grad)
         slope = float(grad @ d)
         alpha = 1.0

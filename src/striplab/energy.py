@@ -1,10 +1,10 @@
-"""Stored-energy densities for planar deformations and their linearization.
+"""Stored-energy densities for planar deformations and their tension modulus.
 
 Two built-in models:
 
 * ``HalfDistSquared``: half the squared Frobenius distance to SO(2).  The
-  canonical density; its linearization at the identity is the symmetrizer and
-  its effective stretching modulus is exactly 1.
+  canonical density; its second derivative at the identity, D2W(Id), is the
+  symmetrizer and its effective stretching modulus is exactly 1.
 * ``IsotropicQuadratic``: a quadratic in the Green strain with Lame-type
   parameters ``mu`` and ``lam``.  Exercises a nontrivial modulus
   4*mu*(mu+lam)/(2*mu+lam).  Vanishes on reflections, so its quadratic lower
@@ -17,26 +17,27 @@ of ``EnergyDensity`` must implement all three.  ``IsotropicQuadratic``
 defines all three at every F.  ``HalfDistSquared`` defines its value at
 every F, but its derivatives go through the nearest rotation, so they need
 det F > 0 and raise DomainError elsewhere.
+
+``tension_modulus`` inverts D2W(Id), which is ``hessian`` at the identity, on
+the symmetric matrices; ``taylor_remainder`` is how far the stress departs
+from it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import ID2, dist_so2, frob, polar_uv, trace2, trans2
 from .errors import ConfigError
 
-# orthonormal basis of 2x2 matrices: two diagonal directions, the normalized
-# symmetric off-diagonal direction, the normalized skew direction
+# orthonormal basis of the symmetric 2x2 matrices: two diagonal directions and
+# the normalized symmetric off-diagonal direction
 _S = 1.0 / np.sqrt(2.0)
 BASIS = np.array(
     [
         [[1.0, 0.0], [0.0, 0.0]],
         [[0.0, 0.0], [0.0, 1.0]],
         [[0.0, _S], [_S, 0.0]],
-        [[0.0, _S], [-_S, 0.0]],
     ]
 )
 
@@ -141,37 +142,16 @@ class IsotropicQuadratic(EnergyDensity):
         return out
 
 
-@dataclass(frozen=True)
-class Linearization:
-    """Second derivative of W at the identity, as a 4x4 matrix in BASIS.
+def tension_modulus(W: EnergyDensity) -> float:
+    """Effective stretching modulus of W at the identity.
 
-    The first three basis elements span the symmetric matrices; the effective
-    stretching modulus is the reciprocal of the (e1 x e1)-component of the
-    inverse of that symmetric block applied to e1 x e1.
+    The reciprocal of the (e1 x e1)-component of the inverse of D2W(Id),
+    restricted to the symmetric matrices in BASIS, applied to e1 x e1.
     """
-
-    matrix: np.ndarray  # (4, 4)
-    modulus: float
-
-    def apply(self, A: np.ndarray) -> np.ndarray:
-        A = np.asarray(A, dtype=float)
-        coeff = np.tensordot(A, BASIS, axes=([-2, -1], [1, 2]))
-        out_coeff = coeff @ self.matrix.T
-        return np.tensordot(out_coeff, BASIS, axes=([-1], [0]))
-
-
-def linearize(W: EnergyDensity) -> Linearization:
-    """Build the linearization of a density at the identity.
-
-    Uses the density's closed-form ``hessian`` and computes the modulus by
-    inverting the symmetric 3x3 block.
-    """
-    H = W.hessian(ID2)
-    M = np.einsum("pik,ikjl,qjl->pq", BASIS, H, BASIS)
-    Msym = M[:3, :3]
+    M = np.einsum("pik,ikjl,qjl->pq", BASIS, W.hessian(ID2), BASIS)
     b = np.array([1.0, 0.0, 0.0])  # coordinates of e1 x e1
     try:
-        scomp = np.linalg.solve(Msym, b)
+        scomp = np.linalg.solve(M, b)
     except np.linalg.LinAlgError as exc:
         raise ConfigError(
             "linearization is singular on symmetric matrices; no modulus"
@@ -181,11 +161,10 @@ def linearize(W: EnergyDensity) -> Linearization:
         raise ConfigError(
             f"linearization gives nonpositive compliance {einv:.6g}; no modulus"
         )
-    return Linearization(matrix=M, modulus=1.0 / einv)
+    return 1.0 / einv
 
 
-def taylor_remainder(W: EnergyDensity, A: np.ndarray, lin: Linearization) -> np.ndarray:
-    """First-derivative remainder DW(Id + A) - lin[A], lin = linearize(W); o(|A|) at Id."""
+def taylor_remainder(W: EnergyDensity, A: np.ndarray) -> np.ndarray:
+    """First-derivative remainder DW(Id + A) - D2W(Id)[A]; o(|A|) at Id."""
     A = np.asarray(A, dtype=float)
-    return W.stress(ID2 + A) - lin.apply(A)
-
+    return W.stress(ID2 + A) - np.einsum("ikjl,...jl->...ik", W.hessian(ID2), A)

@@ -2,10 +2,14 @@
 
 The discrete functional on a strip mesh is
 
-    Pi(y) = sum_qp w * [ W(F) - h^2 * mu * g(x1) . y ],   F = Id + B u_e,
+    Pi(y) = sum_qp w * W(F) - mu * f . y,   F = Id + B u_e,
 
-with u the displacement from the rigid state, mu a load factor, and h and
-B the thickness and strain operator of the mesh, which is built for one h.
+with u the displacement from the rigid state, mu a load factor, h and B the
+thickness and strain operator of the mesh, which is built for one h, and f
+the assembled load vector, the gradient of the load work
+sum_qp w * h^2 * g(x1) . y.  Zeroing f's clamped rows loses none of that
+work: y1 = 0 on the clamp, and y2 = h x2 is odd in x2 while g depends on x1
+only, so f . y is the quadrature sum.
 Newton iteration with Armijo backtracking on Pi inside one adaptive load loop
 whose first increment is the whole load, mu: 0 -> 1; a failed increment is
 halved and a successful one doubled.  The loop starts from the rigid state
@@ -124,32 +128,30 @@ def tangent(mesh: StripMesh, W: EnergyDensity, F: np.ndarray) -> np.ndarray:
 def scaled_energy(
     mesh: StripMesh,
     y: np.ndarray,
-    gq: np.ndarray,
+    f: np.ndarray,
     W: EnergyDensity,
     load_factor: float,
     F: np.ndarray,
 ) -> tuple[float, float]:
-    """(elastic energy, total energy with the load term) of positions y.
+    """(elastic energy, total energy with the load work f . y) of positions y.
 
-    gq is the load at the quadrature points, ``g(mesh.qp_x[:, 0])``, and F
-    the scaled gradients of y.
+    f is the load vector that ``load_vector`` assembles, and F the scaled
+    gradients of y.
     """
     elastic = float(mesh.qp_w * np.sum(W.energy(F)))
-    work = float(mesh.qp_w * np.sum(gq * mesh.qp_values(y)))
-    return elastic, elastic - load_factor * mesh.h ** 2 * work
+    return elastic, elastic - load_factor * float(f @ y.reshape(-1))
 
 
 def _newton(
     mesh: StripMesh,
     y: np.ndarray,
-    gq: np.ndarray,
     f: np.ndarray,
     W: EnergyDensity,
     load_factor: float,
 ) -> tuple[int, np.ndarray, float, float, float]:
     """Newton with Armijo backtracking at fixed load factor, from positions y.
 
-    gq is the load at the quadrature points and f ``load_vector(mesh, gq)``.
+    f is the load vector that ``load_vector`` assembles.
     The stopping bound is the larger of NEWTON_TOL times the load scale and
     the assembly's roundoff floor, FLOOR_C * eps * max|K| * max|y| with K
     the last tangent.
@@ -177,7 +179,7 @@ def _newton(
         """(F, residual, its sup norm, (elastic, total) energy) at positions y."""
         F = mesh.scaled_gradients(y)
         r = elastic_residual(mesh, W, F) - load_factor * f
-        return F, r, float(np.max(np.abs(r))), scaled_energy(mesh, y, gq, W, load_factor, F)
+        return F, r, float(np.max(np.abs(r))), scaled_energy(mesh, y, f, W, load_factor, F)
 
     F, r, rsup, en0 = evaluate(y)
     it = 0
@@ -248,8 +250,7 @@ def solve_stationary(
         np.shape(start) == mesh.rigid.shape and np.array_equal(start[c], mesh.rigid[c])
     ):
         raise ConfigError(f"start must be a {mesh.rigid.shape} array on the clamp (0, h x2)")
-    gq = g(mesh.qp_x[:, 0])
-    f = load_vector(mesh, gq)
+    f = load_vector(mesh, g(mesh.qp_x[:, 0]))
 
     what = "cold start" if start is None else "given start"
     y = mesh.rigid if start is None else start
@@ -259,7 +260,7 @@ def solve_stationary(
     while mu < 1.0:
         s = min(step, 1.0 - mu)
         try:
-            it, y_new, rsup, el, tot = _newton(mesh, y, gq, f, W, mu + s)
+            it, y_new, rsup, el, tot = _newton(mesh, y, f, W, mu + s)
         except (StepRejected, NonConvergence) as exc:
             iterations += getattr(exc, "iterations", 0)  # StepRejected takes no step
             if s == 1.0:  # only the first step spans the whole load
@@ -274,7 +275,7 @@ def solve_stationary(
         path.append((mu, it))
         step = 2.0 * s
     if not path:
-        el, tot = scaled_energy(mesh, y, gq, W, mu, mesh.scaled_gradients(y))
+        el, tot = scaled_energy(mesh, y, f, W, mu, mesh.scaled_gradients(y))
     return y.copy(), SolverReport(
         converged=mu == 1.0, iterations=iterations, residual_sup=rsup,
         elastic_energy=el, total_energy=tot, path=path, message=message,

@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 from striplab.cli import main
-from striplab.elastica import _j2_discrete, gtilde, minimize_J2, solve_elastica
-from striplab.energy import HalfDistSquared, IsotropicQuadratic, linearize
+from striplab.algebra import ID2
+from striplab.elastica import _j2_discrete, _rod_setup, minimize_J2, solve_elastica
+from striplab.energy import HalfDistSquared, IsotropicQuadratic, tension_modulus
 from striplab.loads import LoadProfile
 from striplab.mesh import mesh_rule_nx
 
@@ -174,25 +175,18 @@ def test_criterion_06_elastica_oracle():
     route_gap = float(np.max(np.abs(sol.theta - alt.theta)))
 
     n = 256
-    x = np.linspace(0.0, 1.0, n + 1)
-    dx = 1.0 / n
-    wq = np.full(n + 1, dx)
-    wq[0] = wq[-1] = 0.5 * dx
-    gtv = gtilde(GAMMA, 1.0, xs=x)
+    _, dx, c, gtv, wq = _rod_setup(1.0, GAMMA, 1.0, n)
     rng = np.random.default_rng(3)
     theta = 0.05 * rng.standard_normal(n + 1)
     theta[0] = 0.0
-    _, grad = _j2_discrete(theta, gtv, 1.0 / 12.0, dx, wq)
+    _, grad = _j2_discrete(theta, gtv, c, dx, wq)
     eps = 1e-7
     fd_worst = 0.0
     for i in rng.choice(n, size=10, replace=False) + 1:
         tp, tm = theta.copy(), theta.copy()
         tp[i] += eps
         tm[i] -= eps
-        fd = (
-            _j2_discrete(tp, gtv, 1.0 / 12.0, dx, wq)[0]
-            - _j2_discrete(tm, gtv, 1.0 / 12.0, dx, wq)[0]
-        ) / (2 * eps)
+        fd = (_j2_discrete(tp, gtv, c, dx, wq)[0] - _j2_discrete(tm, gtv, c, dx, wq)[0]) / (2 * eps)
         fd_worst = max(fd_worst, abs(grad[i - 1] - fd) / abs(fd))
     dt = time.perf_counter() - t0
     ok = tip_gap <= 5e-3 and route_gap <= 1e-6 and fd_worst <= 1e-6 and dt <= 1.0
@@ -207,11 +201,13 @@ def test_criterion_07_modulus_inversion():
     cases = [(HalfDistSquared(), 1.0)]
     for mu, lam in ((1.0, 1.0), (2.0, 0.5), (1.5, 0.0)):
         cases.append((IsotropicQuadratic(mu, lam), 4 * mu * (mu + lam) / (lam + 2 * mu)))
+    s = 1.0 / np.sqrt(2.0)  # orthonormal basis of the symmetric 2x2 matrices
+    sym = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]], [[0.0, s], [s, 0.0]]])
     worst = 0.0
     for W, closed in cases:
-        lin = linearize(W)
-        einv = np.linalg.inv(lin.matrix[:3, :3])[0, 0]  # symmetric block
-        worst = max(worst, abs(1.0 / einv - closed), abs(lin.modulus - closed))
+        block = np.einsum("pik,ikjl,qjl->pq", sym, W.hessian(ID2), sym)  # D2W(Id) on them
+        einv = np.linalg.inv(block)[0, 0]
+        worst = max(worst, abs(1.0 / einv - closed), abs(tension_modulus(W) - closed))
     ok = worst <= 1e-12
     detail = f"worst gap {worst:.2e} over {len(cases)} densities"
     _report(7, "tension modulus equals the inverted quadratic form", ok, detail)

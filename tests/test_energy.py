@@ -5,13 +5,12 @@ import re
 import numpy as np
 import pytest
 
-from striplab.algebra import det2, rot2
+from striplab.algebra import ID2, det2, rot2
 from striplab.energy import (
-    BASIS,
     HalfDistSquared,
     IsotropicQuadratic,
-    linearize,
     taylor_remainder,
+    tension_modulus,
 )
 from striplab.errors import ConfigError, DomainError
 
@@ -137,33 +136,26 @@ def test_half_dist_rejects_nonpositive_det():
 
 
 def test_modulus_half_dist_is_one():
-    assert linearize(HalfDistSquared()).modulus == pytest.approx(1.0, abs=1e-12)
+    assert tension_modulus(HalfDistSquared()) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("mu,lam", [(1.0, 1.0), (2.0, 0.5), (0.7, 3.0), (1.0, 0.0)])
 def test_modulus_isotropic_closed_form(mu, lam):
     W = IsotropicQuadratic(mu, lam)
     expect = 4.0 * mu * (mu + lam) / (2.0 * mu + lam)
-    assert linearize(W).modulus == pytest.approx(expect, rel=1e-12)
+    assert tension_modulus(W) == pytest.approx(expect, rel=1e-12)
 
 
 def test_modulus_isotropic_unit_parameters():
-    assert linearize(IsotropicQuadratic(1.0, 1.0)).modulus == pytest.approx(8.0 / 3.0, rel=1e-12)
-
-
-def test_linearization_apply_matches_matrix():
-    lin = linearize(IsotropicQuadratic(1.3, 0.4))
-    out = lin.apply(BASIS)  # (4, 2, 2)
-    coeff = np.einsum("pij,qij->pq", out, BASIS)
-    np.testing.assert_allclose(coeff, lin.matrix.T @ np.eye(4), atol=1e-12)
+    assert tension_modulus(IsotropicQuadratic(1.0, 1.0)) == pytest.approx(8.0 / 3.0, rel=1e-12)
 
 
 def test_linearization_annihilates_skew_for_half_dist():
-    lin = linearize(HalfDistSquared())
+    H = HalfDistSquared().hessian(ID2)
     skew = np.array([[0.0, -1.0], [1.0, 0.0]])
-    np.testing.assert_allclose(lin.apply(skew), np.zeros((2, 2)), atol=1e-9)
+    np.testing.assert_allclose(np.einsum("ikjl,jl->ik", H, skew), np.zeros((2, 2)), atol=1e-9)
     sym = np.array([[0.2, 0.1], [0.1, -0.3]])
-    np.testing.assert_allclose(lin.apply(sym), sym, atol=1e-9)
+    np.testing.assert_allclose(np.einsum("ikjl,jl->ik", H, sym), sym, atol=1e-9)
 
 
 @pytest.mark.parametrize("W", DENSITIES, ids=density_id)
@@ -171,7 +163,7 @@ def test_taylor_remainder_superlinear(W):
     rng = np.random.default_rng(21)
     A = rng.standard_normal((2, 2))
     ts = np.array([1e-2, 5e-3, 2.5e-3])
-    rem = taylor_remainder(W, ts[:, None, None] * A, linearize(W))
+    rem = taylor_remainder(W, ts[:, None, None] * A)
     rnorm = np.sqrt(np.sum(rem**2, axis=(-2, -1)))
     if rnorm.max() >= 1e-14:
         ratios = rnorm[:-1] / rnorm[1:]

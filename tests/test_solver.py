@@ -52,8 +52,8 @@ def test_rigid_state_is_exact_equilibrium():
         assert rep.iterations == 0
         assert rep.residual_sup == 0.0
         assert np.array_equal(y, mesh.rigid)
-        gq = LoadProfile.constant(0.0, 0.0)(mesh.qp_x[:, 0])
-        el, tot = scaled_energy(mesh, y, gq, W, 1.0, mesh.scaled_gradients(y))
+        f = load_vector(mesh, LoadProfile.constant(0.0, 0.0)(mesh.qp_x[:, 0]))
+        el, tot = scaled_energy(mesh, y, f, W, 1.0, mesh.scaled_gradients(y))
         assert el == 0.0 and tot == 0.0
 
 
@@ -91,11 +91,27 @@ def test_load_vector_against_dense_loops():
     np.testing.assert_allclose(got, expect.ravel(), atol=1e-16)
 
 
+@pytest.mark.parametrize("h, nx, ny", [(0.2, 8, 2), (0.1, 8, 3), (0.05, 12, 4), (0.025, 16, 5)])
+def test_load_work_is_quadrature_work(h, nx, ny):
+    # f . y, the load term of scaled_energy, against the quadrature sum of
+    # h^2 g . y; the clamped rows f drops do no work, as y1 = 0 and
+    # y2 = h x2 is odd in x2 there
+    mesh = build_mesh(1.0, h, nx, ny)
+    g = LoadProfile.from_samples([0.0, 0.4, 1.0], [[0.3, -1.0], [-0.5, 0.2], [0.7, -0.4]])
+    gq = g(mesh.qp_x[:, 0])
+    f = load_vector(mesh, gq)
+    for seed in range(5):
+        y = perturbed_field(mesh, scale=0.1, seed=seed)
+        expect = h**2 * mesh.qp_w * np.sum(gq * mesh.qp_values(y))
+        assert f @ y.ravel() == pytest.approx(expect, rel=1e-14, abs=0.0)
+
+
 def test_residual_is_gradient_of_energy():
     mesh = build_mesh(1.0, 0.1, 8, 4)
     y = perturbed_field(mesh)
     F = mesh.scaled_gradients(y)
-    r = elastic_residual(mesh, W, F) - load_vector(mesh, GAMMA(mesh.qp_x[:, 0]))
+    f = load_vector(mesh, GAMMA(mesh.qp_x[:, 0]))
+    r = elastic_residual(mesh, W, F) - f
     rng = np.random.default_rng(3)
     du = rng.standard_normal(y.shape)
     du[mesh.clamped_nodes()] = 0.0
@@ -103,7 +119,7 @@ def test_residual_is_gradient_of_energy():
 
     def total(y):
         F = mesh.scaled_gradients(y)
-        _, tot = scaled_energy(mesh, y, GAMMA(mesh.qp_x[:, 0]), W, 1.0, F)
+        _, tot = scaled_energy(mesh, y, f, W, 1.0, F)
         return tot
 
     fd = (total(y + eps * du) - total(y - eps * du)) / (2 * eps)
