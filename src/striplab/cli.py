@@ -19,19 +19,19 @@ from . import csvio
 from .algebra import dist_so2, rot2
 from .config import (
     ExperimentConfig,
-    _at_least,
-    _positive,
     energy_from,
     load_from,
     mesh_from,
+    seed_from,
     sweep_from,
+    truncation_from,
 )
 from .diagnostics import ConvergenceRow, IdentityRow, diagnose, theta_error, y_error
 from .elastica import ROD_N, solve_elastica
 from .energy import taylor_remainder, tension_modulus
 from .errors import ConfigError, DiagnosticError, DomainError, NonConvergence
 from .solver import lift, solve_stationary
-from .truncation import rough_field, sample_on_strip, square_cells, thin_truncate
+from .truncation import rough_field, sample_on_strip, thin_truncate
 
 EXIT_OK = 0
 EXIT_SOLVER = 1
@@ -66,15 +66,6 @@ class RunManifest:
             ["step", "status", "seconds", "outputs"],
             rows,
         )
-
-
-def _seed(cfg: ExperimentConfig, seed: int | None) -> int:
-    """The --seed value if given, else `run.seed`; either must be non-negative."""
-    if seed is None:
-        return _at_least(cfg, "run.seed", 1234, 0)
-    if seed < 0:
-        raise ConfigError(f"--seed must be at least 0, got {seed!r}")
-    return seed
 
 
 def run_diagnose(cfg: ExperimentConfig, out: Path) -> RunManifest:
@@ -174,33 +165,8 @@ def run_convergence(cfg: ExperimentConfig, out: Path) -> RunManifest:
 
 def run_truncation_demo(cfg: ExperimentConfig, out: Path, seed: int | None = None) -> RunManifest:
     manifest = RunManifest(config=cfg, out_dir=out)
-    a = _positive(cfg, "truncation.level_min", 14.0)
-    A = _positive(cfg, "truncation.level_max", 28.0)
-    if a >= A:
-        raise ConfigError(
-            "truncation.level_min must be below truncation.level_max, "
-            f"got {a!r} and {A!r}"
-        )
-    nfields = _at_least(cfg, "truncation.fields", 50, 1)
-    height = _positive(cfg, "truncation.height", 0.125)
-    res = cfg.get_str("truncation.resolutions", "64x8,128x16,256x32")
-    seed = _seed(cfg, seed)
-
-    grids = []
-    for token in res.split(","):
-        try:
-            n1, n2 = (int(part) for part in token.lower().split("x"))
-        except ValueError as exc:
-            raise ConfigError(f"bad truncation.resolutions entry {token!r}") from exc
-        if n1 < 1 or n2 < 1:
-            raise ConfigError(f"truncation.resolutions entry {token!r} needs positive cells")
-        try:
-            square_cells(n2, height / n2)  # the spacing sample_on_strip gives
-        except ConfigError as exc:
-            raise ConfigError(
-                f"truncation.resolutions entry {token!r} at truncation.height = {height!r}: {exc}"
-            ) from None
-        grids.append((n1, n2))
+    a, A, nfields, height, grids = truncation_from(cfg)
+    seed = seed_from(cfg, seed)
 
     rows, summary = [], {}
     t0 = time.perf_counter()
@@ -289,7 +255,7 @@ def _hypothesis_rows(W, rng) -> list[tuple]:
 def run_energy_check(cfg: ExperimentConfig, out: Path, seed: int | None = None) -> RunManifest:
     manifest = RunManifest(config=cfg, out_dir=out)
     W = energy_from(cfg)
-    seed = _seed(cfg, seed)
+    seed = seed_from(cfg, seed)
     t0 = time.perf_counter()
     rows = _hypothesis_rows(W, np.random.default_rng(seed))
     dt = time.perf_counter() - t0

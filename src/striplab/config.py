@@ -2,7 +2,8 @@
 
 Format: one `section.key = value` per line, `#` starts a comment, blank
 lines ignored.  The hash is taken over the sorted canonical key=value pairs,
-so comments, whitespace, and key order do not affect it.
+so comments, whitespace, and key order do not affect it.  Each key family
+has one gate, a `*_from` function that reads its keys and checks them.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .energy import EnergyDensity, HalfDistSquared, IsotropicQuadratic
 from .errors import ConfigError
 from .loads import LoadProfile
 from .mesh import build_mesh, mesh_rule_nx
+from .truncation import square_cells
 
 _KEY_RE = re.compile(r"^[a-zA-Z][a-zA-Z0-9_]*\.[a-zA-Z][a-zA-Z0-9_]*$")
 
@@ -183,3 +185,41 @@ def sweep_from(cfg: ExperimentConfig) -> tuple[float, ...]:
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ConfigError(f"sweep.h must be strictly decreasing, got {hs!r}")
     return tuple(hs)
+
+
+def truncation_from(cfg: ExperimentConfig):
+    """The `truncation.*` keys as (level_min, level_max, fields, height, [(n1, n2), ...])."""
+    a = _positive(cfg, "truncation.level_min", 14.0)
+    A = _positive(cfg, "truncation.level_max", 28.0)
+    if a >= A:
+        raise ConfigError(
+            f"truncation.level_min must be below truncation.level_max, got {a!r} and {A!r}"
+        )
+    nfields = _at_least(cfg, "truncation.fields", 50, 1)
+    height = _positive(cfg, "truncation.height", 0.125)
+    res = cfg.get_str("truncation.resolutions", "64x8,128x16,256x32")
+    grids = []
+    for token in res.split(","):
+        try:
+            n1, n2 = (int(part) for part in token.lower().split("x"))
+        except ValueError as exc:
+            raise ConfigError(f"bad truncation.resolutions entry {token!r}") from exc
+        if n1 < 1 or n2 < 1:
+            raise ConfigError(f"truncation.resolutions entry {token!r} needs positive cells")
+        try:
+            square_cells(n2, height / n2)  # the spacing sample_on_strip gives
+        except ConfigError as exc:
+            raise ConfigError(
+                f"truncation.resolutions entry {token!r} at truncation.height = {height!r}: {exc}"
+            ) from None
+        grids.append((n1, n2))
+    return a, A, nfields, height, grids
+
+
+def seed_from(cfg: ExperimentConfig, seed: int | None) -> int:
+    """The --seed value if given, else `run.seed`; either must be non-negative."""
+    if seed is None:
+        return _at_least(cfg, "run.seed", 1234, 0)
+    if seed < 0:
+        raise ConfigError(f"--seed must be at least 0, got {seed!r}")
+    return seed

@@ -16,8 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
-
 
 def fmt(x) -> str:
     if isinstance(x, (bool, np.bool_)):
@@ -44,7 +42,7 @@ def write_table(path, header: Sequence[str], rows) -> Path:
     writer = csv.writer(buf, lineterminator="\n")
     for row in rows:
         if len(row) != len(header):
-            raise ConfigError(
+            raise ValueError(
                 f"row width {len(row)} does not match header width {len(header)}"
             )
         writer.writerow([fmt(x) for x in row])

@@ -42,7 +42,7 @@ DESCENT_MAX_ITERS = 500  # descent iterations
 class ElasticaSolution:
     x: np.ndarray        # (n+1,)
     theta: np.ndarray    # (n+1,), theta[0] = 0
-    kappa: np.ndarray    # (n+1,) bending curvature theta'
+    kappa: np.ndarray    # (n+1,) theta' by np.gradient; j2 bends with diff(theta)/dx
     ybar: np.ndarray     # (n+1, 2) reconstructed midline
     j2: float            # _j2_discrete at theta
     modulus: float

@@ -1,5 +1,7 @@
 """Config parsing, hashing, and the experiment object builders."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,13 +14,17 @@ from striplab.config import (
     load_from,
     mesh_from,
     parse_config_text,
+    seed_from,
     sweep_from,
+    truncation_from,
 )
 from striplab.energy import HalfDistSquared, IsotropicQuadratic
 from striplab.errors import ConfigError
 from striplab.mesh import mesh_rule_nx
 
 from helpers import config_from_text
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 BASIC = """
 # cantilever reference
@@ -194,3 +200,27 @@ def test_sweep_from_default_and_validation():
         sweep_from(config_from_text("sweep.h = 0.1, 0.2"))
     with pytest.raises(ConfigError, match="at least one"):
         sweep_from(config_from_text("sweep.h ="))
+
+
+def test_truncation_from_defaults_and_shipped_config():
+    default = (14.0, 28.0, 50, 0.125, [(64, 8), (128, 16), (256, 32)])
+    assert truncation_from(config_from_text("")) == default
+    cfg = ExperimentConfig.load(CONFIGS / "truncation.cfg")
+    raw = cfg.raw
+    a, A, nfields, height, grids = truncation_from(cfg)
+    assert (a, A) == (float(raw["truncation.level_min"]), float(raw["truncation.level_max"]))
+    assert (nfields, height) == (int(raw["truncation.fields"]), float(raw["truncation.height"]))
+    assert ",".join(f"{n1}x{n2}" for n1, n2 in grids) == raw["truncation.resolutions"]
+    got = truncation_from(config_from_text("truncation.resolutions = 32X8\ntruncation.fields = 2"))
+    assert got[2] == 2 and got[4] == [(32, 8)]
+
+
+def test_seed_from_flag_wins_and_negatives_name_their_source():
+    assert seed_from(config_from_text(""), None) == 1234
+    assert seed_from(config_from_text("run.seed = 5"), None) == 5
+    assert seed_from(config_from_text("run.seed = 5"), 9) == 9
+    assert seed_from(config_from_text("run.seed = 5"), 0) == 0
+    with pytest.raises(ConfigError, match="--seed must be at least 0, got -1"):
+        seed_from(config_from_text("run.seed = 5"), -1)
+    with pytest.raises(ConfigError, match="run.seed must be at least 0, got -3"):
+        seed_from(config_from_text("run.seed = -3"), None)

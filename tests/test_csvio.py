@@ -61,8 +61,10 @@ def test_table_round_trip_with_quoted_comma(tmp_path):
 
 
 def test_table_rejects_ragged_rows(tmp_path):
-    with pytest.raises(ConfigError, match="width"):
+    # a ragged row is a bug in the caller, never a config error (exit 2)
+    with pytest.raises(ValueError, match="width") as info:
         write_table(tmp_path / "t.csv", ["a", "b"], [(1, 2, 3)])
+    assert not isinstance(info.value, ConfigError)
 
 
 def test_table_write_is_deterministic(tmp_path):
