@@ -146,7 +146,12 @@ def run_convergence(cfg: ExperimentConfig, out: Path) -> RunManifest:
             manifest.record(f"solve h={h:g}", f"non-converged: {report.message}", t1 - t0)
             continue
         manifest.record(f"solve h={h:g}", "ok", t1 - t0)
-        d = diagnose(mesh, y, g, W)
+        try:
+            d = diagnose(mesh, y, g, W)
+        except DiagnosticError as exc:
+            manifest.record("diagnostics", f"failed: {exc}", diag_s + time.perf_counter() - t1)
+            manifest.write()
+            raise
         energy = report.elastic_energy / h**2  # the energy the solver measured
         errors.append(ConvergenceRow(h, theta_error(d, limit), y_error(d, y, limit), energy))
         identities.append(d.row)

@@ -115,30 +115,47 @@ def energy_from(cfg: ExperimentConfig) -> EnergyDensity:
     if norm == "half-dist-squared":
         return HalfDistSquared()
     if norm == "isotropic-quadratic":
-        return IsotropicQuadratic(
-            mu=cfg.get_float("energy.mu", 1.0), lam=cfg.get_float("energy.lambda", 1.0)
-        )
+        mu, lam = cfg.get_float("energy.mu", 1.0), cfg.get_float("energy.lambda", 1.0)
+        if not 0.0 < mu < np.inf:
+            raise ConfigError(f"energy.mu must be finite and positive, got {mu!r}")
+        if not 0.0 <= lam < np.inf:
+            raise ConfigError(f"energy.lambda must be finite and nonnegative, got {lam!r}")
+        return IsotropicQuadratic(mu=mu, lam=lam)
     raise ConfigError(f"unknown energy.kind {kind!r}")
 
 
 def load_from(cfg: ExperimentConfig) -> LoadProfile:
+    """The `load.samples_*` profile if `load.samples_x` is given, else the
+    constant `load.g1`, `load.g2` (default 0); each error names its key."""
     xs = cfg.get_floats("load.samples_x", None)
-    if xs is not None:
-        g1 = cfg.get_floats("load.samples_g1", None)
-        g2 = cfg.get_floats("load.samples_g2", None)
-        if g1 is None or g2 is None:
-            raise ConfigError(
-                "load.samples_x requires load.samples_g1 and load.samples_g2"
-            )
-        if len(g1) != len(g2):
-            raise ConfigError(
-                f"load.samples_g1 and load.samples_g2 differ in length: {len(g1)} and {len(g2)}"
-            )
-        vals = np.column_stack([g1, g2])
-        return LoadProfile.from_samples(np.asarray(xs), vals)
-    return LoadProfile.constant(
-        cfg.get_float("load.g1", 0.0), cfg.get_float("load.g2", 0.0)
-    )
+    if xs is None:
+        g1, g2 = cfg.get_float("load.g1", 0.0), cfg.get_float("load.g2", 0.0)
+        if not np.all(np.isfinite([g1, g2])):
+            raise ConfigError(f"load.g1 and load.g2 must be finite, got {g1!r} and {g2!r}")
+        return LoadProfile.constant(g1, g2)
+    g1 = cfg.get_floats("load.samples_g1", None)
+    g2 = cfg.get_floats("load.samples_g2", None)
+    if g1 is None or g2 is None:
+        raise ConfigError("load.samples_x requires load.samples_g1 and load.samples_g2")
+    if len(g1) != len(g2):
+        raise ConfigError(
+            f"load.samples_g1 and load.samples_g2 differ in length: {len(g1)} and {len(g2)}"
+        )
+    xs, vals = np.array(xs, dtype=float), np.column_stack([g1, g2])
+    if vals.shape != (xs.size, 2):
+        raise ConfigError(
+            f"load.samples_x: load samples need shapes (m,) and (m, 2), "
+            f"got {xs.shape} and {vals.shape}"
+        )
+    if xs.size < 2 or np.any(np.diff(xs) <= 0):
+        raise ConfigError(
+            "load.samples_x: load sample positions must be strictly increasing, length >= 2"
+        )
+    for key, v in (("load.samples_x", xs), ("load.samples_g1", vals[:, 0]),
+                   ("load.samples_g2", vals[:, 1])):
+        if not np.all(np.isfinite(v)):
+            raise ConfigError(f"{key}: load samples must be finite")
+    return LoadProfile(xs=xs, vals=vals)
 
 
 def _positive(cfg: ExperimentConfig, key: str, default: float) -> float:
@@ -208,7 +225,7 @@ def truncation_from(cfg: ExperimentConfig):
             raise ConfigError(f"truncation.resolutions entry {token!r} needs positive cells")
         try:
             square_cells(n2, height / n2)  # the spacing sample_on_strip gives
-        except ConfigError as exc:
+        except ValueError as exc:
             raise ConfigError(
                 f"truncation.resolutions entry {token!r} at truncation.height = {height!r}: {exc}"
             ) from None

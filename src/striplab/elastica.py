@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import newton_step
-from .errors import ConfigError, NonConvergence
+from .errors import NonConvergence
 from .loads import LoadProfile
 
 ROD_N = 512              # grid intervals of the rod that the CLI solves
@@ -69,9 +69,9 @@ def gtilde(g: LoadProfile, L: float, xs: np.ndarray) -> np.ndarray:
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size < 2 or np.any(np.diff(xs) <= 0):
-        raise ConfigError("gtilde sample positions must be strictly increasing")
+        raise ValueError("gtilde sample positions must be strictly increasing")
     if abs(xs[-1] - L) > 1e-12 * max(1.0, L):
-        raise ConfigError(f"gtilde grid must end at L = {L!r}")
+        raise ValueError(f"gtilde grid must end at L = {L!r}")
     gv = g(xs)
     seg = 0.5 * np.diff(xs)[:, None] * (gv[:-1] + gv[1:])
     vals = np.empty_like(gv)
@@ -100,9 +100,9 @@ def _rod_setup(modulus: float, g: LoadProfile, L: float, n: int):
     """Checked inputs of both rod routes: nodes x, spacing dx, c = E/12,
     gtilde at x and the trapezoid weights wq."""
     if not (modulus > 0.0 and L > 0.0):
-        raise ConfigError(f"need modulus > 0 and L > 0, got {modulus!r}, {L!r}")
+        raise ValueError(f"need modulus > 0 and L > 0, got {modulus!r}, {L!r}")
     if n < 8:
-        raise ConfigError(f"elastica grid needs n >= 8, got {n}")
+        raise ValueError(f"elastica grid needs n >= 8, got {n}")
     x = np.linspace(0.0, L, n + 1)
     dx = L / n
     wq = np.full(n + 1, dx)

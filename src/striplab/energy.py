@@ -28,7 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import ID2, dist_so2, frob, polar_uv, trace2, trans2
-from .errors import ConfigError
 
 # orthonormal basis of the symmetric 2x2 matrices: two diagonal directions and
 # the normalized symmetric off-diagonal direction
@@ -108,10 +107,6 @@ class IsotropicQuadratic(EnergyDensity):
     coercive_globally = False  # vanishes on reflections
 
     def __init__(self, mu: float, lam: float):
-        if not (0.0 < mu < np.inf):
-            raise ConfigError(f"energy.mu must be finite and positive, got {mu!r}")
-        if not (0.0 <= lam < np.inf):
-            raise ConfigError(f"energy.lambda must be finite and nonnegative, got {lam!r}")
         self.mu = float(mu)
         self.lam = float(lam)
 
@@ -153,12 +148,12 @@ def tension_modulus(W: EnergyDensity) -> float:
     try:
         scomp = np.linalg.solve(M, b)
     except np.linalg.LinAlgError as exc:
-        raise ConfigError(
+        raise ValueError(
             "linearization is singular on symmetric matrices; no modulus"
         ) from exc
     einv = float(scomp @ b)
     if not (einv > 0.0):
-        raise ConfigError(
+        raise ValueError(
             f"linearization gives nonpositive compliance {einv:.6g}; no modulus"
         )
     return 1.0 / einv

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 
 class ConfigError(ValueError):
-    """A configuration value is missing, malformed, or inconsistent."""
+    """A configuration value is missing, malformed, or inconsistent.
+
+    Raised only by `config` and by `cli`'s --out check; a library argument
+    error is a plain ValueError."""
 
 
 class DomainError(ValueError):

@@ -45,7 +45,7 @@ import numpy as np
 from .algebra import det2, newton_step
 from .elastica import ElasticaSolution
 from .energy import EnergyDensity
-from .errors import ConfigError, NonConvergence, StepRejected
+from .errors import NonConvergence, StepRejected
 from .loads import LoadProfile
 from .mesh import StripMesh
 
@@ -231,7 +231,7 @@ def solve_stationary(
     One load loop from ``start``, a position array that is never mutated,
     or from the rigid state if it is None.  No Newton step moves a clamped
     dof, so a start of another shape than ``mesh.rigid``, or whose clamped
-    nodes differ from ``mesh.rigid``'s, raises ConfigError.  The first
+    nodes differ from ``mesh.rigid``'s, raises ValueError.  The first
     increment is the whole load; an increment on which Newton raises
     StepRejected or NonConvergence (a start that fails the determinant guard
     included) is halved, and the loop stalls once it falls below
@@ -249,7 +249,7 @@ def solve_stationary(
     if start is not None and not (
         np.shape(start) == mesh.rigid.shape and np.array_equal(start[c], mesh.rigid[c])
     ):
-        raise ConfigError(f"start must be a {mesh.rigid.shape} array on the clamp (0, h x2)")
+        raise ValueError(f"start must be a {mesh.rigid.shape} array on the clamp (0, h x2)")
     f = load_vector(mesh, g(mesh.qp_x[:, 0]))
 
     what = "cold start" if start is None else "given start"

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DiagnosticError
+from .errors import DiagnosticError
 
 KAPPA_WINDOW = 4  # cells; pair window for the good-set steepness measurement
 LADDER_FACTOR = np.sqrt(2.0)
@@ -54,14 +54,14 @@ class GridFunction:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 3:
-            raise ConfigError(f"grid values must be (n1, n2, ncomp), got shape {self.values.shape}")
+            raise ValueError(f"grid values must be (n1, n2, ncomp), got shape {self.values.shape}")
         if self.values.shape[0] < 2 or self.values.shape[1] < 2:
-            raise ConfigError("grid needs at least 2 nodes per direction")
+            raise ValueError("grid needs at least 2 nodes per direction")
         d1, d2 = (float(s) for s in self.spacing)
         if not (d1 > 0 and d2 > 0):
-            raise ConfigError(f"grid spacings must be positive, got {self.spacing!r}")
+            raise ValueError(f"grid spacings must be positive, got {self.spacing!r}")
         if not np.all(np.isfinite(self.values)):
-            raise ConfigError("grid values must be finite")
+            raise ValueError("grid values must be finite")
         self.spacing = (d1, d2)
 
     @property
@@ -297,12 +297,12 @@ def square_cells(m: int, d2: float) -> int:
     """
     K = round(1.0 / d2)
     if abs(K * d2 - 1.0) > 1e-9 or K % 2 != 0:
-        raise ConfigError(f"transverse spacing must evenly divide 1 into an even count, got d2={d2!r}")
+        raise ValueError(f"transverse spacing must evenly divide 1 into an even count, got d2={d2!r}")
     if m % 2 != 0:
-        raise ConfigError(f"strip needs an even number of cells across, got {m}")
+        raise ValueError(f"strip needs an even number of cells across, got {m}")
     h = m * d2
     if int(np.floor((1.0 - h) / (2.0 * h))) < 1:
-        raise ConfigError(f"strip too thick to reflect: fewer than 3 strips fit at h={h!r}")
+        raise ValueError(f"strip too thick to reflect: fewer than 3 strips fit at h={h!r}")
     return K
 
 
@@ -344,7 +344,7 @@ def thin_truncate(u: GridFunction, a: float, A: float) -> TruncationResult:
     the matching orientation.
     """
     if not (0 < a < A):
-        raise ConfigError(f"need 0 < a < A, got a={a!r}, A={A!r}")
+        raise ValueError(f"need 0 < a < A, got a={a!r}, A={A!r}")
     ext = reflect_to_square(u)
     m = u.n2 - 1
     K = ext.shape[2] - 1

@@ -1,8 +1,10 @@
 """Readers and oracles that only the tests use; the CLI writes, never reads, CSV."""
 
 import csv
+from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
 from striplab.config import ExperimentConfig, parse_config_text
 from striplab.errors import ConfigError
@@ -11,6 +13,15 @@ from striplab.errors import ConfigError
 def config_from_text(text: str) -> ExperimentConfig:
     """An in-memory config, source ``<memory>``."""
     return ExperimentConfig(raw=parse_config_text(text))
+
+
+@contextmanager
+def raises_value_error(match: str):
+    """pytest.raises(ValueError, match=match) that refuses a ConfigError: a
+    library argument error is a bug in the caller, never a config error."""
+    with pytest.raises(ValueError, match=match) as info:
+        yield info
+    assert not isinstance(info.value, ConfigError)
 
 
 def read_table(path) -> tuple[list[str], list[list[str]]]:

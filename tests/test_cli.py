@@ -131,6 +131,27 @@ def test_converge_tabulates_only_the_thicknesses_that_solve(tmp_path):
         assert [float(r[0]) for r in rows] == [0.1]
 
 
+def test_converge_writes_its_manifest_when_a_diagnosis_fails(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def fail_second(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise DiagnosticError("injected")
+        return diagnose(*args)
+
+    monkeypatch.setattr("striplab.cli.diagnose", fail_second)
+    out = tmp_path / "o"
+    assert main(["converge", "--config", str(CONFIGS / "cantilever.cfg"), "--out", str(out)]) == 3
+    assert "diagnostic failure: injected" in capsys.readouterr().err
+    _, manifest = read_table(out / "manifest.csv")
+    assert [row[0] for row in manifest] == [
+        "config", "elastica", "solve h=0.2", "solve h=0.1", "diagnostics"
+    ]
+    assert manifest[-1][1].startswith("failed: ")
+    assert not (out / "convergence.csv").exists()
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     code = main(["diagnose", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
     assert code == 2

@@ -148,10 +148,11 @@ def test_energy_from_spelling_and_errors():
     assert isinstance(W, IsotropicQuadratic) and W.mu == 2.0
     with pytest.raises(ConfigError, match="unknown energy.kind 'neo-hookean'"):
         density("energy.kind = neo-hookean")
-    with pytest.raises(ConfigError):
-        IsotropicQuadratic(mu=-1.0, lam=1.0)
-    with pytest.raises(ConfigError):
-        IsotropicQuadratic(mu=1.0, lam=-0.5)
+    iso = "energy.kind = isotropic-quadratic\n"
+    with pytest.raises(ConfigError, match="energy.mu must be finite and positive, got -1.0"):
+        density(iso + "energy.mu = -1.0")
+    with pytest.raises(ConfigError, match="energy.lambda must be finite and nonnegative, got -0.5"):
+        density(iso + "energy.lambda = -0.5")
 
 
 def test_load_from_constant_and_sampled():
@@ -170,6 +171,13 @@ def test_load_from_constant_and_sampled():
 
     with pytest.raises(ConfigError, match="samples_g1"):
         load_from(config_from_text("load.samples_x = 0.0, 1.0"))
+    # one sample, then a repeated position: each names load.samples_x
+    with pytest.raises(ConfigError, match="load.samples_x: load sample positions"):
+        load_from(config_from_text("load.samples_x = 0\nload.samples_g1 = 1\nload.samples_g2 = 2"))
+    with pytest.raises(ConfigError, match="load.samples_x: load sample positions"):
+        load_from(config_from_text(
+            "load.samples_x = 0, 0\nload.samples_g1 = 1, 3\nload.samples_g2 = 2, 4"
+        ))
 
 
 def test_mesh_from_rule_and_overrides():

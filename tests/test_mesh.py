@@ -1,8 +1,10 @@
 """Mesh construction, quadrature exactness, and scaled gradients."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +86,21 @@ def test_no_public_callable_takes_both_mesh_and_h():
             if {"mesh", "h"} <= set(inspect.signature(fn).parameters):
                 both.append(label)
     assert both == []
+
+
+def test_only_config_and_the_out_check_raise_config_error():
+    # ConfigError means a bad config value or CLI option (exit 2); every check
+    # behind the config gates raises a plain ValueError
+    sites = {}
+    for path in sorted(Path(striplab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise):
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "ConfigError":
+                sites.setdefault(path.name, []).append(ast.unparse(node))
+    assert sorted(sites) == ["cli.py", "config.py"]
+    assert len(sites["cli.py"]) == 1 and "--out" in sites["cli.py"][0]
 
 
 def test_mesh_rule_nx():

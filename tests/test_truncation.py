@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from striplab.errors import ConfigError, DiagnosticError
+from striplab.errors import DiagnosticError
 from striplab.truncation import (
     KAPPA_WINDOW,
     LADDER_FACTOR,
@@ -23,6 +23,8 @@ from striplab.truncation import (
     select_lambda,
     thin_truncate,
 )
+
+from helpers import raises_value_error
 
 
 def linear_field(n1, n2, spacing, coef):
@@ -49,17 +51,17 @@ def one_component(values, spacing):
 
 
 def test_grid_function_validation():
-    with pytest.raises(ConfigError):
+    with raises_value_error("n1, n2, ncomp"):
         GridFunction(values=np.zeros(5), spacing=(0.1, 0.1))
-    with pytest.raises(ConfigError, match="n1, n2, ncomp"):
+    with raises_value_error("n1, n2, ncomp"):
         GridFunction(values=np.zeros((4, 4)), spacing=(0.1, 0.1))
-    with pytest.raises(ConfigError):
+    with raises_value_error("n1, n2, ncomp"):
         GridFunction(values=np.zeros((3, 3, 2, 2)), spacing=(0.1, 0.1))
-    with pytest.raises(ConfigError):
+    with raises_value_error("at least 2 nodes"):
         GridFunction(values=np.zeros((1, 4, 1)), spacing=(0.1, 0.1))
-    with pytest.raises(ConfigError):
+    with raises_value_error("spacings must be positive"):
         GridFunction(values=np.zeros((4, 4, 1)), spacing=(0.1, 0.0))
-    with pytest.raises(ConfigError):
+    with raises_value_error("must be finite"):
         GridFunction(values=np.full((4, 4, 1), np.nan), spacing=(0.1, 0.1))
 
 
@@ -476,13 +478,13 @@ def test_reflect_to_square_every_strip_recovers_the_field():
 
 
 def test_reflect_to_square_validation():
-    with pytest.raises(ConfigError, match="even count"):
+    with raises_value_error("even count"):
         reflect_to_square(GridFunction(values=np.zeros((4, 3, 1)), spacing=(0.1, 0.2)))
-    with pytest.raises(ConfigError, match="even count"):
+    with raises_value_error("even count"):
         reflect_to_square(GridFunction(values=np.zeros((4, 3, 1)), spacing=(0.1, 0.15)))
-    with pytest.raises(ConfigError, match="even number of cells"):
+    with raises_value_error("even number of cells"):
         reflect_to_square(GridFunction(values=np.zeros((4, 4, 1)), spacing=(0.1, 0.125)))
-    with pytest.raises(ConfigError, match="too thick"):
+    with raises_value_error("too thick"):
         reflect_to_square(GridFunction(values=np.zeros((4, 3, 1)), spacing=(0.1, 0.25)))
 
 
@@ -608,9 +610,9 @@ def test_thin_truncate_low_window_exhausts_good_set():
 
 def test_thin_truncate_window_validation():
     u = sample_on_strip(rough_field(0), 32, 4, 0.125)
-    with pytest.raises(ConfigError):
+    with raises_value_error("0 < a < A"):
         thin_truncate(u, 28.0, 14.0)
-    with pytest.raises(ConfigError):
+    with raises_value_error("0 < a < A"):
         thin_truncate(u, 0.0, 14.0)
 
 
