@@ -183,18 +183,28 @@ def _good_set_kappa(planes: np.ndarray, good: np.ndarray, t: float, spacing) -> 
     max |a - b| over the good pairs is max(fmax(a - b), -fmin(a - b)), and
     NaN exactly when the offset has no good pair.  Offsets no pair fits in
     (di >= n1 or |dj| >= n2) are skipped.
+
+    The copy stores each plane in rows of w = n2 + KAPPA_WINDOW nodes, the
+    last KAPPA_WINDOW of them NaN guard columns, flattened to (ncomp,
+    n1 * w); offset (di, dj) is then the flat shift s = di * w + dj, one
+    contiguous subtract.  Since |dj| <= KAPPA_WINDOW, a shifted pair that
+    leaves its row's n2 real columns, on either side, lands in a guard
+    column, so every pair is either the 2-D pair (i, j), (i + di, j + dj)
+    or has a NaN end: none wraps onto a real node of another row or plane.
     """
     d1, d2 = spacing
     n1, n2 = good.shape
-    g = np.where(good, planes, np.nan)
+    w = n2 + KAPPA_WINDOW
+    g = np.full((planes.shape[0], n1, w), np.nan)
+    np.copyto(g[:, :, :n2], planes, where=good)
+    g = g.reshape(len(g), -1)
     best = 0.0
     for di in range(0, KAPPA_WINDOW + 1):
         for dj in range(-KAPPA_WINDOW, KAPPA_WINDOW + 1):
             if (di == 0 and dj <= 0) or di >= n1 or abs(dj) >= n2:
                 continue
-            sl_a = (slice(None), slice(di, n1), slice(max(dj, 0), n2 + min(dj, 0)))
-            sl_b = (slice(None), slice(0, n1 - di), slice(max(-dj, 0), n2 - max(dj, 0)))
-            diff = g[sl_a] - g[sl_b]
+            s = di * w + dj
+            diff = g[:, s:] - g[:, :-s]  # s > 0: di == 0 takes dj > 0 only
             steep = max(np.fmax.reduce(diff, axis=None), -np.fmin.reduce(diff, axis=None))
             if np.isnan(steep):
                 continue

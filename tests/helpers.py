@@ -29,14 +29,14 @@ def read_table(path) -> tuple[list[str], list[list[str]]]:
         reader = csv.reader(fh)
         rows = [row for row in reader if row]
     if not rows:
-        raise ConfigError(f"empty CSV file: {path}")
+        raise ValueError(f"empty CSV file: {path}")
     return rows[0], rows[1:]
 
 
 def read_keyvalue(path) -> dict[str, str]:
     header, rows = read_table(path)
     if header != ["key", "value"]:
-        raise ConfigError(f"not a key/value CSV: {path}")
+        raise ValueError(f"not a key/value CSV: {path}")
     return {k: v for k, v in rows}
 
 

@@ -21,7 +21,7 @@ from striplab.errors import ConfigError
 from striplab.loads import LoadProfile
 from striplab.mesh import build_mesh
 
-from helpers import read_keyvalue, read_table
+from helpers import raises_value_error, read_keyvalue, read_table
 
 W = HalfDistSquared()
 G0 = LoadProfile.constant(0.0, 0.0)
@@ -79,7 +79,7 @@ def test_table_write_is_deterministic(tmp_path):
 def test_read_table_empty_file(tmp_path):
     p = tmp_path / "empty.csv"
     p.write_text("")
-    with pytest.raises(ConfigError, match="empty"):
+    with raises_value_error("empty"):
         read_table(p)
 
 
@@ -89,7 +89,7 @@ def test_keyvalue_round_trip(tmp_path):
     assert read_keyvalue(p) == {"h": "0.1", "converged": "true", "iters": "3"}
     other = tmp_path / "not_kv.csv"
     write_table(other, ["a", "b"], [(1, 2)])
-    with pytest.raises(ConfigError, match="key/value"):
+    with raises_value_error("key/value"):
         read_keyvalue(other)
 
 

@@ -322,6 +322,43 @@ def test_good_set_kappa_on_grids_smaller_than_the_window(shape):
     assert np.frombuffer(got)[0] > 0.1
 
 
+def test_good_set_kappa_pairs_never_wrap_across_rows():
+    # columns 0 and 6 are further apart than the window, but with one guard
+    # column too few, node (i, 6) sits KAPPA_WINDOW flat places before node
+    # (i + 1, 0), and that 100 jump over 4 * 0.1 would read 250
+    u = np.zeros((2, 9, 7))
+    u[:, :, 0] = 50.0
+    u[:, :, 6] = -50.0
+    good = np.zeros((9, 7), dtype=bool)
+    good[:, [0, 6]] = True
+    got, expect = _kappa_bits(u, good, 0.5, (0.1, 0.1))
+    assert got == expect == np.float64(0.5).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n1=st.integers(2, 13),
+    n2=st.integers(2, 13),
+    ncomp=st.integers(1, 2),
+    spacing=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)).filter(lambda s: s[0] != s[1]),
+    mask=st.sampled_from(["all", "single", "random"]),
+    seed=st.integers(0, 2**16),
+)
+def test_good_set_kappa_matches_loop_oracle_on_any_grid(n1, n2, ncomp, spacing, mask, seed):
+    rng = np.random.default_rng(seed)
+    u = 10.0 * rng.standard_normal((ncomp, n1, n2))
+    if mask == "all":
+        good = np.ones((n1, n2), dtype=bool)
+    elif mask == "single":
+        good = np.zeros((n1, n2), dtype=bool)
+        good[rng.integers(n1), rng.integers(n2)] = True
+    else:
+        good = rng.random((n1, n2)) > rng.random()
+        good[rng.integers(n1), rng.integers(n2)] = True  # thin_truncate refuses an empty good set
+    got, expect = _kappa_bits(u, good, 0.01, spacing)
+    assert got == expect
+
+
 def test_lipschitz_truncate_matches_loop_oracle():
     f = random_scalar(12, 10, seed=4, scale=0.4)
     f[5, 4] += 3.0  # one spike forces a small bad set
