@@ -10,7 +10,8 @@ point.
 
 A mesh is built for one thickness h, and everything that depends only on
 the grid and h is built once in ``build_mesh``: the element dof map, the
-band slots of the stiffness matrix, the strain operator B (the only place h
+band slots of the stiffness matrix (element 0's 64 slots, translated to
+every element by its dof shift), the strain operator B (the only place h
 and the element enter), the (64, 64) element-stiffness operator k_op made
 from B and the quadrature weight, the rigid state (x1, h*x2), and the slab
 partition of (0, L) into floor(L/h) equal slabs with each quadrature
@@ -184,18 +185,23 @@ def _stiffness_pattern(nx: int, ny: int, bw: int, edofs: np.ndarray):
 
     Entry (r, c) lives at row bw + r - c, column c of a (2 bw + 1, ndof)
     array: scipy's DIA layout with offsets bw..-bw and LAPACK's banded
-    ``ab`` layout alike.  Element couplings to a clamped dof go to the one
-    slot past the end; a clamped dof keeps only its diagonal.
+    ``ab`` layout alike.  Element e's dofs are element 0's shifted by
+    edofs[e, 0] - edofs[0, 0], and so are its 64 slots, since r - c stays
+    put: element 0's slots are built once and translated.  Element
+    couplings to a clamped dof go to the one slot past the end; only the
+    first ny elements, the clamped column, have such couplings, all at
+    element 0's local positions.  A clamped dof keeps only its diagonal.
     """
     ndof = 2 * (nx + 1) * (ny + 1)
     size = (2 * bw + 1) * ndof
-    r = edofs[:, :, None]
-    c = edofs[:, None, :]
-    slot = (bw + r - c) * ndof + c
-    free = edofs >= 2 * (ny + 1)  # the clamped nodes come first
-    slot = np.where(free[:, :, None] & free[:, None, :], slot, size)
-    clamped = np.arange(2 * (ny + 1))
-    pattern = (slot.reshape(-1).astype(np.int32), (bw * ndof + clamped).astype(np.int32))
+    d0 = edofs[0].astype(np.int32)
+    slot0 = (bw + d0[:, None] - d0[None, :]) * ndof + d0[None, :]
+    shift = (edofs[:, 0] - edofs[0, 0]).astype(np.int32)
+    slot = slot0.reshape(1, 64) + shift[:, None]
+    free = d0 >= 2 * (ny + 1)  # the clamped nodes come first
+    slot[:ny, ~(free[:, None] & free[None, :]).reshape(-1)] = size
+    clamped = np.arange(2 * (ny + 1), dtype=np.int32)
+    pattern = (slot.reshape(-1), bw * ndof + clamped)
     for a in pattern:
         a.flags.writeable = False  # shared by every tangent matrix of the mesh
     return pattern

@@ -10,12 +10,14 @@ the assembled load vector, the gradient of the load work
 sum_qp w * h^2 * g(x1) . y.  Zeroing f's clamped rows loses none of that
 work: y1 = 0 on the clamp, and y2 = h x2 is odd in x2 while g depends on x1
 only, so f . y is the quadrature sum.
-Newton iteration with Armijo backtracking on Pi inside one adaptive load loop
-whose first increment is the whole load, mu: 0 -> 1; a failed increment is
-halved and a successful one doubled.  The loop starts from the rigid state
-or from a given field, such as ``lift`` of the rod limit: the midline with
-each cross-section rigidly rotated, the near-rigid state that low-energy
-equilibria stay close to.  A determinant guard det F > DET_FLOOR
+Newton iteration with backtracking inside one adaptive load loop whose first
+increment is the whole load, mu: 0 -> 1; a failed increment is halved and a
+successful one doubled.  A trial is accepted on an Armijo decrease of the
+residual sup norm or of Pi; Pi is computed only where the residual test
+fails and for the returned iterate's report.  The loop starts from the rigid
+state or from a given field, such as ``lift`` of the rod limit: the midline
+with each cross-section rigidly rotated, the near-rigid state that
+low-energy equilibria stay close to.  A determinant guard det F > DET_FLOOR
 rejects steps entering the near-degenerate regime.  Newton stops one step
 after its residual falls within the larger of a load-relative tolerance and
 the assembly's roundoff floor, and gives up on a tangent step that is not a
@@ -161,10 +163,15 @@ def _newton(
     last: it cuts that distance quadratically.  MAX_ITERS caps the steps
     taken to reach the bound.  An exact zero residual takes no step.
 
-    One local ``evaluate`` turns positions into F, the residual, its sup
-    norm and the (elastic, total) energy pair, at the start state and at
-    every line-search trial.  No step is masked: assembly makes it exactly
-    0 on clamped dofs.
+    One local ``evaluate`` turns positions into F, the residual and its sup
+    norm, at the start state and at every line-search trial.  A trial is
+    accepted as soon as its residual sup norm falls by the Armijo factor;
+    only when it does not are the (elastic, total) energies of the iterate
+    and of the trial computed, once each, for the Armijo test on the total
+    energy.  The returned iterate's pair is computed at the end if the loop
+    never needed it, so a solve whose trials all pass the residual test
+    computes one energy.  No step is masked: assembly makes it exactly 0 on
+    clamped dofs.
 
     Writes no array it is given; returns (iterations, positions, residual
     sup norm, elastic energy, total energy) of the returned iterate, which
@@ -176,12 +183,13 @@ def _newton(
     floor = 0.0
 
     def evaluate(y):
-        """(F, residual, its sup norm, (elastic, total) energy) at positions y."""
+        """(F, residual, its sup norm) at positions y."""
         F = mesh.scaled_gradients(y)
         r = elastic_residual(mesh, W, F) - load_factor * f
-        return F, r, float(np.max(np.abs(r))), scaled_energy(mesh, y, f, W, load_factor, F)
+        return F, r, float(np.max(np.abs(r)))
 
-    F, r, rsup, en0 = evaluate(y)
+    F, r, rsup = evaluate(y)
+    en0 = None  # (elastic, total) energy of the iterate, once something reads it
     it = 0
     last = rsup == 0.0
     while not last:
@@ -201,14 +209,20 @@ def _newton(
         for _ in range(MAX_BACKTRACKS):
             y_new = y + alpha * delta.reshape(-1, 2)
             try:
-                F_new, r_new, rsup_new, en1 = evaluate(y_new)
+                F_new, r_new, rsup_new = evaluate(y_new)
             except StepRejected:
                 alpha *= 0.5
                 continue
             # near the residual floor the energy difference drowns in
-            # roundoff; accept on plain residual decrease as well
-            if (en1[1] <= en0[1] + ARMIJO_C * alpha * slope
-                    or rsup_new <= (1.0 - ARMIJO_C * alpha) * rsup):
+            # roundoff; accept on plain residual decrease as well, and
+            # compute the energies only when that test fails
+            en1 = None
+            if rsup_new <= (1.0 - ARMIJO_C * alpha) * rsup:
+                break
+            if en0 is None:
+                en0 = scaled_energy(mesh, y, f, W, load_factor, F)
+            en1 = scaled_energy(mesh, y_new, f, W, load_factor, F_new)
+            if en1[1] <= en0[1] + ARMIJO_C * alpha * slope:
                 break
             alpha *= 0.5
         else:
@@ -217,6 +231,8 @@ def _newton(
             raise NonConvergence("line search failed", rsup, it)
         y, F, r, rsup, en0 = y_new, F_new, r_new, rsup_new, en1
         it += 1
+    if en0 is None:
+        en0 = scaled_energy(mesh, y, f, W, load_factor, F)
     return it, y, rsup, *en0
 
 

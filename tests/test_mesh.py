@@ -63,6 +63,28 @@ def test_mesh_owns_its_thickness_read_only():
         mesh.qp_slab[0] = 1
 
 
+@pytest.mark.parametrize("nx, ny", [(4, 2), (4, 13), (7, 5), (64, 8), (640, 2), (640, 13)])
+def test_band_slots_match_their_definition(nx, ny):
+    # entry (r, c) of element e lives at flat slot (bw + r - c) * ndof + c of
+    # the band; a coupling to a clamped dof goes to the discarded slot past
+    # the end, and a clamped dof keeps its diagonal slot
+    mesh = build_mesh(1.0, 0.1, nx, ny)
+    bw, ndof = mesh.k_bw, 2 * mesh.nnode
+    size = (2 * bw + 1) * ndof
+    r = mesh.edofs[:, :, None].astype(np.int64)
+    c = mesh.edofs[:, None, :].astype(np.int64)
+    expect = (bw + r - c) * ndof + c
+    fixed = 2 * mesh.clamped_nodes().size  # the clamped dofs come first
+    expect[(r < fixed) | (c < fixed)] = size
+    assert mesh.k_slot.dtype == np.int32 and mesh.k_clamped.dtype == np.int32
+    assert np.array_equal(mesh.k_slot, expect.reshape(-1))
+    d = np.arange(fixed)
+    assert np.array_equal(mesh.k_clamped, bw * ndof + d)  # r = c
+    for a in (mesh.k_slot, mesh.k_clamped):
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
 def test_no_public_callable_takes_both_mesh_and_h():
     # a mesh is built for one h, so h never travels beside a mesh
     both = []

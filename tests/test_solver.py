@@ -10,11 +10,11 @@ from scipy.sparse import coo_matrix, dia_matrix, diags
 from striplab import solver
 from striplab.algebra import newton_step
 from striplab.config import mesh_from
-from striplab.elastica import minimize_J2, solve_elastica
-from striplab.energy import HalfDistSquared
+from striplab.elastica import ROD_N, minimize_J2, solve_elastica
+from striplab.energy import HalfDistSquared, tension_modulus
 from striplab.errors import ConfigError, StepRejected
 from striplab.loads import LoadProfile
-from striplab.mesh import StripMesh, build_mesh
+from striplab.mesh import StripMesh, build_mesh, mesh_rule_nx
 from striplab.solver import (
     elastic_residual,
     lift,
@@ -229,9 +229,9 @@ def test_operator_assembly_matches_element_definition(nx, ny):
 
 
 def test_newton_builds_gradients_once_per_evaluation(monkeypatch):
-    # each residual evaluation builds F once and shares it with the energy
-    # and the tangent; the solve's energies are those of Newton's last
-    # accepted evaluation, so it builds no more
+    # each residual evaluation builds F once and shares it with the tangent
+    # and, where it is computed, the energy; the solve's energies come from
+    # the F of Newton's last accepted evaluation, so it builds no more
     counts = {"gradients": 0, "residual": 0}
     scaled_gradients = StripMesh.scaled_gradients
 
@@ -248,6 +248,36 @@ def test_newton_builds_gradients_once_per_evaluation(monkeypatch):
     _, rep = solve_stationary(build_mesh(1.0, 0.1, 16, 4), GAMMA, W)
     assert rep.converged and rep.iterations > 1
     assert counts["gradients"] == counts["residual"]
+
+
+@pytest.mark.parametrize("h", [0.1, 0.025])
+def test_lifted_solve_computes_the_energy_only_where_it_is_read(monkeypatch, h):
+    # converge's solve: a lifted start at the shipped load.  Every trial but
+    # the closing refinement passes the residual test; that one starts at
+    # the roundoff floor, so its residual cannot fall by the Armijo factor
+    # and the energy test reads the iterate's energy and the trial's, which
+    # is then the returned iterate's
+    counts = {"energy": 0, "gradients": 0, "newton": 0}
+    newton, energy = solver._newton, solver.scaled_energy
+    scaled_gradients = StripMesh.scaled_gradients
+
+    def counted(key, fn):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    mesh = build_mesh(1.0, h, mesh_rule_nx(1.0, h), 8)
+    start = lift(solve_elastica(tension_modulus(W), GAMMA, 1.0, n=ROD_N), mesh)
+    monkeypatch.setattr("striplab.solver._newton", counted("newton", newton))
+    monkeypatch.setattr("striplab.solver.scaled_energy", counted("energy", energy))
+    monkeypatch.setattr(StripMesh, "scaled_gradients", counted("gradients", scaled_gradients))
+    y, rep = solve_stationary(mesh, GAMMA, W, start=start)
+    assert rep.converged and rep.iterations == 3
+    assert counts == {"energy": 2, "gradients": 4, "newton": 1}
+    f = load_vector(mesh, GAMMA(mesh.qp_x[:, 0]))
+    el, tot = energy(mesh, y, f, W, 1.0, scaled_gradients(mesh, y))
+    assert (rep.elastic_energy, rep.total_energy) == (el, tot)  # bit for bit
 
 
 def test_singular_tangent_fails_fast_with_reason(monkeypatch):
@@ -335,6 +365,27 @@ def test_heavy_column_converges_by_continuation():
     assert rep.path[-1][0] == 1.0
     ids = mesh.clamped_nodes()
     assert y[ids].tobytes() == mesh.rigid[ids].tobytes()
+
+
+def test_armijo_energies_leave_the_report_exact(monkeypatch):
+    # the heavy column's continuation reaches the energy test; whatever the
+    # line search computed, the report holds the returned iterate's energies
+    energy = solver.scaled_energy
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return energy(*args, **kwargs)
+
+    monkeypatch.setattr("striplab.solver.scaled_energy", counted)
+    mesh = build_mesh(1.0, 0.1, 16, 4)
+    y, rep = solve_stationary(mesh, HEAVY, W)
+    assert rep.converged
+    assert calls > len(rep.path)  # some trial failed the residual test
+    f = load_vector(mesh, HEAVY(mesh.qp_x[:, 0]))
+    el, tot = energy(mesh, y, f, W, 1.0, mesh.scaled_gradients(y))
+    assert (rep.elastic_energy, rep.total_energy) == (el, tot)
 
 
 def test_iterations_count_rejected_increments(monkeypatch):
